@@ -98,11 +98,6 @@ def bench_frontier(results: dict, thr: dict) -> None:
         # bound (~40 probe tasks/gen at 32k vs 80 at 16k) — measured
         # best of {8k, 16k, 32k, 64k}; at the 1M shape 16k and 32k tie
         batch_size=32768,
-        # plain-task tiers up to 256k-row generations: the fused
-        # fetch+explode tasks keep frontier tables in the object store
-        # (ref tier) and skip per-generation Ray Data job overhead; the
-        # Dataset tier remains the >task_frontier backpressure path
-        small_frontier_threshold=8192, small_admit_threshold=262144,
         track_visits=False,
     )
     dt = time.time() - t
@@ -443,7 +438,6 @@ def run_frontier_1m() -> dict:
             num_seen_shards=8, num_host_shards=8,
             clock_iso=clock,
             batch_size=16384,
-            small_frontier_threshold=8192, small_admit_threshold=262144,
             track_visits=False,
         )
         return time.time() - t, res
@@ -525,7 +519,6 @@ def run_crawl_100k() -> dict:
             clock_iso=clock,
             checkpoint_dir=ck,
             batch_size=16384,
-            small_frontier_threshold=8192, small_admit_threshold=262144,
             track_visits=False,
         )
         return time.time() - t, res

@@ -4,6 +4,7 @@ per-row decode invariants, and bit-identical resume from checkpoint."""
 
 import heapq
 import os
+import shutil
 
 import numpy as np
 import pyarrow.parquet as pq
@@ -201,15 +202,6 @@ def test_crawl_resume_bit_identical(corpus, tmp_path):
     ck_full = str(tmp_path / "full")
     full = crawl(corpus, graph=graph, checkpoint_dir=ck_full, **kw)
 
-    ck_part = str(tmp_path / "part")
-    crawl(corpus, graph=graph, checkpoint_dir=ck_part,
-          stop_after_generation=3, **kw)
-    resumed = crawl(corpus, graph=graph, checkpoint_dir=ck_part, resume=True, **kw)
-
-    # same complete generations on disk
-    assert CrawlCheckpoint(ck_full).complete_generations() == \
-           CrawlCheckpoint(ck_part).complete_generations()
-
     # record partitions identical (modulo row order within a generation)
     def load_all(root):
         out = []
@@ -220,13 +212,33 @@ def test_crawl_resume_bit_identical(corpus, tmp_path):
                     out.extend(pq.read_table(os.path.join(d, f)).to_pylist())
         return sorted(out, key=lambda r: (r["generation"], r["host"], r["seq"]))
 
-    a, b = load_all(ck_full), load_all(ck_part)
-    assert len(a) == len(b)
-    for ra, rb in zip(a, b):
-        assert ra == rb
-    # the resumed run continued, not restarted: its visit log only covers
-    # generations after the stop point
-    assert all(g > 3 for g, _, _ in resumed["visit_log"])
+    a = load_all(ck_full)
+    # legacy: the stopped generation's next_frontier/ part directory is
+    # swapped for the single next_frontier.parquet older checkpoints wrote
+    for legacy in (False, True):
+        ck_part = str(tmp_path / ("part-legacy" if legacy else "part"))
+        crawl(corpus, graph=graph, checkpoint_dir=ck_part,
+              stop_after_generation=3, **kw)
+        if legacy:
+            d = CrawlCheckpoint(ck_part).gen_dir(3)
+            fdir = os.path.join(d, "next_frontier")
+            front = pq.read_table(fdir)
+            assert front.num_rows > 0
+            shutil.rmtree(fdir)
+            pq.write_table(front, os.path.join(d, "next_frontier.parquet"))
+        resumed = crawl(corpus, graph=graph, checkpoint_dir=ck_part,
+                        resume=True, **kw)
+
+        # same complete generations on disk
+        assert CrawlCheckpoint(ck_full).complete_generations() == \
+               CrawlCheckpoint(ck_part).complete_generations()
+        b = load_all(ck_part)
+        assert len(a) == len(b)
+        for ra, rb in zip(a, b):
+            assert ra == rb
+        # the resumed run continued, not restarted: its visit log only
+        # covers generations after the stop point
+        assert all(g > 3 for g, _, _ in resumed["visit_log"])
 
 
 def test_hot_host_cap():
@@ -244,15 +256,14 @@ def test_hot_host_cap():
 
 
 def test_dataset_path_equivalent_to_direct_path(corpus):
-    """Forcing the large-frontier Dataset branches (thresholds=0) must
-    produce the same crawl as the small/direct branches."""
+    """Forcing the Dataset tiers (task_frontier_threshold=0) must
+    produce the same crawl as the ref tiers."""
     graph = WebGraph(N)
     kw = dict(n_seeds=6, max_generations=10, num_seen_shards=2,
               num_host_shards=2, clock_iso=CLOCK, seen_fp_bits=32,
               track_visits=True)
     small = crawl(corpus, graph=graph, **kw)
-    large = crawl(corpus, graph=graph, small_frontier_threshold=0,
-                  small_admit_threshold=0, **kw)
+    large = crawl(corpus, graph=graph, task_frontier_threshold=0, **kw)
 
     def per_host(log):
         out = {}

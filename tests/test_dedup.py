@@ -366,3 +366,13 @@ def test_banded_hamming_string_ids_large_tier(ray_session):
                                  max_hamming=3, small_threshold=0)
     assert len(small) == 15  # C(6,2) identical-sig pairs
     pd.testing.assert_frame_equal(small, large)
+
+
+def test_shingle_cache_checks_text():
+    """A doc id reused with a different text in the same worker (a
+    second corpus) gets that text's shingles, not the cached ones."""
+    from warcit_ray.stages.dedup import _cached_shingle_set, shingle_hashes
+
+    for text in ("one two three four", "five six seven eight"):
+        assert _cached_shingle_set(-7, text, 3) == \
+            set(shingle_hashes(text, 3).tolist())

@@ -17,25 +17,28 @@ def sides():
     return left, right
 
 
-def _expected(sides):
+def _expected(sides, how="inner"):
     import ray.data as rd  # noqa: F401
 
     l = pd.DataFrame({"k": range(200), "lval": [i * 10 for i in range(200)]})
     r = pd.DataFrame({"k": [i % 150 for i in range(300)], "rval": range(300)})
-    return l.merge(r, on="k").sort_values(["k", "rval"]).reset_index(drop=True)
+    return l.merge(r, on="k", how=how).sort_values(["k", "rval"]).reset_index(drop=True)
 
 
 def test_bucketed_hash_join(sides):
     left, right = sides
-    got = (
-        bucketed_hash_join(left, right, "k", num_buckets=8)
-        .to_pandas()
-        .sort_values(["k", "rval"])
-        .reset_index(drop=True)
-    )
-    pd.testing.assert_frame_equal(got[["k", "lval", "rval"]],
-                                  _expected(sides)[["k", "lval", "rval"]],
-                                  check_dtype=False)
+    # more buckets than keys: most buckets then hold one side only
+    # (left keys 150-199 have no right rows)
+    for how, num_buckets in [("inner", 8), ("inner", 256), ("left", 256)]:
+        got = (
+            bucketed_hash_join(left, right, "k", num_buckets=num_buckets, how=how)
+            .to_pandas()
+            .sort_values(["k", "rval"])
+            .reset_index(drop=True)
+        )
+        pd.testing.assert_frame_equal(got[["k", "lval", "rval"]],
+                                      _expected(sides, how)[["k", "lval", "rval"]],
+                                      check_dtype=False)
 
 
 def test_bucketed_join_keeps_63bit_ids_exact(ray_session):

@@ -209,6 +209,7 @@ def main(args=None) -> int:
         "seen": res["seen"],
         "robots_blocked": res["robots_blocked"],
         "phase_times": res.get("phase_times"),
+        "tiers": res["tiers"],
         "checkpoint": ns.checkpoint,
         "warc_records": warc_records,
     }

@@ -1,19 +1,25 @@
 """The crawl frontier + fetch scheduler (north rule).
 
 Dataflow per generation (driver loop over bounded generations — Ray
-Data has no unbounded streams and none are needed, SURVEY §2.7):
+Data has no unbounded streams and none are needed, SURVEY §2.7), one
+phase function each:
 
-    frontier Dataset (url, priority, seq, payload_key, depth)
-      -> map_batches(SeenProbe)     # SURT -> hash64 -> sharded cuckoo
-                                    #   add_if_absent; only NEW urls pass
-      -> map_batches(OfferStage)    # route by hash(host) % H to the
-                                    #   HostShard politeness actors
-      [barrier: ray.get all offers]
-      admitted = HostShard.admit()  # deterministic per-host pops
-      -> Dataset -> map_batches(FetchStage)   # corpus lookup, WARC row,
-                                              #   link discovery
-      -> write_parquet(ckpt/gen=g/records)    # resumable partition
-      next frontier = exploded links Dataset
+    _probe_offer   frontier (url, priority, seq, payload_key, depth)
+                     -> seen_probe_batch  # SURT -> hash64 -> sharded
+                                          #   cuckoo add_if_absent
+                     -> offer_batch       # route by hash(host) % H to
+                                          #   the HostShard actors
+    _admit         HostShard.admit_table()  # deterministic per-host pops
+    _fetch         fetch_fn + explode_fn    # corpus lookup, WARC row,
+                                            #   links -> next frontier
+    _checkpoint    ckpt/gen=g/{records,admitted,next_frontier,...}
+
+The frontier is one of two carriers: a ref list ``[(ObjectRef, rows)]``
+(seeds enter as ``batch_size``-row slices, resumed frontiers as their
+parquet parts) or a materialized Dataset. One threshold,
+``task_frontier``, picks the tier: frontiers and admitted sets at or
+below it run as plain Ray tasks, above it as streaming Dataset
+operators (backpressure + spilling); neither transits the driver.
 
 State partitioning is explicit: the URL-seen set shards on
 ``hash64(surt(url)) % S`` (uniform), politeness shards on
@@ -39,9 +45,12 @@ the whole corpus. Both paths are equivalence-tested
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import os
+import time
+from typing import NamedTuple
 
 import numpy as np
 import pyarrow as pa
@@ -49,9 +58,8 @@ import pyarrow.parquet as pq
 
 from ..codecs import MIME_BY_FMT
 from ..functions.digests import record_id, sha1_b32
-from ..functions.urls import (surt, surt_batch, surt_hash64_batch,
-                              surt_host, surt_host_batch)
-from ..state.shards import HostShardState, SeenShardState
+from ..functions.urls import surt_batch, surt_hash64_batch, surt_host_batch
+from ..state.shards import ADMIT_SCHEMA
 
 FRONTIER_SCHEMA = pa.schema(
     [
@@ -233,8 +241,8 @@ def offer_batch(batch: pa.Table, host_actors, top_per_host: int | None = None) -
 
 
 def probe_and_offer_batch(batch: pa.Table, seen_actors, host_actors) -> int:
-    """Fused seen-probe + offer for the ray-task dispatch tier: one task
-    per frontier slice, no Dataset operators. Returns the offered count."""
+    """Fused seen-probe + offer for the ref tier: one task per frontier
+    ref, no Dataset operators. Returns the offered count."""
     fresh = seen_probe_batch(batch, seen_actors)
     if fresh.num_rows == 0:
         return 0
@@ -243,25 +251,27 @@ def probe_and_offer_batch(batch: pa.Table, seen_actors, host_actors) -> int:
 
 def fetch_and_explode(batch: pa.Table, fetch_fn, fetch_args,
                       explode_fn) -> tuple:
-    """Fused fetch + link-explode for the plain-task tier: the explode
-    runs inside the parallel fetch task instead of single-threaded on
-    the driver (measured: driver-side explode + frontier deserialization
-    was ~57%% of frontier wall time at 200k URLs). Returns
-    (records, frontier_table, (frontier_rows, record_bytes)): the
-    frontier table stays in the OBJECT STORE — the driver keeps only
-    its ref + the small meta tuple, feeds the ref to the next
-    generation's probe tasks, and uses record_bytes to decide whether
-    the records may transit the driver or must checkpoint distributed."""
+    """Fused fetch + link-explode for the ref tier: the explode runs
+    inside the parallel fetch task instead of single-threaded on the
+    driver (measured: driver-side explode + frontier deserialization
+    was ~57%% of frontier wall time at 200k URLs). Returns (records,
+    frontier_table, (frontier_rows, record_bytes)); the frontier table
+    stays in the OBJECT STORE for the next generation's probe tasks."""
     rec = fetch_fn(batch, *fetch_args)
     front = explode_fn(rec)
     return rec, front, (front.num_rows, rec.nbytes)
 
 
-CRAWL_RECORD_FIELDS = [
-    "generation", "seq", "record_type", "target_uri", "host", "warc_date",
-    "content_type", "payload", "content_length", "payload_digest",
-    "record_id", "image_id", "fmt", "caption", "links",
-]
+RECORD_SCHEMA = pa.schema([
+    pa.field("generation", pa.int64()), pa.field("seq", pa.int64()),
+    pa.field("record_type", pa.string()), pa.field("target_uri", pa.string()),
+    pa.field("host", pa.string()), pa.field("warc_date", pa.string()),
+    pa.field("content_type", pa.string()), pa.field("payload", pa.binary()),
+    pa.field("content_length", pa.int64()), pa.field("payload_digest", pa.string()),
+    pa.field("record_id", pa.string()), pa.field("image_id", pa.string()),
+    pa.field("fmt", pa.string()), pa.field("caption", pa.string()),
+    pa.field("links", pa.list_(pa.string())),
+])
 
 
 def light_fetch_batch(batch: pa.Table, graph: WebGraph, clock_iso: str) -> pa.Table:
@@ -296,19 +306,7 @@ def light_fetch_batch(batch: pa.Table, graph: WebGraph, clock_iso: str) -> pa.Ta
         "caption": [""] * n,
         "links": [graph.links(graph.idx_of(u)) for u in urls],
     }
-    schema = pa.schema(
-        [
-            pa.field("generation", pa.int64()), pa.field("seq", pa.int64()),
-            pa.field("record_type", pa.string()), pa.field("target_uri", pa.string()),
-            pa.field("host", pa.string()), pa.field("warc_date", pa.string()),
-            pa.field("content_type", pa.string()), pa.field("payload", pa.binary()),
-            pa.field("content_length", pa.int64()), pa.field("payload_digest", pa.string()),
-            pa.field("record_id", pa.string()), pa.field("image_id", pa.string()),
-            pa.field("fmt", pa.string()), pa.field("caption", pa.string()),
-            pa.field("links", pa.list_(pa.string())),
-        ]
-    )
-    return pa.table(out, schema=schema)
+    return pa.table(out, schema=RECORD_SCHEMA)
 
 
 # worker-process cache: broadcast corpora / corpus partitions are
@@ -674,19 +672,7 @@ def fetch_batch(batch: pa.Table, corpus_ref, graph: WebGraph,
         "caption": [r[2] for r in rows],
         "links": [graph.links(i) for i in idxs],
     }
-    schema = pa.schema(
-        [
-            pa.field("generation", pa.int64()), pa.field("seq", pa.int64()),
-            pa.field("record_type", pa.string()), pa.field("target_uri", pa.string()),
-            pa.field("host", pa.string()), pa.field("warc_date", pa.string()),
-            pa.field("content_type", pa.string()), pa.field("payload", pa.binary()),
-            pa.field("content_length", pa.int64()), pa.field("payload_digest", pa.string()),
-            pa.field("record_id", pa.string()), pa.field("image_id", pa.string()),
-            pa.field("fmt", pa.string()), pa.field("caption", pa.string()),
-            pa.field("links", pa.list_(pa.string())),
-        ]
-    )
-    return pa.table(out, schema=schema)
+    return pa.table(out, schema=RECORD_SCHEMA)
 
 
 def explode_links(batch: pa.Table, graph: WebGraph) -> pa.Table:
@@ -768,12 +754,12 @@ class CrawlCheckpoint:
         """Persist the next-generation frontier DISTRIBUTED — the
         frontier never transits the driver on the checkpoint path
         (checkpointing at the largest generations is exactly when that
-        would hurt). Carriers: pa.Table (small tier — written directly),
-        list[(ObjectRef, rows)] (task tier — one remote write task per
-        ref, each dumps its own part straight from the object store),
-        Dataset (backpressure tier — ``write_parquet``, blocks written
-        by workers). Atomic via tmp-dir + rename; at multi-node scale
-        the checkpoint root is shared storage."""
+        would hurt). Carriers: list[(ObjectRef, rows)] (ref tier — one
+        remote write task per ref, each dumps its own part straight from
+        the object store), Dataset (backpressure tier —
+        ``write_parquet``, blocks written by workers). Atomic via
+        tmp-dir + rename; at multi-node scale the checkpoint root is
+        shared storage."""
         import shutil
 
         fdir = os.path.join(d, "next_frontier")
@@ -789,12 +775,7 @@ class CrawlCheckpoint:
             os.remove(legacy)
         if frontier is None:
             return
-        if isinstance(frontier, pa.Table):
-            if frontier.num_rows == 0:
-                return
-            os.makedirs(tmp, exist_ok=True)
-            pq.write_table(frontier, os.path.join(tmp, "part-000000.parquet"))
-        elif isinstance(frontier, list):
+        if isinstance(frontier, list):
             import ray
 
             os.makedirs(tmp, exist_ok=True)
@@ -885,33 +866,297 @@ class CrawlCheckpoint:
         with open(os.path.join(self.gen_dir(g), "host_state.json")) as fh:
             return json.load(fh)
 
+    def restore(self, seen_actors, host_actors) -> tuple | None:
+        """Resume: replay the last complete generation's seen deltas and
+        host snapshots into the actors -> (next generation, frontier
+        carrier); None when no generation is complete. Pending URLs live
+        in the restored host shards; links found in that generation but
+        never offered resume as the frontier."""
+        import ray
+
+        done = self.complete_generations()
+        if not done:
+            return None
+        last = done[-1]
+        deltas = self.load_seen_deltas(last, len(seen_actors))
+        ray.get([a.replay.remote(d) for a, d in zip(seen_actors, deltas)])
+        states = self.load_host_states(last)
+        ray.get([a.restore_state.remote(s) for a, s in zip(host_actors, states)])
+        return last + 1, self.load_next_frontier(last)
+
     def load_next_frontier(self, g: int):
         """Resume carrier: the frontier parts load via remote read tasks
         into the OBJECT STORE — the driver gets back (ref, rows) pairs
         (row counts from the parquet footers, no data read driver-side),
-        the same task-tier carrier crawl() feeds straight into probe
-        tasks. Single-file legacy checkpoints load as a plain table."""
-        d = self.gen_dir(g)
-        legacy = os.path.join(d, "next_frontier.parquet")
-        if os.path.exists(legacy):
-            return pq.read_table(legacy)
-        fdir = os.path.join(d, "next_frontier")
-        if not os.path.isdir(fdir):
-            return None
+        the ref-tier carrier crawl() feeds straight into probe tasks. A
+        legacy single-file checkpoint loads as one such part."""
         import glob
 
         import ray
+
+        d = self.gen_dir(g)
+        legacy = os.path.join(d, "next_frontier.parquet")
+        paths = [legacy] if os.path.exists(legacy) else sorted(
+            glob.glob(os.path.join(d, "next_frontier", "*.parquet")))
 
         def _load(path: str) -> pa.Table:
             return pq.read_table(path)
 
         load = ray.remote(num_cpus=0.5)(_load)
         out = []
-        for p in sorted(glob.glob(os.path.join(fdir, "*.parquet"))):
+        for p in paths:
             rows = pq.ParquetFile(p).metadata.num_rows
             if rows:
                 out.append((load.remote(p), rows))
         return out or None
+
+
+class _Layer(NamedTuple):
+    """One phase of one generation: rows in and out, its tier ("ref",
+    "dataset", or None for a driver-only phase) and its seconds. The
+    fetch phase keeps its explode time out of ``s`` (on the ref tier the
+    explode runs inside the fetch tasks and counts as fetch)."""
+
+    rows_in: int
+    rows_out: int
+    tier: str | None
+    s: float
+    explode_s: float = 0.0
+
+
+@dataclasses.dataclass(frozen=True)
+class _Plane:
+    """What every phase of one crawl() run shares."""
+
+    seen_actors: list
+    host_actors: list
+    fetch_fn: object
+    fetch_args: tuple
+    explode_fn: object
+    affinity_fn: object
+    ckpt: CrawlCheckpoint | None
+    # frontier rows (probe/offer) and admitted rows (fetch) above this
+    # run on the Dataset tier; at or below it, on the ref tier
+    task_frontier: int
+    batch_size: int
+    probe_task: object
+    fetch_task: object
+
+
+def _put_slices(table: pa.Table, rows: int) -> list | None:
+    """Seeds -> the ref carrier: ``rows``-row slices put into the object
+    store once (Ray Data's Arrow serializer ships only a slice's rows)."""
+    import ray
+
+    return [(ray.put(table.slice(lo, rows)), min(rows, table.num_rows - lo))
+            for lo in range(0, table.num_rows, rows)] or None
+
+
+def _carrier_rows(frontier) -> int:
+    if frontier is None:
+        return 0
+    if isinstance(frontier, list):
+        return sum(c for _, c in frontier)
+    return frontier.count()
+
+
+def _dataset_to_refs(ds) -> list | None:
+    """Dataset carrier -> ref carrier WITHOUT driver transit: block refs
+    + row counts from the ref bundles' metadata (no ray.get)."""
+    import ray
+
+    out = []
+    for bundle in ds.iter_internal_ref_bundles():
+        for block_ref, meta in bundle.blocks:
+            rows = meta.num_rows
+            if rows is None:  # metadata gap: count remotely, keep the ref
+                rows = ray.get(ray.remote(num_cpus=0.25)(
+                    lambda t: t.num_rows).remote(block_ref))
+            if rows:
+                out.append((block_ref, rows))
+    return out or None
+
+
+def _probe_offer(plane: _Plane, frontier) -> tuple[int, _Layer]:
+    """Phase 1: seen-probe + offer the frontier -> (offered, layer). The
+    carrier first moves, without driver transit, to the tier its size
+    picks: ref list (one fused probe+offer task per ref, reading its
+    table from the object store) or streaming Dataset."""
+    import ray
+    import ray.data as rd
+
+    t0 = time.monotonic()
+    rows = _carrier_rows(frontier)
+    if not rows:
+        return 0, _Layer(0, 0, None, time.monotonic() - t0)
+    if isinstance(frontier, list) and rows > plane.task_frontier:
+        frontier = rd.from_arrow_refs([r for r, _ in frontier])
+    elif isinstance(frontier, rd.Dataset) and rows <= plane.task_frontier:
+        frontier = _dataset_to_refs(frontier)
+    if isinstance(frontier, list):
+        offered = sum(ray.get([
+            plane.probe_task.remote(r, plane.seen_actors, plane.host_actors)
+            for r, _ in frontier]))
+        tier = "ref"
+    else:
+        out = (
+            frontier.map_batches(seen_probe_batch, fn_args=(plane.seen_actors,),
+                                 batch_size=plane.batch_size, batch_format="pyarrow")
+            .map_batches(offer_batch, fn_args=(plane.host_actors,),
+                         batch_size=plane.batch_size, batch_format="pyarrow")
+            .to_pandas()
+        )
+        offered = int(out["offered"].sum()) if len(out) else 0
+        tier = "dataset"
+    return offered, _Layer(rows, offered, tier, time.monotonic() - t0)
+
+
+def _admit(plane: _Plane, g: int, offered: int) -> tuple[pa.Table | None, _Layer]:
+    """Phase 2: one politeness tick -> (admitted rows plus a
+    ``generation`` column, or None once the crawl is drained; layer).
+    The actors build the tables (fixed shard order -> deterministic
+    concat); the admit set, bounded by rate x hosts, is the only
+    driver-held state. Rows in: this generation's offers."""
+    import ray
+
+    t0 = time.monotonic()
+    tables = [t for t in ray.get([a.admit_table.remote() for a in plane.host_actors])
+              if t is not None]
+    body = pa.concat_tables(tables) if tables else ADMIT_SCHEMA.empty_table()
+    n = body.num_rows
+    # buckets may be empty this tick while URLs remain: the next refills
+    if n == 0 and not sum(ray.get([a.pending.remote() for a in plane.host_actors])):
+        return None, _Layer(offered, 0, None, time.monotonic() - t0)
+    admitted = body.add_column(0, "generation",
+                               pa.array(np.full(n, g, dtype=np.int64)))
+    return admitted, _Layer(offered, n, None, time.monotonic() - t0)
+
+
+def _fetch_plan(admitted: pa.Table, affinity_fn) -> tuple[pa.Table, list]:
+    """Bucket-affine dispatch (the map side of a co-partitioned join) ->
+    (dispatch table, [(lo, hi)] segments): rows sort by corpus bucket and
+    slices cut at bucket boundaries, so a fetch task touches ONE bucket
+    instead of faulting all of them into its worker's cache (at 100k
+    urls / 17 fragments: 108 s of duplicate builds for a 0.6 s fetch)."""
+    n = admitted.num_rows
+    if affinity_fn is None:
+        return admitted, [(0, n)]
+    bk = np.asarray(affinity_fn(admitted))
+    order = np.argsort(bk, kind="stable")
+    sb = bk[order]
+    cuts = (np.flatnonzero(sb[1:] != sb[:-1]) + 1).tolist()
+    # coalesce adjacent sub-task-size segments: with many buckets and a
+    # sparse generation, one task per bucket would mean thousands of
+    # few-row tasks — a merged task touches a FEW adjacent buckets
+    min_rows = 1024 if n > 4096 else 256
+    segments, lo = [], 0
+    for hi in cuts + [n]:
+        if hi - lo >= min_rows or hi == n:
+            segments.append((lo, hi))
+            lo = hi
+    return admitted.take(pa.array(order)), segments
+
+
+def _fetch(plane: _Plane, admitted: pa.Table) -> tuple:
+    """Phase 3: fetch the admitted rows and explode their links ->
+    (records, next frontier carrier, layer); ``records`` is None when
+    no checkpoint consumes it. Dataset tier: one task per 4k-row block
+    (a one-block ``from_arrow(table)`` ran a 586k-row fetch as ONE task,
+    28.7 s vs 3.3 s sliced), each looping 256-row fetch batches."""
+    import ray.data as rd
+
+    t0 = time.monotonic()
+    n = admitted.num_rows
+    if n == 0:
+        return None, None, _Layer(0, 0, None, time.monotonic() - t0)
+    dispatch, segments = _fetch_plan(admitted, plane.affinity_fn)
+    if n <= plane.task_frontier:
+        return _fetch_refs(plane, dispatch, segments, t0)
+    blocks = rd.from_arrow([dispatch.slice(lo, 4096) for lo in range(0, n, 4096)])
+    records = blocks.map_batches(plane.fetch_fn, fn_args=plane.fetch_args,
+                                 batch_size=256, batch_format="pyarrow").materialize()
+    t1 = time.monotonic()
+    front = (records.select_columns(["links"])
+             .map_batches(plane.explode_fn, batch_size=plane.batch_size,
+                          batch_format="pyarrow")
+             .materialize())
+    rows_out = front.count()
+    return records, front if rows_out else None, _Layer(
+        n, rows_out, "dataset", t1 - t0, time.monotonic() - t1)
+
+
+def _fetch_refs(plane: _Plane, dispatch: pa.Table, segments: list,
+                t0: float) -> tuple:
+    """Ref tier: plain tasks over 256-1024-row slices with the explode
+    fused in (fetch_and_explode); frontier tables STAY in the object
+    store — the driver gets back only refs + row counts."""
+    import ray
+    import ray.data as rd
+
+    n = dispatch.num_rows
+    # slices grow with the generation so that a task's fixed cost here
+    # and in the probe task of its frontier ref stays small
+    slice_rows = 256 if n <= 4096 else 1024 if n <= 65536 else 4096
+    rec_refs, front_refs, meta_refs = [], [], []
+    for seg_lo, seg_hi in segments:
+        for lo in range(seg_lo, seg_hi, slice_rows):
+            r, f, m = plane.fetch_task.remote(
+                dispatch.slice(lo, min(slice_rows, seg_hi - lo)),
+                plane.fetch_fn, plane.fetch_args, plane.explode_fn)
+            rec_refs.append(r)
+            front_refs.append(f)
+            meta_refs.append(m)
+    meta = ray.get(meta_refs)  # (front_rows, rec_bytes) per slice
+    records = None
+    if plane.ckpt is not None:
+        # heavy-payload generations (image records) checkpoint their
+        # slices DISTRIBUTED as Dataset blocks (the driver concat +
+        # write was 5.5 s of the 9.4 s 100k image crawl); row-light
+        # ones keep the cheap concat
+        records = (rd.from_arrow_refs(rec_refs) if sum(m[1] for m in meta) > (64 << 20)
+                   else pa.concat_tables(ray.get(rec_refs)))
+    frontier = [(f, m[0]) for f, m in zip(front_refs, meta) if m[0]] or None
+    rows_out = sum(m[0] for m in meta)
+    return records, frontier, _Layer(n, rows_out, "ref", time.monotonic() - t0)
+
+
+def _checkpoint(plane: _Plane, g: int, records, admitted: pa.Table,
+                frontier) -> _Layer:
+    """Phase 4: write generation ``g``'s lineage (records, admitted rows,
+    next frontier carrier written distributed, seen deltas, host
+    snapshots). Rows out: the admitted rows made durable."""
+    import ray
+
+    t0 = time.monotonic()
+    n = admitted.num_rows
+    if plane.ckpt is None:
+        return _Layer(n, 0, None, time.monotonic() - t0)
+    plane.ckpt.write_generation(
+        g,
+        records_ds=records.drop_columns(["links"]) if records is not None else None,
+        admitted=admitted,
+        next_frontier=frontier,
+        seen_deltas=ray.get([a.flush_delta.remote() for a in plane.seen_actors]),
+        host_states=ray.get([a.checkpoint_state.remote() for a in plane.host_actors]),
+        stats={"admitted": n},
+    )
+    return _Layer(n, n, None, time.monotonic() - t0)
+
+
+def _corpus_ref(corpus_table: pa.Table, *, partitions: int | None,
+                broadcast_threshold: int, fragments_dir: str | None):
+    """Corpus dispatch: fragment mode (the 100 TB path) pre-buckets the
+    corpus to on-disk parquet; above the broadcast threshold (or when
+    forced) it hash-partitions on image_id into the object store (see
+    make_partitioned_corpus); only a small-side corpus is broadcast."""
+    import ray
+
+    num_parts = partitions or max(8, int(corpus_table.nbytes // (64 << 20)))
+    if fragments_dir is not None:
+        return write_corpus_fragments(corpus_table, fragments_dir, num_parts)
+    if partitions or corpus_table.nbytes > broadcast_threshold:
+        return make_partitioned_corpus(corpus_table, num_parts)
+    return ray.put(corpus_dict(corpus_table))
 
 
 def crawl(
@@ -934,9 +1179,10 @@ def crawl(
     resume: bool = False,
     stop_after_generation: int | None = None,
     batch_size: int = 4096,
-    fetch_concurrency: int = 4,
-    small_frontier_threshold: int = 32768,
-    small_admit_threshold: int = 8192,
+    # ignored: tiers follow task_frontier_threshold alone; kept because
+    # perfbench/workloads.py still passes them
+    small_frontier_threshold: int | None = None,
+    small_admit_threshold: int | None = None,
     track_visits: bool = False,
     seen_fp_bits: int = 16,
     corpus_partitions: int | None = None,
@@ -949,6 +1195,11 @@ def crawl(
 ) -> dict:
     """Run the crawl; returns stats + (if checkpointing) the output layout.
 
+    ``task_frontier_threshold`` (default ~4M rows) is the one tier
+    knob (see the module docstring). Stats carry ``phase_times``,
+    ``tiers`` (per phase, generations run on each tier) and
+    ``layer_rows`` (per phase, rows in and out).
+
     ``resume=True`` restores seen/host state from the last complete
     generation in ``checkpoint_dir`` and continues; finished
     generations are never recomputed (their records partitions stay).
@@ -959,7 +1210,6 @@ def crawl(
     in the checkpoint; opt in to the in-memory log only for
     test-scale equivalence checks."""
     import ray
-    import ray.data as rd
 
     from ..state.shards import make_actors
 
@@ -973,31 +1223,15 @@ def crawl(
             raise ValueError("need corpus_table or an explicit fetch_fn")
         n = corpus_table.num_rows
         graph = graph or WebGraph(n)
-        # corpus dispatch: broadcast the whole dict only while it is
-        # genuinely small-side; above the threshold (or when forced),
-        # hash-partition on image_id so fetch tasks resolve only the
-        # buckets they touch (see make_partitioned_corpus)
-        if corpus_fragments_dir is not None:
-            # fragment mode (the 100 TB path): corpus pre-bucketed to
-            # on-disk parquet; the driver never ray.puts it and fetch
-            # tasks read only the buckets they touch
-            num_parts = corpus_partitions or max(
-                8, int(corpus_table.nbytes // (64 << 20)))
-            corpus_ref = write_corpus_fragments(
-                corpus_table, corpus_fragments_dir, num_parts)
-        elif corpus_partitions or corpus_table.nbytes > corpus_broadcast_threshold:
-            num_parts = corpus_partitions or max(
-                8, int(corpus_table.nbytes // (64 << 20)))
-            corpus_ref = make_partitioned_corpus(corpus_table, num_parts)
-        else:
-            corpus_ref = ray.put(corpus_dict(corpus_table))
+        corpus_ref = _corpus_ref(
+            corpus_table, partitions=corpus_partitions,
+            broadcast_threshold=corpus_broadcast_threshold,
+            fragments_dir=corpus_fragments_dir)
         fetch_fn = fetch_batch
         fetch_args = (corpus_ref, graph, clock_iso)
         if (fetch_affinity_fn is None and isinstance(corpus_ref, dict)
                 and corpus_ref.get("kind") in ("parts", "frags")):
-            # bucketed corpus -> bucket-affine fetch dispatch (see the
-            # dispatch site): group each generation's admitted rows by
-            # the corpus bucket their key hashes to
+            # bucketed corpus -> bucket-affine fetch dispatch (_fetch_plan)
             fetch_affinity_fn = corpus_affinity_fn(graph, corpus_ref["P"])
         explode_fn = lambda t: explode_links(t, graph)  # noqa: E731
         seeds = seeds_table(graph, n_seeds)
@@ -1011,7 +1245,8 @@ def crawl(
             seen_capacity = 1 << 20
 
     ckpt = CrawlCheckpoint(checkpoint_dir) if checkpoint_dir else None
-
+    if resume and ckpt is None:
+        raise ValueError("resume requires checkpoint_dir")
     seen_actors, host_actors = make_actors(
         num_seen_shards, num_host_shards,
         seen_capacity=seen_capacity,
@@ -1019,314 +1254,75 @@ def crawl(
         seen_fp_bits=seen_fp_bits,
         max_pending_per_host=max_pending_per_host,
     )
+    restored = ckpt.restore(seen_actors, host_actors) if resume else None
+    start_gen, frontier = restored or (0, _put_slices(seeds, batch_size))
 
-    start_gen = 0
-    frontier: pa.Table | None = seeds
-    if resume:
-        if ckpt is None:
-            raise ValueError("resume requires checkpoint_dir")
-        done = ckpt.complete_generations()
-        if done:
-            last = done[-1]
-            deltas = ckpt.load_seen_deltas(last, num_seen_shards)
-            ray.get([a.replay.remote(d) for a, d in zip(seen_actors, deltas)])
-            states = ckpt.load_host_states(last)
-            ray.get([a.restore_state.remote(s) for a, s in zip(host_actors, states)])
-            start_gen = last + 1
-            # pending URLs live in the restored host shards; links found in
-            # the last generation but never offered resume as the frontier
-            frontier = ckpt.load_next_frontier(last)
-
-    totals = {"admitted": 0, "offered": 0, "generations": 0,
-              "gen_admits": []}
-    visit_log: list[tuple] = []
-    phase_times = {"probe_offer": 0.0, "admit": 0.0, "fetch": 0.0,
-                   "explode": 0.0, "checkpoint": 0.0}
-    _now = __import__("time").monotonic
-
-    # Hybrid dispatch: a generation whose frontier/admit set is small is
-    # processed with direct calls (same stage functions, same sharded
-    # actors — just without per-generation Ray Data job overhead); large
-    # generations stream through Dataset pipelines. The crossover is
-    # sized so the 10^10-frontier path is always the Dataset one.
-    small_frontier = small_frontier_threshold
-    small_admit = small_admit_threshold
-    # frontier generations up to this size dispatch as plain parallel ray
-    # tasks (fused probe+offer, no Dataset operator overhead); beyond it
-    # the streaming Dataset pipeline takes over (backpressure + spilling)
-    # frontier rows above this promote the ref/task tiers to the
-    # streaming Dataset tier (backpressure + spilling); injectable so
-    # the promotion path is testable at small scale
-    task_frontier = task_frontier_threshold if task_frontier_threshold is not None \
-        else max(small_frontier, 4_000_000 // max(1, batch_size) * batch_size)
-    fetch_explode_task = ray.remote(num_cpus=1, num_returns=3)(fetch_and_explode)
-    probe_offer_task = ray.remote(num_cpus=1)(probe_and_offer_batch)
-    count_rows_task = ray.remote(num_cpus=0.25)(lambda t: t.num_rows)
-
-    def frontier_rows(f) -> int:
-        # frontier carriers: pa.Table (seeds/resume/small),
-        # list[(ObjectRef, nrows)] (task tier — tables stay in the
-        # object store, the driver holds refs + counts only), or a
-        # materialized Dataset (large tier — blocks stay distributed)
-        if f is None:
-            return 0
-        if isinstance(f, list):
-            return sum(c for _, c in f)
-        if isinstance(f, pa.Table):
-            return f.num_rows
-        return f.count()
-
-    def table_as_blocks(table: pa.Table, rows_per_block: int):
-        """pa.Table -> multi-block Dataset. ``rd.from_arrow(table)``
-        makes ONE block, and a one-block Dataset runs its whole
-        map_batches as ONE task — a 586k-row generation entering the
-        Dataset tier through it serialized the entire fetch onto one
-        core (measured 28.7s vs 3.3s for the sliced version)."""
-        if table.num_rows <= rows_per_block:
-            return rd.from_arrow(table)
-        return rd.from_arrow([
-            table.slice(lo, rows_per_block)
-            for lo in range(0, table.num_rows, rows_per_block)
-        ])
-
-    def dataset_to_refs(ds) -> list | None:
-        # demote Dataset tier -> ref tier WITHOUT driver transit: block
-        # refs + footer row counts from the ref bundles (no ray.get)
-        out = []
-        for bundle in ds.iter_internal_ref_bundles():
-            for block_ref, meta in bundle.blocks:
-                rows = meta.num_rows
-                if rows is None:  # metadata gap: count remotely, keep the ref
-                    rows = ray.get(count_rows_task.remote(block_ref))
-                if rows:
-                    out.append((block_ref, rows))
-        return out or None
-
-    for g in range(start_gen, max_generations):
-        # --- 1. dedup + offer the current frontier (if any) -------------
-        _t0 = _now()
-        n_front = frontier_rows(frontier)
-        if isinstance(frontier, rd.Dataset) and n_front <= task_frontier:
-            frontier = dataset_to_refs(frontier)  # small again: leave Dataset tier
-        elif isinstance(frontier, list) and n_front > task_frontier:
-            # promote ref tier -> Dataset tier without driver transit
-            frontier = rd.from_arrow_refs([r for r, _ in frontier])
-        if frontier is not None and n_front:
-            if isinstance(frontier, list):
-                # ref tier: frontier tables never touched the driver —
-                # each probe task reads its slice straight from the
-                # object store (refs auto-deref as task args)
-                refs = [
-                    probe_offer_task.remote(r, seen_actors, host_actors)
-                    for r, c in frontier if c
-                ]
-                totals["offered"] += sum(ray.get(refs))
-            elif isinstance(frontier, rd.Dataset) or frontier.num_rows > task_frontier:
-                fds = frontier if isinstance(frontier, rd.Dataset) \
-                    else table_as_blocks(frontier, batch_size)
-                offered = (
-                    fds.map_batches(seen_probe_batch, fn_args=(seen_actors,),
-                                    batch_size=batch_size, batch_format="pyarrow")
-                    .map_batches(offer_batch, fn_args=(host_actors,),
-                                 batch_size=batch_size, batch_format="pyarrow")
-                    .to_pandas()
-                )
-                totals["offered"] += int(offered["offered"].sum()) if len(offered) else 0
-            elif frontier.num_rows <= small_frontier:
-                off = 0
-                for lo in range(0, frontier.num_rows, batch_size):
-                    chunk = frontier.slice(lo, batch_size)
-                    fresh = seen_probe_batch(chunk, seen_actors)
-                    off += int(offer_batch(fresh, host_actors)["offered"][0].as_py()) \
-                        if fresh.num_rows else 0
-                totals["offered"] += off
-            else:
-                refs = [
-                    probe_offer_task.remote(frontier.slice(lo, batch_size),
-                                            seen_actors, host_actors)
-                    for lo in range(0, frontier.num_rows, batch_size)
-                ]
-                totals["offered"] += sum(ray.get(refs))
-        phase_times["probe_offer"] += _now() - _t0
-        frontier = None
-
-        # --- 2. politeness tick: admit per host --------------------------
-        _t0 = _now()
-        # per-shard admits arrive as Arrow tables built ON the actors
-        # (fixed shard order -> deterministic concat): the driver's
-        # ray.get maps plasma-backed tables and never materializes
-        # python string lists. One generation's admit set is bounded by
-        # rate x hosts, the only driver-held state.
-        admits = ray.get([a.admit_table.remote() for a in host_actors])
-        shard_tables = []
-        for ad in admits:
-            if ad is None:
-                continue
-            if isinstance(ad, dict):  # small tick arrived inline
-                ad = pa.table({
-                    "host": pa.array(ad["host"], type=pa.string()),
-                    "url": pa.array(ad["url"], type=pa.string()),
-                    "priority": pa.array(ad["priority"], type=pa.int64()),
-                    "seq": pa.array(ad["seq"], type=pa.int64()),
-                    "payload_key": pa.array(ad["payload_key"], type=pa.string()),
-                    "depth": pa.array(ad["depth"], type=pa.int64()),
-                })
-            shard_tables.append(ad)
-        n_admitted = sum(t.num_rows for t in shard_tables)
-        if n_admitted == 0:
-            pending = sum(ray.get([a.pending.remote() for a in host_actors]))
-            if pending == 0:
-                break
-            # buckets empty this tick but URLs remain: next tick refills
-        if shard_tables:
-            body = pa.concat_tables(shard_tables)
-        else:
-            body = pa.table({
-                "host": pa.array([], type=pa.string()),
-                "url": pa.array([], type=pa.string()),
-                "priority": pa.array([], type=pa.int64()),
-                "seq": pa.array([], type=pa.int64()),
-                "payload_key": pa.array([], type=pa.string()),
-                "depth": pa.array([], type=pa.int64()),
-            })
-        admitted = body.add_column(
-            0, "generation", pa.array([g] * n_admitted, type=pa.int64()))
-        totals["admitted"] += n_admitted
-        totals["gen_admits"].append(n_admitted)
-        totals["generations"] = g + 1
-        if track_visits:
-            for h, u in zip(body.column("host").to_pylist(),
-                            body.column("url").to_pylist()):
-                visit_log.append((g, h, u))
-
-        phase_times["admit"] += _now() - _t0
-
-        # --- 3. fetch + link discovery -----------------------------------
-        _t0 = _now()
-        records = None  # pa.Table (small path) or Dataset (large path)
-        next_frontier = None
-        if n_admitted:
-            # bucket-affine dispatch (the map side of a co-partitioned
-            # join): with a partitioned/fragment corpus, sort this
-            # generation's rows by corpus bucket and cut task slices at
-            # bucket boundaries so a fetch task touches ONE bucket.
-            # Without this, every task faults every bucket into its
-            # worker's cache (measured at 100k urls / 17 fragments: 32
-            # concurrently-cold workers spent 108 s on duplicate bucket
-            # builds for a generation whose warm fetch is 0.6 s). The
-            # checkpointed `admitted` table keeps its original order —
-            # only dispatch order changes, and records are seq-keyed
-            # (physical emission sorts once on seq).
-            dispatch = admitted
-            seg_bounds = [(0, n_admitted)]
-            if fetch_affinity_fn is not None:
-                bk = np.asarray(fetch_affinity_fn(admitted))
-                order = np.argsort(bk, kind="stable")
-                dispatch = admitted.take(pa.array(order))
-                sb = bk[order]
-                cuts = (np.flatnonzero(sb[1:] != sb[:-1]) + 1).tolist()
-                edges = [0] + cuts + [n_admitted]
-                # coalesce adjacent sub-task-size segments: with many
-                # corpus buckets and a sparse generation, one task per
-                # non-empty bucket would degenerate to thousands of
-                # few-row tasks — a merged task touches a FEW adjacent
-                # buckets instead (still far from all of them)
-                min_rows = 1024 if n_admitted > 4096 else 256
-                seg_bounds = []
-                cur_lo = 0
-                for hi in edges[1:]:
-                    if hi - cur_lo >= min_rows or hi == n_admitted:
-                        seg_bounds.append((cur_lo, hi))
-                        cur_lo = hi
-            if n_admitted <= small_admit:
-                # parallel plain tasks over ~256-row slices; explode is
-                # fused into the task (fetch_and_explode) and the
-                # frontier tables STAY in the object store — the driver
-                # gets back only refs + row counts
-                slice_rows = 1024 if n_admitted > 4096 else 256
-                rec_refs, front_refs, cnt_refs = [], [], []
-                for seg_lo, seg_hi in seg_bounds:
-                    for lo in range(seg_lo, seg_hi, slice_rows):
-                        r, f, c = fetch_explode_task.remote(
-                            dispatch.slice(lo, min(slice_rows, seg_hi - lo)),
-                            fetch_fn, fetch_args, explode_fn)
-                        rec_refs.append(r)
-                        front_refs.append(f)
-                        cnt_refs.append(c)
-                meta = ray.get(cnt_refs)  # (front_rows, rec_bytes) per slice
-                if ckpt is None:
-                    # records are consumed only by the checkpoint:
-                    # without one, don't ship them to the driver at all
-                    records = None
-                elif sum(m[1] for m in meta) > (64 << 20):
-                    # heavy-payload generation (image records): never
-                    # ship the record tables to the driver — the slice
-                    # refs become Dataset blocks in place and the
-                    # checkpoint writes its parts DISTRIBUTED. The
-                    # driver concat + single-threaded parquet write was
-                    # 5.5 s of the 9.4 s 100k image crawl; row-light
-                    # generations (the frontier shape) keep the cheap
-                    # concat — a per-generation Ray Data job costs more
-                    # than it saves there.
-                    records = rd.from_arrow_refs(rec_refs)
-                else:
-                    records = pa.concat_tables(ray.get(rec_refs))
-                phase_times["fetch"] += _now() - _t0
-                _t0 = _now()
-                next_frontier = [(r, m[0])
-                                 for r, m in zip(front_refs, meta) if m[0]]
-                if not next_frontier:
-                    next_frontier = None
-            else:
-                # block-sliced entry: one task per ~4k-row block (each
-                # looping 256-row fetch batches), not one task for the
-                # whole generation; with affinity set, `dispatch` is
-                # bucket-sorted so blocks are (mostly) bucket-local
-                records = table_as_blocks(dispatch, 4096).map_batches(
-                    fetch_fn,
-                    fn_args=fetch_args,
-                    batch_size=256, batch_format="pyarrow",
-                ).materialize()
-                # explode distributed inside map_batches; the frontier
-                # stays a materialized Dataset (blocks never transit
-                # the driver — step 1's Dataset tier consumes it)
-                front_ds = (
-                    records.select_columns(["links"])
-                    .map_batches(explode_fn, batch_size=batch_size,
-                                 batch_format="pyarrow")
-                    .materialize()
-                )
-                next_frontier = front_ds if front_ds.count() else None
-        phase_times["explode"] += _now() - _t0
-
-        # --- 4. checkpoint lineage ---------------------------------------
-        _t0 = _now()
-        if ckpt is not None:
-            deltas = ray.get([a.flush_delta.remote() for a in seen_actors])
-            states = ray.get([a.checkpoint_state.remote() for a in host_actors])
-            ckpt.write_generation(
-                g,
-                records_ds=records.drop_columns(["links"]) if records is not None else None,
-                admitted=admitted,
-                next_frontier=next_frontier,  # carrier passed as-is:
-                # ref/Dataset tiers write their parts distributed
-                seen_deltas=deltas,
-                host_states=states,
-                stats={"admitted": n_admitted},
-            )
-
-        phase_times["checkpoint"] += _now() - _t0
-        frontier = next_frontier
-        if stop_after_generation is not None and g >= stop_after_generation:
-            break
-
-    stats = [s for s in ray.get([a.get_stats.remote() for a in host_actors])]
-    seen_count = sum(ray.get([a.count.remote() for a in seen_actors]))
-    totals["seen"] = seen_count
+    plane = _Plane(
+        seen_actors=seen_actors, host_actors=host_actors,
+        fetch_fn=fetch_fn, fetch_args=fetch_args, explode_fn=explode_fn,
+        affinity_fn=fetch_affinity_fn, ckpt=ckpt,
+        task_frontier=task_frontier_threshold if task_frontier_threshold is not None
+        else 4_000_000 // max(1, batch_size) * batch_size,
+        batch_size=batch_size,
+        probe_task=ray.remote(num_cpus=1)(probe_and_offer_batch),
+        fetch_task=ray.remote(num_cpus=1, num_returns=3)(fetch_and_explode),
+    )
+    totals = _generations(plane, frontier, range(start_gen, max_generations),
+                          stop_after_generation, track_visits)
+    stats = ray.get([a.get_stats.remote() for a in host_actors])
+    totals["seen"] = sum(ray.get([a.count.remote() for a in seen_actors]))
     totals["robots_blocked"] = sum(s.get("robots_blocked", 0) for s in stats)
     totals["evicted"] = sum(s.get("evicted", 0) for s in stats)
-    totals["visit_log"] = visit_log
-    totals["phase_times"] = {k: round(v, 3) for k, v in phase_times.items()}
     for a in seen_actors + host_actors:
         ray.kill(a)
+    return totals
+
+
+def _generations(plane: _Plane, frontier, gens: range,
+                 stop_after_generation: int | None, track_visits: bool) -> dict:
+    """The generation loop: the four phases in order until the crawl
+    drains, the generation budget runs out or ``stop_after_generation``
+    is reached. Returns crawl()'s counters, visit log and per-phase
+    times, tiers and rows."""
+    totals = {"admitted": 0, "offered": 0, "generations": 0, "gen_admits": []}
+    visit_log: list[tuple] = []
+    phase_times = dict.fromkeys(
+        ("probe_offer", "admit", "fetch", "explode", "checkpoint"), 0.0)
+    tiers = {p: {"ref": 0, "dataset": 0} for p in ("probe_offer", "fetch")}
+    layer_rows = {p: {"in": 0, "out": 0}
+                  for p in ("probe_offer", "admit", "fetch", "checkpoint")}
+
+    def tally(phase: str, layer: _Layer) -> None:
+        phase_times[phase] += layer.s
+        phase_times["explode"] += layer.explode_s
+        layer_rows[phase]["in"] += layer.rows_in
+        layer_rows[phase]["out"] += layer.rows_out
+        if layer.tier is not None:
+            tiers[phase][layer.tier] += 1
+
+    for g in gens:
+        offered, layer = _probe_offer(plane, frontier)
+        tally("probe_offer", layer)
+        totals["offered"] += offered
+        admitted, layer = _admit(plane, g, offered)
+        tally("admit", layer)
+        if admitted is None:
+            break
+        n = admitted.num_rows
+        totals["admitted"] += n
+        totals["gen_admits"].append(n)
+        totals["generations"] = g + 1
+        if track_visits:
+            visit_log.extend((g, h, u) for h, u in zip(
+                admitted.column("host").to_pylist(),
+                admitted.column("url").to_pylist()))
+        records, frontier, layer = _fetch(plane, admitted)
+        tally("fetch", layer)
+        tally("checkpoint", _checkpoint(plane, g, records, admitted, frontier))
+        if stop_after_generation is not None and g >= stop_after_generation:
+            break
+    totals["visit_log"] = visit_log
+    totals["phase_times"] = {k: round(v, 3) for k, v in phase_times.items()}
+    totals["tiers"] = tiers
+    totals["layer_rows"] = layer_rows
     return totals

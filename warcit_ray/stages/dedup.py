@@ -311,12 +311,17 @@ def shingle_hashes(text: str, k: int = 3,
 
 
 def _cached_shingle_set(doc_key, text: str, k: int) -> set:
-    got = _SHINGLE_CACHE.get((doc_key, k))
-    if got is None:
-        if len(_SHINGLE_CACHE) > _SHINGLE_CACHE_MAX:
-            _SHINGLE_CACHE.clear()
-        got = set(shingle_hashes(text or "", k).tolist())
-        _SHINGLE_CACHE[(doc_key, k)] = got
+    """Shingle set of ``text``, cached on (doc_key, k). A hit is checked
+    against the cached text: a second corpus that reuses ids in the same
+    worker must get its own shingles, not the first corpus's."""
+    text = text or ""
+    hit = _SHINGLE_CACHE.get((doc_key, k))
+    if hit is not None and hit[0] == text:
+        return hit[1]
+    if len(_SHINGLE_CACHE) > _SHINGLE_CACHE_MAX:
+        _SHINGLE_CACHE.clear()
+    got = set(shingle_hashes(text, k).tolist())
+    _SHINGLE_CACHE[(doc_key, k)] = (text, got)
     return got
 
 

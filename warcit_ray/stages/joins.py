@@ -68,14 +68,18 @@ def bucketed_hash_join(left, right, key: str, *, num_buckets: int = 32,
 
     def merge(t: pa.Table) -> pd.DataFrame:
         group = t.to_pandas(types_mapper=_NULLABLE_INTS.get)
-        l = group[group["__side"] == 0].dropna(axis=1, how="all")
-        r = group[group["__side"] == 1].dropna(axis=1, how="all")
-        l = l.drop(columns=["__bucket", "__side"])
-        r = r.drop(columns=["__bucket", "__side"])
+        side = group["__side"]
+        group = group.drop(columns=["__bucket", "__side"])
+        l, r = group[side == 0], group[side == 1]
         if len(l) == 0 or len(r) == 0:
-            if how == "inner":
-                return pd.DataFrame()
-        return l.merge(r, on=key, how=how)
+            # one-sided bucket: no key matches, and dropna would strip
+            # every column (the key too) from the empty side. The
+            # unmatched rows, other side's columns null, are the result
+            # where the join keeps them.
+            rows, kept = (l, "left") if len(l) else (r, "right")
+            return rows if how in (kept, "outer") else pd.DataFrame()
+        return l.dropna(axis=1, how="all").merge(
+            r.dropna(axis=1, how="all"), on=key, how=how)
 
     return tagged.groupby("__bucket").map_groups(merge, batch_format="pyarrow")
 

@@ -25,9 +25,22 @@ import heapq
 from collections import Counter
 
 import numpy as np
+import pyarrow as pa
 
 from .cuckoo import CuckooFilter
 from .robots import allowed
+
+
+# the one admitted-row format: what HostShardState.admit_table emits
+# and what crawl() adds its generation column to
+ADMIT_SCHEMA = pa.schema([
+    pa.field("host", pa.string()),
+    pa.field("url", pa.string()),
+    pa.field("priority", pa.int64()),
+    pa.field("seq", pa.int64()),
+    pa.field("payload_key", pa.string()),
+    pa.field("depth", pa.int64()),
+])
 
 
 class SeenShardState:
@@ -150,29 +163,17 @@ class HostShardState:
         self.stats["admitted"] += len(out["url"])
         return out
 
-    def admit_table(self, inline_threshold: int = 4096):
-        """One politeness tick -> None (empty), the plain dict (small
-        tick — inline serialization beats a plasma round trip), or an
-        Arrow table built ON the actor (large tick — the driver's
+    def admit_table(self):
+        """One politeness tick -> None (nothing admitted) or an
+        ``ADMIT_SCHEMA`` Arrow table built ON the actor: the driver's
         ray.get maps a plasma-backed table instead of materializing
-        hundreds of thousands of transient Python strings; the admit
+        hundreds of thousands of transient Python strings (the admit
         transfer was the largest driver-side allocation at 400k-URL
         scale)."""
         out = self.admit()
         if not out["url"]:
             return None
-        if len(out["url"]) <= inline_threshold:
-            return out
-        import pyarrow as pa
-
-        return pa.table({
-            "host": pa.array(out["host"], type=pa.string()),
-            "url": pa.array(out["url"], type=pa.string()),
-            "priority": pa.array(out["priority"], type=pa.int64()),
-            "seq": pa.array(out["seq"], type=pa.int64()),
-            "payload_key": pa.array(out["payload_key"], type=pa.string()),
-            "depth": pa.array(out["depth"], type=pa.int64()),
-        })
+        return pa.table(out, schema=ADMIT_SCHEMA)
 
     def pending(self) -> int:
         return sum(len(st["heap"]) for st in self.hosts.values())
