@@ -17,9 +17,11 @@ phase function each:
 The frontier is one of two carriers: a ref list ``[(ObjectRef, rows)]``
 (seeds enter as ``batch_size``-row slices, resumed frontiers as their
 parquet parts) or a materialized Dataset. One threshold,
-``task_frontier``, picks the tier: frontiers and admitted sets at or
-below it run as plain Ray tasks, above it as streaming Dataset
-operators (backpressure + spilling); neither transits the driver.
+``task_frontier``, picks the tier: frontiers at or below it run as
+plain Ray tasks, above it as streaming Dataset operators (backpressure
++ spilling); neither transits the driver. Fetch's crossover is
+``FETCH_REF_MAX_ROWS`` admitted rows (or ``task_frontier`` if lower),
+past which the ref tier's 256/1,024-row slices lost to the Dataset tier.
 
 State partitioning is explicit: the URL-seen set shards on
 ``hash64(surt(url)) % S`` (uniform), politeness shards on
@@ -60,6 +62,10 @@ from ..codecs import MIME_BY_FMT
 from ..functions.digests import record_id, sha1_b32
 from ..functions.urls import surt_batch, surt_hash64_batch, surt_host_batch
 from ..state.shards import ADMIT_SCHEMA
+
+# admitted rows per generation above which fetch runs on the Dataset
+# tier: on a 524k-admit generation the ref tier lost 3 of 3 A/B pairs
+FETCH_REF_MAX_ROWS = 262_144
 
 FRONTIER_SCHEMA = pa.schema(
     [
@@ -866,23 +872,23 @@ class CrawlCheckpoint:
         with open(os.path.join(self.gen_dir(g), "host_state.json")) as fh:
             return json.load(fh)
 
-    def restore(self, seen_actors, host_actors) -> tuple | None:
+    def restore(self, seen_actors, host_actors) -> int:
         """Resume: replay the last complete generation's seen deltas and
-        host snapshots into the actors -> (next generation, frontier
-        carrier); None when no generation is complete. Pending URLs live
-        in the restored host shards; links found in that generation but
-        never offered resume as the frontier."""
+        host snapshots into the actors -> the next generation (0 when no
+        generation is complete). Pending URLs live in the restored host
+        shards; links found in the last generation but never offered
+        resume as the frontier (:meth:`load_next_frontier`)."""
         import ray
 
         done = self.complete_generations()
         if not done:
-            return None
+            return 0
         last = done[-1]
         deltas = self.load_seen_deltas(last, len(seen_actors))
         ray.get([a.replay.remote(d) for a, d in zip(seen_actors, deltas)])
         states = self.load_host_states(last)
         ray.get([a.restore_state.remote(s) for a, s in zip(host_actors, states)])
-        return last + 1, self.load_next_frontier(last)
+        return last + 1
 
     def load_next_frontier(self, g: int):
         """Resume carrier: the frontier parts load via remote read tasks
@@ -935,12 +941,13 @@ class _Plane:
     explode_fn: object
     affinity_fn: object
     ckpt: CrawlCheckpoint | None
-    # frontier rows (probe/offer) and admitted rows (fetch) above this
-    # run on the Dataset tier; at or below it, on the ref tier
+    # frontier rows (probe/offer) above this run on the Dataset tier;
+    # at or below it, on the ref tier
     task_frontier: int
     batch_size: int
     probe_task: object
     fetch_task: object
+    count_task: object
 
 
 def _put_slices(table: pa.Table, rows: int) -> list | None:
@@ -960,7 +967,7 @@ def _carrier_rows(frontier) -> int:
     return frontier.count()
 
 
-def _dataset_to_refs(ds) -> list | None:
+def _dataset_to_refs(plane: _Plane, ds) -> list | None:
     """Dataset carrier -> ref carrier WITHOUT driver transit: block refs
     + row counts from the ref bundles' metadata (no ray.get)."""
     import ray
@@ -970,8 +977,7 @@ def _dataset_to_refs(ds) -> list | None:
         for block_ref, meta in bundle.blocks:
             rows = meta.num_rows
             if rows is None:  # metadata gap: count remotely, keep the ref
-                rows = ray.get(ray.remote(num_cpus=0.25)(
-                    lambda t: t.num_rows).remote(block_ref))
+                rows = ray.get(plane.count_task.remote(block_ref))
             if rows:
                 out.append((block_ref, rows))
     return out or None
@@ -992,7 +998,7 @@ def _probe_offer(plane: _Plane, frontier) -> tuple[int, _Layer]:
     if isinstance(frontier, list) and rows > plane.task_frontier:
         frontier = rd.from_arrow_refs([r for r, _ in frontier])
     elif isinstance(frontier, rd.Dataset) and rows <= plane.task_frontier:
-        frontier = _dataset_to_refs(frontier)
+        frontier = _dataset_to_refs(plane, frontier)
     if isinstance(frontier, list):
         offered = sum(ray.get([
             plane.probe_task.remote(r, plane.seen_actors, plane.host_actors)
@@ -1070,7 +1076,7 @@ def _fetch(plane: _Plane, admitted: pa.Table) -> tuple:
     if n == 0:
         return None, None, _Layer(0, 0, None, time.monotonic() - t0)
     dispatch, segments = _fetch_plan(admitted, plane.affinity_fn)
-    if n <= plane.task_frontier:
+    if n <= min(plane.task_frontier, FETCH_REF_MAX_ROWS):
         return _fetch_refs(plane, dispatch, segments, t0)
     blocks = rd.from_arrow([dispatch.slice(lo, 4096) for lo in range(0, n, 4096)])
     records = blocks.map_batches(plane.fetch_fn, fn_args=plane.fetch_args,
@@ -1087,16 +1093,14 @@ def _fetch(plane: _Plane, admitted: pa.Table) -> tuple:
 
 def _fetch_refs(plane: _Plane, dispatch: pa.Table, segments: list,
                 t0: float) -> tuple:
-    """Ref tier: plain tasks over 256-1024-row slices with the explode
+    """Ref tier: plain tasks over 256- or 1,024-row slices with the explode
     fused in (fetch_and_explode); frontier tables STAY in the object
     store — the driver gets back only refs + row counts."""
     import ray
     import ray.data as rd
 
     n = dispatch.num_rows
-    # slices grow with the generation so that a task's fixed cost here
-    # and in the probe task of its frontier ref stays small
-    slice_rows = 256 if n <= 4096 else 1024 if n <= 65536 else 4096
+    slice_rows = 1024 if n > 4096 else 256
     rec_refs, front_refs, meta_refs = [], [], []
     for seg_lo, seg_hi in segments:
         for lo in range(seg_lo, seg_hi, slice_rows):
@@ -1196,9 +1200,8 @@ def crawl(
     """Run the crawl; returns stats + (if checkpointing) the output layout.
 
     ``task_frontier_threshold`` (default ~4M rows) is the one tier
-    knob (see the module docstring). Stats carry ``phase_times``,
-    ``tiers`` (per phase, generations run on each tier) and
-    ``layer_rows`` (per phase, rows in and out).
+    knob (see the module docstring). Stats carry ``phase_times`` and
+    ``tiers`` (per phase, generations run on each tier).
 
     ``resume=True`` restores seen/host state from the last complete
     generation in ``checkpoint_dir`` and continues; finished
@@ -1248,14 +1251,10 @@ def crawl(
     if resume and ckpt is None:
         raise ValueError("resume requires checkpoint_dir")
     seen_actors, host_actors = make_actors(
-        num_seen_shards, num_host_shards,
-        seen_capacity=seen_capacity,
-        rate=rate, capacity=capacity, robots_map=robots_map,
-        seen_fp_bits=seen_fp_bits,
-        max_pending_per_host=max_pending_per_host,
-    )
-    restored = ckpt.restore(seen_actors, host_actors) if resume else None
-    start_gen, frontier = restored or (0, _put_slices(seeds, batch_size))
+        num_seen_shards, num_host_shards, seen_capacity=seen_capacity, rate=rate,
+        capacity=capacity, robots_map=robots_map, seen_fp_bits=seen_fp_bits,
+        max_pending_per_host=max_pending_per_host)
+    start_gen = ckpt.restore(seen_actors, host_actors) if resume else 0
 
     plane = _Plane(
         seen_actors=seen_actors, host_actors=host_actors,
@@ -1266,9 +1265,13 @@ def crawl(
         batch_size=batch_size,
         probe_task=ray.remote(num_cpus=1)(probe_and_offer_batch),
         fetch_task=ray.remote(num_cpus=1, num_returns=3)(fetch_and_explode),
+        count_task=ray.remote(num_cpus=0.25)(lambda t: t.num_rows),
     )
-    totals = _generations(plane, frontier, range(start_gen, max_generations),
-                          stop_after_generation, track_visits)
+    # built in the call, not bound here: the loop alone pins the carrier
+    totals = _generations(
+        plane, ckpt.load_next_frontier(start_gen - 1) if start_gen
+        else _put_slices(seeds, batch_size),
+        range(start_gen, max_generations), stop_after_generation, track_visits)
     stats = ray.get([a.get_stats.remote() for a in host_actors])
     totals["seen"] = sum(ray.get([a.count.remote() for a in seen_actors]))
     totals["robots_blocked"] = sum(s.get("robots_blocked", 0) for s in stats)
@@ -1283,25 +1286,22 @@ def _generations(plane: _Plane, frontier, gens: range,
     """The generation loop: the four phases in order until the crawl
     drains, the generation budget runs out or ``stop_after_generation``
     is reached. Returns crawl()'s counters, visit log and per-phase
-    times, tiers and rows."""
+    times and tiers."""
     totals = {"admitted": 0, "offered": 0, "generations": 0, "gen_admits": []}
     visit_log: list[tuple] = []
     phase_times = dict.fromkeys(
         ("probe_offer", "admit", "fetch", "explode", "checkpoint"), 0.0)
     tiers = {p: {"ref": 0, "dataset": 0} for p in ("probe_offer", "fetch")}
-    layer_rows = {p: {"in": 0, "out": 0}
-                  for p in ("probe_offer", "admit", "fetch", "checkpoint")}
 
     def tally(phase: str, layer: _Layer) -> None:
         phase_times[phase] += layer.s
         phase_times["explode"] += layer.explode_s
-        layer_rows[phase]["in"] += layer.rows_in
-        layer_rows[phase]["out"] += layer.rows_out
         if layer.tier is not None:
             tiers[phase][layer.tier] += 1
 
     for g in gens:
         offered, layer = _probe_offer(plane, frontier)
+        frontier = None  # probed: release its refs before admit + fetch
         tally("probe_offer", layer)
         totals["offered"] += offered
         admitted, layer = _admit(plane, g, offered)
@@ -1319,10 +1319,10 @@ def _generations(plane: _Plane, frontier, gens: range,
         records, frontier, layer = _fetch(plane, admitted)
         tally("fetch", layer)
         tally("checkpoint", _checkpoint(plane, g, records, admitted, frontier))
+        records = None  # written: release it before the next generation
         if stop_after_generation is not None and g >= stop_after_generation:
             break
     totals["visit_log"] = visit_log
     totals["phase_times"] = {k: round(v, 3) for k, v in phase_times.items()}
     totals["tiers"] = tiers
-    totals["layer_rows"] = layer_rows
     return totals
