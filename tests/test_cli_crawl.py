@@ -74,6 +74,7 @@ def test_cli_corpus_mode_with_fragments(tmp_path, capsys, ray_session):
     assert rc == 0 and res["mode"] == "corpus"
     assert res["admitted"] > 50
     assert os.path.exists(str(tmp_path / "frags" / "_corpus.json"))
+    assert 0 < res["seen_load_factor"] < 1 and res["seen_fp_skips_est"] > 0
 
 
 def test_cli_bad_input(tmp_path, capsys, ray_session):

@@ -48,6 +48,14 @@ def test_cuckoo_filter():
     fresh = rng.integers(2**63, 2**64 - 1, 20000, dtype=np.uint64)
     fp = f.contains_batch(fresh).mean()
     assert fp < 0.01
+    # the false-positive skip estimate tracks the skips of a filling
+    # filter (narrow fingerprints so skips are countable)
+    g = CuckooFilter(100_000, fp_bits=10)
+    keys = np.unique(rng.integers(0, 2**64 - 1, 80_000, dtype=np.uint64))
+    rng.shuffle(keys)
+    skipped = sum(int((~g.add_if_absent_batch(keys[i:i + 500])).sum())
+                  for i in range(0, len(keys), 500))
+    assert 0.7 < skipped / g.expected_fp_skips() < 1.3
 
 
 def test_robots():
@@ -165,6 +173,11 @@ def test_crawl_matches_serial_oracle(corpus):
     assert visited_engine == visited_oracle
     assert res["robots_blocked"] == oracle["robots_blocked"]
     assert res["seen"] == len(oracle["seen"])
+    # 3 shards of max(4096, 4N) capacity; 32-bit fingerprints
+    slots = 3 * CuckooFilter(4096).nbuckets * 4
+    assert res["seen_load_factor"] == pytest.approx(len(oracle["seen"]) / slots,
+                                                    abs=1e-6)
+    assert 0 < res["seen_fp_skips_est"] < 1e-3
 
 
 def test_crawl_records_invariants(corpus, tmp_path):
@@ -307,32 +320,63 @@ def test_offer_batch_top_per_host_trim():
         ray.kill(a)
 
 
-def test_partitioned_corpus_equivalent(corpus):
-    """The hash-partitioned corpus fetch (forced via corpus_partitions)
-    must produce the identical crawl as the broadcast-dict path."""
+def _records_by_uri(root):
+    """target_uri -> (image_id, payload_digest, fmt, caption) over every
+    checkpointed records part."""
+    out = {}
+    for g in CrawlCheckpoint(root).complete_generations():
+        d = os.path.join(root, "gen=%05d" % g, "records")
+        if os.path.isdir(d):
+            for f in sorted(os.listdir(d)):
+                t = pq.read_table(os.path.join(d, f), columns=[
+                    "target_uri", "image_id", "payload_digest", "fmt", "caption"])
+                for uri, *rest in zip(*(c.to_pylist() for c in t.columns)):
+                    assert uri not in out
+                    out[uri] = tuple(rest)
+    return out
+
+
+def _assert_payloads_match_corpus(records, corpus):
+    from warcit_ray.functions.digests import sha1_b32
+
+    want = {r["image_id"]: (sha1_b32(r["bytes"]), r["fmt"], r["caption"])
+            for r in corpus.to_pylist()}
+    assert records
+    for image_id, digest, fmt, caption in records.values():
+        assert (digest, fmt, caption) == want[image_id]
+
+
+def test_partitioned_corpus_equivalent(corpus, tmp_path):
+    """One bucket (P = 1) and five object-store buckets must produce the
+    identical crawl, down to every record's payload digest, fmt and
+    caption."""
     graph = WebGraph(N)
     kw = dict(n_seeds=6, max_generations=10, num_seen_shards=2,
               num_host_shards=2, clock_iso=CLOCK, seen_fp_bits=32,
               track_visits=True)
-    bcast = crawl(corpus, graph=graph, **kw)
-    parts = crawl(corpus, graph=graph, corpus_partitions=5, **kw)
-    assert sorted(bcast["visit_log"]) == sorted(parts["visit_log"])
-    assert bcast["admitted"] == parts["admitted"]
-    assert bcast["seen"] == parts["seen"]
+    one = crawl(corpus, graph=graph, corpus_partitions=1,
+                checkpoint_dir=str(tmp_path / "p1"), **kw)
+    parts = crawl(corpus, graph=graph, corpus_partitions=5,
+                  checkpoint_dir=str(tmp_path / "p5"), **kw)
+    assert sorted(one["visit_log"]) == sorted(parts["visit_log"])
+    assert one["admitted"] == parts["admitted"]
+    assert one["seen"] == parts["seen"]
+    recs = _records_by_uri(str(tmp_path / "p1"))
+    assert recs == _records_by_uri(str(tmp_path / "p5"))
+    assert len(recs) == one["admitted"]
+    _assert_payloads_match_corpus(recs, corpus)
 
 
 def test_bucket_lookup_matches_dict(corpus, ray_session):
-    from warcit_ray.pipelines.crawl import (
-        _resolve_corpus,
-        corpus_dict,
-        make_partitioned_corpus,
-    )
+    import ray
 
-    full = corpus_dict(corpus)
-    lookup = _resolve_corpus(make_partitioned_corpus(corpus, 7))
-    for key in list(full)[:40]:
-        assert lookup.get(key, None) == full[key]
-    assert lookup.get("img-nonexistent", ("", "", "")) == ("", "", "")
+    from warcit_ray.pipelines.crawl import CorpusLookup, _bucket_tables
+
+    full = {r["image_id"]: (r["bytes"], r["fmt"], r["caption"])
+            for r in corpus.to_pylist()}
+    lookup = CorpusLookup([ray.put(t) for t in _bucket_tables(corpus, 7)])
+    keys = list(full)[:40] + ["img-nonexistent"]
+    assert lookup.rows(keys, ("", "", "")) == [full[k] for k in keys[:-1]] + [("", "", "")]
 
 
 def test_checkpointed_resume_dataset_tier(corpus, tmp_path):
@@ -374,52 +418,95 @@ def test_checkpointed_resume_dataset_tier(corpus, tmp_path):
 
 def test_fragment_corpus_equivalent(corpus, tmp_path):
     """Fragment-backed corpus (on-disk parquet buckets, no driver-held
-    table, no ray.put) must produce the identical crawl."""
+    table, no ray.put) must produce the identical crawl, down to every
+    record's payload digest, fmt and caption."""
     graph = WebGraph(N)
     kw = dict(n_seeds=6, max_generations=10, num_seen_shards=2,
               num_host_shards=2, clock_iso=CLOCK, seen_fp_bits=32,
               track_visits=True)
-    bcast = crawl(corpus, graph=graph, **kw)
+    one = crawl(corpus, graph=graph, corpus_partitions=1,
+                checkpoint_dir=str(tmp_path / "p1"), **kw)
     frag = crawl(corpus, graph=graph,
                  corpus_fragments_dir=str(tmp_path / "frags"),
-                 corpus_partitions=5, **kw)
-    assert sorted(bcast["visit_log"]) == sorted(frag["visit_log"])
-    assert bcast["admitted"] == frag["admitted"]
-    assert bcast["seen"] == frag["seen"]
+                 corpus_partitions=5, checkpoint_dir=str(tmp_path / "fr"), **kw)
+    assert sorted(one["visit_log"]) == sorted(frag["visit_log"])
+    assert one["admitted"] == frag["admitted"]
+    assert one["seen"] == frag["seen"]
+    recs = _records_by_uri(str(tmp_path / "fr"))
+    assert recs == _records_by_uri(str(tmp_path / "p1"))
+    _assert_payloads_match_corpus(recs, corpus)
 
 
 def test_fragment_lookup_matches_dict(corpus, tmp_path, ray_session):
     import ray.data as rd
 
-    from warcit_ray.pipelines.crawl import (
-        _resolve_corpus,
-        corpus_dict,
-        write_corpus_fragments,
-    )
+    from warcit_ray.pipelines.crawl import write_corpus_fragments
 
-    full = corpus_dict(corpus)
+    full = {r["image_id"]: (r["bytes"], r["fmt"], r["caption"])
+            for r in corpus.to_pylist()}
+    keys = list(full)[:40]
     # table write path
     ref = write_corpus_fragments(corpus, str(tmp_path / "t"), 7)
-    lookup = _resolve_corpus(ref)
-    for key in list(full)[:40]:
-        assert lookup.get(key, None) == full[key]
-    assert lookup.get("img-nonexistent", ("", "", "")) == ("", "", "")
+    assert ref.rows(keys, None) == [full[k] for k in keys]
+    assert ref.rows(["img-nonexistent"], ("", "", "")) == [("", "", "")]
     # Dataset write path (distributed bucket write) -> same layout
     ref2 = write_corpus_fragments(rd.from_arrow(corpus), str(tmp_path / "d"), 7)
-    lookup2 = _resolve_corpus(ref2)
-    for key in list(full)[:40]:
-        assert lookup2.get(key, None) == full[key]
+    assert ref2.rows(keys, None) == [full[k] for k in keys]
     # idempotent reuse of an existing layout (each call carries its own
     # fresh registry actor; the layout identity is dir + P)
     ref3 = write_corpus_fragments(corpus, str(tmp_path / "t"), 7)
-    assert {k: v for k, v in ref3.items() if k != "reg"} == \
-        {k: v for k, v in ref.items() if k != "reg"}
-    assert ref3.get("reg") is not None
+    assert ref3.sources == ref.sources
+    assert ref3.reg is not None
     with pytest.raises(ValueError):
         write_corpus_fragments(corpus, str(tmp_path / "t"), 9)
     # a DIFFERENT corpus must not silently reuse the stale fragments
     with pytest.raises(ValueError, match="stale"):
         write_corpus_fragments(make_image_table(N + 5), str(tmp_path / "t"), 7)
+
+
+def test_fragment_manifest_pins_bucket_hash(corpus, tmp_path, ray_session):
+    """A layout whose manifest names no bucket hash (written before the
+    hash was pinned) or another hash raises instead of being misread."""
+    import json
+
+    from warcit_ray.pipelines.crawl import write_corpus_fragments
+
+    d = str(tmp_path / "t")
+    write_corpus_fragments(corpus, d, 7)
+    meta_path = os.path.join(d, "_corpus.json")
+    with open(meta_path) as fh:
+        meta = json.load(fh)
+    for manifest in ({"num_buckets": 7},
+                     {k: v for k, v in meta.items() if k != "hash"},
+                     dict(meta, hash="blake2b-32")):
+        with open(meta_path, "w") as fh:
+            json.dump(manifest, fh)
+        with pytest.raises(ValueError, match="bucketed by hash") as err:
+            write_corpus_fragments(corpus, d, 7)
+        assert d in str(err.value)
+
+
+def test_fragments_dir_refuses_foreign_files(corpus, tmp_path, ray_session):
+    """A manifest-less fragments dir is populated only when it holds
+    nothing but bucket files and .tmp leftovers; anything else raises
+    and every file stays."""
+    from warcit_ray.pipelines.crawl import write_corpus_fragments
+
+    d = tmp_path / "mixed"
+    d.mkdir()
+    (d / "notes.txt").write_text("keep me")
+    (d / "bucket-00000.parquet").write_bytes(b"stale")
+    with pytest.raises(ValueError, match="notes.txt"):
+        write_corpus_fragments(corpus, str(d), 7)
+    assert sorted(os.listdir(d)) == ["bucket-00000.parquet", "notes.txt"]
+    assert (d / "notes.txt").read_text() == "keep me"
+    # a crashed population of ours is cleared and rewritten
+    (d / "notes.txt").unlink()
+    (d / "bucket-00003.parquet.tmp").write_bytes(b"partial")
+    ref = write_corpus_fragments(corpus, str(d), 7)
+    assert not (d / "bucket-00003.parquet.tmp").exists()
+    key = corpus.column("image_id")[0].as_py()
+    assert ref.rows([key], None)[0][0] == corpus.column("bytes")[0].as_py()
 
 
 def test_corpus_cache_lru():
@@ -528,37 +615,42 @@ def test_fragment_registry_single_decode(corpus, tmp_path, ray_session):
     one decode per cluster, zero per-worker duplicate builds."""
     import ray
 
-    from warcit_ray.pipelines.crawl import (_ArrowRows, corpus_dict,
-                                            write_corpus_fragments)
+    from warcit_ray.pipelines.crawl import _ArrowRows, write_corpus_fragments
 
     ref = write_corpus_fragments(corpus, str(tmp_path / "t"), 5)
-    reg = ref["reg"]
     path = os.path.join(str(tmp_path / "t"), "bucket-00002.parquet")
-    r1 = ray.get(reg.get_or_build.remote(path))
-    r2 = ray.get(reg.get_or_build.remote(path))
+    assert ref.sources[2] == path
+    r1 = ray.get(ref.reg.get_or_build.remote(path))
+    r2 = ray.get(ref.reg.get_or_build.remote(path))
     assert r1 == r2  # same ObjectRef -> the decode ran once
-    tbl = ray.get(r1)
-    rows = _ArrowRows(tbl)
-    want = corpus_dict(pq.read_table(path))
+    rows = _ArrowRows(ray.get(r1))
+    want = {r["image_id"]: (r["bytes"], r["fmt"], r["caption"])
+            for r in pq.read_table(path).to_pylist()}
+    assert want
     for k, v in list(want.items())[:10]:
         assert rows.get(k, None) == v
-    # registry-less fallback still resolves
-    missing = ray.get(ray.get(reg.get_or_build.remote(
+    # a bucket no key hashed to resolves to an empty table
+    missing = ray.get(ray.get(ref.reg.get_or_build.remote(
         os.path.join(str(tmp_path / "t"), "bucket-99999.parquet"))))
     assert missing.num_rows == 0
 
 
-def test_fetch_affinity_dispatch_equivalent(corpus):
+def test_fetch_affinity_dispatch_equivalent(corpus, tmp_path):
     """Bucket-affine dispatch (sorted + segment-sliced fetch tasks) must
     not change WHAT is crawled — only which task fetches which row."""
     graph = WebGraph(N)
     kw = dict(n_seeds=6, max_generations=10, num_seen_shards=2,
               num_host_shards=2, clock_iso=CLOCK, seen_fp_bits=32,
-              track_visits=True)
-    base = crawl(corpus, graph=graph, **kw)
-    # corpus_partitions forces the 'parts' mode, which auto-wires
-    # fetch_affinity_fn (bucket-sorted dispatch)
-    aff = crawl(corpus, graph=graph, corpus_partitions=5, **kw)
+              track_visits=True, corpus_partitions=5)
+    # one constant bucket id: unsorted dispatch, one segment
+    base = crawl(corpus, graph=graph, checkpoint_dir=str(tmp_path / "base"),
+                 fetch_affinity_fn=lambda t: np.zeros(t.num_rows, dtype=np.int64),
+                 **kw)
+    # default: crawl() wires corpus_affinity_fn over the 5 buckets
+    aff = crawl(corpus, graph=graph, checkpoint_dir=str(tmp_path / "aff"), **kw)
     assert sorted(base["visit_log"]) == sorted(aff["visit_log"])
     assert base["admitted"] == aff["admitted"]
     assert base["seen"] == aff["seen"]
+    recs = _records_by_uri(str(tmp_path / "aff"))
+    assert recs == _records_by_uri(str(tmp_path / "base"))
+    _assert_payloads_match_corpus(recs, corpus)

@@ -207,6 +207,8 @@ def main(args=None) -> int:
         "offered": res["offered"],
         "generations": res["generations"],
         "seen": res["seen"],
+        "seen_load_factor": res["seen_load_factor"],
+        "seen_fp_skips_est": res["seen_fp_skips_est"],
         "robots_blocked": res["robots_blocked"],
         "phase_times": res.get("phase_times"),
         "tiers": res["tiers"],

@@ -36,12 +36,15 @@ bit-identically (tested in tests/test_crawl.py).
 The "web" being crawled is the image+caption corpus itself
 (BASELINE.json input_hint): each row is a page whose URL, host, robots
 visibility, out-links and priority are pure functions of its index —
-see :class:`WebGraph`. Corpus dispatch is size-gated: a small corpus
-broadcasts once via ``ray.put`` (the prescribed small-side pattern);
-above ``corpus_broadcast_threshold`` it is hash-partitioned on
-``image_id`` (:func:`make_partitioned_corpus`) and fetch tasks resolve
-only the buckets their admitted keys hash to — no worker ever holds
-the whole corpus. Both paths are equivalence-tested
+see :class:`WebGraph`. The corpus is always ``P`` hash buckets on
+``image_id`` (one vectorized hash, :func:`corpus_buckets`) read through
+one :class:`CorpusLookup`: an in-memory table becomes ``P`` object-store
+bucket tables (``P = 1`` for a small corpus), the 100 TB path ``P``
+parquet fragments whose ``_corpus.json`` pins the hash that wrote them
+(:func:`write_corpus_fragments`). Fetch dispatch is bucket-affine and a
+fetch task resolves only the buckets its keys hash to, so no worker
+ever holds the whole corpus; ``P = 1``, ``P > 1`` and fragments are
+equivalence-tested down to the payload digests
 (tests/test_crawl.py::test_partitioned_corpus_equivalent).
 """
 
@@ -315,9 +318,9 @@ def light_fetch_batch(batch: pa.Table, graph: WebGraph, clock_iso: str) -> pa.Ta
     return pa.table(out, schema=RECORD_SCHEMA)
 
 
-# worker-process cache: broadcast corpora / corpus partitions are
-# deserialized once per worker process, not once per task (bounded by
-# entry count; partition granularity keeps each entry ~one bucket)
+# worker-process cache: a corpus bucket's key index is built once per
+# worker process, not once per task (bounded by entry count; one entry
+# is one bucket)
 _CORPUS_CACHE: dict = {}
 _CORPUS_CACHE_MAX = 64
 
@@ -326,8 +329,7 @@ def _cache_get(key: str, build):
     """LRU: a hit moves the entry to MRU position; a miss evicts only
     the single least-recently-used entry (never the whole cache — a
     worker touching >_CORPUS_CACHE_MAX buckets would otherwise thrash
-    and rebuild every bucket dict per fetch task, including evicting
-    the broadcast entry)."""
+    and rebuild every bucket index per fetch task)."""
     got = _CORPUS_CACHE.pop(key, None)
     if got is None:
         while len(_CORPUS_CACHE) >= _CORPUS_CACHE_MAX:
@@ -337,192 +339,60 @@ def _cache_get(key: str, build):
     return got
 
 
-def corpus_bucket_of(key: str, num_buckets: int) -> int:
-    h = hashlib.blake2b(key.encode(), digest_size=4).digest()
-    return int.from_bytes(h, "little") % num_buckets
+# the bucket hash by name: every fragment layout's _corpus.json records
+# it, since a layout bucketed by any other hash would be misread
+_CORPUS_HASH_KEY = "0123456789123456"
+CORPUS_HASH = "pandas.hash_array:siphash24:key=%s:utf8" % _CORPUS_HASH_KEY
+
+
+def corpus_buckets(keys, num_buckets: int) -> np.ndarray:
+    """``image_id`` keys (a list, numpy or Arrow array) -> corpus bucket
+    ids in ``[0, num_buckets)``: one vectorized keyed-SipHash call, the
+    one bucket function every corpus writer and reader uses."""
+    import pandas as pd
+
+    if isinstance(keys, (pa.Array, pa.ChunkedArray)):
+        keys = keys.to_numpy(zero_copy_only=False)
+    h = pd.util.hash_array(np.asarray(keys, dtype=object), encoding="utf8",
+                           hash_key=_CORPUS_HASH_KEY, categorize=False)
+    return (h % np.uint64(num_buckets)).astype(np.int64)
 
 
 def corpus_affinity_fn(graph: WebGraph, num_buckets: int):
-    """Admitted-table -> per-row corpus bucket ids (the same image_id
-    hash the partitioned/fragment lookups use). Passed to crawl() as
-    ``fetch_affinity_fn`` so fetch dispatch becomes the map side of a
-    co-partitioned join: one task per bucket, not every task faulting
-    every bucket. This runs on the DRIVER once per generation, so it is
-    vectorized: idx extraction is one Arrow regex kernel over the url
-    column (8x the per-URL Python loop it replaces) and the
-    idx -> bucket map precomputes once per crawl; graphs too large to
-    precompute hash only the generation's touched keys."""
+    """Admitted-table -> per-row corpus bucket ids (a :class:`WebGraph`
+    URL ends in its image_id). Passed to crawl() as ``fetch_affinity_fn``
+    so fetch dispatch becomes the map side of a co-partitioned join: one
+    task per bucket, not every task faulting every bucket. It runs on
+    the DRIVER once per generation: one Arrow regex kernel plus one
+    hash call (~0.2 s for 524k rows)."""
     import pyarrow.compute as pc
 
-    table = None
-    if graph.n <= (1 << 24):
-        table = np.fromiter(
-            (corpus_bucket_of("img%08d" % i, num_buckets)
-             for i in range(graph.n)), dtype=np.int64, count=graph.n)
-
     def affinity(t: pa.Table) -> np.ndarray:
-        col = t.column("url")
-        if isinstance(col, pa.ChunkedArray):
-            col = col.combine_chunks()
-        ex = pc.extract_regex(col, r"(?P<idx>\d+)$")
-        idx = pc.cast(pc.struct_field(ex, "idx"),
-                      pa.int64()).to_numpy(zero_copy_only=False)
-        if table is not None:
-            return table[idx]
-        return np.fromiter(
-            (corpus_bucket_of("img%08d" % i, num_buckets) for i in idx),
-            dtype=np.int64, count=len(idx))
+        ex = pc.extract_regex(t.column("url"), r"(?P<key>img\d+)$")
+        return corpus_buckets(pc.struct_field(ex, "key"), num_buckets)
 
     return affinity
 
 
-def make_partitioned_corpus(table: pa.Table, num_buckets: int) -> dict:
-    """The 100 TB corpus path: hash-partition the corpus on
-    ``image_id`` into ``num_buckets`` object-store tables. A fetch task
-    resolves ONLY the buckets its admitted keys hash to (worker-cached),
-    so no worker ever holds the whole corpus — the broadcast dict is
-    kept only under the size threshold (crawl() dispatch). At real
-    scale the refs become co-partitioned Parquet/Lance fragments read
-    by the same bucket arithmetic."""
-    import ray
-
-    keys = table.column("image_id").to_pylist()
-    buckets = np.asarray([corpus_bucket_of(k, num_buckets) for k in keys])
-    refs = []
-    sub = table.select(["image_id", "bytes", "fmt", "caption"])
-    for b in range(num_buckets):
-        idx = np.nonzero(buckets == b)[0]
-        refs.append(ray.put(sub.take(idx)))
-    return {"kind": "parts", "refs": refs, "P": num_buckets}
+_BUCKET_SCHEMA = pa.schema([("image_id", pa.string()), ("bytes", pa.binary()),
+                            ("fmt", pa.string()), ("caption", pa.string())])
 
 
-class _BucketLookup:
-    """dict-like .get over a partitioned corpus: bucket tables resolve
-    lazily from the object store and build their key->row dict once per
-    worker process."""
-
-    def __init__(self, refs, num_buckets: int):
-        self.refs = refs
-        self.P = num_buckets
-
-    def get(self, key: str, default):
-        import ray
-
-        b = corpus_bucket_of(key, self.P)
-        ref = self.refs[b]
-
-        def build():
-            # lazy rows over the plasma-resident table: ray.get of an
-            # Arrow table is zero-copy shared memory, and _ArrowRows
-            # adds only the key index on top — no payload duplication
-            return _ArrowRows(ray.get(ref))
-
-        return _cache_get("part:" + ref.hex(), build).get(key, default)
-
-
-def write_corpus_fragments(corpus, out_dir: str, num_buckets: int) -> dict:
-    """Pre-bucket the corpus to on-disk Parquet fragments — the true
-    100 TB corpus path: the driver never holds the corpus, fetch tasks
-    ``read_table`` only the bucket files their admitted keys hash to
-    (worker-LRU-cached). Accepts a ``ray.data.Dataset`` (scale path:
-    one groupby shuffle writes each bucket from a worker) or a
-    ``pa.Table`` (test/small path: buckets written from the caller).
-    Idempotent: an existing layout with a matching ``_corpus.json``
-    manifest is reused as-is. At multi-node scale ``out_dir`` is shared
-    storage (the same assumption as the checkpoint dir)."""
-    import json
-
-    out_dir = os.path.abspath(out_dir)
-    meta_path = os.path.join(out_dir, "_corpus.json")
-    # identity pin: num_buckets AND the corpus shape — a fragments dir
-    # populated from a DIFFERENT corpus must not be silently reused
-    # (stale payload bytes with no error). Row count is cheap for both
-    # input kinds; the id-span tightens the check for tables.
-    if isinstance(corpus, pa.Table):
-        num_rows = corpus.num_rows
-        ids = corpus.column("image_id")
-        id_span = [str(pa.compute.min(ids).as_py()),
-                   str(pa.compute.max(ids).as_py())] if num_rows else ["", ""]
-    else:
-        num_rows = corpus.count()
-        id_span = None  # Dataset path: row count only (span needs a scan)
-    meta = {"num_buckets": int(num_buckets), "num_rows": int(num_rows),
-            "id_span": id_span}
-    if os.path.exists(meta_path):
-        with open(meta_path) as fh:
-            old = json.load(fh)
-        comparable = dict(meta)
-        if old.get("id_span") is None or meta["id_span"] is None:
-            comparable["id_span"] = old.get("id_span")
-        if "num_rows" not in old:
-            # legacy layout (bucket-count-only pin): accept on matching
-            # bucket count rather than forcing a repopulation of a
-            # still-valid dir; new writes always pin the full identity
-            comparable = {"num_buckets": comparable["num_buckets"]}
-        if old != comparable:
-            raise ValueError(
-                "existing corpus fragment layout %r does not match the "
-                "offered corpus %r — refusing to reuse stale fragments; "
-                "point corpus_fragments_dir at a fresh directory" % (old, meta))
-        return {"kind": "frags", "dir": out_dir, "P": num_buckets,
-            "reg": _frag_registry()}
-    os.makedirs(out_dir, exist_ok=True)
-    # no manifest: any bucket files are a CRASHED prior population
-    # (possibly of a different corpus) — clear them so stale buckets
-    # cannot survive next to the fresh ones
-    import glob as _glob
-
-    for f in _glob.glob(os.path.join(out_dir, "bucket-*.parquet")):
-        os.remove(f)
-
-    def bucket_path(b: int) -> str:
-        return os.path.join(out_dir, "bucket-%05d.parquet" % b)
-
-    if isinstance(corpus, pa.Table):
-        keys = corpus.column("image_id").to_pylist()
-        buckets = np.asarray([corpus_bucket_of(k, num_buckets) for k in keys])
-        sub = corpus.select(["image_id", "bytes", "fmt", "caption"])
-        for b in range(num_buckets):
-            idx = np.nonzero(buckets == b)[0]
-            if len(idx):
-                pq.write_table(sub.take(idx), bucket_path(b))
-    else:  # ray.data.Dataset
-        def tag(t: pa.Table) -> pa.Table:
-            t = t.select(["image_id", "bytes", "fmt", "caption"])
-            ids = t.column("image_id").to_pylist()
-            bk = np.asarray([corpus_bucket_of(k, num_buckets) for k in ids],
-                            dtype=np.int64)
-            return t.append_column("__bucket", pa.array(bk))
-
-        def write_bucket(g: pa.Table) -> pa.Table:
-            if g.num_rows == 0:
-                return pa.table({"bucket": pa.array([], type=pa.int64()),
-                                 "rows": pa.array([], type=pa.int64())})
-            b = int(g.column("__bucket")[0].as_py())
-            path = bucket_path(b)
-            tmp = path + ".tmp"
-            pq.write_table(g.drop_columns(["__bucket"]).sort_by("image_id"), tmp)
-            os.replace(tmp, path)
-            return pa.table({"bucket": [b], "rows": [g.num_rows]})
-
-        (corpus.map_batches(tag, batch_format="pyarrow")
-         .groupby("__bucket")
-         .map_groups(write_bucket, batch_format="pyarrow")
-         .materialize())
-    with open(meta_path, "w") as fh:
-        json.dump(meta, fh)
-    return {"kind": "frags", "dir": out_dir, "P": num_buckets,
-            "reg": _frag_registry()}
+def _bucket_tables(table: pa.Table, num_buckets: int) -> list[pa.Table]:
+    """The corpus columns split into their ``num_buckets`` hash buckets."""
+    sub = table.select(_BUCKET_SCHEMA.names)
+    bk = corpus_buckets(sub.column("image_id"), num_buckets)
+    order = np.argsort(bk, kind="stable")
+    bounds = np.searchsorted(bk[order], np.arange(num_buckets + 1))
+    return [sub.take(pa.array(order[lo:hi]))
+            for lo, hi in zip(bounds[:-1], bounds[1:])]
 
 
 class _ArrowRows:
     """dict-like ``.get`` over an Arrow corpus table, lazily: building
     the lookup costs only the key column (a str -> row-index dict);
     payload bytes stay in the table's Arrow buffers until the row is
-    actually fetched. A bucket build is therefore ~the parquet decode
-    alone — the eager ``corpus_dict`` copied every payload into Python
-    bytes up front, which at 32 concurrently-cold workers turned one
-    generation's fetch into tens of GB of duplicate dict builds."""
+    actually fetched, so a bucket build is ~the bucket decode alone."""
 
     __slots__ = ("_bytes", "_fmt", "_cap", "_idx")
 
@@ -542,32 +412,65 @@ class _ArrowRows:
                 self._cap[i].as_py())
 
 
-_FRAG_COLUMNS = ["image_id", "bytes", "fmt", "caption"]
+class CorpusLookup:
+    """The corpus as ``P`` hash buckets on ``image_id``, one source per
+    bucket: the ObjectRef of an in-memory bucket table (crawl() puts
+    them) or the path of a parquet fragment
+    (:func:`write_corpus_fragments`), decoded once per cluster into
+    plasma by the registry ``reg``. Either way a worker maps the table
+    zero-copy and builds its :class:`_ArrowRows` index once. This is
+    the ``corpus_ref`` :func:`fetch_batch` takes."""
+
+    def __init__(self, sources: list, reg=None):
+        self.sources = sources
+        self.reg = reg
+
+    def rows(self, keys: list[str], default) -> list:
+        """Each key's ``(bytes, fmt, caption)``, or ``default`` when the
+        corpus lacks it: one hash call, each distinct bucket resolved
+        once."""
+        bk = corpus_buckets(keys, len(self.sources))
+        out = [default] * len(keys)
+        for b in np.unique(bk).tolist():
+            src = self.sources[b]
+            index = _cache_get(src if isinstance(src, str) else src.hex(),
+                               lambda src=src: self._build(src))
+            for i in np.flatnonzero(bk == b).tolist():
+                out[i] = index.get(keys[i], default)
+        return out
+
+    def _build(self, src) -> _ArrowRows:
+        import ray
+
+        if not isinstance(src, str):
+            return _ArrowRows(ray.get(src))
+        for attempt in range(2):
+            ref = ray.get(self.reg.get_or_build.remote(src))
+            try:
+                return _ArrowRows(ray.get(ref))
+            except Exception:
+                if attempt:
+                    raise
+                # failed read task: invalidate so the registry launches
+                # a fresh read, then retry once
+                ray.get(self.reg.invalidate.remote(src, ref))
 
 
 def _read_fragment_table(path: str) -> pa.Table:
-    if not os.path.exists(path):
-        return pa.table({"image_id": pa.array([], type=pa.string()),
-                         "bytes": pa.array([], type=pa.binary()),
-                         "fmt": pa.array([], type=pa.string()),
-                         "caption": pa.array([], type=pa.string())})
-    return pq.read_table(path, columns=_FRAG_COLUMNS)
+    if not os.path.exists(path):  # a bucket no corpus key hashed to
+        return _BUCKET_SCHEMA.empty_table()
+    return pq.read_table(path, columns=_BUCKET_SCHEMA.names)
 
 
 class _FragmentRegistry:
     """Cluster-shared index: fragment path -> plasma ObjectRef of the
     decoded bucket table. The FIRST demand for a bucket launches one
-    read task (parallel across buckets, num_cpus=0 so blocked fetch
-    tasks can't starve it); every later demand — from any worker, any
-    generation — gets the same ref and maps the table ZERO-COPY from
-    the node's object store. Without this, every worker process decoded
-    every bucket it touched into private memory (measured at 100k urls
-    / 17 fragments: 32 concurrently-cold workers -> minutes of
-    duplicate decodes for a fetch whose warm cost is under a second).
-    Cold buckets spill to disk under plasma pressure and fault back on
-    demand — exactly the per-node hot-bucket cache the 100 TB corpus
-    needs. Decorated at use site (``_frag_registry()``) so importing
-    this module never requires an initialized Ray."""
+    read task (num_cpus=0 so blocked fetch tasks can't starve it);
+    every later demand — any worker, any generation — gets the same ref
+    and maps the table ZERO-COPY (per-worker decodes cost minutes at
+    100k urls / 17 fragments). Cold buckets spill under plasma pressure
+    and fault back on demand. Decorated at use site
+    (``_frag_registry()``) so importing this module never needs Ray."""
 
     def __init__(self):
         self._refs: dict = {}
@@ -598,64 +501,106 @@ def _frag_registry():
     return ray.remote(num_cpus=0)(_FragmentRegistry).remote()
 
 
-class _FragmentLookup:
-    """dict-like .get over on-disk corpus fragments: a bucket resolves
-    through the :class:`_FragmentRegistry` (one decode per cluster,
-    zero-copy plasma table per worker) into a lazy :class:`_ArrowRows`
-    whose per-worker footprint is just the key index. Registry-less
-    refs (no ``reg`` handle) fall back to a direct per-worker read."""
+def write_corpus_fragments(corpus, out_dir: str, num_buckets: int) -> CorpusLookup:
+    """Pre-bucket the corpus to on-disk Parquet fragments — the 100 TB
+    corpus path: the driver never holds the corpus. Accepts a
+    ``ray.data.Dataset`` (one groupby shuffle writes each bucket from a
+    worker) or a ``pa.Table`` (buckets written from the caller).
+    Idempotent: a layout whose ``_corpus.json`` matches (bucket hash,
+    bucket count, corpus shape) is reused; any other manifest raises.
+    At multi-node scale ``out_dir`` is shared storage."""
+    import fnmatch
 
-    def __init__(self, frag_dir: str, num_buckets: int, reg=None):
-        self.dir = frag_dir
-        self.P = num_buckets
-        self.reg = reg
+    out_dir = os.path.abspath(out_dir)
+    meta_path = os.path.join(out_dir, "_corpus.json")
+    # identity pin: hash, num_buckets AND the corpus shape — a layout of
+    # a DIFFERENT corpus must not be silently reused (stale payload
+    # bytes with no error); the id-span tightens the check for tables
+    if isinstance(corpus, pa.Table):
+        num_rows = corpus.num_rows
+        ids = corpus.column("image_id")
+        id_span = [str(pa.compute.min(ids).as_py()),
+                   str(pa.compute.max(ids).as_py())] if num_rows else ["", ""]
+    else:
+        num_rows = corpus.count()
+        id_span = None  # Dataset path: row count only (span needs a scan)
+    meta = {"hash": CORPUS_HASH, "num_buckets": int(num_buckets),
+            "num_rows": int(num_rows), "id_span": id_span}
+    paths = [os.path.join(out_dir, "bucket-%05d.parquet" % b)
+             for b in range(num_buckets)]
+    if os.path.exists(meta_path):
+        with open(meta_path) as fh:
+            old = json.load(fh)
+        if old.get("hash") != CORPUS_HASH:
+            raise ValueError(
+                "corpus fragments in %s were bucketed by hash %r, not %r — "
+                "reading them would look rows up in the wrong buckets; "
+                "repopulate a fresh directory"
+                % (out_dir, old.get("hash"), CORPUS_HASH))
+        comparable = dict(meta)
+        if old.get("id_span") is None or meta["id_span"] is None:
+            comparable["id_span"] = old.get("id_span")
+        if old != comparable:
+            raise ValueError(
+                "existing corpus fragment layout %r does not match the "
+                "offered corpus %r — refusing to reuse stale fragments; "
+                "point corpus_fragments_dir at a fresh directory" % (old, meta))
+        return CorpusLookup(paths, _frag_registry())
+    # no manifest: only a crashed population of ours (bucket files, .tmp
+    # leftovers) is cleared; anything else raises and every file stays
+    os.makedirs(out_dir, exist_ok=True)
+    names = os.listdir(out_dir)
+    foreign = sorted(n for n in names if not (
+        os.path.isfile(os.path.join(out_dir, n))
+        and (fnmatch.fnmatch(n, "bucket-*.parquet") or n.endswith(".tmp"))))
+    if foreign:
+        raise ValueError(
+            "corpus fragments dir %s has no _corpus.json and holds files "
+            "the engine did not write (%s) — refusing to populate it; "
+            "point corpus_fragments_dir at an empty directory"
+            % (out_dir, ", ".join(foreign[:5])))
+    for n in names:
+        os.remove(os.path.join(out_dir, n))
+    if isinstance(corpus, pa.Table):
+        for path, t in zip(paths, _bucket_tables(corpus, num_buckets)):
+            if t.num_rows:
+                pq.write_table(t, path)
+    else:  # ray.data.Dataset
+        def tag(t: pa.Table) -> pa.Table:
+            t = t.select(_BUCKET_SCHEMA.names)
+            return t.append_column(
+                "__bucket", pa.array(corpus_buckets(t.column("image_id"), num_buckets)))
 
-    def get(self, key: str, default):
-        b = corpus_bucket_of(key, self.P)
-        path = os.path.join(self.dir, "bucket-%05d.parquet" % b)
+        def write_bucket(g: pa.Table) -> pa.Table:
+            if g.num_rows == 0:
+                return pa.table({"bucket": pa.array([], type=pa.int64()),
+                                 "rows": pa.array([], type=pa.int64())})
+            b = int(g.column("__bucket")[0].as_py())
+            tmp = paths[b] + ".tmp"
+            pq.write_table(g.drop_columns(["__bucket"]).sort_by("image_id"), tmp)
+            os.replace(tmp, paths[b])
+            return pa.table({"bucket": [b], "rows": [g.num_rows]})
 
-        def build():
-            if self.reg is not None:
-                import ray
-
-                for attempt in range(2):
-                    ref = ray.get(self.reg.get_or_build.remote(path))
-                    try:
-                        return _ArrowRows(ray.get(ref))
-                    except Exception:
-                        if attempt:
-                            raise
-                        # failed read task: invalidate so the registry
-                        # launches a fresh read, then retry once
-                        ray.get(self.reg.invalidate.remote(path, ref))
-            return _ArrowRows(_read_fragment_table(path))
-
-        return _cache_get("frag:" + path, build).get(key, default)
+        (corpus.map_batches(tag, batch_format="pyarrow")
+         .groupby("__bucket")
+         .map_groups(write_bucket, batch_format="pyarrow")
+         .materialize())
+    # manifest last and atomic: its presence marks the layout complete
+    with open(meta_path + ".tmp", "w") as fh:
+        json.dump(meta, fh)
+    os.replace(meta_path + ".tmp", meta_path)
+    return CorpusLookup(paths, _frag_registry())
 
 
-def _resolve_corpus(corpus_ref):
-    if isinstance(corpus_ref, dict):
-        if corpus_ref.get("kind") == "parts":
-            return _BucketLookup(corpus_ref["refs"], corpus_ref["P"])
-        if corpus_ref.get("kind") == "frags":
-            return _FragmentLookup(corpus_ref["dir"], corpus_ref["P"],
-                                   corpus_ref.get("reg"))
-        return corpus_ref
-    import ray
-
-    return _cache_get("bcast:" + corpus_ref.hex(), lambda: ray.get(corpus_ref))
-
-
-def fetch_batch(batch: pa.Table, corpus_ref, graph: WebGraph,
+def fetch_batch(batch: pa.Table, corpus_ref: CorpusLookup, graph: WebGraph,
                 clock_iso: str) -> pa.Table:
     """Stateless-task fetch/convert: admitted URL -> corpus row -> WARC
     resource row + discovered links."""
-    corpus = _resolve_corpus(corpus_ref)
     urls = batch.column("url").to_pylist()
     seqs = batch.column("seq").to_pylist()
     idxs = [graph.idx_of(u) for u in urls]
     image_ids = ["img%08d" % i for i in idxs]
-    rows = [corpus.get(im, (b"", "", "")) for im in image_ids]
+    rows = corpus_ref.rows(image_ids, (b"", "", ""))
     payloads = [r[0] for r in rows]
     fmts = [r[1] for r in rows]
     digests = [sha1_b32(p) for p in payloads]
@@ -728,13 +673,6 @@ def seeds_table(graph: WebGraph, n_seeds: int) -> pa.Table:
         },
         schema=FRONTIER_SCHEMA,
     )
-
-
-def corpus_dict(table: pa.Table) -> dict[str, tuple]:
-    return {
-        r["image_id"]: (r["bytes"], r["fmt"], r["caption"])
-        for r in table.select(["image_id", "bytes", "fmt", "caption"]).to_pylist()
-    }
 
 
 class CrawlCheckpoint:
@@ -1147,22 +1085,6 @@ def _checkpoint(plane: _Plane, g: int, records, admitted: pa.Table,
     return _Layer(n, n, None, time.monotonic() - t0)
 
 
-def _corpus_ref(corpus_table: pa.Table, *, partitions: int | None,
-                broadcast_threshold: int, fragments_dir: str | None):
-    """Corpus dispatch: fragment mode (the 100 TB path) pre-buckets the
-    corpus to on-disk parquet; above the broadcast threshold (or when
-    forced) it hash-partitions on image_id into the object store (see
-    make_partitioned_corpus); only a small-side corpus is broadcast."""
-    import ray
-
-    num_parts = partitions or max(8, int(corpus_table.nbytes // (64 << 20)))
-    if fragments_dir is not None:
-        return write_corpus_fragments(corpus_table, fragments_dir, num_parts)
-    if partitions or corpus_table.nbytes > broadcast_threshold:
-        return make_partitioned_corpus(corpus_table, num_parts)
-    return ray.put(corpus_dict(corpus_table))
-
-
 def crawl(
     corpus_table: pa.Table | None = None,
     *,
@@ -1190,7 +1112,6 @@ def crawl(
     track_visits: bool = False,
     seen_fp_bits: int = 16,
     corpus_partitions: int | None = None,
-    corpus_broadcast_threshold: int = 256 << 20,
     corpus_fragments_dir: str | None = None,
     task_frontier_threshold: int | None = None,
     seen_capacity: int | None = None,
@@ -1200,8 +1121,15 @@ def crawl(
     """Run the crawl; returns stats + (if checkpointing) the output layout.
 
     ``task_frontier_threshold`` (default ~4M rows) is the one tier
-    knob (see the module docstring). Stats carry ``phase_times`` and
-    ``tiers`` (per phase, generations run on each tier).
+    knob (see the module docstring). Stats carry ``phase_times``,
+    ``tiers`` (per phase, generations run on each tier), the seen set's
+    ``seen_load_factor`` (filled over total cuckoo slots, all shards)
+    and ``seen_fp_skips_est`` (new URLs expected to be skipped as
+    false positives at ``seen_fp_bits``).
+
+    A ``corpus_table`` is read as ``corpus_partitions`` hash buckets
+    (default: one per 64 MB), put into the object store or, with
+    ``corpus_fragments_dir``, written there as parquet fragments.
 
     ``resume=True`` restores seen/host state from the last complete
     generation in ``checkpoint_dir`` and continues; finished
@@ -1226,16 +1154,15 @@ def crawl(
             raise ValueError("need corpus_table or an explicit fetch_fn")
         n = corpus_table.num_rows
         graph = graph or WebGraph(n)
-        corpus_ref = _corpus_ref(
-            corpus_table, partitions=corpus_partitions,
-            broadcast_threshold=corpus_broadcast_threshold,
-            fragments_dir=corpus_fragments_dir)
+        num_parts = corpus_partitions or max(1, corpus_table.nbytes // (64 << 20))
+        corpus_ref = (
+            write_corpus_fragments(corpus_table, corpus_fragments_dir, num_parts)
+            if corpus_fragments_dir is not None else CorpusLookup(
+                [ray.put(t) for t in _bucket_tables(corpus_table, num_parts)]))
         fetch_fn = fetch_batch
         fetch_args = (corpus_ref, graph, clock_iso)
-        if (fetch_affinity_fn is None and isinstance(corpus_ref, dict)
-                and corpus_ref.get("kind") in ("parts", "frags")):
-            # bucketed corpus -> bucket-affine fetch dispatch (_fetch_plan)
-            fetch_affinity_fn = corpus_affinity_fn(graph, corpus_ref["P"])
+        # bucket-affine fetch dispatch (_fetch_plan); one segment at P = 1
+        fetch_affinity_fn = fetch_affinity_fn or corpus_affinity_fn(graph, num_parts)
         explode_fn = lambda t: explode_links(t, graph)  # noqa: E731
         seeds = seeds_table(graph, n_seeds)
         robots_map = graph.robots_map()
@@ -1274,6 +1201,9 @@ def crawl(
         range(start_gen, max_generations), stop_after_generation, track_visits)
     stats = ray.get([a.get_stats.remote() for a in host_actors])
     totals["seen"] = sum(ray.get([a.count.remote() for a in seen_actors]))
+    fill = ray.get([a.fill.remote() for a in seen_actors])
+    totals["seen_load_factor"] = round(totals["seen"] / sum(f[0] for f in fill), 6)
+    totals["seen_fp_skips_est"] = sum(f[1] for f in fill)
     totals["robots_blocked"] = sum(s.get("robots_blocked", 0) for s in stats)
     totals["evicted"] = sum(s.get("evicted", 0) for s in stats)
     for a in seen_actors + host_actors:

@@ -146,5 +146,14 @@ class CuckooFilter:
         added[new_first] = True
         return added
 
+    def expected_fp_skips(self) -> float:
+        """Expected new keys wrongly reported present while the filter
+        filled to ``count``: the i-th insert probed 2 buckets x 4 slots
+        at load i/slots, each slot matching its nonzero fingerprint with
+        probability 1/(2^fp_bits - 1); summed over i that is
+        4 count^2 / (slots (2^fp_bits - 1))."""
+        slots = self.nbuckets * 4
+        return 4.0 * self.count * self.count / (slots * ((1 << self.fp_bits) - 1))
+
     def memory_bytes(self) -> int:
         return self.table.nbytes

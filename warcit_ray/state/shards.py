@@ -75,6 +75,11 @@ class SeenShardState:
     def count(self) -> int:
         return self.filter.count
 
+    def fill(self) -> tuple[int, float]:
+        """(total slots, expected false-positive skips so far) of this
+        shard's filter — the crawl stats' load factor and fp estimate."""
+        return self.filter.nbuckets * 4, self.filter.expected_fp_skips()
+
 
 class HostShardState:
     """Token-bucket politeness + robots + priority frontier for the
