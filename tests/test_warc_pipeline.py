@@ -13,6 +13,7 @@ from warcit_ray.codecs import encode
 from warcit_ray.config import WarcitConfig
 from warcit_ray.pipelines.warc_build import build_warc_dataset, logfile_table, run_warcit
 from warcit_ray.sinks.warc_sink import parse_warc, write_warc_file, write_warc_shards
+from warcit_ray.sources.seeds import SEQ_STRIDE, part_of_seq
 from warcit_ray.sources.synth import make_image
 from warcit_ray.stages.build_records import check_mapfile_unique
 
@@ -346,14 +347,14 @@ def test_warc_shards_deterministic_resume(iana_dir, tmp_path):
     cfg = cfg_for([iana_dir])
     ds = build_warc_dataset(cfg)
     out_dir = str(tmp_path / "dshards")
-    write_warc_shards(ds, out_dir, rows_per_shard=8)
+    write_warc_shards(ds, out_dir, files_per_part=8)
     parts1 = sorted(glob.glob(os.path.join(out_dir, "part-*")))
     content1 = {p: open(p, "rb").read() for p in parts1}
 
     # rerun in append/resume mode with a very different block split:
     # same parts, byte-identical, nothing duplicated
     ds2 = build_warc_dataset(cfg).repartition(13)
-    write_warc_shards(ds2, out_dir, mode="ab", rows_per_shard=8)
+    write_warc_shards(ds2, out_dir, mode="ab", files_per_part=8)
     parts2 = sorted(glob.glob(os.path.join(out_dir, "part-*")))
     assert parts1 == parts2
     for p in parts2:
@@ -366,21 +367,22 @@ def test_warc_shards_deterministic_resume(iana_dir, tmp_path):
     victim = parts1[1]
     os.remove(victim)
     write_warc_shards(build_warc_dataset(cfg).repartition(3), out_dir,
-                      mode="ab", rows_per_shard=8)
+                      mode="ab", files_per_part=8)
     assert open(victim, "rb").read() == content1[victim]
     assert len(read_warc_dir(out_dir)) == 25
 
     # mismatched layout parameters fail loudly instead of mis-skipping
     with pytest.raises(ValueError):
-        write_warc_shards(ds, out_dir, mode="ab", rows_per_shard=16)
+        write_warc_shards(ds, out_dir, mode="ab", files_per_part=16)
 
 
 def _mini_records(seqs, tag="v1"):
     import pyarrow as pa
     import ray.data as rd
 
+    # file ordinal i -> the seq enumerate_seeds gives its resource record
     t = pa.table({
-        "seq": pa.array(list(seqs), type=pa.int64()),
+        "seq": pa.array([i * SEQ_STRIDE for i in seqs], type=pa.int64()),
         "record_type": ["resource"] * len(seqs),
         "record_id": ["<urn:uuid:%05d>" % s for s in seqs],
         "warc_date": ["2026-01-01T00:00:00Z"] * len(seqs),
@@ -397,24 +399,24 @@ def test_warc_shards_append_into_partial_part(tmp_path, ray_session):
     from warcit_ray.sinks.warc_sink import read_warc_dir
 
     out_dir = str(tmp_path / "append")
-    # first run: seqs 0..9 -> part0 holds 0-7, part1 holds 8,9 (partial)
-    write_warc_shards(_mini_records(range(10)), out_dir, rows_per_shard=8)
+    # first run: files 0..9 -> part0 holds 0-7, part1 holds 8,9 (partial)
+    write_warc_shards(_mini_records(range(10)), out_dir, files_per_part=8)
     assert len(read_warc_dir(out_dir)) == 10
     # append run ships the FULL dataset 0..14: 10-15 range rows 10..14
     # land partly in part1's range (10..15) — part1 must gain them
     write_warc_shards(_mini_records(range(15)), out_dir, mode="ab",
-                      rows_per_shard=8)
+                      files_per_part=8)
     recs = read_warc_dir(out_dir)
     assert [r["headers"]["WARC-Target-URI"] for r in recs] == \
         ["http://x.example/%d" % i for i in range(15)]
     # identical rerun: no-op, still 15
     write_warc_shards(_mini_records(range(15)), out_dir, mode="ab",
-                      rows_per_shard=8)
+                      files_per_part=8)
     assert len(read_warc_dir(out_dir)) == 15
     # mutating an already-written range raises instead of keeping stale bytes
     with pytest.raises(ValueError, match="refusing to append"):
         write_warc_shards(_mini_records(range(15), tag="CHANGED"), out_dir,
-                          mode="ab", rows_per_shard=8)
+                          mode="ab", files_per_part=8)
 
 
 def test_warc_shards_delta_only_append(tmp_path, ray_session):
@@ -426,21 +428,21 @@ def test_warc_shards_delta_only_append(tmp_path, ray_session):
 
     out_dir = str(tmp_path / "delta")
     # first run: 0..9 -> part0 full (0-7), part1 partial (8,9)
-    write_warc_shards(_mini_records(range(10)), out_dir, rows_per_shard=8)
+    write_warc_shards(_mini_records(range(10)), out_dir, files_per_part=8)
     # delta-only rerun: ONLY seqs 10..14 (no previously-written rows),
     # all landing in part1's 8..15 range with n_old == 0
     write_warc_shards(_mini_records(range(10, 15)), out_dir, mode="ab",
-                      rows_per_shard=8)
+                      files_per_part=8)
     recs = read_warc_dir(out_dir)
     assert [r["headers"]["WARC-Target-URI"] for r in recs] == \
         ["http://x.example/%d" % i for i in range(15)]
     # a second delta append continues from the updated max_seq
     write_warc_shards(_mini_records([15, 16]), out_dir, mode="ab",
-                      rows_per_shard=8)
+                      files_per_part=8)
     assert len(read_warc_dir(out_dir)) == 17
     # and a full-coverage rerun over everything is still a no-op
     write_warc_shards(_mini_records(range(17)), out_dir, mode="ab",
-                      rows_per_shard=8)
+                      files_per_part=8)
     assert len(read_warc_dir(out_dir)) == 17
 
 
@@ -452,20 +454,20 @@ def test_warc_shards_delta_retry_idempotent(tmp_path, ray_session):
     from warcit_ray.sinks.warc_sink import read_warc_dir
 
     out_dir = str(tmp_path / "retry")
-    write_warc_shards(_mini_records(range(10)), out_dir, rows_per_shard=8)
+    write_warc_shards(_mini_records(range(10)), out_dir, files_per_part=8)
     write_warc_shards(_mini_records(range(10, 15)), out_dir, mode="ab",
-                      rows_per_shard=8)
+                      files_per_part=8)
     assert len(read_warc_dir(out_dir)) == 15
     # the retry: same delta again — applied already, must be a no-op
     write_warc_shards(_mini_records(range(10, 15)), out_dir, mode="ab",
-                      rows_per_shard=8)
+                      files_per_part=8)
     recs = read_warc_dir(out_dir)
     assert [r["headers"]["WARC-Target-URI"] for r in recs] == \
         ["http://x.example/%d" % i for i in range(15)]
     # a DIFFERENT payload for the same already-appended seqs still raises
     with pytest.raises(ValueError, match="refusing to append"):
         write_warc_shards(_mini_records(range(10, 15), tag="CHANGED"),
-                          out_dir, mode="ab", rows_per_shard=8)
+                          out_dir, mode="ab", files_per_part=8)
 
 
 def test_warc_shards_crash_window_heals_not_doubles(tmp_path, ray_session):
@@ -479,18 +481,18 @@ def test_warc_shards_crash_window_heals_not_doubles(tmp_path, ray_session):
     from warcit_ray.sinks.warc_sink import read_warc_dir
 
     out_dir = str(tmp_path / "crash")
-    write_warc_shards(_mini_records(range(10)), out_dir, rows_per_shard=8)
+    write_warc_shards(_mini_records(range(10)), out_dir, files_per_part=8)
     meta_path = os.path.join(out_dir, "part-%020d.meta.json"
-                             % ((9 + (1 << 32)) // 8))
+                             % part_of_seq(9 * SEQ_STRIDE, 8))
     with open(meta_path) as fh:
         pre_delta_meta = fh.read()
     write_warc_shards(_mini_records(range(10, 15)), out_dir, mode="ab",
-                      rows_per_shard=8)
+                      files_per_part=8)
     # simulate the crash: the part carries the delta, the meta does not
     with open(meta_path, "w") as fh:
         fh.write(pre_delta_meta)
     write_warc_shards(_mini_records(range(10, 15)), out_dir, mode="ab",
-                      rows_per_shard=8)
+                      files_per_part=8)
     recs = read_warc_dir(out_dir)  # healed: exactly 15, no seq doubled
     assert [r["headers"]["WARC-Target-URI"] for r in recs] == \
         ["http://x.example/%d" % i for i in range(15)]
@@ -500,13 +502,68 @@ def test_warc_shards_crash_window_heals_not_doubles(tmp_path, ray_session):
         healed = json.load(fh)
     with open(part_path, "rb") as fh:
         assert healed["sha256"] == hashlib.sha256(fh.read()).hexdigest()
-    assert healed["max_seq"] == 14
+    assert healed["max_seq"] == 14 * SEQ_STRIDE
     # desync where the extra bytes are NOT this delta: refuse loudly
     with open(part_path, "ab") as fh:
         fh.write(b"garbage-from-another-writer")
     with pytest.raises(ValueError, match="desync"):
         write_warc_shards(_mini_records(range(15, 17)), out_dir, mode="ab",
-                          rows_per_shard=8)
+                          files_per_part=8)
+
+
+def test_warc_shards_refuse_unpinned_parts_and_spare_foreign_files(
+        tmp_path, ray_session):
+    """Both sharded sinks share one layout pin: an 'ab' run into a WARC
+    directory holding parts but no _shards.json raises (nothing says
+    which layout wrote them), and 'wb' deletes only the names the sink
+    itself writes."""
+    from warcit_ray.sinks.warc_sink import read_warc_dir
+
+    out_dir = tmp_path / "pin"
+    write_warc_shards(_mini_records(range(3)), str(out_dir))
+    os.unlink(out_dir / "_shards.json")
+    with pytest.raises(ValueError, match="no _shards.json"):
+        write_warc_shards(_mini_records(range(3)), str(out_dir), mode="ab")
+    (out_dir / "other.warc.gz").write_bytes(b"foreign")
+    write_warc_shards(_mini_records(range(2)), str(out_dir), mode="wb")
+    assert (out_dir / "other.warc.gz").read_bytes() == b"foreign"
+    assert len(read_warc_dir(str(out_dir))) == 2
+
+
+def test_warc_parts_hold_whole_file_ranges(tmp_path):
+    """Parts are ranges of input files in the seq units enumerate_seeds
+    assigns: a 24-file tree is one part under the defaults, and with
+    files_per_part=8 each part holds every record (revisits included)
+    of exactly 8 files."""
+    from warcit_ray.sinks.warc_sink import read_warc_dir
+
+    site = tmp_path / "site"
+    for i in range(24):
+        d = site / ("d%02d" % (i // 3))
+        d.mkdir(parents=True, exist_ok=True)
+        (d / ("index.html" if i % 3 == 0 else "p%d.txt" % i)).write_text(
+            "page %d" % i)
+    cfg = cfg_for([str(site)], url_prefix="http://s.example/")
+
+    one = tmp_path / "one"
+    assert len(write_warc_shards(build_warc_dataset(cfg), str(one))) == 1
+    assert len(read_warc_dir(str(one))) == 1 + 24 + 8  # warcinfo, revisits
+
+    eight = tmp_path / "eight"
+    parts = write_warc_shards(build_warc_dataset(cfg), str(eight),
+                              files_per_part=8)
+    assert len(parts) == 3
+    seen: set = set()
+    for path in parts:
+        with open(path, "rb") as fh:
+            recs = [r["headers"] for r in parse_warc(fh.read())
+                    if r["headers"]["WARC-Type"] != "warcinfo"]
+        files = {h["WARC-Source-URI"] for h in recs}
+        revisits = sum(h["WARC-Type"] == "revisit" for h in recs)
+        assert len(files) == 8 and not files & seen
+        assert len(recs) == 8 + revisits
+        assert revisits == sum(f.endswith("/index.html") for f in files)
+        seen |= files
 
 
 def test_logfile_shards_order_and_resume(iana_dir, tmp_path):
@@ -528,13 +585,13 @@ def test_logfile_shards_order_and_resume(iana_dir, tmp_path):
     cfg = cfg_for([iana_dir])
     out_dir = str(tmp_path / "logshards")
     parts = write_logfile_shards(build_warc_dataset(cfg), out_dir,
-                                 rows_per_shard=8)
+                                 files_per_part=8)
     assert parts == sorted(glob.glob(os.path.join(out_dir, "part-*.csv")))
     content1 = {p: open(p, "rb").read() for p in parts}
 
     # rerun with a different block structure: identical parts, no dupes
     parts2 = write_logfile_shards(build_warc_dataset(cfg).repartition(13),
-                                  out_dir, rows_per_shard=8)
+                                  out_dir, files_per_part=8)
     assert parts2 == parts
     for p in parts:
         assert open(p, "rb").read() == content1[p]
@@ -553,7 +610,7 @@ def test_logfile_shards_order_and_resume(iana_dir, tmp_path):
     victim = parts[1]
     os.remove(victim)
     write_logfile_shards(build_warc_dataset(cfg).repartition(3), out_dir,
-                         rows_per_shard=8)
+                         files_per_part=8)
     assert open(victim, "rb").read() == content1[victim]
 
     # a mutated input for an already-written range fails loudly
@@ -561,18 +618,18 @@ def test_logfile_shards_order_and_resume(iana_dir, tmp_path):
     cfg2.fixed_dt = "1999-09-09T09:09:09Z"
     with pytest.raises(ValueError, match="refusing to overwrite"):
         write_logfile_shards(build_warc_dataset(cfg2), out_dir,
-                             rows_per_shard=8)
+                             files_per_part=8)
 
-    # ADVICE r4: resuming with a different rows_per_shard would write a
+    # ADVICE r4: resuming with a different files_per_part would write a
     # second overlapping part set under different names — the
     # _shards.json sidecar refuses before any row is written
     with pytest.raises(ValueError, match="shard layout"):
         write_logfile_shards(build_warc_dataset(cfg), out_dir,
-                             rows_per_shard=16)
+                             files_per_part=16)
     assert os.path.exists(os.path.join(out_dir, "_shards.json"))
     # and the original layout still resumes cleanly
     parts3 = write_logfile_shards(build_warc_dataset(cfg), out_dir,
-                                  rows_per_shard=8)
+                                  files_per_part=8)
     assert parts3 == parts
 
 
@@ -586,18 +643,18 @@ def test_warc_shards_initial_crash_window_heals_sidecar(tmp_path, ray_session):
     from warcit_ray.sinks.warc_sink import read_warc_dir
 
     out_dir = str(tmp_path / "heal0")
-    write_warc_shards(_mini_records(range(6)), out_dir, rows_per_shard=8)
+    write_warc_shards(_mini_records(range(6)), out_dir, files_per_part=8)
     metas = glob.glob(os.path.join(out_dir, "*.meta.json"))
     assert len(metas) == 1
     os.unlink(metas[0])  # simulate the crash window
     # identical retry (resume mode): byte-verified no-op that HEALS
     # the sidecar
     write_warc_shards(_mini_records(range(6)), out_dir, mode="ab",
-                      rows_per_shard=8)
+                      files_per_part=8)
     assert glob.glob(os.path.join(out_dir, "*.meta.json"))
     # the delta append now works instead of raising missing-meta
     write_warc_shards(_mini_records([6, 7]), out_dir, mode="ab",
-                      rows_per_shard=8)
+                      files_per_part=8)
     recs = read_warc_dir(out_dir)
     assert [r["headers"]["WARC-Target-URI"] for r in recs] == \
         ["http://x.example/%d" % i for i in range(8)]

@@ -214,3 +214,22 @@ def test_crawl_records_serialize_to_warc(tmp_path):
 
     for p in parsed[:10]:
         assert sha1_b32(p["payload"]) == p["headers"]["WARC-Payload-Digest"]
+
+
+def test_open_zip_reopens_rewritten_archive(tmp_path):
+    """Cached zip handles live as long as the worker process, which
+    outlives a job: an archive rewritten at the same path is reopened,
+    not served from the old handle."""
+    import zipfile
+
+    from warcit_ray.pipelines.zipcrawl import open_zip
+
+    path = str(tmp_path / "a.zip")
+    with zipfile.ZipFile(path, "w") as zf:
+        zf.writestr("m", b"old")
+    assert open_zip(path).read("m") == b"old"
+    assert open_zip(path) is open_zip(path)
+    os.remove(path)
+    with zipfile.ZipFile(path, "w") as zf:
+        zf.writestr("m", b"new!")
+    assert open_zip(path).read("m") == b"new!"

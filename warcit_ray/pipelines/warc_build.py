@@ -4,12 +4,19 @@ Reference lifecycle reproduced (warcit.py:395-448) as:
 
     enumerate_seeds (driver, ordering frozen into `seq`)
       -> Dataset
-      -> map_batches(PayloadLoader)        # actor pool, zip handles cached
-      -> map_batches(RecordBuilder(cfg))   # resource/revisit/conversion/
+      -> map_batches(PayloadLoader())      # stateless tasks; zip handles
+                                           # cached per worker process
+      -> map_batches(RecordBuilder(cfg))   # stateless tasks: resource/
+                                           # revisit/conversion/
                                            # transclusion expansion
       -> union(warcinfo row)
       -> [sort('seq')] only at physical WARC emission; the Parquet sink
          keeps the seq column instead (SURVEY §2.5 ordering note).
+
+Both stages are callable instances, not classes, so Ray Data runs them
+as tasks on warm worker processes instead of starting an actor pool per
+job. The sharded sinks write one part per range of input files
+(:func:`part_of_seq`).
 """
 
 from __future__ import annotations
@@ -19,31 +26,24 @@ import os
 import pyarrow as pa
 
 from ..config import WarcitConfig
-from ..sources.seeds import PayloadLoader, seeds_dataset
+from ..sinks.warc_sink import pin_layout, write_warc_file
+from ..sources.seeds import PayloadLoader, part_of_seq, seeds_dataset
 from ..stages.build_records import RecordBuilder, warcinfo_row
 
+# small because payload rows are wide (binary blobs): blocks stay within
+# the object-store target block size
+BATCH_SIZE = 64
 
-def build_warc_dataset(cfg: WarcitConfig, *, payload_concurrency: int = 4,
-                       build_concurrency: int = 4, batch_size: int = 64):
-    """The record Dataset (lazy). Batch size is small because payload
-    rows are wide (binary blobs); blocks stay within the object-store
-    target block size."""
+
+def build_warc_dataset(cfg: WarcitConfig):
+    """The record Dataset (lazy)."""
     import ray.data as rd
 
     ds = seeds_dataset(cfg.inputs, cfg.url_prefix, strict=False)
-    ds = ds.map_batches(
-        PayloadLoader,
-        batch_size=batch_size,
-        batch_format="pyarrow",
-        concurrency=payload_concurrency,
-    )
-    ds = ds.map_batches(
-        RecordBuilder,
-        fn_constructor_args=(cfg,),
-        batch_size=batch_size,
-        batch_format="pyarrow",
-        concurrency=build_concurrency,
-    )
+    ds = ds.map_batches(PayloadLoader(), batch_size=BATCH_SIZE,
+                        batch_format="pyarrow")
+    ds = ds.map_batches(RecordBuilder(cfg), batch_size=BATCH_SIZE,
+                        batch_format="pyarrow")
     if cfg.warcinfo:
         ds = rd.from_arrow(warcinfo_row(cfg)).union(ds)
     return ds
@@ -130,59 +130,27 @@ def write_logfile_csv(records_ds, path: str) -> int:
     return n
 
 
-_LOG_SEQ_BIAS = 1 << 32
-
-
 def write_logfile_shards(records_ds, out_dir: str,
-                         rows_per_shard: int = 65536) -> list:
+                         files_per_part: int = 1024) -> list:
     """Distributed sharded K3 sink with DETERMINISTIC shard boundaries
     (the write_warc_shards discipline, warc_sink.py): rows partition on
-    fixed seq ranges, each part ``part-<shard:020d>.csv`` (header + rows
-    in seq order) written atomically via tmp+rename; lexicographic
+    fixed ranges of ``files_per_part`` input files
+    (:func:`part_of_seq`), each part ``part-<shard:020d>.csv`` (header +
+    rows in seq order) written atomically via tmp+rename; lexicographic
     filename order == record order. A rerun reproduces byte-identical
     parts, so resume skips existing identical parts and raises on a
     content mismatch instead of mis-skipping. A ``_shards.json``
-    sidecar pins rows_per_shard on first write (the write_warc_shards
-    discipline): resuming with a different value would write a second,
-    overlapping set of part files under different names — refused."""
-    import json
-
-    import pyarrow.compute as pc
-
+    sidecar pins files_per_part on first write (:func:`pin_layout`):
+    resuming with a different value would write a second, overlapping
+    set of part files under different names — refused."""
     out_dir = os.path.abspath(out_dir)
     os.makedirs(out_dir, exist_ok=True)
-
-    meta = {"rows_per_shard": int(rows_per_shard)}
-    meta_path = os.path.join(out_dir, "_shards.json")
-    if os.path.exists(meta_path):
-        with open(meta_path) as fh:
-            old = json.load(fh)
-        if old != meta:
-            raise ValueError(
-                "existing logfile shard layout %r does not match requested "
-                "%r — a resume would write overlapping parts under "
-                "different names" % (old, meta))
-    else:
-        # no sidecar but parts present = a dir written before the
-        # sidecar existed (or by something else): silently pinning the
-        # REQUESTED value would bless whatever layout the caller asked
-        # for and let a mismatched resume write overlapping parts under
-        # different names with no error — refuse instead
-        stale = [f for f in os.listdir(out_dir)
-                 if f.startswith("part-") and f.endswith(".csv")]
-        if stale:
-            raise ValueError(
-                "%s contains logfile parts but no _shards.json sidecar "
-                "(predates the layout pin) — cannot verify rows_per_shard; "
-                "delete the parts or write the sidecar manually" % out_dir)
-        with open(meta_path, "w") as fh:
-            json.dump(meta, fh)
+    pin_layout(out_dir, {"files_per_part": int(files_per_part)},
+               r"part-\d{20}\.csv")
 
     def add_shard(t: pa.Table) -> pa.Table:
-        shard = pc.divide(
-            pc.add(pc.cast(t["seq"], pa.int64()), pa.scalar(_LOG_SEQ_BIAS)),
-            pa.scalar(int(rows_per_shard), type=pa.int64()))
-        return t.append_column("__shard", pc.cast(shard, pa.int64()))
+        shard = part_of_seq(t["seq"].to_numpy(), files_per_part)
+        return t.append_column("__shard", pa.array(shard, type=pa.int64()))
 
     def write_shard(g: "pd.DataFrame"):
         import csv
@@ -225,14 +193,12 @@ def write_logfile_shards(records_ds, out_dir: str,
     return sorted(manifest["path"].tolist())
 
 
-def run_warcit(cfg: WarcitConfig, output_path: str | None = None, mode: str = "xb",
-               **kw) -> dict:
+def run_warcit(cfg: WarcitConfig, output_path: str | None = None,
+               mode: str = "xb") -> dict:
     """Full run: build records, optionally serialize physical WARC,
     return summary counts (the reference's 'Wrote N resources' line,
     warcit.py:444, as data)."""
-    from ..sinks.warc_sink import write_warc_file
-
-    ds = build_warc_dataset(cfg, **kw)
+    ds = build_warc_dataset(cfg)
     if output_path:
         n = write_warc_file(ds, output_path, mode=mode, gzip_members=cfg.gzip)
     else:

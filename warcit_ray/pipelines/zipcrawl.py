@@ -16,6 +16,7 @@ semantics as the warc_build pipeline) plus a ``links`` list column.
 
 from __future__ import annotations
 
+import os
 import posixpath
 import re
 import zipfile
@@ -29,20 +30,27 @@ from ..state.robots import parse_robots
 
 _LINK_RX = re.compile(r"""(?:href|src)\s*=\s*["']([^"']+)["']""", re.I)
 
-# zip handles cached per worker process
-_ZIP_CACHE: dict[str, zipfile.ZipFile] = {}
+# zip handles cached per worker process (also serves the WARC build's
+# PayloadLoader), each with the archive's stat signature it was opened at
+_ZIP_CACHE: dict[str, tuple[tuple, zipfile.ZipFile]] = {}
 
 
 def zip_url(archive: str, member: str) -> str:
     return "zip://%s!%s" % (archive, member)
 
 
-def _zip(archive: str) -> zipfile.ZipFile:
-    zp = _ZIP_CACHE.get(archive)
-    if zp is None:
-        zp = zipfile.ZipFile(archive)
-        _ZIP_CACHE[archive] = zp
-    return zp
+def open_zip(archive: str) -> zipfile.ZipFile:
+    """The process's cached handle on ``archive``, reopened when the file
+    at that path changed: worker processes outlive jobs, so a handle
+    must not serve a rewritten archive's old bytes."""
+    st = os.stat(archive)
+    sig = (st.st_ino, st.st_size, st.st_mtime_ns)
+    hit = _ZIP_CACHE.get(archive)
+    if hit is None or hit[0] != sig:
+        if hit is not None:
+            hit[1].close()
+        hit = _ZIP_CACHE[archive] = (sig, zipfile.ZipFile(archive))
+    return hit[1]
 
 
 def resolve_member(zp: zipfile.ZipFile, member: str) -> str | None:
@@ -80,7 +88,7 @@ def extract_links(html: str, base_member: str, site_root: str) -> list[str]:
 def zip_fetch_batch(batch: pa.Table, archive: str, site_root: str,
                     clock_iso: str) -> pa.Table:
     """Frontier rows (zip:// URLs) -> WARC-equivalent records + links."""
-    zp = _zip(archive)
+    zp = open_zip(archive)
     out = {
         "generation": [], "seq": [], "record_type": [], "target_uri": [],
         "host": [], "warc_date": [], "content_type": [], "payload": [],

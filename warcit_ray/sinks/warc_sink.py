@@ -11,9 +11,10 @@ Two writers:
   overwrite / append modes exactly like the reference ('xb'/'wb'/'ab',
   warcit.py:143-148,409-419; EEXIST is an error in default mode).
   Streams `iter_batches` in seq order, so the driver holds one batch.
-- :func:`write_warc_shards` — the scale path: one .warc.gz per block,
-  named by the block's minimum seq (zero-padded, so lexicographic
-  filename order == record order), plus a manifest for resume.
+- :func:`write_warc_shards` — the scale path: one .warc.gz per range
+  of input files, named by the range's index (zero-padded, so
+  lexicographic filename order == record order), plus a layout pin and
+  per-part sidecars for resume.
 """
 
 from __future__ import annotations
@@ -21,9 +22,13 @@ from __future__ import annotations
 import glob
 import gzip
 import io
+import json
 import os
+import re
 
 import pyarrow as pa
+
+from ..sources.seeds import part_of_seq
 
 REVISIT_PROFILE = "http://netpreserve.org/warc/1.0/revisit/identical-payload-digest"
 
@@ -114,23 +119,51 @@ def write_warc_file(ds, path: str, mode: str = "xb", gzip_members: bool = True,
     return n
 
 
-_SHARD_SEQ_BIAS = 1 << 32  # keeps shard ids non-negative for any seq
+# every name write_warc_shards writes: its parts, their sidecars, their
+# tmp files and the layout pin; mode='wb' deletes these and nothing else
+_SINK_NAME = r"part-\d{20}(\.warc(\.gz)?|\.meta\.json)(\.tmp)?|_shards\.json"
+_WARC_PART = r"part-\d{20}\.warc(\.gz)?"
+
+
+def pin_layout(out_dir: str, meta: dict, part_rx: str) -> None:
+    """Pin a sharded sink's layout parameters in ``<out_dir>/_shards.json``
+    on first write. A resume with different parameters would write a
+    second, overlapping set of parts under different names, and a
+    directory holding parts (file names matching ``part_rx``) but no
+    sidecar cannot be verified at all: both raise."""
+    path = os.path.join(out_dir, "_shards.json")
+    if os.path.exists(path):
+        with open(path) as fh:
+            old = json.load(fh)
+        if old != meta:
+            raise ValueError(
+                "existing shard layout %r does not match requested %r — "
+                "a resume would write overlapping parts under different "
+                "names" % (old, meta))
+        return
+    if any(re.fullmatch(part_rx, f) for f in os.listdir(out_dir)):
+        raise ValueError(
+            "%s contains parts but no _shards.json sidecar — cannot verify "
+            "their layout; delete the parts or write the sidecar manually"
+            % out_dir)
+    with open(path, "w") as fh:
+        json.dump(meta, fh)
 
 
 def write_warc_shards(ds, out_dir: str, mode: str = "xb",
                       gzip_members: bool = True,
-                      rows_per_shard: int = 1024) -> list[str]:
+                      files_per_part: int = 1024) -> list[str]:
     """Distributed sharded writer with DETERMINISTIC shard boundaries:
-    records partition on fixed seq ranges (``(seq + bias) //
-    rows_per_shard``), so a rerun under any CPU count / block split
+    records partition on fixed ranges of ``files_per_part`` input files
+    (:func:`part_of_seq`), so a rerun under any CPU count / block split
     produces byte-identical parts and the skip-if-exists resume is
     safe — skipping by Ray block boundaries would silently drop or
     duplicate records whenever a rerun split blocks differently. Each
     part is ``<out_dir>/part-<shard:020d>.warc.gz`` written atomically
     (tmp + rename); lexicographic filename order == record order.
-    A ``_shards.json`` meta pin records (rows_per_shard, gzip) so a
-    resume/append with mismatched parameters fails loudly instead of
-    mis-skipping.
+    A ``_shards.json`` meta pin records (files_per_part, gzip) so a
+    resume/append with mismatched parameters, or into parts with no
+    pin, fails loudly instead of mis-skipping (:func:`pin_layout`).
 
     ``mode='ab'`` = resume/append. Every part carries a sidecar
     ``part-<shard>.meta.json`` (records, max_seq, sha256) written
@@ -150,41 +183,25 @@ def write_warc_shards(ds, out_dir: str, mode: str = "xb",
     meta's digest matches the on-disk prefix and the extra bytes match
     the delta, so only the meta is rewritten — never a double append)."""
     import hashlib
-    import json
-
-    import pyarrow.compute as pc
 
     out_dir = os.path.abspath(out_dir)  # workers have their own CWD
-    if mode == "xb" and os.path.isdir(out_dir) and glob.glob(os.path.join(out_dir, "*.warc*")):
-        raise FileExistsError(out_dir + " already contains WARC shards (use mode='wb'/'ab')")
-    if mode == "wb" and os.path.isdir(out_dir):
-        for f in glob.glob(os.path.join(out_dir, "*.warc*")) + glob.glob(
-                os.path.join(out_dir, "part-*.meta.json")):
-            os.remove(f)
-        meta_p = os.path.join(out_dir, "_shards.json")
-        if os.path.exists(meta_p):
-            os.remove(meta_p)
+    if os.path.isdir(out_dir):
+        if mode == "xb" and any(re.fullmatch(_WARC_PART, f)
+                                for f in os.listdir(out_dir)):
+            raise FileExistsError(
+                out_dir + " already contains WARC shards (use mode='wb'/'ab')")
+        if mode == "wb":
+            for f in os.listdir(out_dir):
+                if re.fullmatch(_SINK_NAME, f):
+                    os.remove(os.path.join(out_dir, f))
     os.makedirs(out_dir, exist_ok=True)
     ext = ".warc.gz" if gzip_members else ".warc"
-
-    meta = {"rows_per_shard": int(rows_per_shard), "gzip": bool(gzip_members)}
-    meta_path = os.path.join(out_dir, "_shards.json")
-    if os.path.exists(meta_path):
-        with open(meta_path) as fh:
-            old = json.load(fh)
-        if old != meta:
-            raise ValueError(
-                "existing shard layout %r does not match requested %r — "
-                "resume would mis-skip; use mode='wb' to rewrite" % (old, meta))
-    else:
-        with open(meta_path, "w") as fh:
-            json.dump(meta, fh)
+    pin_layout(out_dir, {"files_per_part": int(files_per_part),
+                         "gzip": bool(gzip_members)}, _WARC_PART)
 
     def add_shard(t: pa.Table) -> pa.Table:
-        shard = pc.divide(
-            pc.add(pc.cast(t["seq"], pa.int64()), pa.scalar(_SHARD_SEQ_BIAS)),
-            pa.scalar(int(rows_per_shard), type=pa.int64()))
-        return t.append_column("__shard", pc.cast(shard, pa.int64()))
+        shard = part_of_seq(t["seq"].to_numpy(), files_per_part)
+        return t.append_column("__shard", pa.array(shard, type=pa.int64()))
 
     def _part_meta_path(shard_id: int) -> str:
         return os.path.join(out_dir, "part-%020d.meta.json" % shard_id)

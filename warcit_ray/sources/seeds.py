@@ -23,10 +23,12 @@ import datetime
 import os
 import zipfile
 
+import numpy as np
 import pyarrow as pa
 
 from ..functions.timestamps import datetime_to_iso_date, epoch_to_iso_date
 from ..functions.urls import escape_path, parse_zip_pseudo_path, zip_entry_url
+from ..pipelines.zipcrawl import open_zip
 
 CANDIDATE_SCHEMA = pa.schema(
     [
@@ -45,6 +47,14 @@ CANDIDATE_SCHEMA = pa.schema(
 # Room for sub-records per candidate (resource=0, revisit=1,
 # conversions 2.., transclusions after) when expanding seq.
 SEQ_STRIDE = 4096
+
+
+def part_of_seq(seq, files_per_part: int):
+    """Output part id of a record ``seq`` (an int or a numpy array) when
+    each part holds ``files_per_part`` input files: every record of one
+    input file lands in the same part, and the warcinfo row (seq -1)
+    clamps into part 0."""
+    return np.maximum(seq, 0) // (SEQ_STRIDE * files_per_part)
 
 
 class SeedError(ValueError):
@@ -127,22 +137,11 @@ def seeds_dataset(inputs: list[str], url_prefix: str, strict: bool = True):
 
 
 class PayloadLoader:
-    """Actor-pool stage: resolve payload bytes for candidate rows.
-
-    ZIP handles are opened once per (actor, archive) and cached — the
-    stateful-stage pattern the reference has no equivalent for (its
-    single process keeps one handle; SURVEY §2.3).
+    """Stateless ``map_batches`` stage: resolve payload bytes for
+    candidate rows. ZIP handles come from the per-worker-process cache
+    shared with the zip crawl (:func:`open_zip`), so each archive opens
+    once per process, not once per batch.
     """
-
-    def __init__(self):
-        self._zips: dict[str, zipfile.ZipFile] = {}
-
-    def _zip(self, path: str) -> zipfile.ZipFile:
-        zp = self._zips.get(path)
-        if zp is None:
-            zp = zipfile.ZipFile(path)
-            self._zips[path] = zp
-        return zp
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         kinds = batch.column("source_kind").to_pylist()
@@ -152,7 +151,7 @@ class PayloadLoader:
         payloads = []
         for kind, full, zfile, zmember in zip(kinds, fulls, zfiles, zmembers):
             if kind == "zip":
-                payloads.append(self._zip(zfile).read(zmember))
+                payloads.append(open_zip(zfile).read(zmember))
             else:
                 with open(full, "rb") as fh:
                     payloads.append(fh.read())

@@ -98,11 +98,14 @@ def transclusion_metadata_json(url: str, contain_url: str, contain_ts: str,
 
 
 class RecordBuilder:
-    """Callable class for ``map_batches(..., concurrency=N)``.
+    """Stateless ``map_batches`` stage, passed as an instance
+    (``RecordBuilder(cfg)``) so it runs as plain tasks, not an actor pool.
 
     All config (patterns, overrides, broadcast side dicts) is prepared
-    once per actor in ``__init__`` — the reference holds the same state
-    as instance attributes of its single WARCIT object (SURVEY §2.3).
+    once on the driver in ``__init__`` and ships with the instance — the
+    reference holds the same state as instance attributes of its single
+    WARCIT object (SURVEY §2.3). Each task works on its own copy, so
+    the mime cache is per task.
     """
 
     def __init__(self, cfg: WarcitConfig):

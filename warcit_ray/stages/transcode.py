@@ -1,5 +1,5 @@
 """Conversion (transcode) stage — the reference's warcit-converter
-re-expressed as an actor-pool batch stage.
+re-expressed as a stateless batch stage.
 
 Reference semantics reproduced (converter.py:136-195):
 - rule matching: first by ``ext`` suffix on the URL, else by compiled
@@ -30,6 +30,7 @@ extension model (converter.py:158-167):
 
 from __future__ import annotations
 
+import contextlib
 import os
 import subprocess
 import tempfile
@@ -70,10 +71,10 @@ def output_filename(convert_filename: str, output_dir: str, root_dir: str) -> st
 
 
 class TranscodeStage:
-    """map_batches callable class: candidate rows (+payload) -> result rows.
-
-    Codec dispatch tables live for the actor's lifetime; each batch is
-    pure work (SURVEY §2.3 actor-pool placement for M11).
+    """Stateless ``map_batches`` stage: candidate rows (+payload) ->
+    result rows. Passed as an instance, so it runs as plain tasks on
+    warm worker processes; each batch is pure work plus the output files
+    it writes.
     """
 
     def __init__(self, file_types: list[dict], output_dir: str,
@@ -82,18 +83,17 @@ class TranscodeStage:
         self.output_dir = output_dir
         self.dry_run = dry_run
         self.convert_stdout = convert_stdout
-        self._stdout_fh = None
 
     def _stdout(self):
-        """converter.py:117-126 convert_stdout capture; one file handle
-        per actor for its lifetime, opened in append mode so a pool of
-        actors shares the log path (writes are record-interleaved,
-        line-atomic at OS pipe granularity)."""
-        if self.convert_stdout and self._stdout_fh is None:
-            os.makedirs(os.path.dirname(os.path.abspath(self.convert_stdout)),
-                        exist_ok=True)
-            self._stdout_fh = open(self.convert_stdout, "at")
-        return self._stdout_fh
+        """converter.py:117-126 convert_stdout capture, opened per batch
+        in append mode (concurrent tasks share the path; writes are
+        record-interleaved, line-atomic at OS pipe granularity). Without
+        a log, a context yielding None: commands inherit stdout."""
+        if not self.convert_stdout:
+            return contextlib.nullcontext()
+        os.makedirs(os.path.dirname(os.path.abspath(self.convert_stdout)),
+                    exist_ok=True)
+        return open(self.convert_stdout, "at")
 
     def _convert_one(self, payload: bytes, out_path: str, to_ext: str) -> bool:
         src_fmt = sniff_fmt(payload)
@@ -109,7 +109,8 @@ class TranscodeStage:
             fh.write(out_bytes)
         return True
 
-    def _run_rule(self, rule: dict, row: dict, out_path: str) -> tuple[bool, str]:
+    def _run_rule(self, rule: dict, row: dict, out_path: str,
+                  log) -> tuple[bool, str]:
         """Execute one conversion rule -> (success, executed command).
 
         ``codec-recode`` dispatches to the in-repo codecs; any other
@@ -134,9 +135,8 @@ class TranscodeStage:
         command = rule["command"].format(input=in_path, output=out_path)
         os.makedirs(os.path.dirname(out_path), exist_ok=True)
         try:
-            fh = self._stdout()
             rc = subprocess.call(command.split(" "), shell=False,
-                                 stdout=fh, stderr=fh)
+                                 stdout=log, stderr=log)
         except OSError:
             rc = -1
         finally:
@@ -145,6 +145,10 @@ class TranscodeStage:
         return rc == 0, command
 
     def __call__(self, batch: pa.Table) -> pa.Table:
+        with self._stdout() as log:
+            return self._transcode(batch, log)
+
+    def _transcode(self, batch: pa.Table, log) -> pa.Table:
         out = {name: [] for name in RESULT_SCHEMA.names}
         for row in batch.select(
             ["seq", "url", "full_filename", "root_dir", "payload"]
@@ -161,7 +165,7 @@ class TranscodeStage:
                     )
                     if self.dry_run:
                         continue
-                    ok, command = self._run_rule(rule, row, out_path)
+                    ok, command = self._run_rule(rule, row, out_path, log)
                     meta = {k: v for k, v in rule.items() if k != "regex"}
                     out["seq"].append(row["seq"] + sub)
                     out["source_url"].append(row["url"])
@@ -176,21 +180,18 @@ class TranscodeStage:
 
 
 def convert_all(inputs: list[str], url_prefix: str, file_types: list[dict],
-                output_dir: str, *, concurrency: int = 4, batch_size: int = 32,
+                output_dir: str, *, batch_size: int = 32,
                 dry_run: bool = False, convert_stdout: str | None = None):
-    """warcit-converter pipeline: seeds -> payloads -> transcode."""
+    """warcit-converter pipeline: seeds -> payloads -> transcode, both
+    stages as stateless tasks."""
     from ..sources.seeds import PayloadLoader, seeds_dataset
 
     ds = seeds_dataset(inputs, url_prefix, strict=False)
-    ds = ds.map_batches(PayloadLoader, batch_size=batch_size,
-                        batch_format="pyarrow", concurrency=concurrency)
+    ds = ds.map_batches(PayloadLoader(), batch_size=batch_size,
+                        batch_format="pyarrow")
     return ds.map_batches(
-        TranscodeStage,
-        fn_constructor_args=(file_types, output_dir, dry_run, convert_stdout),
-        batch_size=batch_size,
-        batch_format="pyarrow",
-        concurrency=concurrency,
-    )
+        TranscodeStage(file_types, output_dir, dry_run, convert_stdout),
+        batch_size=batch_size, batch_format="pyarrow")
 
 
 def results_to_dict(results_ds) -> dict[str, list[dict]]:
