@@ -149,7 +149,10 @@ def test_crawl_matches_serial_oracle(corpus):
                            kw["rate"], kw["capacity"])
     res = crawl(corpus, graph=graph, num_seen_shards=3, num_host_shards=3,
                 clock_iso=CLOCK, seen_fp_bits=32, **kw)
+    _assert_matches_oracle(res, oracle, num_seen_shards=3)
 
+
+def _assert_matches_oracle(res, oracle, num_seen_shards):
     # per-host visit sequences identical (the politeness contract)
     def per_host(log):
         out: dict[str, list] = {}
@@ -173,8 +176,8 @@ def test_crawl_matches_serial_oracle(corpus):
     assert visited_engine == visited_oracle
     assert res["robots_blocked"] == oracle["robots_blocked"]
     assert res["seen"] == len(oracle["seen"])
-    # 3 shards of max(4096, 4N) capacity; 32-bit fingerprints
-    slots = 3 * CuckooFilter(4096).nbuckets * 4
+    # shards of max(4096, 4N) capacity; 32-bit fingerprints
+    slots = num_seen_shards * CuckooFilter(4096).nbuckets * 4
     assert res["seen_load_factor"] == pytest.approx(len(oracle["seen"]) / slots,
                                                     abs=1e-6)
     assert 0 < res["seen_fp_skips_est"] < 1e-3
@@ -241,6 +244,7 @@ def test_crawl_resume_bit_identical(corpus, tmp_path):
             pq.write_table(front, os.path.join(d, "next_frontier.parquet"))
         resumed = crawl(corpus, graph=graph, checkpoint_dir=ck_part,
                         resume=True, **kw)
+        assert resumed["plane"]["spawned"] == 0  # restored into pooled actors
 
         # same complete generations on disk
         assert CrawlCheckpoint(ck_full).complete_generations() == \
@@ -296,9 +300,10 @@ def test_offer_batch_top_per_host_trim():
     import ray
 
     from warcit_ray.pipelines.crawl import offer_batch
-    from warcit_ray.state.shards import make_actors
+    from warcit_ray.state.shards import make_actors, release_actors
 
-    _, host_actors = make_actors(0, 1, rate=100.0, capacity=100.0)
+    lease = make_actors(0, 1, rate=100.0, capacity=100.0)
+    host_actors = lease.host
     n = 50
     batch = pa.table({
         "url": (["http://hot.example/p%02d" % i for i in range(n)]
@@ -316,8 +321,7 @@ def test_offer_batch_top_per_host_trim():
     assert len(hot) == 5
     assert hot[0] == "http://hot.example/p00"
     assert "http://cold.example/x" in admitted["url"]
-    for a in host_actors:
-        ray.kill(a)
+    release_actors(lease)
 
 
 def _records_by_uri(root):
@@ -594,6 +598,7 @@ def test_resume_bit_identical_under_eviction_pressure(corpus, tmp_path):
     resumed = crawl(corpus, graph=graph, checkpoint_dir=ck_part,
                     resume=True, **kw)
     assert resumed["evicted"] >= 0
+    assert resumed["plane"]["spawned"] == 0  # restored into pooled actors
 
     def load_all(root):
         out = []
@@ -654,3 +659,187 @@ def test_fetch_affinity_dispatch_equivalent(corpus, tmp_path):
     recs = _records_by_uri(str(tmp_path / "aff"))
     assert recs == _records_by_uri(str(tmp_path / "base"))
     _assert_payloads_match_corpus(recs, corpus)
+
+
+# --- the state plane: shard actors leased from a per-session pool ----------
+
+@pytest.fixture()
+def leases(monkeypatch):
+    """Every ShardLease crawl() takes, in order."""
+    from warcit_ray.state import shards
+
+    got = []
+    make = shards.make_actors
+
+    def recording(*a, **k):
+        got.append(make(*a, **k))
+        return got[-1]
+
+    monkeypatch.setattr(shards, "make_actors", recording)
+    return got
+
+
+def _fetch_failing_after_gen0(batch, graph, clock_iso):
+    from warcit_ray.pipelines.crawl import light_fetch_batch
+
+    if max(batch.column("generation").to_pylist()) >= 1:
+        raise RuntimeError("fetch failed in generation 1")
+    return light_fetch_batch(batch, graph, clock_iso)
+
+
+def _light_crawl(graph, fetch_fn=None, **kw):
+    """crawl() on the payload-light fetcher, which takes a robots map."""
+    import functools
+
+    from warcit_ray.pipelines.crawl import (explode_links, light_fetch_batch,
+                                            seeds_table)
+
+    return crawl(fetch_fn=fetch_fn or light_fetch_batch, fetch_args=(graph, CLOCK),
+                 explode_fn=functools.partial(explode_links, graph=graph),
+                 seeds=seeds_table(graph, 6), num_seen_shards=2, num_host_shards=2,
+                 seen_capacity=4 * N, clock_iso=CLOCK, max_generations=30,
+                 track_visits=True, **kw)
+
+
+def test_failed_crawl_kills_its_actors(corpus, leases):
+    """A crawl that raises kills the actors it leased instead of leaving
+    them alive or pooling them; the next crawl still matches the oracle."""
+    import ray
+    from ray.exceptions import RayActorError
+
+    graph = WebGraph(N)
+    with pytest.raises(RuntimeError, match="generation 1"):
+        _light_crawl(graph, fetch_fn=_fetch_failing_after_gen0,
+                     robots_map=graph.robots_map())
+    dead = list(leases[0][0]) + list(leases[0][1])
+    assert len(dead) == 4
+    for a in dead:
+        with pytest.raises(RayActorError):
+            ray.get(a.__ray_ready__.remote(), timeout=30)
+
+    kw = dict(n_seeds=6, max_generations=30, rate=1.0, capacity=2.0)
+    res = crawl(corpus, graph=graph, num_seen_shards=2, num_host_shards=2,
+                clock_iso=CLOCK, seen_fp_bits=32, track_visits=True, **kw)
+    assert not set(leases[1].seen + leases[1].host) & set(dead)
+    _assert_matches_oracle(res, serial_oracle(graph, **kw), num_seen_shards=2)
+
+
+def test_pooled_actors_reset_to_fresh_state(monkeypatch, leases):
+    """Back-to-back crawls with different fingerprint widths, politeness
+    and robots maps reuse the same actors, and each equals a crawl on
+    freshly spawned actors."""
+    from warcit_ray.state import shards
+
+    graph = WebGraph(N)
+    a_kw = dict(seen_fp_bits=32, rate=1.0, capacity=2.0,
+                robots_map=graph.robots_map())
+    b_kw = dict(seen_fp_bits=16, rate=2.0, capacity=3.0, robots_map={},
+                max_pending_per_host=2)
+    fresh = []
+    for kw in (a_kw, b_kw):
+        monkeypatch.setattr(shards, "_POOL", (None, {}))  # nothing to reuse
+        fresh.append(_light_crawl(graph, **kw))
+        assert fresh[-1]["plane"]["spawned"] == 4
+    reused = [_light_crawl(graph, **kw) for kw in (a_kw, b_kw)]
+    ids = [set(lease.seen + lease.host) for lease in leases[2:]]
+    assert ids[0] == ids[1] == set(leases[1].seen + leases[1].host)
+    for f, r in zip(fresh, reused):
+        assert r["plane"]["reused"] == 4 and r["plane"]["spawned"] == 0
+        for k in ("visit_log", "gen_admits", "seen", "robots_blocked", "evicted"):
+            assert r[k] == f[k], k
+    assert reused[0]["robots_blocked"] > 0 and reused[1]["evicted"] > 0
+
+
+def test_dead_pooled_actor_is_replaced(corpus, leases):
+    import ray
+
+    graph = WebGraph(N)
+    kw = dict(n_seeds=6, max_generations=30, rate=1.0, capacity=2.0)
+    oracle = serial_oracle(graph, **kw)
+    for i in range(2):
+        res = crawl(corpus, graph=graph, num_seen_shards=2, num_host_shards=2,
+                    clock_iso=CLOCK, seen_fp_bits=32, track_visits=True, **kw)
+        _assert_matches_oracle(res, oracle, num_seen_shards=2)
+        if i == 0:
+            victim = leases[0].host[1]
+            ray.kill(victim)
+    assert (res["plane"]["reused"], res["plane"]["spawned"]) == (3, 1)
+    assert victim not in leases[1].host
+    assert set(leases[1].seen) == set(leases[0].seen)
+
+
+def test_shard_actors_reserve_no_cpu():
+    import time
+
+    import ray
+
+    from warcit_ray.state.shards import make_actors, release_actors
+
+    total = ray.cluster_resources()["CPU"]
+    lease = make_actors(2, 2)
+    try:
+        # the resource view lags task ends and placements: wait for the
+        # earlier tests' tasks to hand their CPUs back
+        deadline = time.monotonic() + 10
+        while (ray.available_resources().get("CPU") != total
+               and time.monotonic() < deadline):
+            time.sleep(0.1)
+        assert ray.available_resources().get("CPU") == total
+    finally:
+        release_actors(lease)
+
+
+def test_pool_never_crosses_sessions(monkeypatch):
+    """An idle handle pooled under another session key is never leased."""
+    from warcit_ray.state import shards
+
+    stale = object()  # leasing it would fail on stale.reset
+    monkeypatch.setattr(shards, "_POOL", (("old-job", "old-node"),
+                                          {shards.SeenShardState: [stale],
+                                           shards.HostShardState: []}))
+    lease = shards.make_actors(1, 0)
+    assert lease.spawned == 1 and lease.seen[0] is not stale
+    shards.release_actors(lease)
+
+
+def test_pool_leases_each_actor_once_under_threads(monkeypatch):
+    """More leasing threads than CPUs, with a short switch interval: no
+    actor is ever held by two leases at once, and every actor returns
+    to the pool exactly once."""
+    import sys
+    import threading
+
+    import ray
+
+    from warcit_ray.state import shards
+
+    monkeypatch.setattr(shards, "_POOL", (None, {}))
+    held, errors, guard = set(), [], threading.Lock()
+
+    def worker():
+        try:
+            for _ in range(4):
+                lease = shards.make_actors(1, 0)
+                with guard:
+                    assert lease.seen[0] not in held
+                    held.add(lease.seen[0])
+                assert ray.get(lease.seen[0].count.remote()) == 0
+                with guard:
+                    held.discard(lease.seen[0])
+                shards.release_actors(lease)
+        except BaseException as e:  # surfaced by the assertion below
+            errors.append(e)
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=worker) for _ in range(6)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads) and not errors, errors
+    idle = shards._POOL[1][shards.SeenShardState]
+    assert len(idle) == len(set(idle)) <= 6

@@ -212,6 +212,7 @@ def main(args=None) -> int:
         "robots_blocked": res["robots_blocked"],
         "phase_times": res.get("phase_times"),
         "tiers": res["tiers"],
+        "plane": res["plane"],
         "checkpoint": ns.checkpoint,
         "warc_records": warc_records,
     }

@@ -1125,7 +1125,9 @@ def crawl(
     ``tiers`` (per phase, generations run on each tier), the seen set's
     ``seen_load_factor`` (filled over total cuckoo slots, all shards)
     and ``seen_fp_skips_est`` (new URLs expected to be skipped as
-    false positives at ``seen_fp_bits``).
+    false positives at ``seen_fp_bits``), and ``plane``: the shard
+    actors ``reused`` from the Ray session's idle pool and ``spawned``,
+    and ``lease_s``, the seconds until all of them were ready.
 
     A ``corpus_table`` is read as ``corpus_partitions`` hash buckets
     (default: one per 64 MB), put into the object store or, with
@@ -1142,7 +1144,7 @@ def crawl(
     test-scale equivalence checks."""
     import ray
 
-    from ..state.shards import make_actors
+    from ..state.shards import make_actors, release_actors
 
     # fetcher plumbing: default = the corpus/WebGraph fetcher; callers
     # may pass any (fetch_fn(batch, *fetch_args) -> records-with-links,
@@ -1177,14 +1179,15 @@ def crawl(
     ckpt = CrawlCheckpoint(checkpoint_dir) if checkpoint_dir else None
     if resume and ckpt is None:
         raise ValueError("resume requires checkpoint_dir")
-    seen_actors, host_actors = make_actors(
+    t0 = time.monotonic()
+    lease = make_actors(
         num_seen_shards, num_host_shards, seen_capacity=seen_capacity, rate=rate,
         capacity=capacity, robots_map=robots_map, seen_fp_bits=seen_fp_bits,
         max_pending_per_host=max_pending_per_host)
-    start_gen = ckpt.restore(seen_actors, host_actors) if resume else 0
-
+    plane_stats = {"reused": lease.reused, "spawned": lease.spawned,
+                   "lease_s": round(time.monotonic() - t0, 3)}
     plane = _Plane(
-        seen_actors=seen_actors, host_actors=host_actors,
+        seen_actors=lease.seen, host_actors=lease.host,
         fetch_fn=fetch_fn, fetch_args=fetch_args, explode_fn=explode_fn,
         affinity_fn=fetch_affinity_fn, ckpt=ckpt,
         task_frontier=task_frontier_threshold if task_frontier_threshold is not None
@@ -1194,20 +1197,28 @@ def crawl(
         fetch_task=ray.remote(num_cpus=1, num_returns=3)(fetch_and_explode),
         count_task=ray.remote(num_cpus=0.25)(lambda t: t.num_rows),
     )
-    # built in the call, not bound here: the loop alone pins the carrier
-    totals = _generations(
-        plane, ckpt.load_next_frontier(start_gen - 1) if start_gen
-        else _put_slices(seeds, batch_size),
-        range(start_gen, max_generations), stop_after_generation, track_visits)
-    stats = ray.get([a.get_stats.remote() for a in host_actors])
-    totals["seen"] = sum(ray.get([a.count.remote() for a in seen_actors]))
-    fill = ray.get([a.fill.remote() for a in seen_actors])
+    try:
+        start_gen = ckpt.restore(lease.seen, lease.host) if resume else 0
+        # built in the call, not bound here: the loop alone pins the carrier
+        totals = _generations(
+            plane, ckpt.load_next_frontier(start_gen - 1) if start_gen
+            else _put_slices(seeds, batch_size),
+            range(start_gen, max_generations), stop_after_generation, track_visits)
+        stats = ray.get([a.get_stats.remote() for a in lease.host])
+        totals["seen"] = sum(ray.get([a.count.remote() for a in lease.seen]))
+        fill = ray.get([a.fill.remote() for a in lease.seen])
+    except BaseException:
+        # a probe task still in flight could write into the plane after
+        # a later crawl has reset it: a failed crawl's actors never pool
+        for a in lease.seen + lease.host:
+            ray.kill(a)
+        raise
+    release_actors(lease)
     totals["seen_load_factor"] = round(totals["seen"] / sum(f[0] for f in fill), 6)
     totals["seen_fp_skips_est"] = sum(f[1] for f in fill)
     totals["robots_blocked"] = sum(s.get("robots_blocked", 0) for s in stats)
     totals["evicted"] = sum(s.get("evicted", 0) for s in stats)
-    for a in seen_actors + host_actors:
-        ray.kill(a)
+    totals["plane"] = plane_stats
     return totals
 
 

@@ -17,12 +17,23 @@ authoritative, but batch-level pre-dedup spreads.
 Both actors are plain classes decorated at creation time so the module
 imports without Ray (unit-testable serially — the serial oracle in the
 equivalence test drives the same classes without actors).
+
+The actors form a state plane that lives as long as the Ray session:
+:func:`make_actors` leases them from a per-session idle pool, spawning
+only the ones the pool lacks, and ``reset``s each to exactly the state a
+fresh actor built from the same arguments would hold;
+:func:`release_actors` drops that state and returns them to the pool.
+Spawning a fleet per crawl cost more than the crawl's actor work (the
+process start plus the first Arrow return's serializer imports). The
+actors are not detached, so they die with the driver that leased them.
 """
 
 from __future__ import annotations
 
 import heapq
+import threading
 from collections import Counter
+from typing import NamedTuple
 
 import numpy as np
 import pyarrow as pa
@@ -43,7 +54,20 @@ ADMIT_SCHEMA = pa.schema([
 ])
 
 
-class SeenShardState:
+class _Leasable:
+    """Pool hooks: a leased actor is rebuilt in place by ``reset`` (the
+    constructor re-run on this lease's arguments) and emptied by
+    ``drop`` when it goes back to the idle pool."""
+
+    def reset(self, *args) -> None:
+        vars(self).clear()
+        self.__init__(*args)
+
+    def drop(self) -> None:
+        vars(self).clear()
+
+
+class SeenShardState(_Leasable):
     def __init__(self, shard_id: int, capacity: int = 1 << 20, fp_bits: int = 16):
         self.shard_id = shard_id
         self.filter = CuckooFilter(capacity, fp_bits=fp_bits)
@@ -81,7 +105,7 @@ class SeenShardState:
         return self.filter.nbuckets * 4, self.filter.expected_fp_skips()
 
 
-class HostShardState:
+class HostShardState(_Leasable):
     """Token-bucket politeness + robots + priority frontier for the
     hosts on this shard.
 
@@ -216,18 +240,110 @@ class HostShardState:
         self.stats = Counter(state["stats"])
 
 
+class ShardLease(NamedTuple):
+    """The actors one crawl holds, and how many came from the pool."""
+
+    seen: list
+    host: list
+    reused: int
+    spawned: int
+
+
+# the idle actors of the current Ray session: (session key, {cls: [handle]});
+# a handle from an earlier session is never handed out
+_POOL_LOCK = threading.Lock()
+_POOL: tuple = (None, {})
+
+
+def _session_key() -> tuple:
+    """A new local cluster has a new node id; a new driver on a running
+    cluster has a new job id."""
+    import ray
+
+    ctx = ray.get_runtime_context()
+    return ctx.get_job_id(), ctx.get_node_id()
+
+
+def _idle(key: tuple) -> dict:
+    global _POOL
+    if _POOL[0] != key:
+        _POOL = (key, {SeenShardState: [], HostShardState: []})
+    return _POOL[1]
+
+
+def _fill(cls, idle: list, args: list, fresh: list) -> list:
+    """One fleet in shard order: each idle actor ``reset`` to its
+    ``args`` entry (a fresh spawn in place of a dead one), then fresh
+    spawns for the rest. Every spawn is also appended to ``fresh``."""
+    import ray
+    from ray.exceptions import RayActorError
+
+    # decorated per lease, not once per process: ray.remote captures the
+    # class's methods as they are now, so a method wrapped after the
+    # first lease (a tracer) still reaches the actors spawned later
+    remote_cls = ray.remote(num_cpus=0)(cls)
+
+    def spawn(x):
+        fresh.append(remote_cls.remote(*x))
+        return fresh[-1]
+
+    resets = [a.reset.remote(*x) for a, x in zip(idle, args)]
+    actors = []
+    for a, ref, x in zip(idle, resets, args):
+        try:
+            ray.get(ref)
+            actors.append(a)
+        except RayActorError:
+            actors.append(spawn(x))
+    return actors + [spawn(x) for x in args[len(idle):]]
+
+
 def make_actors(num_seen: int, num_host: int, *, seen_capacity: int = 1 << 20,
                 rate: float = 1.0, capacity: float = 2.0,
                 robots_map: dict | None = None,
                 max_pending_per_host: int = 100_000,
-                seen_fp_bits: int = 16):
-    """Create the actor fleets. Seen shards get a fraction of a CPU so
-    a large fleet doesn't starve the data plane."""
+                seen_fp_bits: int = 16) -> ShardLease:
+    """Lease the actor fleets from this Ray session's idle pool, spawning
+    only what it lacks; every actor starts in the state a fresh one built
+    from these arguments would have, and is ready when this returns.
+    Hand them back with :func:`release_actors`, or ``ray.kill`` them if
+    the crawl failed.
+
+    The actors reserve 0 CPUs: they are state servers that sit idle
+    most of the time, and a fractional reservation only kept a CPU out
+    of the probe/fetch tasks' reach, which made Ray start new task
+    workers on every crawl."""
     import ray
 
-    Seen = ray.remote(num_cpus=0.25)(SeenShardState)
-    Host = ray.remote(num_cpus=0.25)(HostShardState)
-    seen = [Seen.remote(i, seen_capacity, seen_fp_bits) for i in range(num_seen)]
-    host = [Host.remote(i, rate, capacity, robots_map, max_pending_per_host)
-            for i in range(num_host)]
-    return seen, host
+    fleets = {
+        SeenShardState: [(i, seen_capacity, seen_fp_bits) for i in range(num_seen)],
+        HostShardState: [(i, rate, capacity, robots_map, max_pending_per_host)
+                         for i in range(num_host)],
+    }
+    with _POOL_LOCK:
+        idle = _idle(_session_key())
+        taken = {cls: [idle[cls].pop() for _ in args[:len(idle[cls])]]
+                 for cls, args in fleets.items()}
+    fresh: list = []
+    try:
+        # spawns are waited for together, so both fleets start in parallel
+        seen, host = [_fill(cls, taken[cls], args, fresh)
+                      for cls, args in fleets.items()]
+        ray.get([a.__ray_ready__.remote() for a in fresh])
+    except BaseException:
+        for a in fresh + taken[SeenShardState] + taken[HostShardState]:
+            ray.kill(a)
+        raise
+    return ShardLease(seen, host, num_seen + num_host - len(fresh), len(fresh))
+
+
+def release_actors(lease: ShardLease) -> None:
+    """Drop the actors' state and return them to the session's idle pool.
+    Call only once nothing else can still reach them (no probe task in
+    flight), or a later crawl's reset plane would take its writes."""
+    for a in lease.seen + lease.host:
+        a.drop.remote()
+    with _POOL_LOCK:
+        idle = _idle(_session_key())
+        idle[SeenShardState].extend(lease.seen)
+        idle[HostShardState].extend(lease.host)
