@@ -11,6 +11,7 @@ import ray.data as rd
 from warcit_ray.stages.dedup import (
     HyperplaneBucketer,
     _blocked_cosine_pairs,
+    _emit_pairs_bulk,
     banded_hamming_pairs,
     candidate_pairs_from_bands,
     components_from_pairs,
@@ -29,6 +30,44 @@ def test_hamming64_arrays_matches_scalar():
     got = hamming64_arrays(a.astype(np.uint64), b.astype(np.uint64))
     want = [hamming64(int(x), int(y)) for x, y in zip(a, b)]
     assert got.tolist() == want
+
+
+def _emit_pairs_loop(df, bkey_col, id_col, cap, extra_cols):
+    """Reference: every pair of each bucket's first ``cap`` members by id."""
+    df = df.drop_duplicates([bkey_col, id_col]).sort_values([bkey_col, id_col])
+    rows = []
+    for _, g in df.groupby(bkey_col, sort=True):
+        g = g.head(cap).to_dict("records")
+        for i in range(len(g)):
+            for j in range(i + 1, len(g)):
+                row = {"id_a": g[i][id_col], "id_b": g[j][id_col]}
+                row.update({"%s_a" % c: g[i][c] for c in extra_cols})
+                row.update({"%s_b" % c: g[j][c] for c in extra_cols})
+                rows.append(row)
+    cols = ["id_a", "id_b"] + ["%s_a" % c for c in extra_cols] \
+        + ["%s_b" % c for c in extra_cols]
+    return pd.DataFrame(rows, columns=cols)
+
+
+@pytest.mark.parametrize("string_ids", [False, True])
+def test_emit_pairs_bulk_matches_loop(string_ids):
+    cap = 6
+    rng = np.random.default_rng(3)
+    sizes = {11: 1, 7: 2, -4: cap, 3: cap + 5, 99: 1}  # bkey -> members
+    bkeys = np.concatenate([np.full(n, k) for k, n in sizes.items()])
+    ids = rng.permutation(len(bkeys)) * 10
+    df = pd.DataFrame({"bkey": bkeys, "doc": ids, "sig": ids * 7 + 1})
+    df = pd.concat([df, df.iloc[[0, 5]]]).sample(frac=1, random_state=1)
+    extra = []
+    if string_ids:
+        df["doc"] = ["img-%05d" % i for i in df["doc"]]
+        extra = ["sig"]
+    got = _emit_pairs_bulk(df, "bkey", "doc", cap, extra).reset_index(drop=True)
+    want = _emit_pairs_loop(df, "bkey", "doc", cap, extra)
+    assert len(want) == 1 + 2 * cap * (cap - 1) // 2
+    pd.testing.assert_frame_equal(got, want, check_dtype=False)
+    empty = _emit_pairs_bulk(df.iloc[:0], "bkey", "doc", cap, extra)
+    assert list(empty.columns) == list(want.columns) and len(empty) == 0
 
 
 def test_components_from_pairs():
@@ -234,7 +273,7 @@ def test_hyperplane_bucketer_deterministic_across_actors():
         "vec_id": pa.array([0, 1], type=pa.int64()),
         "embedding": pa.array([[0.5] * 8, [-0.5] * 8], type=pa.list_(pa.float32())),
     })
-    assert b1(t).column("bucket").to_pylist() == b2(t).column("bucket").to_pylist()
+    assert b1(t).tolist() == b2(t).tolist()
 
 
 def test_fingerprint_is_true_horner():

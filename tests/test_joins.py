@@ -91,3 +91,29 @@ def test_native_hash_join_if_available(sides):
     pd.testing.assert_frame_equal(got[["k", "lval", "rval"]],
                                   _expected(sides)[["k", "lval", "rval"]],
                                   check_dtype=False)
+
+
+def test_bucketed_join_keeps_a_column_null_in_one_bucket(ray_session):
+    # ``note`` is null on exactly the keys of bucket 0: that bucket's
+    # output block must still carry it, and the nulls must stay None
+    import numpy as np
+    import ray
+    import ray.data as rd
+
+    from warcit_ray.stages.shuffle import mix_buckets
+
+    keys = np.arange(64, dtype=np.int64)
+    in_b0 = mix_buckets(4, keys) == 0
+    assert 0 < in_b0.sum() < len(keys)
+    left = rd.from_items([{"k": int(k), "note": None if z else "n%d" % k}
+                          for k, z in zip(keys, in_b0)])
+    right = rd.from_items([{"k": int(k), "rval": int(k) * 3} for k in keys])
+    joined = bucketed_hash_join(left, right, "k", num_buckets=4).materialize()
+    cols = {tuple(t.column_names) for t in ray.get(joined.to_arrow_refs())
+            if t.num_rows}
+    assert cols == {("k", "note", "rval")}
+    got = joined.to_pandas().sort_values("k").reset_index(drop=True)
+    assert got["k"].tolist() == keys.tolist()
+    assert got["note"].tolist() == [None if z else "n%d" % k
+                                    for k, z in zip(keys, in_b0)]
+    assert got["rval"].tolist() == (keys * 3).tolist()

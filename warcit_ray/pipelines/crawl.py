@@ -64,6 +64,7 @@ import pyarrow.parquet as pq
 from ..codecs import MIME_BY_FMT
 from ..functions.digests import record_id, sha1_b32
 from ..functions.urls import surt_batch, surt_hash64_batch, surt_host_batch
+from ..stages.shuffle import bucket_shuffle
 from ..state.shards import ADMIT_SCHEMA
 
 # admitted rows per generation above which fetch runs on the Dataset
@@ -566,25 +567,16 @@ def write_corpus_fragments(corpus, out_dir: str, num_buckets: int) -> CorpusLook
             if t.num_rows:
                 pq.write_table(t, path)
     else:  # ray.data.Dataset
-        def tag(t: pa.Table) -> pa.Table:
-            t = t.select(_BUCKET_SCHEMA.names)
-            return t.append_column(
-                "__bucket", pa.array(corpus_buckets(t.column("image_id"), num_buckets)))
-
-        def write_bucket(g: pa.Table) -> pa.Table:
-            if g.num_rows == 0:
-                return pa.table({"bucket": pa.array([], type=pa.int64()),
-                                 "rows": pa.array([], type=pa.int64())})
-            b = int(g.column("__bucket")[0].as_py())
+        def write_bucket(b: int, g: pa.Table) -> pa.Table:
             tmp = paths[b] + ".tmp"
-            pq.write_table(g.drop_columns(["__bucket"]).sort_by("image_id"), tmp)
+            pq.write_table(g.sort_by("image_id"), tmp)
             os.replace(tmp, paths[b])
             return pa.table({"bucket": [b], "rows": [g.num_rows]})
 
-        (corpus.map_batches(tag, batch_format="pyarrow")
-         .groupby("__bucket")
-         .map_groups(write_bucket, batch_format="pyarrow")
-         .materialize())
+        bucket_shuffle(
+            corpus.select_columns(_BUCKET_SCHEMA.names),
+            lambda t: corpus_buckets(t.column("image_id"), num_buckets),
+            write_bucket).materialize()
     # manifest last and atomic: its presence marks the layout complete
     with open(meta_path + ".tmp", "w") as fh:
         json.dump(meta, fh)

@@ -83,13 +83,13 @@ def q1_pricing_summary(sf_dir: str) -> pd.DataFrame:
 
 def q3_top_orders(sf_dir: str) -> pd.DataFrame:
     """Broadcast semi-join (BUILDING customer keys -> orders filter,
-    the only driver-held side and the small one), then a bucketed hash
-    join of the filtered orders against lineitem on the orderkey.
-    Revenue aggregation AND the top-10 both happen inside the join's
-    bucket groups (the bucket key IS the orderkey hash, so every row of
-    an order is co-located): the driver only ever sees 10 rows per
-    bucket. No full-table ``to_pandas`` anywhere."""
-    from ..stages.joins import _with_bucket
+    the only driver-held side and the small one), then one bucket
+    shuffle of the filtered orders and lineitem on the orderkey.
+    The join, revenue aggregation AND the top-10 all happen per bucket
+    (the bucket key IS the orderkey hash, so every row of an order is
+    co-located): the driver only ever sees 10 rows per bucket. No
+    full-table ``to_pandas`` anywhere."""
+    from ..stages.shuffle import bucket_shuffle, key_buckets
 
     cutoff = pd.Timestamp("1995-03-15")
     num_buckets = 16
@@ -122,13 +122,10 @@ def q3_top_orders(sf_dir: str) -> pd.DataFrame:
                    ["l_orderkey", "l_extendedprice", "l_discount",
                     "l_shipdate"]).map_batches(li_prep, batch_format="pandas")
 
-    tagged = _with_bucket(orders, "o_orderkey", num_buckets, 0).union(
-        _with_bucket(lineitem, "o_orderkey", num_buckets, 1))
-
-    def bucket_topk(g: pd.DataFrame) -> pd.DataFrame:
-        o = g[g["__side"] == 0][["o_orderkey", "o_orderdate"]]
-        l = g[g["__side"] == 1][["o_orderkey", "rev"]]
-        # merge on empties keeps column dtypes -> uniform group schema
+    def bucket_topk(_bucket: int, sides: tuple) -> pd.DataFrame:
+        o, l = sides
+        if o is None or l is None:
+            return pd.DataFrame()
         m = l.merge(o, on="o_orderkey", how="inner")
         agg = m.groupby(["o_orderkey", "o_orderdate"], sort=False)["rev"].sum().reset_index()
         agg["revenue"] = agg["rev"].astype("float64").round(2)
@@ -136,8 +133,8 @@ def q3_top_orders(sf_dir: str) -> pd.DataFrame:
                               ascending=[False, True]).head(10)
         return agg[["o_orderkey", "revenue", "o_orderdate"]]
 
-    parts = tagged.groupby("__bucket").map_groups(
-        bucket_topk, batch_format="pandas").to_pandas()
+    parts = bucket_shuffle((orders, lineitem), key_buckets("o_orderkey", num_buckets),
+                           bucket_topk, batch_format="pandas").to_pandas()
     out = parts.sort_values(["revenue", "o_orderkey"],
                             ascending=[False, True]).head(10)
     return out[["o_orderkey", "revenue", "o_orderdate"]].reset_index(drop=True)
@@ -245,7 +242,8 @@ def events_hourly(sf_dir: str) -> pd.DataFrame:
 
 def sessionize_events(sf_dir: str) -> pd.DataFrame:
     """Gap-based sessionization (30-min gap) per user — the streaming
-    window expressed as groupby(user).map_groups over ts-sorted groups."""
+    window expressed as a per-user group UDF over ts-sorted groups
+    (stages/windows.py)."""
     from ..stages.windows import sessionize
 
     out = sessionize(

@@ -29,6 +29,7 @@ from ..config import WarcitConfig
 from ..sinks.warc_sink import pin_layout, write_warc_file
 from ..sources.seeds import PayloadLoader, part_of_seq, seeds_dataset
 from ..stages.build_records import RecordBuilder, warcinfo_row
+from ..stages.shuffle import bucket_shuffle
 
 # small because payload rows are wide (binary blobs): blocks stay within
 # the object-store target block size
@@ -148,19 +149,12 @@ def write_logfile_shards(records_ds, out_dir: str,
     pin_layout(out_dir, {"files_per_part": int(files_per_part)},
                r"part-\d{20}\.csv")
 
-    def add_shard(t: pa.Table) -> pa.Table:
-        shard = part_of_seq(t["seq"].to_numpy(), files_per_part)
-        return t.append_column("__shard", pa.array(shard, type=pa.int64()))
-
-    def write_shard(g: "pd.DataFrame"):
+    def write_shard(shard_id: int, g: "pd.DataFrame") -> "pd.DataFrame":
         import csv
         import io
 
-        import pandas as pd  # noqa: F401 (batch_format)
+        import pandas as pd
 
-        if len(g) == 0:
-            return pd.DataFrame({"path": [], "records": []})
-        shard_id = int(g["__shard"].iloc[0])
         g = g.sort_values("seq")
         buf = io.StringIO()
         w = csv.writer(buf)
@@ -181,15 +175,10 @@ def write_logfile_shards(records_ds, out_dir: str,
         os.replace(tmp, name)
         return pd.DataFrame({"path": [name], "records": [len(g)]})
 
-    import pandas as pd  # noqa: F401
-
-    manifest = (
-        logfile_dataset(records_ds)
-        .map_batches(add_shard, batch_format="pyarrow")
-        .groupby("__shard")
-        .map_groups(write_shard, batch_format="pandas")
-        .to_pandas()
-    )
+    manifest = bucket_shuffle(
+        logfile_dataset(records_ds),
+        lambda t: part_of_seq(t["seq"].to_numpy(), files_per_part),
+        write_shard, batch_format="pandas").to_pandas()
     return sorted(manifest["path"].tolist())
 
 

@@ -29,6 +29,7 @@ import re
 import pyarrow as pa
 
 from ..sources.seeds import part_of_seq
+from ..stages.shuffle import bucket_shuffle
 
 REVISIT_PROFILE = "http://netpreserve.org/warc/1.0/revisit/identical-payload-digest"
 
@@ -199,10 +200,6 @@ def write_warc_shards(ds, out_dir: str, mode: str = "xb",
     pin_layout(out_dir, {"files_per_part": int(files_per_part),
                          "gzip": bool(gzip_members)}, _WARC_PART)
 
-    def add_shard(t: pa.Table) -> pa.Table:
-        shard = part_of_seq(t["seq"].to_numpy(), files_per_part)
-        return t.append_column("__shard", pa.array(shard, type=pa.int64()))
-
     def _part_meta_path(shard_id: int) -> str:
         return os.path.join(out_dir, "part-%020d.meta.json" % shard_id)
 
@@ -223,12 +220,8 @@ def write_warc_shards(ds, out_dir: str, mode: str = "xb",
         _write_meta(shard_id, records, max_seq,   # meta is recoverable
                     hashlib.sha256(payload).hexdigest())
 
-    def write_shard(g: pa.Table) -> pa.Table:
-        if g.num_rows == 0:
-            return pa.table({"path": pa.array([], type=pa.string()),
-                             "records": pa.array([], type=pa.int64())})
-        shard_id = g.column("__shard")[0].as_py()
-        g = g.drop_columns(["__shard"]).sort_by("seq")
+    def write_shard(shard_id: int, g: pa.Table) -> pa.Table:
+        g = g.sort_by("seq")
         name = os.path.join(out_dir, "part-%020d%s" % (shard_id, ext))
         seqs = g.column("seq").to_pylist()
         if not os.path.exists(name):
@@ -314,12 +307,9 @@ def write_warc_shards(ds, out_dir: str, mode: str = "xb",
                         hashlib.sha256(existing).hexdigest())
         return pa.table({"path": [name], "records": [g.num_rows]})
 
-    manifest = (
-        ds.map_batches(add_shard, batch_format="pyarrow")
-        .groupby("__shard")
-        .map_groups(write_shard, batch_format="pyarrow")
-        .to_pandas()
-    )
+    manifest = bucket_shuffle(
+        ds, lambda t: part_of_seq(t["seq"].to_numpy(), files_per_part),
+        write_shard).to_pandas()
     return sorted(manifest["path"].tolist())
 
 

@@ -6,16 +6,16 @@ Shuffle discipline (the 100 TB design point):
   aggregation inside map_batches (one row per hash per batch) -> one
   small groupby over partials. The full rows never shuffle.
 - MinHash LSH: signatures per batch -> explode to (band, band_hash,
-  doc) rows -> DISTRIBUTED candidate-pair emit (groupby on the band
-  key with a per-bucket member cap) -> distributed pair dedup ->
-  DISTRIBUTED exact-Jaccard verify (bucketed hash join of pair sides
-  against the corpus, jaccard computed inside groupby(pair) groups).
+  doc) rows -> DISTRIBUTED candidate-pair emit (a bucket shuffle on
+  the band key with a per-bucket member cap) -> distributed pair dedup
+  -> DISTRIBUTED exact-Jaccard verify (bucketed hash joins of the pair
+  sides against the corpus, then a per-row Jaccard in map_batches).
   Only (band, hash, id) triples, (id_a, id_b) pairs and per-pair text
   rows cross the wire; nothing corpus-sized ever lands on the driver.
 - SimHash / pHash: 64-bit signature per doc; chunk banding (pigeonhole:
   ``n_chunks >= max_hamming + 1`` exact chunks guarantee every
   qualifying pair shares a bucket); candidates emitted AND
-  popcount-verified inside the band groupby, distributed.
+  popcount-verified inside the band emit, distributed.
 - embedding near-dup: random-hyperplane signatures bucket the vectors;
   exact cosine verifies within buckets with a blocked (memory-bounded)
   pairwise matmul and a deterministic per-bucket member cap.
@@ -23,10 +23,11 @@ Shuffle discipline (the 100 TB design point):
 Candidate generation is size-gated like the crawl dispatch tiers
 (pipelines/crawl.py): small band tables use a two-pass hot-bucket
 filter (per-batch counts -> tiny (bkey, n) partials -> broadcast-set
-filter) so only collision buckets enter the groupby; large band tables
-go straight to the native ``groupby(bkey)`` shuffle, whose cost is the
-honest price at 10^10-doc scale. BOTH paths emit pairs inside
-``map_groups`` — member rows never materialize on the driver.
+filter) so only collision buckets reach the one emit task; large band
+tables go straight to the bucket shuffle (stages/shuffle.py), whose
+cost is the honest price at 10^10-doc scale. BOTH paths emit pairs
+inside distributed tasks — member rows never materialize on the
+driver.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
+from .shuffle import bucket_shuffle, key_buckets, mix_buckets
 from .text import md5_batch
 
 # ---------------------------------------------------------------------------
@@ -96,7 +98,7 @@ def distinct_rows(ds, id_col: str = "doc_id", text_col: str = "text",
                   broadcast_threshold: int = 50_000_000):
     """Exact dedup keeping whole rows.
 
-    NOT groupby().map_groups: Ray invokes map_groups once per GROUP,
+    NOT a per-group UDF: Ray invokes a grouped UDF once per GROUP,
     and at ~1-2 ms of pandas frame overhead per call a 100k-distinct
     corpus costs ~15 s (measured) — per-group dispatch is the wrong
     shape for high-cardinality dedup. Instead: the partial-aggregated
@@ -564,47 +566,38 @@ def jaccard(a: set, b: set) -> float:
 # distributed candidate-pair generation (shared by minhash / simhash / phash)
 # ---------------------------------------------------------------------------
 
-_TRIU_CACHE: dict[int, tuple] = {}
-
-
-def _triu(n: int) -> tuple:
-    got = _TRIU_CACHE.get(n)
-    if got is None:
-        if len(_TRIU_CACHE) > 512:
-            _TRIU_CACHE.clear()
-        got = np.triu_indices(n, k=1)
-        _TRIU_CACHE[n] = got
-    return got
+def _seg_arange(lengths: np.ndarray) -> np.ndarray:
+    """``concat(arange(n) for n in lengths)`` without a Python loop."""
+    ends = np.cumsum(lengths)
+    return np.arange(ends[-1] if len(ends) else 0) - np.repeat(ends - lengths, lengths)
 
 
 def _emit_pairs_bulk(df: pd.DataFrame, bkey_col: str, id_col: str,
                      bucket_cap: int, extra_cols: list[str]) -> pd.DataFrame:
     """ALL within-bucket pairs for EVERY bucket in ``df``, in one
-    vectorized pass (no per-bucket pandas objects — measured 1-2 ms per
-    bucket frame, which dominates at thousands of collision buckets).
+    vectorized pass: segment arithmetic over the bucket sizes, no
+    per-bucket Python or pandas objects (a bucket frame costs 1-2 ms,
+    which dominates at thousands of collision buckets).
 
     All pairs, not just bucket-min pairs: an LSH false positive as the
     bucket minimum must not hide true pairs among the other members.
     Deterministic cap: members sorted by id, first ``bucket_cap`` kept,
-    so a degenerate bucket costs O(cap^2) not O(n^2)."""
+    so a degenerate bucket costs O(cap^2) not O(n^2). Pairs come out
+    bucket by bucket, each bucket's in ``np.triu_indices`` order."""
     cols = ["id_a", "id_b"] + ["%s_a" % c for c in extra_cols] \
         + ["%s_b" % c for c in extra_cols]
     df = df.drop_duplicates([bkey_col, id_col]).sort_values([bkey_col, id_col])
     keys = df[bkey_col].to_numpy()
     ids = df[id_col].to_numpy()
     _, starts, counts = np.unique(keys, return_index=True, return_counts=True)
-    ia_parts, ib_parts = [], []
-    for s, c in zip(starts, counts):
-        if c < 2:
-            continue
-        ia, ib = _triu(min(int(c), bucket_cap))
-        ia_parts.append(ia + s)
-        ib_parts.append(ib + s)
-    if ia_parts:
-        IA = np.concatenate(ia_parts)
-        IB = np.concatenate(ib_parts)
-    else:
-        IA = IB = np.empty(0, dtype=np.int64)
+    m = np.minimum(counts, bucket_cap)
+    # one "row" per (bucket, first member i): i pairs with i+1 .. m-1
+    rows = np.maximum(m - 1, 0)
+    bucket = np.repeat(np.arange(len(m)), rows)
+    first = _seg_arange(rows)
+    row_len = m[bucket] - 1 - first
+    IA = np.repeat(starts[bucket] + first, row_len)
+    IB = IA + 1 + _seg_arange(row_len)
     out = pd.DataFrame({"id_a": ids[IA], "id_b": ids[IB]})
     for c in extra_cols:
         v = df[c].to_numpy()
@@ -632,18 +625,18 @@ def candidate_pairs_from_bands(bands, bkey_col: str, id_col: str, *,
       ONE block (``repartition(1)`` — object store, NOT the driver) and
       a single task runs the pandas groupby-emit + pair dedup at C
       speed. No sort shuffle at all.
-    - large band tables: band rows are hash-partitioned into COARSE
-      buckets (``hash(bkey) % B``, B sized so each holds ~1M rows) and
-      one ``groupby`` over that small-cardinality key runs the bulk
-      vectorized emit per coarse bucket; a second coarse-bucketed
-      ``groupby`` over ``hash(pair) % B`` dedups cross-band duplicate
-      pairs with an in-frame ``drop_duplicates``. Dispatch count is B,
-      not one pandas group per collision bucket or per candidate PAIR
-      — per-group frame overhead is 1-2 ms (measured, see
-      _emit_pairs_bulk), which at a 10^10-doc corpus' candidate rate
-      would be tens of millions of dispatches. No driver pass at all —
-      the honest all-to-all price at 10^10-doc scale, paid twice and
-      nothing more.
+    - large band tables: two coarse bucket shuffles
+      (:func:`~.shuffle.bucket_shuffle`). The first buckets band rows
+      on ``mix(bkey) % B`` (B sized so each holds ~1M rows) and runs
+      the bulk vectorized emit once per coarse bucket; the second
+      buckets the pairs on ``mix(id_a, id_b) % B`` and dedups
+      cross-band duplicates with an in-frame ``drop_duplicates``.
+      Dispatch count is B, not one pandas group per collision bucket
+      or per candidate PAIR — per-group frame overhead is 1-2 ms
+      (measured, see _emit_pairs_bulk), which at a 10^10-doc corpus'
+      candidate rate would be tens of millions of dispatches. No
+      driver pass at all — the honest all-to-all price at 10^10-doc
+      scale, paid twice and nothing more.
 
     Pair emit happens inside distributed tasks in BOTH paths; member
     rows never reach the driver. ``pair_filter(df)`` (optional) runs
@@ -653,10 +646,13 @@ def candidate_pairs_from_bands(bands, bkey_col: str, id_col: str, *,
     extra_cols = extra_cols or []
 
     def emit(g: pd.DataFrame) -> pd.DataFrame:
+        # one bulk emit over every collision bucket in ``g``, then the
+        # within-frame pair dedup (cross-band duplicates that share a
+        # frame cost nothing downstream)
         out = _emit_pairs_bulk(g, bkey_col, id_col, bucket_cap, extra_cols)
         if pair_filter is not None:
             out = pair_filter(out)  # applied to empties too: uniform schema
-        return out
+        return out.drop_duplicates(["id_a", "id_b"])
 
     n_rows = n_rows_hint
     if n_rows is None:
@@ -681,48 +677,27 @@ def candidate_pairs_from_bands(bands, bkey_col: str, id_col: str, *,
         def pick(df: pd.DataFrame) -> pd.DataFrame:
             return df[df[bkey_col].isin(hot)]
 
-        def emit_all(df: pd.DataFrame) -> pd.DataFrame:
-            out = emit(df)  # bulk emit handles every bucket in the block
-            return out.drop_duplicates(["id_a", "id_b"])
-
         return (
             bands.map_batches(pick, batch_format="pandas")
             .repartition(1)
-            .map_batches(emit_all, batch_format="pandas", batch_size=None)
+            .map_batches(emit, batch_format="pandas", batch_size=None)
         )
 
     nbb = _coarse_bucket_count(n_rows)
 
-    def add_band_bucket(t: pa.Table) -> pa.Table:
-        col = t.column(bkey_col)
-        if isinstance(col, pa.ChunkedArray):
-            col = col.combine_chunks()
-        k = col.to_numpy(zero_copy_only=False).astype(np.int64, copy=False)
-        h = k.astype(np.uint64) * np.uint64(0x9E3779B97F4A7C15)
-        bb = ((h >> np.uint64(33)) % np.uint64(nbb)).astype(np.int64)
-        return t.append_column("__bb", pa.array(bb))
+    def emit_bucket(_bucket: int, g: pd.DataFrame) -> pd.DataFrame:
+        return emit(g)  # holds every collision bucket whose bkey hashes here
 
-    def emit_bucket(g: pd.DataFrame) -> pd.DataFrame:
-        # every collision bucket whose bkey hashes here is fully
-        # contained in this group; the bulk emit vectorizes across all
-        # of them in one pass
-        out = emit(g.drop(columns="__bb"))
-        # within-frame pair dedup first (cross-band duplicates that
-        # happen to share a coarse bucket cost nothing downstream)
-        out = out.drop_duplicates(["id_a", "id_b"])
-        return _with_pair_bucket(out, nbb)
+    def pair_buckets(t: pa.Table) -> np.ndarray:
+        return mix_buckets(nbb, _id_hash_u64(t.column("id_a")),
+                           _id_hash_u64(t.column("id_b")))
 
-    pairs = (
-        bands.map_batches(add_band_bucket, batch_format="pyarrow")
-        .groupby("__bb").map_groups(emit_bucket, batch_format="pandas")
-    )
-
-    def dedup_bucket(g: pd.DataFrame) -> pd.DataFrame:
+    def dedup_bucket(_bucket: int, g: pd.DataFrame) -> pd.DataFrame:
         return g.drop_duplicates(["id_a", "id_b"])
 
-    distinct = pairs.groupby("__pb").map_groups(dedup_bucket,
-                                                batch_format="pandas")
-    return distinct.drop_columns(["__pb"])
+    pairs = bucket_shuffle(bands, key_buckets(bkey_col, nbb), emit_bucket,
+                           batch_format="pandas")
+    return bucket_shuffle(pairs, pair_buckets, dedup_bucket, batch_format="pandas")
 
 
 def _coarse_bucket_count(n_rows: int) -> int:
@@ -733,7 +708,7 @@ def _coarse_bucket_count(n_rows: int) -> int:
     return int(max(32, min(1 << 16, n_rows // 1_000_000 + 1)))
 
 
-def _id_hash_u64(col: pd.Series) -> np.ndarray:
+def _id_hash_u64(col: pa.ChunkedArray) -> np.ndarray:
     """Per-row uint64 hash of an id column for coarse pair bucketing.
     Integer ids pass through; string ids (phash_near_dup buckets on
     image_id strings) hash via pandas' vectorized siphash — bucketing
@@ -742,16 +717,6 @@ def _id_hash_u64(col: pd.Series) -> np.ndarray:
     if a.dtype.kind in "iu":
         return a.astype(np.uint64, copy=False)
     return pd.util.hash_array(a.astype(object), categorize=False)
-
-
-def _with_pair_bucket(out: pd.DataFrame, num_buckets: int) -> pd.DataFrame:
-    """Append ``__pb = mix(id_a, id_b) % num_buckets`` — the coarse
-    hash-partition key for the distributed cross-band pair dedup."""
-    a = _id_hash_u64(out["id_a"])
-    b = _id_hash_u64(out["id_b"])
-    h = (a * np.uint64(0x9E3779B97F4A7C15)) ^ (b * np.uint64(0xC2B2AE3D27D4EB4F))
-    out["__pb"] = ((h >> np.uint64(33)) % np.uint64(num_buckets)).astype(np.int64)
-    return out
 
 
 def verify_jaccard_pairs(pairs_ds, docs_ds, *, id_col: str = "doc_id",
@@ -1168,10 +1133,11 @@ def simhash_near_dups(ds, *, max_hamming: int = 3, id_col: str = "doc_id",
 # ---------------------------------------------------------------------------
 
 class HyperplaneBucketer:
-    """Actor-pool stage: random-hyperplane LSH bucket ids for an
-    embedding column. The plane matrix is generated once per actor
-    (seeded, so every actor derives the identical matrix) and cached by
-    dimensionality."""
+    """Random-hyperplane LSH bucket ids (int64 array) of an embedding
+    column: the ``bucket_of`` of embedding near-dup's bucket shuffle, run
+    as a stateless task over a callable instance. The plane matrix is
+    seeded, so every copy of the instance derives the identical matrix,
+    and cached per copy by dimensionality."""
 
     def __init__(self, vec_col: str = "embedding", num_planes: int = 12,
                  seed: int = 5):
@@ -1188,15 +1154,14 @@ class HyperplaneBucketer:
             self._planes[dim] = p
         return p
 
-    def __call__(self, batch: pa.Table) -> pa.Table:
+    def __call__(self, batch: pa.Table) -> np.ndarray:
         from .similarity import _as_matrix
 
         vecs = _as_matrix(batch.column(self.vec_col), np.float32)
         if len(vecs) == 0:
-            return batch.append_column("bucket", pa.array([], type=pa.int64()))
+            return np.empty(0, dtype=np.int64)
         signs = (vecs @ self._planes_for(vecs.shape[1])) > 0
-        bucket = signs.dot(1 << np.arange(self.num_planes)).astype(np.int64)
-        return batch.append_column("bucket", pa.array(bucket))
+        return signs.dot(1 << np.arange(self.num_planes)).astype(np.int64)
 
 
 def _blocked_cosine_pairs(ids: np.ndarray, v: np.ndarray, threshold: float,
@@ -1224,18 +1189,18 @@ def _blocked_cosine_pairs(ids: np.ndarray, v: np.ndarray, threshold: float,
 
 def embedding_near_dups(ds, *, threshold: float = 0.95, id_col: str = "vec_id",
                         vec_col: str = "embedding", num_planes: int = 12,
-                        seed: int = 5, bucket_cap: int = 4096,
-                        concurrency: int | tuple = (2, 8)) -> pd.DataFrame:
+                        seed: int = 5, bucket_cap: int = 4096) -> pd.DataFrame:
     """Random-hyperplane LSH buckets + exact cosine verify within bucket.
     Returns (id_a, id_b, cosine) pairs with cosine >= threshold.
 
-    Scale guards: plane matrix lives in the actor (HyperplaneBucketer);
+    Scale guards: the bucketer is a stateless task (HyperplaneBucketer
+    instance, planes derived from the seed) feeding one bucket shuffle;
     the per-bucket verify caps members deterministically (sorted by id,
     first ``bucket_cap``) and runs a blocked matmul so both compute and
     memory stay bounded on a degenerate bucket (e.g. all-zero vectors
     all landing in bucket 0)."""
 
-    def emit_pairs(group: pd.DataFrame) -> pd.DataFrame:
+    def emit_pairs(_bucket: int, group: pd.DataFrame) -> pd.DataFrame:
         g = group.sort_values(id_col)
         if len(g) > bucket_cap:
             g = g.head(bucket_cap)
@@ -1247,12 +1212,5 @@ def embedding_near_dups(ds, *, threshold: float = 0.95, id_col: str = "vec_id",
         a, b, s = _blocked_cosine_pairs(ids, v, threshold)
         return pd.DataFrame({"id_a": a, "id_b": b, "cosine": s})
 
-    pairs = (
-        ds.map_batches(HyperplaneBucketer,
-                       fn_constructor_args=(vec_col, num_planes, seed),
-                       batch_format="pyarrow", concurrency=concurrency)
-        .groupby("bucket")
-        .map_groups(emit_pairs, batch_format="pandas")
-        .to_pandas()
-    )
-    return pairs
+    return bucket_shuffle(ds, HyperplaneBucketer(vec_col, num_planes, seed),
+                          emit_pairs, batch_format="pandas").to_pandas()
