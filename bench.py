@@ -551,9 +551,10 @@ def run_dedup_150k() -> dict:
     """--dedup-150k: the MinHash+LSH near-dup flagship at 150k docs /
     2.4M band rows — ABOVE the small-tier gate, so every stage runs the
     10^10-doc code path by its own dispatch: vectorized signatures,
-    coarse-bucket candidate emit, coarse-bucket pair dedup, and the
-    join-based per-row Jaccard verify (the r4 'weak' component, now a
-    driver-reproducible number). Corpus: documents x30 with per-copy
+    coarse-bucket candidate emit, and the two-shuffle verify (pair
+    halves onto their docs, then a sorted-merge Jaccard per pair
+    bucket; the r4 'weak' component, now a driver-reproducible
+    number). Corpus: documents x30 with per-copy
     deterministic token shuffles (distinct shingle sets, realistic
     candidate rate) + 200 planted first-token perturbations whose
     recall is asserted in the record."""

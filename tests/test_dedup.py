@@ -12,6 +12,7 @@ from warcit_ray.stages.dedup import (
     HyperplaneBucketer,
     _blocked_cosine_pairs,
     _emit_pairs_bulk,
+    _verify_jaccard_small,
     banded_hamming_pairs,
     candidate_pairs_from_bands,
     components_from_pairs,
@@ -19,7 +20,9 @@ from warcit_ray.stages.dedup import (
     hamming64,
     hamming64_arrays,
     minhash_lsh_dedup,
+    shingle_hashes,
     simhash_near_dups,
+    verify_jaccard_pairs,
 )
 
 
@@ -407,11 +410,85 @@ def test_banded_hamming_string_ids_large_tier(ray_session):
     pd.testing.assert_frame_equal(small, large)
 
 
-def test_shingle_cache_checks_text():
-    """A doc id reused with a different text in the same worker (a
-    second corpus) gets that text's shingles, not the cached ones."""
-    from warcit_ray.stages.dedup import _cached_shingle_set, shingle_hashes
+def _verify_ref(pairs, texts, threshold, k=3):
+    """Python-set reference of the Jaccard verify: each distinct pair
+    with both docs in ``texts`` whose shingle-set Jaccard passes
+    ``threshold``, as sorted (lo, hi, jaccard)."""
+    out = set()
+    for a, b in set(pairs):
+        if a not in texts or b not in texts:
+            continue
+        sa, sb = (set(shingle_hashes(texts[x] or "", k).tolist()) for x in (a, b))
+        j = 1.0 if not sa and not sb else len(sa & sb) / max(1, len(sa | sb))
+        if j >= threshold:
+            out.add((min(a, b), max(a, b), j))
+    return sorted(out)
 
-    for text in ("one two three four", "five six seven eight"):
-        assert _cached_shingle_set(-7, text, 3) == \
-            set(shingle_hashes(text, 3).tolist())
+
+def _triples(df):
+    return sorted((int(a), int(b), float(j)) for a, b, j in
+                  df[["id_a", "id_b", "jaccard"]].itertuples(index=False, name=None))
+
+
+@pytest.mark.parametrize("num_buckets", [1, 8])
+def test_verify_jaccard_pairs_matches_set_reference(ray_session, num_buckets):
+    base = (1 << 60) + 1  # 63-bit ids: neighbours differ below float precision
+    named = {
+        "six": "t1 t2 t3 t4 t5 t6",      # 4 shingles
+        "four": "t1 t2 t3 t4",           # 2 of them: Jaccard exactly 0.5
+        "copy": "t1 t2 t3 t4 t5 t6",     # 1.0
+        "near": "t1 t2 t3 t4 t5 t9",     # 3 / 5 = 0.6
+        "far": "t1 t2 t3 x y z",         # 1 / 7
+        "none": None,
+        "empty": "",
+        "short": "t1 t2",                # fewer than k tokens
+        "short2": "t1 t2",
+        "one": "t1",
+    }
+    ids = {name: base + i for i, name in enumerate(named)}
+    texts = {ids[n]: t for n, t in named.items()}
+    rng = np.random.default_rng(5)
+    for i in range(40):  # edits of 3 templates: Jaccard on both sides of 0.5
+        toks = ["w%d_%d" % (i % 3, t) for t in range(12)]
+        for pos in rng.integers(0, 12, int(rng.integers(0, 3))):
+            toks[pos] = "x%d" % rng.integers(0, 3)
+        texts[base + 100 + i] = " ".join(toks)
+    missing = base + 999
+    pairs = [(ids[a], ids[b]) for a, b in [
+        ("six", "four"), ("six", "copy"), ("six", "far"), ("none", "empty"),
+        ("none", "six"), ("short", "short2"), ("short", "one"), ("four", "far")]]
+    pairs += [(ids["six"], missing), (missing, ids["four"])]
+    pairs += [(base + 100 + a, base + 100 + b) for a in range(40)
+              for b in range(a + 3, 40, 3)]  # same template
+    twice = (ids["six"], ids["near"])  # within one frame and across frames
+    frames = [pd.DataFrame(pairs[:80] + [twice] * 20, columns=["id_a", "id_b"]),
+              pd.DataFrame(pairs[80:] + [twice] * 5, columns=["id_a", "id_b"])]
+    docs = rd.from_pandas([
+        pd.DataFrame({"doc_id": k, "text": [texts[i] for i in k]})
+        for k in (sorted(texts)[:25], sorted(texts)[25:])])
+    want = _verify_ref(pairs + [twice], texts, 0.5)
+    assert (ids["six"], ids["four"], 0.5) in want  # kept at the threshold
+    assert (ids["six"], ids["far"]) not in [w[:2] for w in want]
+    assert (ids["none"], ids["empty"], 1.0) in want
+    assert any(0 < w[2] < 1 for w in want) and len(want) > 10
+
+    got = verify_jaccard_pairs(rd.from_pandas(frames), docs, threshold=0.5,
+                               num_buckets=num_buckets).to_pandas()
+    assert _triples(got) == want  # repeats verified once, exact floats
+    present = sorted({p for p in pairs + [twice] if missing not in p})
+    small = _verify_jaccard_small(pd.DataFrame(present, columns=["id_a", "id_b"]),
+                                  docs, threshold=0.5)
+    assert _triples(small) == want
+
+
+def test_verify_reused_ids_get_own_texts(ray_session):
+    """Two corpora reuse the same doc ids with different texts: verified
+    back to back in one session, each gets its own pairs."""
+    pairs = rd.from_items([{"id_a": 1, "id_b": 2}, {"id_a": 3, "id_b": 4}])
+    first = {1: "a b c d e", 2: "a b c d e", 3: "a b c d e", 4: "v w x y z"}
+    second = {1: "a b c d e", 2: "v w x y z", 3: "k l m n o", 4: "k l m n o"}
+    for texts, want in ((first, [(1, 2, 1.0)]), (second, [(3, 4, 1.0)])):
+        docs = rd.from_items([{"doc_id": i, "text": t} for i, t in texts.items()])
+        for nb in (1, 8):
+            got = verify_jaccard_pairs(pairs, docs, threshold=0.5, num_buckets=nb)
+            assert _triples(got.to_pandas()) == want

@@ -7,11 +7,14 @@ Shuffle discipline (the 100 TB design point):
   small groupby over partials. The full rows never shuffle.
 - MinHash LSH: signatures per batch -> explode to (band, band_hash,
   doc) rows -> DISTRIBUTED candidate-pair emit (a bucket shuffle on
-  the band key with a per-bucket member cap) -> distributed pair dedup
-  -> DISTRIBUTED exact-Jaccard verify (bucketed hash joins of the pair
-  sides against the corpus, then a per-row Jaccard in map_batches).
-  Only (band, hash, id) triples, (id_a, id_b) pairs and per-pair text
-  rows cross the wire; nothing corpus-sized ever lands on the driver.
+  the band key with a per-bucket member cap) -> DISTRIBUTED
+  exact-Jaccard verify in two more shuffles: pair halves meet their
+  doc (the corpus's only shuffle, which also drops the cross-band
+  duplicate pairs), then the two halves of each pair meet and one
+  sorted-merge pass computes every pair's Jaccard. Beyond that one
+  (id, text) shuffle, only (band, hash, id) triples, pair halves and
+  per-half shingle arrays cross the wire; nothing corpus-sized ever
+  lands on the driver.
 - SimHash / pHash: 64-bit signature per doc; chunk banding (pigeonhole:
   ``n_chunks >= max_hamming + 1`` exact chunks guarantee every
   qualifying pair shares a bucket); candidates emitted AND
@@ -270,13 +273,6 @@ def _mod_mersenne61(x: np.ndarray) -> np.ndarray:
     x = (x >> np.uint64(61)) + (x & _MERSENNE)
     return np.where(x >= _MERSENNE, x - _MERSENNE, x)
 
-# worker-process shingle cache for the pair-verify stage: a doc that
-# participates in many candidate pairs is shingled once per worker, not
-# once per pair (same pattern as pipelines/crawl._CORPUS_CACHE)
-_SHINGLE_CACHE: dict = {}
-_SHINGLE_CACHE_MAX = 200_000
-
-
 def _tok_hash_plain(tok: str) -> int:
     return int.from_bytes(
         hashlib.blake2b(tok.encode("utf-8"), digest_size=8).digest(), "little"
@@ -310,21 +306,6 @@ def shingle_hashes(text: str, k: int = 3,
     for j in range(1, k):
         acc = acc * np.uint64(0x9E3779B97F4A7C15) + th[j: len(th) - k + 1 + j]
     return np.unique(acc)
-
-
-def _cached_shingle_set(doc_key, text: str, k: int) -> set:
-    """Shingle set of ``text``, cached on (doc_key, k). A hit is checked
-    against the cached text: a second corpus that reuses ids in the same
-    worker must get its own shingles, not the first corpus's."""
-    text = text or ""
-    hit = _SHINGLE_CACHE.get((doc_key, k))
-    if hit is not None and hit[0] == text:
-        return hit[1]
-    if len(_SHINGLE_CACHE) > _SHINGLE_CACHE_MAX:
-        _SHINGLE_CACHE.clear()
-    got = set(shingle_hashes(text, k).tolist())
-    _SHINGLE_CACHE[(doc_key, k)] = (text, got)
-    return got
 
 
 class MinHasher:
@@ -556,12 +537,6 @@ def lsh_band_rows(batch: pa.Table, num_bands: int = 16,
     )
 
 
-def jaccard(a: set, b: set) -> float:
-    if not a and not b:
-        return 1.0
-    return len(a & b) / max(1, len(a | b))
-
-
 # ---------------------------------------------------------------------------
 # distributed candidate-pair generation (shared by minhash / simhash / phash)
 # ---------------------------------------------------------------------------
@@ -625,18 +600,15 @@ def candidate_pairs_from_bands(bands, bkey_col: str, id_col: str, *,
       ONE block (``repartition(1)`` — object store, NOT the driver) and
       a single task runs the pandas groupby-emit + pair dedup at C
       speed. No sort shuffle at all.
-    - large band tables: two coarse bucket shuffles
-      (:func:`~.shuffle.bucket_shuffle`). The first buckets band rows
-      on ``mix(bkey) % B`` (B sized so each holds ~1M rows) and runs
-      the bulk vectorized emit once per coarse bucket; the second
-      buckets the pairs on ``mix(id_a, id_b) % B`` and dedups
-      cross-band duplicates with an in-frame ``drop_duplicates``.
-      Dispatch count is B, not one pandas group per collision bucket
-      or per candidate PAIR — per-group frame overhead is 1-2 ms
-      (measured, see _emit_pairs_bulk), which at a 10^10-doc corpus'
-      candidate rate would be tens of millions of dispatches. No
-      driver pass at all — the honest all-to-all price at 10^10-doc
-      scale, paid twice and nothing more.
+    - large band tables: the emit shuffle (:func:`_band_pair_rows`),
+      then a second bucket shuffle on ``mix(id_a, id_b) % B`` that
+      dedups cross-band duplicates with an in-frame
+      ``drop_duplicates``. Dispatch count is B, not one pandas group
+      per collision bucket or per candidate PAIR — per-group frame
+      overhead is 1-2 ms (measured, see _emit_pairs_bulk), which at a
+      10^10-doc corpus' candidate rate would be tens of millions of
+      dispatches. ``near_dup_pairs`` runs only the emit shuffle: its
+      verify drops the duplicates in the shuffle it needs anyway.
 
     Pair emit happens inside distributed tasks in BOTH paths; member
     rows never reach the driver. ``pair_filter(df)`` (optional) runs
@@ -644,16 +616,6 @@ def candidate_pairs_from_bands(bands, bkey_col: str, id_col: str, *,
     pairs never shuffle further."""
 
     extra_cols = extra_cols or []
-
-    def emit(g: pd.DataFrame) -> pd.DataFrame:
-        # one bulk emit over every collision bucket in ``g``, then the
-        # within-frame pair dedup (cross-band duplicates that share a
-        # frame cost nothing downstream)
-        out = _emit_pairs_bulk(g, bkey_col, id_col, bucket_cap, extra_cols)
-        if pair_filter is not None:
-            out = pair_filter(out)  # applied to empties too: uniform schema
-        return out.drop_duplicates(["id_a", "id_b"])
-
     n_rows = n_rows_hint
     if n_rows is None:
         n_rows = bands.count()
@@ -677,6 +639,10 @@ def candidate_pairs_from_bands(bands, bkey_col: str, id_col: str, *,
         def pick(df: pd.DataFrame) -> pd.DataFrame:
             return df[df[bkey_col].isin(hot)]
 
+        def emit(g: pd.DataFrame) -> pd.DataFrame:
+            return _emit_frame(g, bkey_col, id_col, bucket_cap, extra_cols,
+                               pair_filter)
+
         return (
             bands.map_batches(pick, batch_format="pandas")
             .repartition(1)
@@ -685,9 +651,6 @@ def candidate_pairs_from_bands(bands, bkey_col: str, id_col: str, *,
 
     nbb = _coarse_bucket_count(n_rows)
 
-    def emit_bucket(_bucket: int, g: pd.DataFrame) -> pd.DataFrame:
-        return emit(g)  # holds every collision bucket whose bkey hashes here
-
     def pair_buckets(t: pa.Table) -> np.ndarray:
         return mix_buckets(nbb, _id_hash_u64(t.column("id_a")),
                            _id_hash_u64(t.column("id_b")))
@@ -695,9 +658,37 @@ def candidate_pairs_from_bands(bands, bkey_col: str, id_col: str, *,
     def dedup_bucket(_bucket: int, g: pd.DataFrame) -> pd.DataFrame:
         return g.drop_duplicates(["id_a", "id_b"])
 
-    pairs = bucket_shuffle(bands, key_buckets(bkey_col, nbb), emit_bucket,
-                           batch_format="pandas")
+    pairs = _band_pair_rows(bands, bkey_col, id_col, n_rows,
+                            extra_cols=extra_cols, bucket_cap=bucket_cap,
+                            pair_filter=pair_filter)
     return bucket_shuffle(pairs, pair_buckets, dedup_bucket, batch_format="pandas")
+
+
+def _emit_frame(g: pd.DataFrame, bkey_col: str, id_col: str, bucket_cap: int,
+                extra_cols, pair_filter) -> pd.DataFrame:
+    """One bulk emit over every collision bucket in ``g``, then the
+    within-frame pair dedup (cross-band duplicates that share a frame
+    cost nothing downstream)."""
+    out = _emit_pairs_bulk(g, bkey_col, id_col, bucket_cap, extra_cols)
+    if pair_filter is not None:
+        out = pair_filter(out)  # applied to empties too: uniform schema
+    return out.drop_duplicates(["id_a", "id_b"])
+
+
+def _band_pair_rows(bands, bkey_col: str, id_col: str, n_rows: int, *,
+                    extra_cols=(), bucket_cap: int = 256, pair_filter=None):
+    """The large tier's emit shuffle: one bulk emit per coarse bucket of
+    band rows on ``mix(bkey) % B`` (~1M rows each). Pairs are distinct
+    within a bucket only: a pair that collides in bands hashing to
+    different buckets comes out once per such bucket."""
+
+    def emit_bucket(_bucket: int, g: pd.DataFrame) -> pd.DataFrame:
+        # holds every collision bucket whose bkey hashes here
+        return _emit_frame(g, bkey_col, id_col, bucket_cap, extra_cols,
+                           pair_filter)
+
+    return bucket_shuffle(bands, key_buckets(bkey_col, _coarse_bucket_count(n_rows)),
+                          emit_bucket, batch_format="pandas")
 
 
 def _coarse_bucket_count(n_rows: int) -> int:
@@ -719,58 +710,99 @@ def _id_hash_u64(col: pa.ChunkedArray) -> np.ndarray:
     return pd.util.hash_array(a.astype(object), categorize=False)
 
 
+def _jaccard_sorted_merge(ia: np.ndarray, ib: np.ndarray, sets) -> tuple:
+    """Exact Jaccard of the pairs among half rows: row r is one side of
+    the pair (ia[r], ib[r]) and ``sets[r]`` (a list array) that side's
+    unique hashes. One lexsort over (pair, hash) merges every pair's
+    two sets: an element of both lands next to its twin, so the
+    intersection is the count of adjacent equal keys, and the union is
+    |a| + |b| minus that (1.0 when both are empty). Returns, per
+    distinct pair, (id_a, id_b, jaccard, half rows)."""
+    import pyarrow.compute as pc
+
+    o = np.lexsort((ib, ia))
+    ia, ib = ia[o], ib[o]
+    first = np.ones(len(o), dtype=bool)
+    first[1:] = (ia[1:] != ia[:-1]) | (ib[1:] != ib[:-1])
+    pair = np.empty(len(o), dtype=np.int64)
+    pair[o] = np.cumsum(first) - 1
+    lens = pc.list_value_length(sets).to_numpy(zero_copy_only=False)
+    h, p = sets.flatten().to_numpy(), np.repeat(pair, lens)
+    order = np.lexsort((h, p))
+    h, p = h[order], p[order]
+    inter = np.bincount(p[1:][(h[1:] == h[:-1]) & (p[1:] == p[:-1])],
+                        minlength=int(first.sum()))
+    union = np.bincount(pair, weights=lens).astype(np.int64) - inter
+    j = np.where(union == 0, 1.0, inter / np.maximum(union, 1))
+    return ia[first], ib[first], j, np.bincount(pair)
+
+
 def verify_jaccard_pairs(pairs_ds, docs_ds, *, id_col: str = "doc_id",
                          text_col: str = "text", threshold: float = 0.8,
                          shingle_k: int = 3, num_buckets: int = 8):
-    """Distributed exact-Jaccard verification of candidate pairs.
+    """Distributed exact-Jaccard verification of candidate pairs in two
+    bucket shuffles, with no per-pair group dispatch (a pandas group
+    per pair costs 1-2 ms of frame overhead, hours of pure dispatch at
+    10^10-doc candidate rates).
 
-    Both texts are bucketed-hash-joined ONTO the pair rows (one join
-    per side: corpus projected to (id_a, text_a) then (id_b, text_b)),
-    and the shingle Jaccard of every pair is computed per-ROW inside
-    ``map_batches`` — no per-pair group dispatch anywhere (a pandas
-    group per candidate pair costs 1-2 ms of frame overhead, hours of
-    pure dispatch at 10^10-doc candidate rates). Shingle sets are
-    worker-cached via _SHINGLE_CACHE, so the heavy text reuse of
-    near-dup corpora amortizes across pairs sharing a doc. Returns a
-    Dataset of (id_a, id_b, jaccard) for pairs passing ``threshold``;
-    pairs with a side missing from the corpus drop (inner join), and a
-    corpus is assumed to carry one row per id (the small tier assumes
-    the same). Only pair rows and per-pair text copies cross the wire."""
-    from .joins import bucketed_hash_join
+    - Attach: each pair (a, b), a != b, splits into two halves keyed on
+      doc a and on doc b, and one two-sided shuffle on that key brings
+      every half to its doc: the corpus, projected to (id, text), moves
+      once. All copies of a half land in one bucket, so dropping
+      duplicate halves there dedups pairs repeated across bands or emit
+      frames (``pairs_ds`` need not be distinct). Each referenced doc
+      is shingled once per bucket (sorted unique ``shingle_hashes``).
+    - Combine: a shuffle on the pair brings its two halves together and
+      one ``_jaccard_sorted_merge`` per bucket scores every pair.
 
-    def side_tbl(t: pa.Table, suffix: str) -> pa.Table:
-        return pa.table({"id_%s" % suffix: t.column(id_col),
-                         "text_%s" % suffix: t.column(text_col)})
+    Returns a Dataset of (id_a, id_b, jaccard), id_a the smaller id,
+    for pairs passing ``threshold``; a pair with a side missing from
+    the corpus drops, and a corpus is assumed to carry one row per id
+    (the small tier assumes the same)."""
+    import pyarrow.compute as pc
 
-    docs_a = docs_ds.map_batches(lambda t: side_tbl(t, "a"),
-                                 batch_format="pyarrow")
-    docs_b = docs_ds.map_batches(lambda t: side_tbl(t, "b"),
-                                 batch_format="pyarrow")
-    j1 = bucketed_hash_join(pairs_ds, docs_a, "id_a", num_buckets=num_buckets)
-    j2 = bucketed_hash_join(j1, docs_b, "id_b", num_buckets=num_buckets)
+    sets_type = pa.large_list(pa.uint64())
 
-    def row_jaccard(df: pd.DataFrame) -> pd.DataFrame:
-        ids_a = df["id_a"].astype("int64").to_numpy()
-        ids_b = df["id_b"].astype("int64").to_numpy()
-        out_a: list = []
-        out_b: list = []
-        out_j: list = []
-        for a, b, x, y in zip(ids_a, ids_b, df["text_a"], df["text_b"]):
-            sa = _cached_shingle_set(int(a), x if isinstance(x, str) else "",
-                                     shingle_k)
-            sb = _cached_shingle_set(int(b), y if isinstance(y, str) else "",
-                                     shingle_k)
-            j = jaccard(sa, sb)
-            if j >= threshold:
-                lo, hi = (int(a), int(b)) if a < b else (int(b), int(a))
-                out_a.append(lo)
-                out_b.append(hi)
-                out_j.append(float(j))
-        return pd.DataFrame({"id_a": pd.Series(out_a, dtype="int64"),
-                             "id_b": pd.Series(out_b, dtype="int64"),
-                             "jaccard": pd.Series(out_j, dtype="float64")})
+    def halves(t: pa.Table) -> pa.Table:
+        a, b = t.column("id_a").to_numpy(), t.column("id_b").to_numpy()
+        return pa.table({"doc": np.concatenate([a, b]), "id_a": np.tile(a, 2),
+                         "id_b": np.tile(b, 2)})
 
-    return j2.map_batches(row_jaccard, batch_format="pandas")
+    def attach(_bucket: int, sides) -> pa.Table:
+        h, docs = sides
+        if h is None or docs is None:
+            return pa.table({"id_a": pa.array([], pa.int64()),
+                             "id_b": pa.array([], pa.int64()),
+                             "shingles": pa.array([], sets_type)})
+        h = h.group_by(["doc", "id_a", "id_b"]).aggregate([])  # one copy per half
+        row = pc.index_in(h["doc"], value_set=docs["doc"].combine_chunks())
+        h = h.filter(row.is_valid())  # drop halves whose doc is not in the corpus
+        used, inv = np.unique(row.drop_null().to_numpy(), return_inverse=True)
+        sets = pa.array([shingle_hashes(x if isinstance(x, str) else "", shingle_k)
+                         for x in docs["text"].take(used).to_pylist()], sets_type)
+        return pa.table({"id_a": h["id_a"], "id_b": h["id_b"],
+                         "shingles": sets.take(inv)})
+
+    def pair_buckets(t: pa.Table) -> np.ndarray:
+        return mix_buckets(num_buckets, t.column("id_a").to_numpy(),
+                           t.column("id_b").to_numpy())
+
+    def row_jaccard(_bucket: int, t: pa.Table) -> pa.Table:
+        a, b, j, n_halves = _jaccard_sorted_merge(
+            t.column("id_a").to_numpy(), t.column("id_b").to_numpy(),
+            t.column("shingles").combine_chunks())
+        keep = (n_halves == 2) & (j >= threshold)  # one half: a side missing
+        a, b = a[keep], b[keep]
+        return pa.table({"id_a": np.minimum(a, b), "id_b": np.maximum(a, b),
+                         "jaccard": j[keep]})
+
+    docs = docs_ds.map_batches(
+        lambda t: pa.table({"doc": t[id_col], "text": t[text_col]}),
+        batch_format="pyarrow")
+    attached = bucket_shuffle(
+        (pairs_ds.map_batches(halves, batch_format="pyarrow"), docs),
+        key_buckets("doc", num_buckets), attach)
+    return bucket_shuffle(attached, pair_buckets, row_jaccard)
 
 
 def _verify_jaccard_small(pair_df: pd.DataFrame, docs_ds, *,
@@ -778,40 +810,43 @@ def _verify_jaccard_small(pair_df: pd.DataFrame, docs_ds, *,
                           threshold: float = 0.8,
                           shingle_k: int = 3) -> pd.DataFrame:
     """Small-tier Jaccard verify (gated by the same threshold as the
-    candidate tiers): the driver holds only the (id_a, id_b) pair list;
-    candidate docs are semi-join filtered and shingled DISTRIBUTED,
-    coalesced into one object-store block, and a single task computes
-    every pair's Jaccard — texts and shingles never touch the driver."""
+    candidate tiers): the driver holds only the DISTINCT (id_a, id_b)
+    pair list; candidate docs are semi-join filtered and shingled
+    DISTRIBUTED, coalesced into one object-store block, and a single
+    task scores every pair with the large tier's sorted merge — texts
+    and shingles never touch the driver. A doc missing from the corpus
+    counts as the empty set."""
     import pyarrow.compute as pc
 
     cand_ids = sorted(set(pair_df["id_a"]) | set(pair_df["id_b"]))
     cand_arr = pa.array([int(x) for x in cand_ids], type=pa.int64())
+    sets_type = pa.large_list(pa.uint64())
 
     def pick_and_shingle(t: pa.Table) -> pa.Table:
         t = t.select([id_col, text_col]).filter(
             pc.is_in(t[id_col], value_set=cand_arr))
-        sh = [shingle_hashes(x or "", shingle_k).astype(np.int64).tolist()
+        sh = [shingle_hashes(x or "", shingle_k)
               for x in t.column(text_col).to_pylist()]
-        return pa.table({id_col: t[id_col],
-                         "shingles": pa.array(sh, type=pa.list_(pa.int64()))})
+        return pa.table({id_col: t[id_col], "shingles": pa.array(sh, sets_type)})
 
     sub = docs_ds.map_batches(pick_and_shingle, batch_format="pyarrow").repartition(1)
 
-    pairs = list(zip(pair_df["id_a"].astype("int64"),
-                     pair_df["id_b"].astype("int64")))
+    pair_a = pair_df["id_a"].astype("int64").to_numpy()
+    pair_b = pair_df["id_b"].astype("int64").to_numpy()
+    sides = pa.array(np.concatenate([pair_a, pair_b]))  # row p: side a, P + p: b
 
     def verify(t: pa.Table) -> pa.Table:
-        sh = {i: set(s) for i, s in zip(t.column(id_col).to_pylist(),
-                                        t.column("shingles").to_pylist())}
-        out_a, out_b, out_j = [], [], []
-        for a, b in pairs:
-            j = jaccard(sh.get(a, set()), sh.get(b, set()))
-            if j >= threshold:
-                lo, hi = (a, b) if a < b else (b, a)
-                out_a.append(lo); out_b.append(hi); out_j.append(float(j))
-        return pa.table({"id_a": pa.array(out_a, type=pa.int64()),
-                         "id_b": pa.array(out_b, type=pa.int64()),
-                         "jaccard": pa.array(out_j, type=pa.float64())})
+        # a side not in the corpus points past the last doc: the empty set
+        sets = pa.concat_arrays([t.column("shingles").combine_chunks(),
+                                 pa.array([[]], sets_type)])
+        rows = pc.fill_null(pc.index_in(
+            sides, value_set=t.column(id_col).combine_chunks()), t.num_rows)
+        a, b, j, _ = _jaccard_sorted_merge(np.tile(pair_a, 2), np.tile(pair_b, 2),
+                                           sets.take(rows))
+        keep = j >= threshold
+        a, b = a[keep], b[keep]
+        return pa.table({"id_a": np.minimum(a, b), "id_b": np.maximum(a, b),
+                         "jaccard": j[keep]})
 
     return sub.map_batches(verify, batch_format="pyarrow",
                            batch_size=None).to_pandas()
@@ -849,9 +884,10 @@ def minhash_lsh_dedup(ds, *, num_perm: int = 64, num_bands: int = 16,
 
     Every stage is distributed: signatures (stateless tasks over warm
     worker processes) -> band rows -> candidate pairs (coarse-bucketed
-    groupby, all-pairs with cap) -> distinct pairs (coarse-bucketed
-    pair dedup) -> exact-Jaccard verify (two bucketed joins + per-row
-    Jaccard). Only the verified pair list — the actual result — reaches
+    groupby, all-pairs with cap) -> exact-Jaccard verify (pair halves
+    meet their docs in one corpus shuffle, which also drops repeated
+    pairs; a pair shuffle then runs one sorted-merge Jaccard per
+    bucket). Only the verified pair list — the actual result — reaches
     the driver, for the union-find component labels. ``concurrency``
     (optional int) caps the task pools of the map_batches stages for
     callers that must bound the job's footprint."""
@@ -882,10 +918,11 @@ def near_dup_pairs(ds, *, num_perm: int = 64, num_bands: int = 16,
     with_sig Dataset). The verified pair list is the job's output-sized
     result, so it lands on the driver; callers needing components feed
     it to components_from_pairs / stages.components.connected_components.
-    ``concurrency`` (optional int) is forwarded as the task cap of the
-    signature / banding map_batches stages."""
-    import ray.data as rd
-
+    The large tier runs three bucket shuffles: the candidate emit
+    (``_band_pair_rows``, pairs not yet distinct) and the two of
+    ``verify_jaccard_pairs``; the corpus enters only the verify's attach
+    shuffle. ``concurrency`` (optional int) is forwarded as the task cap
+    of the signature / banding map_batches stages."""
     kw = {} if concurrency is None else {"concurrency": concurrency}
     with_sig = ds.map_batches(
         minhash_sig_batch, fn_args=(num_perm, shingle_k),
@@ -897,28 +934,29 @@ def near_dup_pairs(ds, *, num_perm: int = 64, num_bands: int = 16,
         lambda b: lsh_band_rows(b, num_bands, id_col), batch_format="pyarrow",
         **kw,
     )
-    small = n_docs * num_bands <= small_threshold
-    pairs = candidate_pairs_from_bands(
-        bands, "bkey", id_col, bucket_cap=bucket_cap,
-        n_rows_hint=n_docs * num_bands, small_threshold=small_threshold,
-    )
+    n_rows = n_docs * num_bands
     empty = pd.DataFrame({"id_a": pd.Series([], dtype="int64"),
                           "id_b": pd.Series([], dtype="int64"),
                           "jaccard": pd.Series([], dtype="float64")})
-    if pairs is None:
-        return empty, with_sig
-
-    if small:
-        pair_df = pairs.to_pandas()  # (id_a, id_b) only — small tier
-        if len(pair_df) == 0:
-            return empty, with_sig
-        verified = _verify_jaccard_small(
-            pair_df, ds, id_col=id_col, threshold=threshold,
-            shingle_k=shingle_k)
-    else:
+    if n_rows > small_threshold:
+        # repeated pairs are fine: the verify's attach shuffle drops them
+        pairs = _band_pair_rows(bands, "bkey", id_col, n_rows,
+                                bucket_cap=bucket_cap)
         verified = verify_jaccard_pairs(
             pairs, ds, id_col=id_col, threshold=threshold, shingle_k=shingle_k
         ).to_pandas()
+        return verified, with_sig
+    pairs = candidate_pairs_from_bands(
+        bands, "bkey", id_col, bucket_cap=bucket_cap,
+        n_rows_hint=n_rows, small_threshold=small_threshold,
+    )
+    if pairs is None:
+        return empty, with_sig
+    pair_df = pairs.to_pandas()  # (id_a, id_b) only — small tier
+    if len(pair_df) == 0:
+        return empty, with_sig
+    verified = _verify_jaccard_small(
+        pair_df, ds, id_col=id_col, threshold=threshold, shingle_k=shingle_k)
     return verified, with_sig
 
 

@@ -1,12 +1,13 @@
 """The bucket shuffle: the engine's one hand-rolled all-to-all.
 
 The bucketed joins, q3, the large candidate tier and its pair dedup,
-embedding near-dup, the corpus fragment writer and both sharded sinks
-all run :func:`bucket_shuffle`: tag each row with ``bucket_of(table)``,
-shuffle on the tag (``groupby(tag).map_groups``, Ray Data's sort
-shuffle), and hand each non-empty bucket's rows, tag stripped, to
-``per_bucket(bucket_id, rows)`` exactly once. Ray calls the group UDF
-once per group boundary, so an empty bucket gets no call.
+the near-dup Jaccard verify, embedding near-dup, the corpus fragment
+writer and both sharded sinks all run :func:`bucket_shuffle`: tag each
+row with ``bucket_of(table)``, shuffle on the tag
+(``groupby(tag).map_groups``, Ray Data's sort shuffle), and hand each
+non-empty bucket's rows, tag stripped, to ``per_bucket(bucket_id,
+rows)`` exactly once. Ray calls the group UDF once per group boundary,
+so an empty bucket gets no call.
 """
 
 from __future__ import annotations
