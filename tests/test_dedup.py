@@ -6,6 +6,7 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 import pytest
+import ray
 import ray.data as rd
 
 from warcit_ray.stages.dedup import (
@@ -168,6 +169,24 @@ def test_minhash_distributed_matches_planted(ray_session):
     assert got.get(1001) == 0
     # LSH-path dup labels never point upward
     assert (df["dup_of"] < df["doc_id"]).all()
+
+
+def test_minhash_dup_table_typed_with_or_without_dups(ray_session):
+    # the dup map is one int64 table whether or not any dup was found,
+    # on both candidate tiers
+    texts = ["w%d alpha beta gamma delta epsilon" % i for i in range(30)]
+    rows = [{"doc_id": i, "text": t} for i, t in enumerate(texts)]
+    with_dup = rows + [{"doc_id": 100, "text": texts[0]}]
+    for small_threshold in (10**9, 0):
+        got = [minhash_lsh_dedup(rd.from_items(r), threshold=0.9,
+                                 small_threshold=small_threshold)[0]
+               for r in (with_dup, rows)]
+        assert [d.count() for d in got] == [1, 0]
+        want = pa.schema([("doc_id", pa.int64()), ("dup_of", pa.int64())])
+        tables = [pa.concat_tables(ray.get(d.to_arrow_refs())) for d in got]
+        assert [t.schema for t in tables] == [want] * 2
+        assert [d.schema().names for d in got] == [want.names] * 2
+        assert tables[0].to_pylist() == [{"doc_id": 100, "dup_of": 0}]
 
 
 def test_minhash_forced_large_path_same_result(ray_session):

@@ -2,7 +2,9 @@
 every row of the bucket, whatever the input block layout."""
 
 import numpy as np
+import pandas as pd
 import pyarrow as pa
+import pytest
 import ray
 import ray.data as rd
 
@@ -71,6 +73,73 @@ def test_bucket_shuffle_two_sides(ray_session):
         want_r = [] if row["bucket"] == 8 else want
         assert list(row["rids"]) == want_r
         assert list(row["rvals"]) == sorted(str(i) for i in want_r)
+
+
+@pytest.mark.parametrize("blocks", [1, 6])
+def test_bucket_shuffle_unifies_output_types(ray_session, blocks):
+    # one block: every bucket reduces in one task; six: across tasks
+    ds = rd.range(N, override_num_blocks=blocks).materialize()
+
+    def per_bucket(b: int, rows: pa.Table):
+        if b == 4:
+            return pd.DataFrame()
+        if b == 6:
+            return pa.table({})
+        item = pa.float32() if b == 0 else pa.float64()
+        return pa.table({"bucket": [b], "v": pa.array([[1.5]], pa.list_(item))})
+
+    got = bucket_shuffle(ds, _buckets, per_bucket).to_pandas()
+    assert sorted(got["bucket"]) == [0, 2, 8]
+    assert [list(v) for v in got["v"]] == [[1.5]] * 3
+
+
+def test_bucket_shuffle_raises_the_callers_error(ray_session):
+    def per_bucket(b: int, rows: pa.Table):
+        raise ValueError("refusing bucket %d" % b)
+
+    with pytest.raises(ValueError, match="refusing bucket"):
+        bucket_shuffle(rd.range(N, override_num_blocks=3), _buckets,
+                       per_bucket).materialize()
+
+
+def test_bucket_shuffle_pandas_and_empty_blocks(ray_session):
+    # Arrow, pandas and zero-row blocks (one of them without columns)
+    ds = rd.from_arrow([pa.table({"id": list(range(0, 300))}),
+                        pa.table({"id": pa.array([], pa.int64())}),
+                        pa.table({})]).union(
+        rd.from_pandas([pd.DataFrame({"id": range(300, N)}), pd.DataFrame()]))
+
+    def per_bucket(b: int, rows: pd.DataFrame) -> pd.DataFrame:
+        return pd.DataFrame({"bucket": [b], "ids": [sorted(rows["id"].tolist())]})
+
+    got = bucket_shuffle(ds, _buckets, per_bucket, batch_format="pandas").to_pandas()
+    assert sorted(got["bucket"]) == [0, 2, 4, 6, 8]
+    for b, ids in zip(got["bucket"], got["ids"]):
+        assert list(ids) == [i for i in range(N) if (i % 5) * 2 == b]
+
+
+def test_bucket_shuffle_empty_input(ray_session):
+    def per_bucket(b: int, rows):
+        raise AssertionError("called for bucket %d" % b)
+
+    empty = rd.range(N).filter(lambda r: False)
+    for sides in (empty, (empty, rd.from_arrow(pa.table({"id": []})))):
+        out = bucket_shuffle(sides, _buckets, per_bucket)
+        assert out.count() == 0 and len(out.to_pandas()) == 0
+
+
+def test_bucket_shuffle_one_side_empty(ray_session):
+    left = rd.range(N, override_num_blocks=4)
+    right = rd.range(N).filter(lambda r: False)
+    for pair, flip in (((left, right), False), ((right, left), True)):
+        def per_bucket(b: int, sides: tuple, flip=flip) -> pa.Table:
+            l, r = sides[::-1] if flip else sides
+            assert r is None
+            return pa.table({"bucket": [b], "n": [l.num_rows]})
+
+        got = bucket_shuffle(pair, _buckets, per_bucket).to_pandas()
+        assert sorted(got["bucket"]) == [0, 2, 4, 6, 8]
+        assert got["n"].sum() == N
 
 
 def test_mix_buckets_formula():

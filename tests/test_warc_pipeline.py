@@ -530,6 +530,21 @@ def test_warc_shards_refuse_unpinned_parts_and_spare_foreign_files(
     assert len(read_warc_dir(str(out_dir))) == 2
 
 
+def test_sharded_sinks_write_nothing_for_no_records(tmp_path, ray_session):
+    """An input tree with no files and no warcinfo record gives both
+    sharded sinks an empty record set: each returns no part and still
+    pins its layout."""
+    from warcit_ray.pipelines.warc_build import write_logfile_shards
+
+    empty = tmp_path / "empty"
+    empty.mkdir()
+    cfg = cfg_for([str(empty)], url_prefix="http://x/", warcinfo=False)
+    for sink in (write_warc_shards, write_logfile_shards):
+        out_dir = tmp_path / sink.__name__
+        assert sink(build_warc_dataset(cfg), str(out_dir)) == []
+        assert os.listdir(out_dir) == ["_shards.json"]
+
+
 def test_warc_parts_hold_whole_file_ranges(tmp_path):
     """Parts are ranges of input files in the seq units enumerate_seeds
     assigns: a 24-file tree is one part under the defaults, and with

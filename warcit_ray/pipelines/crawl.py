@@ -505,7 +505,7 @@ def _frag_registry():
 def write_corpus_fragments(corpus, out_dir: str, num_buckets: int) -> CorpusLookup:
     """Pre-bucket the corpus to on-disk Parquet fragments — the 100 TB
     corpus path: the driver never holds the corpus. Accepts a
-    ``ray.data.Dataset`` (one groupby shuffle writes each bucket from a
+    ``ray.data.Dataset`` (one bucket shuffle writes each bucket from a
     worker) or a ``pa.Table`` (buckets written from the caller).
     Idempotent: a layout whose ``_corpus.json`` matches (bucket hash,
     bucket count, corpus shape) is reused; any other manifest raises.

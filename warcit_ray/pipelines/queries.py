@@ -946,13 +946,13 @@ def _docs_with_near_dups(sf_dir: str):
 
 
 def minhash_dedup(sf_dir: str) -> pd.DataFrame:
+    import ray
+
     from ..stages.dedup import minhash_lsh_dedup
 
     dup, _ = minhash_lsh_dedup(_docs_with_near_dups(sf_dir), threshold=0.5)
-    df = dup.to_pandas()
-    if len(df) == 0:
-        return pd.DataFrame({"doc_id": pd.Series([], dtype="int64"),
-                             "dup_of": pd.Series([], dtype="int64")})
+    # via Arrow: Ray's to_pandas drops the columns of a Dataset with no rows
+    df = pa.concat_tables(ray.get(dup.to_arrow_refs())).to_pandas()
     return df.sort_values("doc_id").reset_index(drop=True)
 
 

@@ -179,7 +179,7 @@ def write_logfile_shards(records_ds, out_dir: str,
         logfile_dataset(records_ds),
         lambda t: part_of_seq(t["seq"].to_numpy(), files_per_part),
         write_shard, batch_format="pandas").to_pandas()
-    return sorted(manifest["path"].tolist())
+    return sorted(manifest.get("path", []))  # no column: no records
 
 
 def run_warcit(cfg: WarcitConfig, output_path: str | None = None,

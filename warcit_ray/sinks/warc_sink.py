@@ -310,7 +310,7 @@ def write_warc_shards(ds, out_dir: str, mode: str = "xb",
     manifest = bucket_shuffle(
         ds, lambda t: part_of_seq(t["seq"].to_numpy(), files_per_part),
         write_shard).to_pandas()
-    return sorted(manifest["path"].tolist())
+    return sorted(manifest.get("path", []))  # no column: no records
 
 
 # --- parser (for round-trip tests) ------------------------------------------

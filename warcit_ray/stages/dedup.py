@@ -599,7 +599,7 @@ def candidate_pairs_from_bands(bands, bkey_col: str, id_col: str, *,
       collision-bucket rows (small by construction) are coalesced into
       ONE block (``repartition(1)`` — object store, NOT the driver) and
       a single task runs the pandas groupby-emit + pair dedup at C
-      speed. No sort shuffle at all.
+      speed. No shuffle at all.
     - large band tables: the emit shuffle (:func:`_band_pair_rows`),
       then a second bucket shuffle on ``mix(id_a, id_b) % B`` that
       dedups cross-band duplicates with an in-frame
@@ -897,15 +897,13 @@ def minhash_lsh_dedup(ds, *, num_perm: int = 64, num_bands: int = 16,
         ds, num_perm=num_perm, num_bands=num_bands, shingle_k=shingle_k,
         threshold=threshold, id_col=id_col, bucket_cap=bucket_cap,
         small_threshold=small_threshold, concurrency=concurrency)
-    if len(verified) == 0:
-        return rd.from_items([]), with_sig
     keep = list(zip(verified["id_a"].astype("int64"),
-                    verified["id_b"].astype("int64")))
-    rows = components_from_pairs(keep)
-    dup = rd.from_items(
-        [{id_col: int(d), "dup_of": int(r)} for d, r in rows if d != r]
-    )
-    return dup, with_sig
+                    verified["id_b"].astype("int64"))) if len(verified) else []
+    rows = [(d, r) for d, r in components_from_pairs(keep) if d != r]
+    # one block, typed even when empty (from_items makes a block per row)
+    dup = pa.table({id_col: pa.array([d for d, _ in rows], pa.int64()),
+                    "dup_of": pa.array([r for _, r in rows], pa.int64())})
+    return rd.from_arrow(dup), with_sig
 
 
 def near_dup_pairs(ds, *, num_perm: int = 64, num_bands: int = 16,

@@ -2,24 +2,23 @@
 
 The bucketed joins, q3, the large candidate tier and its pair dedup,
 the near-dup Jaccard verify, embedding near-dup, the corpus fragment
-writer and both sharded sinks all run :func:`bucket_shuffle`: tag each
-row with ``bucket_of(table)``, shuffle on the tag
-(``groupby(tag).map_groups``, Ray Data's sort shuffle), and hand each
-non-empty bucket's rows, tag stripped, to ``per_bucket(bucket_id,
-rows)`` exactly once. Ray calls the group UDF once per group boundary,
-so an empty bucket gets no call.
+writer and both sharded sinks all run :func:`bucket_shuffle`: a
+two-stage hash shuffle over plain Ray tasks and objects (the
+Exoshuffle design), not a Ray Data operator. With ``R`` non-empty
+input blocks, :func:`split_block` runs once per block and returns
+``R`` slices, row ``i`` in slice ``bucket_of(block)[i] % R``;
+:func:`reduce_part` runs once per part, groups that part's slices by
+bucket and calls ``per_bucket(bucket_id, rows)`` once per bucket
+holding rows, so an empty bucket gets no call. No row reaches the
+driver, and ``bucket_of`` and ``per_bucket`` run only in workers.
 """
 
 from __future__ import annotations
 
-import functools
-
 import numpy as np
 import pyarrow as pa
-import pyarrow.compute as pc
 
 TAG = "__bucket"
-SIDE = "__side"
 
 
 def mix_buckets(num_buckets: int, a: np.ndarray,
@@ -46,58 +45,89 @@ def key_buckets(key: str, num_buckets: int):
     return bucket_of
 
 
-def _as_format(t: pa.Table, batch_format: str):
+def split_block(block, bucket_of, num_parts: int):
+    """Map stage: one input block as ``num_parts`` Arrow tables, each
+    row tagged with its bucket and placed in part ``bucket % num_parts``
+    (input order kept within a part), ``None`` for an empty part: an
+    empty table costs a schema to ship, and a block count of tiny
+    blocks makes mostly empty parts."""
     from ray.data.block import BlockAccessor
 
-    return BlockAccessor.for_block(t).to_batch_format(batch_format)
+    t = BlockAccessor.for_block(block).to_arrow()
+    bucket = np.asarray(bucket_of(t), dtype=np.int64)
+    t = t.append_column(TAG, pa.array(bucket))
+    part = bucket % num_parts
+    bounds = np.cumsum(np.bincount(part, minlength=num_parts))[:-1]
+    order = np.argsort(part, kind="stable")
+    slices = [t.take(i) if len(i) else None for i in np.split(order, bounds)]
+    return slices if num_parts > 1 else slices[0]
+
+
+def _by_bucket(slices) -> dict:
+    """bucket -> one side's rows of a part, tag dropped, input order kept."""
+    from ray.data._internal.delegating_block_builder import DelegatingBlockBuilder
+
+    rows = DelegatingBlockBuilder()
+    for s in slices:
+        if s is not None:
+            rows.add_block(s)  # unifies slice schemas as Ray Data's blocks do
+    t = rows.build()
+    if t.num_rows == 0:
+        return {}
+    tag = t.column(TAG).to_numpy()
+    order = np.argsort(tag, kind="stable")
+    t = t.drop_columns([TAG]).take(order)
+    buckets, starts, counts = np.unique(tag[order], return_index=True,
+                                        return_counts=True)
+    return {b: t.slice(s, n) for b, s, n in
+            zip(buckets.tolist(), starts.tolist(), counts.tolist())}
+
+
+def reduce_part(per_bucket, batch_format: str, multi: bool, blocks_per_side,
+                *slices):
+    """Reduce stage: one part's slices, ``blocks_per_side[i]`` of them
+    for side ``i`` in side order, -> one block of ``per_bucket``
+    outputs, one call per bucket with rows on some side, ascending.
+    The outputs concatenate in Ray Data's block builder, which unifies
+    their schemas and skips empty ones."""
+    from ray.data._internal.delegating_block_builder import DelegatingBlockBuilder
+    from ray.data.block import BlockAccessor
+
+    ends = np.cumsum(blocks_per_side).tolist()
+    sides = [_by_bucket(slices[end - n:end]) for n, end in zip(blocks_per_side, ends)]
+    out = DelegatingBlockBuilder()
+    for b in sorted(set().union(*sides)):
+        rows = [BlockAccessor.for_block(s[b]).to_batch_format(batch_format)
+                if b in s else None for s in sides]
+        out.add_batch(per_bucket(b, tuple(rows) if multi else rows[0]))
+    return out.build()
 
 
 def bucket_shuffle(sides, bucket_of, per_bucket, *, batch_format: str = "pyarrow"):
     """Dataset of ``per_bucket(bucket_id, rows)`` over the buckets that
-    ``bucket_of(table) -> int64 array`` assigns the rows of ``sides``.
-    ``rows`` is one ``batch_format`` batch; for a tuple of Datasets it
-    is one batch per side holding exactly that side's columns and types
-    (a column null on all of a bucket's rows is kept, and one side's
-    nulls never widen another's ints), or ``None`` where the side has
-    no rows in the bucket. Both UDFs handed to Ray carry
-    ``per_bucket``'s ``__module__`` and ``__qualname__``, so operator
-    and span names name the caller's step."""
+    ``bucket_of(table) -> int64 array`` assigns the rows of ``sides``
+    (a Dataset, or a tuple of Datasets). ``rows`` is one
+    ``batch_format`` batch; for a tuple it is one batch per side holding
+    exactly that side's columns and types, or ``None`` where the side
+    has no rows in the bucket. The inputs run to completion first, the
+    output is materialized, and an exception raised in ``per_bucket``
+    reaches the caller as its own type. Output row order is by part,
+    then bucket: callers that need an order sort."""
+    import ray
+    import ray.data as rd
+
     multi = isinstance(sides, tuple)
-    wraps = functools.wraps(per_bucket)
-
-    def tagger(side):
-        @wraps
-        def tag(t: pa.Table) -> pa.Table:
-            bucket = bucket_of(t)
-            if side is not None:  # prefix: each side's columns stay its own
-                t = t.rename_columns(["%d:%s" % (side, n) for n in t.column_names])
-                t = t.append_column(SIDE, pa.array(np.full(len(bucket), side, np.int8)))
-            return t.append_column(TAG, pa.array(bucket, type=pa.int64()))
-
-        return tag
-
-    if multi:
-        tagged = [ds.map_batches(tagger(i), batch_format="pyarrow")
-                  for i, ds in enumerate(sides)]
-        ds = tagged[0].union(*tagged[1:])
-    else:
-        ds = sides.map_batches(tagger(None), batch_format="pyarrow")
-
-    def side_rows(t: pa.Table, side: int):
-        rows = t.filter(pc.equal(t.column(SIDE), side))
-        if rows.num_rows == 0:
-            return None  # the shuffle drops empty slices: no columns known
-        prefix = "%d:" % side
-        names = [n for n in t.column_names if n.startswith(prefix)]
-        rows = rows.select(names).rename_columns([n[len(prefix):] for n in names])
-        return _as_format(rows, batch_format)
-
-    @wraps
-    def per_group(t: pa.Table):
-        if multi:
-            rows = tuple(side_rows(t, i) for i in range(len(sides)))
-        else:
-            rows = _as_format(t.drop_columns([TAG]), batch_format)
-        return per_bucket(t.column(TAG)[0].as_py(), rows)
-
-    return ds.groupby(TAG).map_groups(per_group, batch_format="pyarrow")
+    blocks = [[ref for bundle in ds.iter_internal_ref_bundles()
+               for ref, meta in bundle.blocks if meta.num_rows != 0]
+              for ds in (sides if multi else (sides,))]
+    num_parts = sum(map(len, blocks))
+    split = ray.remote(split_block).options(num_returns=num_parts)
+    bucket_of = ray.put(bucket_of)
+    slices = [split.remote(ref, bucket_of, num_parts) for side in blocks for ref in side]
+    if num_parts == 1:
+        slices = [[s] for s in slices]
+    reduce, per_bucket = ray.remote(reduce_part), ray.put(per_bucket)
+    counts = [len(side) for side in blocks]
+    return rd.from_arrow_refs([
+        reduce.remote(per_bucket, batch_format, multi, counts, *(s[p] for s in slices))
+        for p in range(num_parts)])
