@@ -599,7 +599,7 @@ def run_dedup_150k() -> dict:
 
     pcal = [round(_timed_parallel_calib(), 3)]
     t = time.time()
-    verified, _ = near_dup_pairs(ds, threshold=0.5)
+    verified, stats = near_dup_pairs(ds, threshold=0.5)
     dt = time.time() - t
     pcal.append(round(_timed_parallel_calib(), 3))
     planted_found = int(
@@ -611,12 +611,13 @@ def run_dedup_150k() -> dict:
         "unit": "docs/sec",
         "sec": round(dt, 3),
         "n_docs": n_docs,
-        "band_rows": n_docs * 16,
-        "tier": "large" if n_docs * 16 > 2_000_000 else "small",
+        "band_rows": stats["band_rows"],
+        "tier": stats["tier"],
         "verified_pairs": int(len(verified)),
         "planted": PLANT,
         "planted_found": planted_found,
         "num_cpus": NUM_CPUS,
+        "near_dup": stats,
     }
     ray.shutdown()
     return out

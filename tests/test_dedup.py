@@ -511,3 +511,146 @@ def test_verify_reused_ids_get_own_texts(ray_session):
         for nb in (1, 8):
             got = verify_jaccard_pairs(pairs, docs, threshold=0.5, num_buckets=nb)
             assert _triples(got.to_pandas()) == want
+
+
+def test_doc_shingle_dedup_keeps_every_distinct_value():
+    """The per-doc shingle-set dedup sorts on a truncated (doc, top
+    shingle bits) key: values that share their top bits and duplicates
+    interleaved between them must still come out as exactly each doc's
+    set (np.unique), docs contiguous and in order."""
+    from warcit_ray.stages.dedup import _dedup_doc_shingles
+
+    rng = np.random.default_rng(11)
+    n = 1000  # nb = 10: the key keeps a shingle's top 54 bits
+    counts = rng.integers(0, 12, n)
+    counts[[0, 7, n - 1]] = [0, 40, 25]
+    segs = []
+    for c in counts:
+        # a few bases, high bit set or not, each with low-bit variants that
+        # tie on the truncated key, drawn with repeats and interleaved
+        high = rng.integers(0, 2, 3).astype(np.uint64) << np.uint64(63)
+        bases = rng.integers(0, 1 << 63, 3, dtype=np.uint64) | high
+        pool = bases[:, None] ^ rng.integers(0, 1 << 10, (3, 4), dtype=np.uint64)
+        segs.append(rng.choice(pool.reshape(-1), int(c)))
+    flat = np.concatenate(segs).astype(np.uint64)
+    fs, got_counts = _dedup_doc_shingles(flat, counts)
+    assert got_counts.sum() == len(fs) and len(got_counts) == n
+    ends = np.cumsum(got_counts)
+    for d, seg in enumerate(segs):
+        got = fs[ends[d] - got_counts[d]: ends[d]]
+        assert set(got.tolist()) == set(np.unique(seg).tolist())
+        assert len(got) <= len(seg)
+    # one doc of equal-top-bit values, duplicates alternating
+    x = np.array([5, 9, 5, 9, 5, 3, 3, 9], dtype=np.uint64) | np.uint64(0xABC << 40)
+    fs, got_counts = _dedup_doc_shingles(x, np.array([len(x)]))
+    assert sorted(set(fs.tolist())) == np.unique(x).tolist()
+
+
+def test_minhasher_vocab_cache_matches_fresh_hasher():
+    """One MinHasher over batches whose vocabularies overlap, are
+    disjoint, and cross the cache reset gives the signatures of a
+    fresh hasher per batch and of the per-doc ``signature()``."""
+    from warcit_ray.stages.dedup import MinHasher
+
+    rng = np.random.default_rng(2)
+
+    def batch(vocab, n):
+        texts = [" ".join(rng.choice(vocab, int(rng.integers(0, 12))))
+                 for _ in range(n)]
+        return pa.table({"doc_id": pa.array(range(n), pa.int64()),
+                         "text": pa.array(texts)})
+
+    v1 = ["a%d" % i for i in range(40)]
+    v2 = v1[20:] + ["b%d" % i for i in range(40)]  # overlaps v1
+    v3 = ["c%d" % i for i in range(60)]             # disjoint
+    batches = [batch(v, 50) for v in (v1, v2, v3, v1, v3, v2)]
+    shared = MinHasher()
+    shared._VOCAB_MAX = 100  # resets several times over these batches
+    sizes = []
+    for b in batches:
+        got = shared(b).column("minhash").to_pylist()
+        sizes.append(len(shared._tok_cache))
+        assert got == MinHasher()(b).column("minhash").to_pylist()
+        want = [MinHasher().signature(t).view(np.int64).tolist()
+                for t in b.column("text").to_pylist()]
+        assert got == want
+    assert max(sizes) <= 100
+    assert any(b < a for a, b in zip(sizes, sizes[1:]))  # it did reset
+
+
+def test_affine_minima_exact_at_the_fold_boundary():
+    """The one-fold Mersenne reduction equals ``%`` also where a * x + b
+    (mod 2^64) folds to [p, 2p): shingles crafted per odd multiplier to
+    land there, one doc each so every value is its doc's minimum."""
+    from warcit_ray.stages.dedup import MinHasher
+
+    mh = MinHasher()
+    p = (1 << 61) - 1
+    xs = []
+    for a, b in zip(mh.a.tolist(), mh.b.tolist()):
+        if a % 2:
+            inv = pow(a, -1, 1 << 64)
+            xs += [x for hi in range(8) for lo in range(p - hi, p + 1)
+                   for x in [((hi << 61 | lo) - b) * inv % (1 << 64)] if x < 1 << 61]
+    assert len(xs) > 20
+    x = np.array(xs + [0, 1, p - 1, p, p + 1, (1 << 61) - 2], dtype=np.uint64)
+    xm = x & np.uint64(p)  # the kernel keeps a shingle's low 61 bits
+    want = ((mh.a[:, None] * xm[None, :] + mh.b[:, None]) % np.uint64(p)).T
+    assert (mh._affine_minima(x, np.ones(len(x), dtype=np.int64)) == want).all()
+    counts = np.array([len(x) - 5, 0, 5])
+    got = mh._affine_minima(x, counts)
+    assert (got[0] == want[:-5].min(axis=0)).all() and (got[1] == 0).all()
+    assert (got[2] == want[-5:].min(axis=0)).all()
+
+
+def test_near_dup_pairs_reads_input_once(tmp_path, ray_session):
+    """Both candidate tiers execute each input row exactly once: the
+    corpus is materialized once and every later stage reads that."""
+    from warcit_ray.stages.dedup import near_dup_pairs
+
+    texts = ["w%d alpha beta gamma delta epsilon" % (i % 25) for i in range(60)]
+    rows = [{"doc_id": i, "text": t, "extra": i * 2} for i, t in enumerate(texts)]
+    for tier, small_threshold in (("small", 10**9), ("large", 0)):
+        log = tmp_path / ("rows-%s.txt" % tier)
+
+        def count_rows(t: pa.Table, _log=str(log)) -> pa.Table:
+            with open(_log, "a") as fh:
+                fh.write("%d\n" % t.num_rows)
+            return t
+
+        ds = rd.from_items(rows, override_num_blocks=4).map_batches(
+            count_rows, batch_format="pyarrow")
+        verified, stats = near_dup_pairs(ds, threshold=0.9,
+                                         small_threshold=small_threshold)
+        assert sum(map(int, log.read_text().split())) == len(rows)
+        assert stats["tier"] == tier and stats["docs"] == len(rows)
+        assert stats["band_rows"] == len(rows) * 16
+        # 25 texts, each 2-3 times: every copy pair verifies at 1.0
+        assert stats["verified_pairs"] == len(verified) == 25 * 1 + 10 * 2
+        assert stats["candidate_rows"] >= len(verified)
+        assert all(stats[k] >= 0 for k in ("read_s", "signature_s", "emit_s",
+                                           "verify_s"))
+
+
+def test_empty_pair_results_are_typed(ray_session):
+    """No pair passing the threshold still gives typed frames: the
+    large tier's (id_a, id_b, jaccard) and embedding near-dup's
+    (id_a, id_b, cosine)."""
+    from warcit_ray.stages.dedup import near_dup_pairs
+
+    rng = np.random.default_rng(0)
+    ds = rd.from_arrow(pa.table({
+        "vec_id": pa.array(np.arange(40, dtype=np.int64)),
+        "embedding": pa.array(rng.normal(size=(40, 8)).tolist(),
+                              type=pa.list_(pa.float32()))}))
+    pairs = embedding_near_dups(ds, threshold=0.9999)
+    assert len(pairs) == 0
+    assert pairs.dtypes.astype(str).to_dict() == {
+        "id_a": "int64", "id_b": "int64", "cosine": "float64"}
+    docs = rd.from_items([{"doc_id": i, "text": "d%d only its own words here" % i}
+                          for i in range(30)])
+    for small_threshold in (0, 10**9):
+        verified, stats = near_dup_pairs(docs, small_threshold=small_threshold)
+        assert len(verified) == 0 and stats["verified_pairs"] == 0
+        assert verified.dtypes.astype(str).to_dict() == {
+            "id_a": "int64", "id_b": "int64", "jaccard": "float64"}

@@ -12,8 +12,10 @@ Chains the engine's cleaning stages over a documents table
   [-> optional language ID] -> partitioned parquet out.
 
 Output is written with ``Dataset.write_parquet`` (one file per block —
-resumable, never one giant file). Prints ONE JSON stats line. Owns a
-Ray session only when run as a script (guarded init)."""
+resumable, never one giant file). Prints ONE JSON stats line; with
+``--near-dup`` it carries the near-dup stage's own stats (tier, rows
+per layer, phase seconds) under ``near_dup``. Owns a Ray session only
+when run as a script (guarded init)."""
 
 from __future__ import annotations
 
@@ -58,6 +60,7 @@ def clean(ns) -> dict:
     kept = distinct_rows(ds, id_col=ns.id_col, text_col=ns.text_col)
 
     n_near = 0
+    near_stats = {}
     if ns.near_dup:
         from warcit_ray.stages.dedup import minhash_lsh_dedup
 
@@ -71,8 +74,8 @@ def clean(ns) -> dict:
                     ["text" if c == ns.text_col else c
                      for c in t.schema.names]),
                 batch_format="pyarrow")
-        dup, _ = minhash_lsh_dedup(nd_ds, threshold=ns.near_dup_threshold,
-                                   id_col=ns.id_col)
+        dup, near_stats = minhash_lsh_dedup(
+            nd_ds, threshold=ns.near_dup_threshold, id_col=ns.id_col)
         n_near = dup.count()
         if n_near:
             # size-gated anti-join (broadcast under threshold, bucketed
@@ -107,9 +110,12 @@ def clean(ns) -> dict:
 
     n_out = sum(pq.read_metadata(f).num_rows
                 for f in glob.glob(os.path.join(ns.out, "*.parquet")))
-    return {"rows_in": n_in, "rows_out": n_out,
-            "near_dups_removed": n_near, "min_quality": min_q,
-            "out": os.path.abspath(ns.out)}
+    stats = {"rows_in": n_in, "rows_out": n_out,
+             "near_dups_removed": n_near, "min_quality": min_q,
+             "out": os.path.abspath(ns.out)}
+    if ns.near_dup:
+        stats["near_dup"] = near_stats
+    return stats
 
 
 def main(args=None) -> int:

@@ -5,8 +5,10 @@ Shuffle discipline (the 100 TB design point):
 - exact dedup: hash computed per batch (vectorized) -> PARTIAL
   aggregation inside map_batches (one row per hash per batch) -> one
   small groupby over partials. The full rows never shuffle.
-- MinHash LSH: signatures per batch -> explode to (band, band_hash,
-  doc) rows -> DISTRIBUTED candidate-pair emit (a bucket shuffle on
+- MinHash LSH: the input executes once, into a materialized (id, text)
+  corpus; one pass over it computes each batch's signatures and
+  explodes them straight to (band_hash, doc) rows (signatures never
+  materialize) -> DISTRIBUTED candidate-pair emit (a bucket shuffle on
   the band key with a per-bucket member cap) -> DISTRIBUTED
   exact-Jaccard verify in two more shuffles: pair halves meet their
   doc (the corpus's only shuffle, which also drops the cross-band
@@ -263,16 +265,6 @@ def filter_out_ids(ds, drop_ids_ds, id_col: str = "doc_id", *,
 _MERSENNE = np.uint64((1 << 61) - 1)
 
 
-def _mod_mersenne61(x: np.ndarray) -> np.ndarray:
-    """Exact ``x % (2^61 - 1)`` for uint64 arrays via the Mersenne fold
-    (y = hi*2^61 + lo ≡ hi + lo): two shift-add folds plus one
-    conditional subtract — byte-identical to ``%`` and ~10x faster than
-    numpy's per-element uint64 remainder, which dominated the signature
-    stage."""
-    x = (x >> np.uint64(61)) + (x & _MERSENNE)
-    x = (x >> np.uint64(61)) + (x & _MERSENNE)
-    return np.where(x >= _MERSENNE, x - _MERSENNE, x)
-
 def _tok_hash_plain(tok: str) -> int:
     return int.from_bytes(
         hashlib.blake2b(tok.encode("utf-8"), digest_size=8).digest(), "little"
@@ -308,12 +300,44 @@ def shingle_hashes(text: str, k: int = 3,
     return np.unique(acc)
 
 
+def _dedup_doc_shingles(flat_sh: np.ndarray, counts: np.ndarray) -> tuple:
+    """Per-doc shingle-SET dedup, vectorized across docs: (flat uint64
+    shingles, per-doc counts) -> the same with repeats dropped. The
+    affine stage is O(num_perm x shingles), and repetitive docs — the
+    norm in near-dup corpora — would otherwise multiply its work
+    (measured 9x shingle inflation on a repeat-heavy batch).
+
+    One argsort of a single uint64 key, the doc in the top ``nb`` bits
+    and the shingle's top ``64 - nb`` bits below, keeps docs contiguous
+    and in order (9 ms on 210k keys, against 88 ms for a lexsort of the
+    two columns). A row drops only when its full (doc, shingle) equals
+    the row before it, so no distinct shingle is ever lost; where
+    truncated keys tie, a duplicate may survive, and a duplicate cannot
+    change a minimum."""
+    n = len(counts)
+    nb = n.bit_length()
+    doc = np.repeat(np.arange(n, dtype=np.int64), counts)
+    order = np.argsort((doc.view(np.uint64) << np.uint64(64 - nb))
+                       | (flat_sh >> np.uint64(nb)))
+    fs = flat_sh[order]
+    dd = doc[order]
+    keep = np.empty(len(fs), dtype=bool)
+    keep[:1] = True
+    keep[1:] = (dd[1:] != dd[:-1]) | (fs[1:] != fs[:-1])
+    return fs[keep], np.bincount(dd[keep], minlength=n).astype(np.int64)
+
+
 class MinHasher:
-    """Word-shingle MinHash signatures. Actor-pool class: the
-    permutation table AND a token-hash cache live for the actor's
-    lifetime — each distinct token is blake2b-hashed exactly once per
-    actor; shingle hashes are then a vectorized rolling polynomial over
-    the token-hash array (no per-shingle hashlib calls)."""
+    """Word-shingle MinHash signatures. One instance per worker process
+    (``minhash_sig_batch``'s cache, run by stateless tasks): the
+    permutation table AND a token-hash cache live for the process's
+    lifetime, so each distinct token is blake2b-hashed once per worker
+    (until the cache starts over at ``_VOCAB_MAX``); shingle hashes
+    are then a vectorized rolling polynomial over the token-hash array
+    (no per-shingle hashlib calls)."""
+
+    # token-hash cache entries kept before the cache starts over
+    _VOCAB_MAX = 1_000_000
 
     def __init__(self, num_perm: int = 64, shingle_k: int = 3, seed: int = 1):
         rng = np.random.default_rng(seed)
@@ -323,17 +347,27 @@ class MinHasher:
         self.k = shingle_k
         self._tok_cache: dict[str, int] = {}
 
-    def _tok_hash(self, tok: str) -> int:
-        h = self._tok_cache.get(tok)
-        if h is None:
-            if len(self._tok_cache) > 1_000_000:
-                self._tok_cache.clear()
-            h = _tok_hash_plain(tok)
-            self._tok_cache[tok] = h
-        return h
+    def _token_hashes(self, tokens: pa.Array) -> np.ndarray:
+        """uint64 hash of each DISTINCT token of a batch (a dictionary).
+        The tokens cross into Python as one object array (``to_numpy``;
+        ``to_pylist`` costs 20x more) and look up this worker's cache;
+        only tokens not seen before are blake2b-hashed. The cost is
+        O(batch vocabulary), whatever the cache holds: an Arrow
+        ``index_in`` against the cached vocabulary rebuilds its hash
+        table every call (264 ms per 17k tokens at 1M cached, measured,
+        against 18 ms here)."""
+        cache = self._tok_cache
+        toks = tokens.to_numpy(zero_copy_only=False)
+        new = [t for t in toks if t not in cache]
+        if len(cache) + len(new) > self._VOCAB_MAX:
+            cache.clear()
+            new = toks  # every token of the batch rehashes into the fresh cache
+        cache.update(zip(new, map(_tok_hash_plain, new)))
+        return np.fromiter(map(cache.__getitem__, toks), dtype=np.uint64,
+                           count=len(toks))
 
     def shingles(self, text: str) -> np.ndarray:
-        return shingle_hashes(text, self.k, self._tok_hash)
+        return shingle_hashes(text, self.k)
 
     def signature(self, text: str) -> np.ndarray:
         sh = self.shingles(text)
@@ -357,13 +391,12 @@ class MinHasher:
     def _flat_shingles(self, batch: pa.Table) -> tuple:
         """Cross-doc vectorized shingling -> (flat uint64 shingle array
         in doc order, per-doc shingle counts). Tokenization is one
-        Arrow kernel; each DISTINCT token hashes once per batch
-        (dictionary encode); the k-token rolling polynomial runs
-        GLOBALLY over the flat token-hash array with doc-crossing
-        windows masked out. Value-identical to per-doc shingle_hashes
-        up to duplicates — duplicate shingles are kept (a per-doc
-        np.unique would cost more than the duplicates do), which cannot
-        change the affine MINIMA the signature takes."""
+        Arrow kernel; each DISTINCT token of the batch is looked up once
+        (dictionary encode, then ``_token_hashes``); the k-token rolling
+        polynomial runs GLOBALLY over the flat token-hash array with
+        doc-crossing windows masked out. Each doc's shingle SET comes
+        out, up to a few surviving duplicates (see the dedup below),
+        which cannot change the affine MINIMA the signature takes."""
         import pyarrow.compute as pc
 
         text = batch.column("text")
@@ -381,9 +414,7 @@ class MinHasher:
         # trailing whitespace — drop empty tokens
         valid = pc.binary_length(flat).to_numpy(zero_copy_only=False) > 0
         dic = flat.dictionary_encode()
-        vocab = dic.dictionary.to_pylist()
-        vh = np.fromiter((self._tok_hash(t) for t in vocab),
-                         dtype=np.uint64, count=len(vocab))
+        vh = self._token_hashes(dic.dictionary)
         th = vh[dic.indices.to_numpy(zero_copy_only=False)][valid]
         ends_raw = np.cumsum(raw)
         cv = np.concatenate([[0], np.cumsum(valid)])
@@ -401,10 +432,13 @@ class MinHasher:
         if n_th >= k:
             acc = th[: n_th - k + 1].copy()
             for j in range(1, k):
-                acc = acc * self._ROLL + th[j: n_th - k + 1 + j]
-            p = np.arange(n_th - k + 1)
-            doc_of = np.searchsorted(ends_f, p, side="right")
-            ok = (p + k) <= ends_f[doc_of]
+                acc *= self._ROLL
+                acc += th[j: n_th - k + 1 + j]
+            # a window starting at end - j (0 < j < k) crosses that doc end
+            ok = np.ones(len(acc), dtype=bool)
+            for j in range(1, k):
+                p = ends_f - j
+                ok[p[(p >= 0) & (p < len(ok))]] = False
             flat_sh[np.repeat(m >= k, sc)] = acc[ok]
         short = np.nonzero((m > 0) & (m < k))[0]
         if len(short):
@@ -415,56 +449,64 @@ class MinHasher:
                 for j in range(1, int(m[d])):
                     a = a * self._ROLL + seg[j: j + 1]
                 flat_sh[out_ends[d] - 1] = a[0]
-        # per-doc shingle-SET dedup, vectorized across docs (one lexsort):
-        # the affine stage is O(num_perm x shingles), and repetitive docs
-        # — the norm in near-dup corpora — would otherwise multiply its
-        # work (measured 9x shingle inflation on a repeat-heavy batch)
-        doc = np.repeat(np.arange(n, dtype=np.int64), sc)
-        order = np.lexsort((flat_sh, doc))
-        fs = flat_sh[order]
-        dd = doc[order]
-        keep = np.empty(len(fs), dtype=bool)
-        keep[0] = True
-        keep[1:] = (dd[1:] != dd[:-1]) | (fs[1:] != fs[:-1])
-        return fs[keep], np.bincount(dd[keep], minlength=n).astype(np.int64)
+        return _dedup_doc_shingles(flat_sh, sc)
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         """Batched signatures, value-identical to per-doc ``signature``
         (equivalence-tested): tokenize/hash/shingle vectorize ACROSS
         docs (_flat_shingles — the per-doc shingle_hashes calls were
-        ~80% of signature wall time at 150k docs), the affine
-        transforms run as slabbed (num_perm, slab) matrix ops, and the
-        per-doc minima come from a single ``np.minimum.reduceat`` over
-        the doc-boundary segments."""
+        ~80% of signature wall time at 150k docs), then
+        ``_affine_minima``."""
         n = batch.num_rows
-        flat_all, counts = self._flat_shingles(batch)
-        sigs = np.zeros((n, self.num_perm), dtype=np.uint64)
-        nz = np.nonzero(counts)[0]
-        if len(nz):
-            flat = flat_all & np.uint64(0x1FFFFFFFFFFFFFFF)
-            ends = np.cumsum(counts[nz])
-            starts = ends - counts[nz]
-            lo = 0
-            while lo < len(nz):
-                # grow the slab doc-by-doc up to _SHINGLE_SLAB shingles
-                # (always at least one doc, so a degenerate huge doc
-                # still computes — same matrix shape the per-doc path had)
-                hi = lo + 1
-                while hi < len(nz) and ends[hi - 1] - starts[lo] < self._SHINGLE_SLAB:
-                    hi += 1
-                seg = flat[starts[lo]: ends[hi - 1]]
-                v = _mod_mersenne61(
-                    self.a[:, None] * seg[None, :] + self.b[:, None])
-                mins = np.minimum.reduceat(v, starts[lo:hi] - starts[lo],
-                                           axis=1)
-                sigs[nz[lo:hi]] = mins.T
-                lo = hi
+        sigs = self._affine_minima(*self._flat_shingles(batch))
         values = pa.array(sigs.view(np.int64).reshape(-1))
         offsets = pa.array(
             np.arange(0, (n + 1) * self.num_perm, self.num_perm,
                       dtype=np.int32))
         arr = pa.ListArray.from_arrays(offsets, values)
         return batch.append_column("minhash", arr)
+
+    def _affine_minima(self, flat: np.ndarray, counts: np.ndarray) -> np.ndarray:
+        """(flat shingles, per-doc counts) -> (docs, num_perm) uint64
+        minima of ``(a * sh + b) mod (2^61 - 1)``, 0 for a doc without
+        shingles. The affine transforms run in place in one
+        (num_perm, slab) buffer, and each slab's per-doc minima come
+        from one ``np.minimum.reduceat`` over its doc segments."""
+        sigs = np.zeros((len(counts), self.num_perm), dtype=np.uint64)
+        nz = np.nonzero(counts)[0]
+        if len(nz) == 0:
+            return sigs
+        flat = flat & np.uint64(0x1FFFFFFFFFFFFFFF)
+        ends = np.cumsum(counts[nz])
+        starts = ends - counts[nz]
+        a, b = self.a[:, None], self.b[:, None]
+        # a slab stops at the first doc that takes it to _SHINGLE_SLAB
+        width = self._SHINGLE_SLAB + int(counts.max())
+        buf = np.empty((2, self.num_perm * width), dtype=np.uint64)
+        lo = 0
+        while lo < len(nz):
+            # grow the slab doc-by-doc up to _SHINGLE_SLAB shingles
+            # (always at least one doc)
+            hi = lo + 1
+            while hi < len(nz) and ends[hi - 1] - starts[lo] < self._SHINGLE_SLAB:
+                hi += 1
+            seg = flat[None, starts[lo]: ends[hi - 1]]
+            size = self.num_perm * seg.shape[1]
+            v = buf[0, :size].reshape(self.num_perm, -1)
+            t = buf[1, :size].reshape(self.num_perm, -1)
+            np.multiply(a, seg, out=v)  # wraps mod 2^64, as ``%`` sees it
+            v += b
+            # one Mersenne fold (hi*2^61 + lo == hi + lo): v < 2p after
+            # it, so one wrapping subtract-and-min finishes the mod
+            np.right_shift(v, np.uint64(61), out=t)
+            v &= _MERSENNE
+            v += t
+            np.subtract(v, _MERSENNE, out=t)
+            np.minimum(v, t, out=v)
+            sigs[nz[lo:hi]] = np.minimum.reduceat(
+                v, starts[lo:hi] - starts[lo], axis=1).T
+            lo = hi
+        return sigs
 
 
 # worker-process MinHasher cache: signature state (permutation table +
@@ -758,14 +800,18 @@ def verify_jaccard_pairs(pairs_ds, docs_ds, *, id_col: str = "doc_id",
     Returns a Dataset of (id_a, id_b, jaccard), id_a the smaller id,
     for pairs passing ``threshold``; a pair with a side missing from
     the corpus drops, and a corpus is assumed to carry one row per id
-    (the small tier assumes the same)."""
+    (the small tier assumes the same). A ``docs_ds`` whose schema is
+    known to be exactly (``id_col``, ``text_col``) — ``near_dup_pairs``
+    passes its materialized corpus — enters the attach shuffle as it
+    is; any other is projected to those columns first."""
     import pyarrow.compute as pc
 
     sets_type = pa.large_list(pa.uint64())
 
     def halves(t: pa.Table) -> pa.Table:
+        # keyed on id_col, so one bucket_of serves both shuffle sides
         a, b = t.column("id_a").to_numpy(), t.column("id_b").to_numpy()
-        return pa.table({"doc": np.concatenate([a, b]), "id_a": np.tile(a, 2),
+        return pa.table({id_col: np.concatenate([a, b]), "id_a": np.tile(a, 2),
                          "id_b": np.tile(b, 2)})
 
     def attach(_bucket: int, sides) -> pa.Table:
@@ -774,12 +820,12 @@ def verify_jaccard_pairs(pairs_ds, docs_ds, *, id_col: str = "doc_id",
             return pa.table({"id_a": pa.array([], pa.int64()),
                              "id_b": pa.array([], pa.int64()),
                              "shingles": pa.array([], sets_type)})
-        h = h.group_by(["doc", "id_a", "id_b"]).aggregate([])  # one copy per half
-        row = pc.index_in(h["doc"], value_set=docs["doc"].combine_chunks())
+        h = h.group_by([id_col, "id_a", "id_b"]).aggregate([])  # one copy per half
+        row = pc.index_in(h[id_col], value_set=docs[id_col].combine_chunks())
         h = h.filter(row.is_valid())  # drop halves whose doc is not in the corpus
         used, inv = np.unique(row.drop_null().to_numpy(), return_inverse=True)
         sets = pa.array([shingle_hashes(x if isinstance(x, str) else "", shingle_k)
-                         for x in docs["text"].take(used).to_pylist()], sets_type)
+                         for x in docs[text_col].take(used).to_pylist()], sets_type)
         return pa.table({"id_a": h["id_a"], "id_b": h["id_b"],
                          "shingles": sets.take(inv)})
 
@@ -796,12 +842,12 @@ def verify_jaccard_pairs(pairs_ds, docs_ds, *, id_col: str = "doc_id",
         return pa.table({"id_a": np.minimum(a, b), "id_b": np.maximum(a, b),
                          "jaccard": j[keep]})
 
-    docs = docs_ds.map_batches(
-        lambda t: pa.table({"doc": t[id_col], "text": t[text_col]}),
-        batch_format="pyarrow")
+    schema = docs_ds.schema(fetch_if_missing=False)
+    if schema is None or sorted(schema.names) != sorted([id_col, text_col]):
+        docs_ds = docs_ds.select_columns([id_col, text_col])
     attached = bucket_shuffle(
-        (pairs_ds.map_batches(halves, batch_format="pyarrow"), docs),
-        key_buckets("doc", num_buckets), attach)
+        (pairs_ds.map_batches(halves, batch_format="pyarrow"), docs_ds),
+        key_buckets(id_col, num_buckets), attach)
     return bucket_shuffle(attached, pair_buckets, row_jaccard)
 
 
@@ -848,8 +894,8 @@ def _verify_jaccard_small(pair_df: pd.DataFrame, docs_ds, *,
         return pa.table({"id_a": np.minimum(a, b), "id_b": np.maximum(a, b),
                          "jaccard": j[keep]})
 
-    return sub.map_batches(verify, batch_format="pyarrow",
-                           batch_size=None).to_pandas()
+    return _pairs_frame(sub.map_batches(verify, batch_format="pyarrow",
+                                        batch_size=None), "jaccard")
 
 
 def components_from_pairs(pairs: list[tuple]) -> list[tuple]:
@@ -879,8 +925,9 @@ def minhash_lsh_dedup(ds, *, num_perm: int = 64, num_bands: int = 16,
                       id_col: str = "doc_id", concurrency: int | None = None,
                       bucket_cap: int = 256,
                       small_threshold: int = 2_000_000):
-    """Full near-dup pipeline -> Dataset(doc_id, dup_of) for docs whose
-    verified Jaccard >= threshold with a lower-id doc.
+    """Full near-dup pipeline -> (Dataset(doc_id, dup_of) for docs whose
+    verified Jaccard >= threshold with a lower-id doc, stats dict:
+    ``near_dup_pairs``' stats plus ``dups``, the dup map's rows).
 
     Every stage is distributed: signatures (stateless tasks over warm
     worker processes) -> band rows -> candidate pairs (coarse-bucketed
@@ -893,17 +940,30 @@ def minhash_lsh_dedup(ds, *, num_perm: int = 64, num_bands: int = 16,
     callers that must bound the job's footprint."""
     import ray.data as rd
 
-    verified, with_sig = near_dup_pairs(
+    verified, stats = near_dup_pairs(
         ds, num_perm=num_perm, num_bands=num_bands, shingle_k=shingle_k,
         threshold=threshold, id_col=id_col, bucket_cap=bucket_cap,
         small_threshold=small_threshold, concurrency=concurrency)
     keep = list(zip(verified["id_a"].astype("int64"),
-                    verified["id_b"].astype("int64"))) if len(verified) else []
+                    verified["id_b"].astype("int64")))
     rows = [(d, r) for d, r in components_from_pairs(keep) if d != r]
     # one block, typed even when empty (from_items makes a block per row)
     dup = pa.table({id_col: pa.array([d for d, _ in rows], pa.int64()),
                     "dup_of": pa.array([r for _, r in rows], pa.int64())})
-    return rd.from_arrow(dup), with_sig
+    return rd.from_arrow(dup), dict(stats, dups=len(rows))
+
+
+def _pairs_frame(ds, score: str) -> pd.DataFrame:
+    """``ds.to_pandas()`` of a pair Dataset (``None``: no pairs), typed
+    (id_a int64, id_b int64, score float64) also when it has no rows:
+    ``to_pandas`` of an empty Dataset has no columns, whatever its
+    blocks' schemas say."""
+    df = ds.to_pandas() if ds is not None else pd.DataFrame()
+    if len(df):
+        return df
+    return pd.DataFrame({"id_a": pd.Series([], dtype="int64"),
+                         "id_b": pd.Series([], dtype="int64"),
+                         score: pd.Series([], dtype="float64")})
 
 
 def near_dup_pairs(ds, *, num_perm: int = 64, num_bands: int = 16,
@@ -913,49 +973,67 @@ def near_dup_pairs(ds, *, num_perm: int = 64, num_bands: int = 16,
                    concurrency: int | None = None):
     """The MinHash+LSH pipeline up to (and including) the exact-Jaccard
     verify: returns (verified pairs DataFrame(id_a, id_b, jaccard),
-    with_sig Dataset). The verified pair list is the job's output-sized
+    stats dict). The verified pair list is the job's output-sized
     result, so it lands on the driver; callers needing components feed
     it to components_from_pairs / stages.components.connected_components.
-    The large tier runs three bucket shuffles: the candidate emit
-    (``_band_pair_rows``, pairs not yet distinct) and the two of
-    ``verify_jaccard_pairs``; the corpus enters only the verify's attach
-    shuffle. ``concurrency`` (optional int) is forwarded as the task cap
-    of the signature / banding map_batches stages."""
+
+    ``ds`` executes once: its (id, text) projection is materialized as
+    the corpus, one pass over it computes signatures and band rows
+    together (the signatures never materialize), and both verify tiers
+    read that corpus. The large tier then runs three bucket shuffles:
+    the candidate emit (``_band_pair_rows``, pairs not yet distinct)
+    and the two of ``verify_jaccard_pairs``. ``concurrency`` (optional
+    int) is forwarded as the task cap of the signature pass.
+
+    The stats: ``tier`` ("small" or "large"), ``docs``, ``band_rows``,
+    ``candidate_rows`` (emitted pair rows; on the large tier a pair
+    repeats once per emit bucket it collides in), ``verified_pairs``,
+    and the wall seconds of each phase: ``read_s`` (materializing the
+    corpus), ``signature_s`` (signatures + band rows), ``emit_s``
+    (candidate pairs) and ``verify_s``."""
+    import time
+
     kw = {} if concurrency is None else {"concurrency": concurrency}
-    with_sig = ds.map_batches(
-        minhash_sig_batch, fn_args=(num_perm, shingle_k),
+    t0 = time.perf_counter()
+    docs = ds.select_columns([id_col, "text"]).materialize()
+    t1 = time.perf_counter()
+    bands = docs.map_batches(
+        lambda b: lsh_band_rows(minhash_sig_batch(b, num_perm, shingle_k),
+                                num_bands, id_col),
         batch_format="pyarrow", **kw,
     ).materialize()
-    n_docs = with_sig.count()
-
-    bands = with_sig.map_batches(
-        lambda b: lsh_band_rows(b, num_bands, id_col), batch_format="pyarrow",
-        **kw,
-    )
-    n_rows = n_docs * num_bands
-    empty = pd.DataFrame({"id_a": pd.Series([], dtype="int64"),
-                          "id_b": pd.Series([], dtype="int64"),
-                          "jaccard": pd.Series([], dtype="float64")})
-    if n_rows > small_threshold:
-        # repeated pairs are fine: the verify's attach shuffle drops them
+    n_rows = bands.count()
+    t2 = time.perf_counter()
+    large = n_rows > small_threshold
+    if large:
         pairs = _band_pair_rows(bands, "bkey", id_col, n_rows,
                                 bucket_cap=bucket_cap)
-        verified = verify_jaccard_pairs(
-            pairs, ds, id_col=id_col, threshold=threshold, shingle_k=shingle_k
-        ).to_pandas()
-        return verified, with_sig
-    pairs = candidate_pairs_from_bands(
-        bands, "bkey", id_col, bucket_cap=bucket_cap,
-        n_rows_hint=n_rows, small_threshold=small_threshold,
-    )
-    if pairs is None:
-        return empty, with_sig
-    pair_df = pairs.to_pandas()  # (id_a, id_b) only — small tier
-    if len(pair_df) == 0:
-        return empty, with_sig
-    verified = _verify_jaccard_small(
-        pair_df, ds, id_col=id_col, threshold=threshold, shingle_k=shingle_k)
-    return verified, with_sig
+        n_cand = pairs.count()
+    else:
+        pairs = candidate_pairs_from_bands(
+            bands, "bkey", id_col, bucket_cap=bucket_cap,
+            n_rows_hint=n_rows, small_threshold=small_threshold,
+        )
+        pair_df = pairs.to_pandas() if pairs is not None else pd.DataFrame()
+        n_cand = len(pair_df)  # (id_a, id_b) only — small tier
+    t3 = time.perf_counter()
+    if large:
+        # repeated pairs are fine: the verify's attach shuffle drops them
+        verified = _pairs_frame(verify_jaccard_pairs(
+            pairs, docs, id_col=id_col, threshold=threshold,
+            shingle_k=shingle_k), "jaccard")
+    elif n_cand:
+        verified = _verify_jaccard_small(
+            pair_df, docs, id_col=id_col, threshold=threshold,
+            shingle_k=shingle_k)
+    else:
+        verified = _pairs_frame(None, "jaccard")
+    t4 = time.perf_counter()
+    return verified, {
+        "tier": "large" if large else "small", "docs": docs.count(),
+        "band_rows": n_rows, "candidate_rows": n_cand,
+        "verified_pairs": len(verified), "read_s": t1 - t0,
+        "signature_s": t2 - t1, "emit_s": t3 - t2, "verify_s": t4 - t3}
 
 
 # ---------------------------------------------------------------------------
@@ -1248,5 +1326,6 @@ def embedding_near_dups(ds, *, threshold: float = 0.95, id_col: str = "vec_id",
         a, b, s = _blocked_cosine_pairs(ids, v, threshold)
         return pd.DataFrame({"id_a": a, "id_b": b, "cosine": s})
 
-    return bucket_shuffle(ds, HyperplaneBucketer(vec_col, num_planes, seed),
-                          emit_pairs, batch_format="pandas").to_pandas()
+    pairs = bucket_shuffle(ds, HyperplaneBucketer(vec_col, num_planes, seed),
+                           emit_pairs, batch_format="pandas")
+    return _pairs_frame(pairs, "cosine")
