@@ -40,6 +40,8 @@ def test_cli_dir_mode_with_warc_out(site_dir, tmp_path, capsys, ray_session):
     assert rc == 0 and res["mode"] == "dir"
     assert res["admitted"] >= 3
     assert set(res["plane"]) == {"reused", "spawned", "lease_s"}
+    assert set(res["task_s"]) == {"fetch", "explode", "probe", "offer"}
+    assert res["task_s"]["fetch"] > 0
     assert res["plane"]["reused"] + res["plane"]["spawned"] == 4  # 2 + 2 shards
     assert res["warc_records"] == res["admitted"]
     from warcit_ray.sinks.warc_sink import parse_warc

@@ -210,52 +210,112 @@ def test_crawl_records_invariants(corpus, tmp_path):
         assert row["payload_digest"] == sha1_b32(row["payload"])
 
 
+def _load_records(root, drop=()):
+    """Every checkpointed record of ``root`` (minus the ``drop``
+    columns), sorted by (generation, host, seq)."""
+    out = []
+    for g in CrawlCheckpoint(root).complete_generations():
+        d = os.path.join(root, "gen=%05d" % g, "records")
+        if os.path.isdir(d):
+            for f in sorted(os.listdir(d)):
+                t = pq.read_table(os.path.join(d, f))
+                out.extend(t.drop_columns([c for c in drop if c in t.column_names])
+                           .to_pylist())
+    return sorted(out, key=lambda r: (r["generation"], r["host"], r["seq"]))
+
+
+def _next_frontier_paths(root):
+    return [p for g in os.listdir(root) for p in (
+        os.path.join(root, g, "next_frontier"),
+        os.path.join(root, g, "next_frontier.parquet")) if os.path.exists(p)]
+
+
+RESUME_KW = dict(n_seeds=6, max_generations=12, num_seen_shards=2,
+                 num_host_shards=2, clock_iso=CLOCK, seen_fp_bits=32,
+                 track_visits=True)
+
+
 def test_crawl_resume_bit_identical(corpus, tmp_path):
     graph = WebGraph(N)
-    kw = dict(n_seeds=6, max_generations=12, num_seen_shards=2,
-              num_host_shards=2, clock_iso=CLOCK, seen_fp_bits=32,
-              track_visits=True)
     ck_full = str(tmp_path / "full")
-    full = crawl(corpus, graph=graph, checkpoint_dir=ck_full, **kw)
+    crawl(corpus, graph=graph, checkpoint_dir=ck_full, **RESUME_KW)
+    a = _load_records(ck_full)
 
-    # record partitions identical (modulo row order within a generation)
-    def load_all(root):
-        out = []
-        for g in CrawlCheckpoint(root).complete_generations():
-            d = os.path.join(root, "gen=%05d" % g, "records")
-            if os.path.isdir(d):
-                for f in sorted(os.listdir(d)):
-                    out.extend(pq.read_table(os.path.join(d, f)).to_pylist())
-        return sorted(out, key=lambda r: (r["generation"], r["host"], r["seq"]))
+    ck_part = str(tmp_path / "part")
+    crawl(corpus, graph=graph, checkpoint_dir=ck_part,
+          stop_after_generation=3, **RESUME_KW)
+    # each generation offered its own links: the host-shard snapshots
+    # hold them, and no checkpoint keeps a next frontier
+    assert _next_frontier_paths(ck_part) == []
+    resumed = crawl(corpus, graph=graph, checkpoint_dir=ck_part,
+                    resume=True, **RESUME_KW)
+    assert resumed["plane"]["spawned"] == 0  # restored into pooled actors
 
-    a = load_all(ck_full)
-    # legacy: the stopped generation's next_frontier/ part directory is
-    # swapped for the single next_frontier.parquet older checkpoints wrote
-    for legacy in (False, True):
-        ck_part = str(tmp_path / ("part-legacy" if legacy else "part"))
-        crawl(corpus, graph=graph, checkpoint_dir=ck_part,
-              stop_after_generation=3, **kw)
-        if legacy:
-            d = CrawlCheckpoint(ck_part).gen_dir(3)
-            fdir = os.path.join(d, "next_frontier")
-            front = pq.read_table(fdir)
-            assert front.num_rows > 0
-            shutil.rmtree(fdir)
-            pq.write_table(front, os.path.join(d, "next_frontier.parquet"))
-        resumed = crawl(corpus, graph=graph, checkpoint_dir=ck_part,
-                        resume=True, **kw)
-        assert resumed["plane"]["spawned"] == 0  # restored into pooled actors
+    # same complete generations on disk
+    assert CrawlCheckpoint(ck_full).complete_generations() == \
+           CrawlCheckpoint(ck_part).complete_generations()
+    b = _load_records(ck_part)
+    assert len(a) == len(b)
+    for ra, rb in zip(a, b):
+        assert ra == rb
+    # the resumed run continued, not restarted: its visit log only
+    # covers generations after the stop point
+    assert all(g > 3 for g, _, _ in resumed["visit_log"])
 
-        # same complete generations on disk
-        assert CrawlCheckpoint(ck_full).complete_generations() == \
-               CrawlCheckpoint(ck_part).complete_generations()
-        b = load_all(ck_part)
-        assert len(a) == len(b)
-        for ra, rb in zip(a, b):
-            assert ra == rb
-        # the resumed run continued, not restarted: its visit log only
-        # covers generations after the stop point
-        assert all(g > 3 for g, _, _ in resumed["visit_log"])
+
+def test_resume_past_max_generations(corpus, tmp_path):
+    """A crawl cut short by max_generations offers its last generation's
+    links too (``seen`` counts them, as a serial crawl one generation
+    longer has seen them), so a resume with a larger budget continues
+    from the host state alone and writes an uninterrupted crawl's
+    records."""
+    graph = WebGraph(N)
+    ck_full = str(tmp_path / "full")
+    crawl(corpus, graph=graph, checkpoint_dir=ck_full, **RESUME_KW)
+    ck = str(tmp_path / "cut")
+    cut = crawl(corpus, graph=graph, checkpoint_dir=ck,
+                **dict(RESUME_KW, max_generations=4))
+    assert cut["generations"] == 4 and _next_frontier_paths(ck) == []
+    oracle = serial_oracle(graph, RESUME_KW["n_seeds"], 5, rate=1.0, capacity=2.0)
+    assert cut["seen"] == len(oracle["seen"])
+    crawl(corpus, graph=graph, checkpoint_dir=ck, resume=True, **RESUME_KW)
+    assert _load_records(ck) == _load_records(ck_full)
+
+
+# a crawl stopped after generation 3 by the code that checkpointed each
+# generation's links as an unoffered next_frontier/ (same RESUME_KW);
+# its records parts keep every column but the payload bytes, which
+# payload_digest pins
+NEXT_FRONTIER_CKPT = os.path.join(os.path.dirname(__file__), "fixtures",
+                                  "ckpt_next_frontier_n120")
+
+
+@pytest.mark.parametrize("legacy_file", [False, True])
+def test_resume_from_next_frontier_checkpoint(corpus, tmp_path, legacy_file):
+    """A checkpoint that still holds a next frontier (a next_frontier/
+    part directory, or the single next_frontier.parquet older ones
+    wrote) resumes bit-identically: the frontier is probed and offered
+    before the first admit, and the records it wrote equal a fresh
+    crawl's."""
+    graph = WebGraph(N)
+    ck_full = str(tmp_path / "full")
+    crawl(corpus, graph=graph, checkpoint_dir=ck_full, **RESUME_KW)
+    ck = str(tmp_path / "old")
+    shutil.copytree(NEXT_FRONTIER_CKPT, ck)
+    if legacy_file:
+        d = CrawlCheckpoint(ck).gen_dir(3)
+        front = pq.read_table(os.path.join(d, "next_frontier"))
+        assert front.num_rows > 0
+        shutil.rmtree(os.path.join(d, "next_frontier"))
+        pq.write_table(front, os.path.join(d, "next_frontier.parquet"))
+    resumed = crawl(corpus, graph=graph, checkpoint_dir=ck, resume=True, **RESUME_KW)
+    assert all(g > 3 for g, _, _ in resumed["visit_log"])
+    assert CrawlCheckpoint(ck_full).complete_generations() == \
+           CrawlCheckpoint(ck).complete_generations()
+    a, b = _load_records(ck_full, drop=("payload",)), _load_records(ck, drop=("payload",))
+    assert len(a) == len(b) and a == b
+    new = [r for r in _load_records(ck_full) if r["generation"] > 3]
+    assert new == [r for r in _load_records(ck) if r["generation"] > 3]
 
 
 def test_hot_host_cap():
@@ -291,6 +351,10 @@ def test_dataset_path_equivalent_to_direct_path(corpus):
     assert per_host(small["visit_log"]) == per_host(large["visit_log"])
     assert small["admitted"] == large["admitted"]
     assert small["seen"] == large["seen"]
+    assert small["offered"] == large["offered"]
+    # the Dataset wave's meta columns are summed like the ref tasks' meta
+    assert small["tiers"]["fetch"]["dataset"] == 0 < large["tiers"]["fetch"]["dataset"]
+    assert all(large["task_s"][k] > 0 for k in ("fetch", "explode", "probe", "offer"))
 
 
 def test_offer_batch_top_per_host_trim():
@@ -384,10 +448,9 @@ def test_bucket_lookup_matches_dict(corpus, ray_session):
 
 
 def test_checkpointed_resume_dataset_tier(corpus, tmp_path):
-    """VERDICT r2 #1: with the Dataset frontier tier FORCED
-    (task_frontier_threshold=0), the checkpointed next-frontier is
-    written distributed (next_frontier/ part files, never concatenated
-    on the driver) and resume from it is bit-identical."""
+    """With the Dataset fetch-wave tier FORCED (task_frontier_threshold=0)
+    the checkpoint keeps no next frontier (the wave offered every link)
+    and resume from it is bit-identical."""
     graph = WebGraph(N)
     kw = dict(n_seeds=6, max_generations=12, num_seen_shards=2,
               num_host_shards=2, clock_iso=CLOCK, seen_fp_bits=32,
@@ -398,11 +461,7 @@ def test_checkpointed_resume_dataset_tier(corpus, tmp_path):
     ck_part = str(tmp_path / "part")
     crawl(corpus, graph=graph, checkpoint_dir=ck_part,
           stop_after_generation=3, **kw)
-    # the interrupted checkpoint wrote the frontier as a distributed
-    # part-file directory (not a driver-concatenated single file)
-    fdirs = [os.path.join(ck_part, g, "next_frontier")
-             for g in sorted(os.listdir(ck_part))]
-    assert any(os.path.isdir(d) and os.listdir(d) for d in fdirs)
+    assert _next_frontier_paths(ck_part) == []
     resumed = crawl(corpus, graph=graph, checkpoint_dir=ck_part,
                     resume=True, **kw)
 
@@ -537,9 +596,9 @@ def test_corpus_cache_lru():
 
 
 def test_ref_tier_promotion_to_dataset_equivalent(corpus):
-    """A frontier bigger than task_frontier promotes the ref tier to
-    the streaming Dataset tier via from_arrow_refs (no driver transit);
-    forcing a tiny threshold must not change the crawl."""
+    """A generation admitting more than task_frontier rows runs its
+    fetch wave on the streaming Dataset tier; forcing a tiny threshold
+    must not change the crawl."""
     graph = WebGraph(N)
     kw = dict(n_seeds=6, max_generations=10, num_seen_shards=2,
               num_host_shards=2, clock_iso=CLOCK, seen_fp_bits=32,

@@ -632,6 +632,32 @@ def test_near_dup_pairs_reads_input_once(tmp_path, ray_session):
                                            "verify_s"))
 
 
+def test_near_dup_pairs_reuses_a_materialized_corpus(ray_session, monkeypatch):
+    """A materialized input of exactly (id, text) is the corpus itself:
+    the verify reads the input's own blocks, no copy."""
+    from warcit_ray.stages import dedup
+
+    texts = ["w%d alpha beta gamma delta epsilon" % (i % 25) for i in range(60)]
+    ds = rd.from_items([{"doc_id": i, "text": t} for i, t in enumerate(texts)],
+                       override_num_blocks=4).materialize()
+    seen = []
+    verify = dedup._verify_jaccard_small
+
+    def spy(pair_df, docs, **kw):
+        seen.append(docs)
+        return verify(pair_df, docs, **kw)
+
+    monkeypatch.setattr(dedup, "_verify_jaccard_small", spy)
+    verified, stats = dedup.near_dup_pairs(ds, threshold=0.9)
+    assert stats["tier"] == "small" and len(verified) == 25 * 1 + 10 * 2
+
+    def block_refs(d):
+        return [ref for bundle in d.iter_internal_ref_bundles()
+                for ref, _ in bundle.blocks]
+
+    assert len(seen) == 1 and block_refs(seen[0]) == block_refs(ds)
+
+
 def test_empty_pair_results_are_typed(ray_session):
     """No pair passing the threshold still gives typed frames: the
     large tier's (id_a, id_b, jaccard) and embedding near-dup's

@@ -1,6 +1,7 @@
 """Property/golden tests for the scalar library against the reference's
 observable behaviors (SURVEY §5 item 5)."""
 
+import numpy as np
 import pyarrow as pa
 import pytest
 
@@ -152,7 +153,70 @@ def test_surt_batch_parity():
     ]
     got = surt_batch(pa.array(urls, type=pa.string()))
     want = [surt(u) for u in urls]
-    assert got == want
+    assert got.to_pylist() == want
+    # every row of the simple shape: the Arrow path alone
+    simple = pa.array(urls[:2] + urls[-4:-2], type=pa.string())
+    assert surt_batch(simple).to_pylist() == [surt(u) for u in simple.to_pylist()]
+    assert surt_batch(pa.array([], type=pa.string())).to_pylist() == []
+
+
+def test_surt_hash64_batch_parity():
+    from warcit_ray.functions.urls import surt_hash64_batch
+
+    surts = ["com,example)/", "", "zip:ar.zip!m/ü.html", "x" * 300]
+    want = np.array([surt_hash64(x) for x in surts], dtype=np.uint64)
+    for arg in (surts, pa.array(surts), pa.array(["pad"] + surts).slice(1),
+                pa.chunked_array([surts[:1], surts[1:]])):
+        got = surt_hash64_batch(arg)
+        assert got.dtype == np.uint64 and (got == want).all()
+    assert len(surt_hash64_batch(pa.array([], type=pa.string()))) == 0
+
+
+def test_digest_kernels_match_scalar():
+    """sha1_b32_batch / record_id_batch equal the scalar functions:
+    empty batch, empty and 1-byte payloads, non-ASCII URIs, seq -1 and
+    above 2^32, and Arrow inputs that are slices or chunked."""
+    from warcit_ray.functions.digests import record_id_batch, sha1_b32_batch
+
+    assert sha1_b32_batch([]).to_pylist() == []
+    payloads = [b"", b"a", "päyload".encode(), bytes(range(256)) * 40]
+    want = [sha1_b32(p) for p in payloads]
+    for arg in (payloads, pa.array(payloads, type=pa.binary()),
+                pa.array([b"pad"] + payloads, type=pa.binary()).slice(1),
+                pa.chunked_array([payloads[:2], payloads[2:]], type=pa.binary())):
+        assert sha1_b32_batch(arg).to_pylist() == want
+    uris = ["http://h01.example/img/img00000000", "http://bücher.example/ü?q=1",
+            "", "file:///tmp/a b.html"]
+    seqs = [0, -1, 2**33 + 7, 17]
+    digests = sha1_b32_batch([u.encode() for u in uris])
+    got = record_id_batch(pa.array(uris), "2026-01-01T00:00:00Z", digests,
+                          "resource", pa.array(seqs, type=pa.int64()))
+    assert got.to_pylist() == [
+        record_id(u, "2026-01-01T00:00:00Z", d, "resource", s)
+        for u, d, s in zip(uris, digests.to_pylist(), seqs)]
+    empty = pa.array([], type=pa.string())
+    assert record_id_batch(empty, "d", empty, "resource",
+                           pa.array([], type=pa.int64())).to_pylist() == []
+
+
+@pytest.mark.parametrize("kw", [dict(n=120), dict(n=16000, n_hosts=1997, fanout=8,
+                                                   private_every=0),
+                                dict(n=500, n_hosts=150, fanout=3, private_every=5),
+                                dict(n=7, n_hosts=1, fanout=0)])
+def test_webgraph_link_kernels_match_scalar(kw):
+    """WebGraph.links_batch / urls_batch / idx_batch equal the scalar
+    methods, idx 0 and n_hosts >= 100 included, private_every on and off."""
+    from warcit_ray.pipelines.crawl import WebGraph
+
+    g = WebGraph(**kw)
+    idxs = np.arange(g.n, dtype=np.int64)
+    assert g.links_batch(idxs).type == pa.list_(pa.string())
+    assert g.links_batch(idxs).to_pylist() == [g.links(i) for i in range(g.n)]
+    assert g.urls_batch(idxs).to_pylist() == [g.url(i) for i in range(g.n)]
+    assert (g.idx_batch(pa.array([g.url(i) for i in range(g.n)])) == idxs).all()
+    assert g.links_batch(idxs[:0]).to_pylist() == []
+    with pytest.raises(ValueError):
+        g.idx_batch(pa.array(["http://h00.example/img/img12x"]))
 
 
 def test_bpeish_counts_match_regex():

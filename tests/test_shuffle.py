@@ -152,3 +152,35 @@ def test_mix_buckets_formula():
     want2 = [((((int(x) & m) * phi) & m) ^ (((int(y) & m) * c) & m)) >> 33
              for x, y in zip(k, j)]
     assert mix_buckets(7, k, j).tolist() == [w % 7 for w in want2]
+
+
+def test_bucket_shuffle_consumes_every_reduce_error(ray_session):
+    """per_bucket raising in every bucket of a 3-bucket shuffle over 4
+    blocks raises once, and no failed part is left for Ray to log as an
+    unhandled error."""
+    import gc
+    import logging
+    import time
+
+    def per_bucket(b: int, rows: pa.Table):
+        raise ValueError("refusing bucket %d" % b)
+
+    logged = []
+
+    class Catch(logging.Handler):
+        def emit(self, record):
+            logged.append(record.getMessage())
+
+    handler = Catch()
+    log = logging.getLogger("ray._private.worker")
+    log.addHandler(handler)
+    try:
+        ds = rd.range(N, override_num_blocks=4).materialize()
+        with pytest.raises(ValueError, match="refusing bucket 0"):
+            bucket_shuffle(ds, lambda t: t.column("id").to_numpy() % 3, per_bucket)
+        gc.collect()
+        time.sleep(2)  # the unhandled-error report runs when a ref is freed
+        gc.collect()
+    finally:
+        log.removeHandler(handler)
+    assert not [m for m in logged if "Unhandled error" in m], logged

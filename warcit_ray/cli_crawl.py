@@ -211,6 +211,7 @@ def main(args=None) -> int:
         "seen_fp_skips_est": res["seen_fp_skips_est"],
         "robots_blocked": res["robots_blocked"],
         "phase_times": res.get("phase_times"),
+        "task_s": res["task_s"],
         "tiers": res["tiers"],
         "plane": res["plane"],
         "checkpoint": ns.checkpoint,

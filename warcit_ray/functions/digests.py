@@ -12,16 +12,62 @@ import hashlib
 import uuid
 
 import numpy as np
+import pyarrow as pa
+
+_B32 = np.frombuffer(b"ABCDEFGHIJKLMNOPQRSTUVWXYZ234567", dtype=np.uint8)
+_HEX = np.frombuffer(b"0123456789abcdef", dtype=np.uint8)
+
+
+def row_bytes(values) -> list:
+    """The bytes of each row of an Arrow binary/string array, as
+    memoryview slices of its data buffer (``to_pylist`` costs ~1 us a
+    row); any other sequence of bytes passes through."""
+    if not isinstance(values, (pa.Array, pa.ChunkedArray)):
+        return values
+    if isinstance(values, pa.ChunkedArray):
+        values = values.combine_chunks()
+    if len(values) == 0:
+        return []
+    large = pa.types.is_large_binary(values.type) or pa.types.is_large_string(values.type)
+    _, offsets, data = values.buffers()
+    off = np.frombuffer(offsets, dtype=np.int64 if large else np.int32,
+                        count=len(values) + 1,
+                        offset=values.offset * (8 if large else 4)).tolist()
+    data = memoryview(data) if data is not None else b""
+    return [data[a:b] for a, b in zip(off[:-1], off[1:])]
+
+
+def _sha1_rows(values) -> np.ndarray:
+    """(n, 20) uint8: the SHA-1 digest of each row, one hashlib call per
+    row (hashlib has no batch call) and one join."""
+    raw = b"".join([hashlib.sha1(v).digest() for v in row_bytes(values)])
+    return np.frombuffer(raw, dtype=np.uint8).reshape(-1, 20)
+
+
+def _fill(template: bytes, chars: np.ndarray) -> pa.Array:
+    """Fixed-width ASCII strings: ``template`` with its ``x`` bytes
+    replaced, row by row, by the (n, template.count(b"x")) ``chars``."""
+    tmpl = np.frombuffer(template, dtype=np.uint8)
+    out = np.tile(tmpl, (len(chars), 1))
+    out[:, tmpl == ord("x")] = chars
+    offsets = np.arange(len(chars) + 1, dtype=np.int32) * len(tmpl)
+    return pa.Array.from_buffers(pa.string(), len(chars),
+                                 [None, pa.py_buffer(offsets), pa.py_buffer(out)])
 
 
 def sha1_b32(payload: bytes) -> str:
     return "sha1:" + base64.b32encode(hashlib.sha1(payload).digest()).decode("ascii")
 
 
-def sha1_b32_batch(payloads) -> list[str]:
-    """Per-batch digesting; hashlib releases the GIL on large buffers so
-    this is effectively C-speed per row."""
-    return [sha1_b32(p) for p in payloads]
+def sha1_b32_batch(payloads) -> pa.Array:
+    """:func:`sha1_b32` of each payload (a list of bytes or an Arrow
+    binary array) as an Arrow string array: SHA-1 per row, then base32
+    and the ``sha1:`` prefix in numpy (``base64.b32encode`` is pure
+    Python and cost 9x the hashing). A 20-byte digest is exactly 32
+    base32 digits of 5 bits, so there is no padding."""
+    bits = np.unpackbits(_sha1_rows(payloads), axis=1).reshape(-1, 32, 5)
+    digits = bits @ np.array([16, 8, 4, 2, 1], dtype=np.uint8)
+    return _fill(b"sha1:" + b"x" * 32, _B32[digits])
 
 
 def md5_hex(text: str | bytes) -> str:
@@ -40,6 +86,24 @@ _NS = uuid.UUID("6ba7b811-9dad-11d1-80b4-00c04fd430c8")  # RFC 4122 NAMESPACE_UR
 def record_id(target_uri: str, warc_date: str, digest: str, record_type: str, seq: int) -> str:
     u = uuid.uuid5(_NS, "%s|%s|%s|%s|%d" % (target_uri, warc_date, digest, record_type, seq))
     return "<urn:uuid:%s>" % u
+
+
+def record_id_batch(target_uris, warc_date: str, digests, record_type: str,
+                    seqs) -> pa.Array:
+    """:func:`record_id` of each row as an Arrow string array
+    (``target_uris``/``digests`` string arrays, ``seqs`` an int64 array):
+    the uuid5 name joined in Arrow, SHA-1 per row, then the version and
+    variant bits and the hex formatting in numpy."""
+    import pyarrow.compute as pc
+
+    names = pc.binary_join_element_wise(
+        target_uris, warc_date, digests, record_type,
+        pc.cast(seqs, pa.string()), "|")
+    u = _sha1_rows([_NS.bytes + n for n in row_bytes(names)])[:, :16].copy()
+    u[:, 6] = (u[:, 6] & 0x0F) | 0x50  # version 5
+    u[:, 8] = (u[:, 8] & 0x3F) | 0x80  # RFC 4122 variant
+    hexed = np.stack([_HEX[u >> 4], _HEX[u & 0x0F]], axis=2).reshape(-1, 32)
+    return _fill(b"<urn:uuid:xxxxxxxx-xxxx-xxxx-xxxx-xxxxxxxxxxxx>", hexed)
 
 
 def content_hash64(data: bytes) -> np.uint64:

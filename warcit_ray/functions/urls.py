@@ -25,6 +25,8 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from .digests import row_bytes
+
 # Characters escaped by the reference (base.py:107): RFC 2396 reserved
 # set plus '#' and ' '. Order matters only in that it is applied
 # sequentially to characters that never produce each other.
@@ -186,8 +188,22 @@ def surt_host(url: str) -> str:
     return (h or "").lower()
 
 
-def surt_batch(col) -> list[str]:
-    """Vectorized :func:`surt` over a URL column.
+def _reversed_labels(hosts: pa.Array) -> pa.Array:
+    """``",".join(reversed(h.split(".")))`` of each host, in Arrow: one
+    element-wise join per distinct label count."""
+    labels = pc.split_pattern(hosts, ".")
+    counts = pc.list_value_length(labels).to_numpy(zero_copy_only=False)
+    out = hosts
+    for k in np.unique(counts).tolist():
+        sel = pa.array(counts == k)
+        sub = labels.filter(sel)
+        out = pc.replace_with_mask(out, sel, pc.binary_join_element_wise(
+            *(pc.list_element(sub, i) for i in reversed(range(k))), ","))
+    return out
+
+
+def surt_batch(col) -> pa.Array:
+    """Vectorized :func:`surt` over a URL column, as an Arrow string array.
 
     The common ``http(s)://simplehost/path`` shape (no port, userinfo,
     query or fragment) runs in Arrow kernels: scheme strip, regex
@@ -203,44 +219,31 @@ def surt_batch(col) -> list[str]:
 
     if isinstance(col, pa.ChunkedArray):
         col = col.combine_chunks()
-    http = pc.starts_with(col, pattern="http://")
-    https = pc.starts_with(col, pattern="https://")
-    rest = pc.if_else(https, pc.utf8_slice_codeunits(col, 8),
-                      pc.utf8_slice_codeunits(col, 7))
-    # non-regex split: parts[0] = host; path = '/' + join(parts[1:2]) —
-    # exactly '/tail' when a slash exists, '/' when not
-    parts = pc.split_pattern(rest, "/", max_splits=1)
-    host = pc.list_element(parts, 0)
-    hostl = pc.utf8_rtrim(pc.utf8_lower(host), ".")
-    tail = pc.binary_join(pc.list_slice(parts, 1, 2), "")
+    web = pc.or_(pc.starts_with(col, pattern="http://"),
+                 pc.starts_with(col, pattern="https://"))
+    # one split of the URL: ["http(s):", "", host, tail]; path = '/' +
+    # join(parts[3:4]) — exactly '/tail' when a slash follows the host,
+    # '/' when not. Other rows split a stand-in and take the scalar path.
+    parts = pc.split_pattern(pc.if_else(web, col, "http:///"), "/", max_splits=3)
+    # ASCII case folding suffices: a host that is not ASCII fails the
+    # regex either way and takes the scalar path
+    hostl = pc.ascii_rtrim(pc.ascii_lower(pc.list_element(parts, 2)), ".")
+    tail = pc.binary_join(pc.list_slice(parts, 3, 4), "")
     path = pc.binary_join_element_wise(pa.scalar("/"), tail, "")
-    no_qf = pc.and_(pc.equal(pc.find_substring(rest, "?"), -1),
-                    pc.equal(pc.find_substring(rest, "#"), -1))
     simple = pc.and_(
-        pc.or_(http, https),
-        pc.and_(
-            pc.and_(pc.not_equal(hostl, ""),
-                    pc.match_substring_regex(hostl, r"^[a-z0-9.\-]+$")),
-            no_qf,
-        ),
-    )
+        pc.and_(web, pc.match_substring_regex(hostl, r"^[a-z0-9.\-]+$")),
+        pc.invert(pc.match_substring_regex(col, "[?#]")))
     # host reversal once per distinct host
     dic = hostl.dictionary_encode()
-    rev_dict = pa.array(
-        [",".join(reversed(h.split("."))) if h else ""
-         for h in dic.dictionary.to_pylist()],
-        type=pa.string())
-    rev = rev_dict.take(dic.indices)
+    rev = _reversed_labels(dic.dictionary).take(dic.indices)
     joined = pc.binary_join_element_wise(rev, path, ")")
-    # ')' separator: rev + ')' + path == the simple-shape SURT
-    out = np.asarray(joined.to_pylist(), dtype=object)
-    mask = simple.to_numpy(zero_copy_only=False)
-    if not mask.all():
-        idx = np.nonzero(~mask)[0]
-        urls = col.take(pa.array(idx)).to_pylist()
-        for i, u in zip(idx, urls):
-            out[i] = surt(u)
-    return out.tolist()
+    # ')' separator: rev + ')' + path == the simple-shape SURT; the
+    # column stays in Arrow, only the other rows pass through Python
+    if pc.all(simple).as_py() is not False:
+        return joined
+    other = pc.invert(simple)
+    fallback = [surt(u) for u in col.filter(other).to_pylist()]
+    return pc.replace_with_mask(joined, other, pa.array(fallback, type=pa.string()))
 
 
 def surt_host_batch(col) -> np.ndarray:
@@ -282,12 +285,15 @@ def surt_hash64(s: str) -> int:
     return struct.unpack("<Q", hashlib.blake2b(s.encode("utf-8"), digest_size=8).digest())[0]
 
 
-def surt_hash64_batch(surts: list[str] | np.ndarray) -> np.ndarray:
-    """Vector of stable 64-bit hashes (uint64)."""
-    out = np.empty(len(surts), dtype=np.uint64)
-    for i, s in enumerate(surts):
-        out[i] = surt_hash64(s)
-    return out
+def surt_hash64_batch(surts) -> np.ndarray:
+    """:func:`surt_hash64` of each SURT (an Arrow string array or a
+    list of str) as uint64: one blake2b-8 digest per row, one join, one
+    little-endian view."""
+    raw = (row_bytes(surts) if isinstance(surts, (pa.Array, pa.ChunkedArray))
+           else [s.encode("utf-8") for s in surts])
+    digests = bytearray().join([hashlib.blake2b(b, digest_size=8).digest()
+                                for b in raw])
+    return np.frombuffer(digests, dtype="<u8").astype(np.uint64, copy=False)
 
 
 def url_dirname_index(url: str) -> str:

@@ -1,27 +1,35 @@
 """The crawl frontier + fetch scheduler (north rule).
 
-Dataflow per generation (driver loop over bounded generations — Ray
-Data has no unbounded streams and none are needed, SURVEY §2.7), one
-phase function each:
+Dataflow (driver loop over bounded generations — Ray Data has no
+unbounded streams and none are needed, SURVEY §2.7), one phase
+function each:
 
-    _probe_offer   frontier (url, priority, seq, payload_key, depth)
+    _probe_offer   initial carrier only: the seed slices, or a resumed
+                     checkpoint's legacy next frontier
+                     -> seen_probe_batch -> offer_batch
+    per generation:
+    _admit         HostShard.admit_table()  # deterministic per-host pops
+    _fetch         one wave of fetch_wave_batch tasks, one per slice of
+                     admitted rows:
+                     fetch_fn          # corpus lookup, WARC row + links
+                     -> explode_fn     # links -> (url, priority, seq,
+                                       #   payload_key, depth) rows
                      -> seen_probe_batch  # SURT -> hash64 -> sharded
                                           #   cuckoo add_if_absent
                      -> offer_batch       # route by hash(host) % H to
                                           #   the HostShard actors
-    _admit         HostShard.admit_table()  # deterministic per-host pops
-    _fetch         fetch_fn + explode_fn    # corpus lookup, WARC row,
-                                            #   links -> next frontier
-    _checkpoint    ckpt/gen=g/{records,admitted,next_frontier,...}
+    _checkpoint    ckpt/gen=g/{records,admitted,seen deltas,host state}
 
-The frontier is one of two carriers: a ref list ``[(ObjectRef, rows)]``
-(seeds enter as ``batch_size``-row slices, resumed frontiers as their
-parquet parts) or a materialized Dataset. One threshold,
-``task_frontier``, picks the tier: frontiers at or below it run as
-plain Ray tasks, above it as streaming Dataset operators (backpressure
-+ spilling); neither transits the driver. Fetch's crossover is
-``FETCH_REF_MAX_ROWS`` admitted rows (or ``task_frontier`` if lower),
-past which the ref tier's 256/1,024-row slices lost to the Dataset tier.
+A generation is one admit plus one task wave. There is no frontier
+carrier between generations: a wave task offers its links before it
+returns, so they sit in the host shards' heaps — and in the host-state
+snapshot of the generation's checkpoint — before the next admit; only
+the records and a small meta tuple leave the task. One threshold,
+``task_frontier``, with ``FETCH_REF_MAX_ROWS`` admitted rows as a
+ceiling, picks the wave's tier: at or below it plain Ray tasks over
+256/1,024-row slices, above it a streaming Dataset ``map_batches`` of
+the same function (backpressure + spilling). The initial carrier
+always runs as plain tasks, one per ref.
 
 State partitioning is explicit: the URL-seen set shards on
 ``hash64(surt(url)) % S`` (uniform), politeness shards on
@@ -59,10 +67,11 @@ from typing import NamedTuple
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
 from ..codecs import MIME_BY_FMT
-from ..functions.digests import record_id, sha1_b32
+from ..functions.digests import record_id_batch, sha1_b32_batch
 from ..functions.urls import surt_batch, surt_hash64_batch, surt_host_batch
 from ..stages.shuffle import bucket_shuffle
 from ..state.shards import ADMIT_SCHEMA
@@ -117,6 +126,33 @@ class WebGraph:
             for j in range(self.fanout)
         ]
 
+    def urls_batch(self, idxs: np.ndarray) -> pa.Array:
+        """:meth:`url` of each index, in Arrow kernels."""
+        private = ((idxs % self.private_every == 0) & (idxs > 0) if self.private_every
+                   else np.zeros(len(idxs), dtype=bool))
+        return pc.binary_join_element_wise(
+            "http://h", _zero_padded(idxs % self.n_hosts, 2), ".example",
+            pc.if_else(pa.array(private), "/private/img", "/img/img"),
+            _zero_padded(idxs, 8), "")
+
+    def links_batch(self, idxs: np.ndarray) -> pa.ListArray:
+        """:meth:`links` of each index as one ``list<string>`` array:
+        the targets in numpy, their URLs in :meth:`urls_batch`."""
+        j = np.arange(1, self.fanout + 1, dtype=np.int64)
+        targets = (np.asarray(idxs, dtype=np.int64)[:, None] * 31 + 7 * j + j * j) % self.n
+        offsets = np.arange(len(idxs) + 1, dtype=np.int32) * self.fanout
+        return pa.ListArray.from_arrays(pa.array(offsets),
+                                        self.urls_batch(targets.ravel()))
+
+    def idx_batch(self, urls) -> np.ndarray:
+        """:meth:`idx_of` of each URL of an Arrow string array: one regex
+        kernel, or the scalar method when some URL does not end in
+        ``img<digits>`` (it raises as :meth:`idx_of` does)."""
+        digits = pc.extract_regex(urls, r"img(?P<i>[0-9]+)$")
+        if digits.null_count:
+            return np.array([self.idx_of(u) for u in urls.to_pylist()], dtype=np.int64)
+        return pc.cast(pc.struct_field(digits, "i"), pa.int64()).to_numpy()
+
     def priority(self, idx: int) -> int:
         return idx % 3
 
@@ -125,6 +161,11 @@ class WebGraph:
 
     def seed_urls(self, n_seeds: int) -> list[str]:
         return [self.url(i * 7 % self.n) for i in range(n_seeds)]
+
+
+def _zero_padded(ints: np.ndarray, width: int) -> pa.Array:
+    """``"%0<width>d" % i`` of each non-negative int, in Arrow."""
+    return pc.utf8_lpad(pc.cast(pa.array(ints, type=pa.int64()), pa.string()), width, "0")
 
 
 def host_shard_of(host: str, num_shards: int) -> int:
@@ -251,25 +292,52 @@ def offer_batch(batch: pa.Table, host_actors, top_per_host: int | None = None) -
 
 
 def probe_and_offer_batch(batch: pa.Table, seen_actors, host_actors) -> int:
-    """Fused seen-probe + offer for the ref tier: one task per frontier
-    ref, no Dataset operators. Returns the offered count."""
+    """Seen-probe + offer of frontier rows -> the offered count. The
+    seen_probe_batch and offer_batch globals are looked up per call, so
+    a wrapper installed on the module (a tracer) sees both."""
     fresh = seen_probe_batch(batch, seen_actors)
     if fresh.num_rows == 0:
         return 0
     return int(offer_batch(fresh, host_actors)["offered"][0].as_py())
 
 
-def fetch_and_explode(batch: pa.Table, fetch_fn, fetch_args,
-                      explode_fn) -> tuple:
-    """Fused fetch + link-explode for the ref tier: the explode runs
-    inside the parallel fetch task instead of single-threaded on the
-    driver (measured: driver-side explode + frontier deserialization
-    was ~57%% of frontier wall time at 200k URLs). Returns (records,
-    frontier_table, (frontier_rows, record_bytes)); the frontier table
-    stays in the OBJECT STORE for the next generation's probe tasks."""
+# the wave's per-slice counters, in fetch_wave_batch's meta order
+WAVE_META = ("links", "record_bytes", "offered",
+             "fetch_s", "explode_s", "probe_s", "offer_s")
+
+
+def fetch_wave_batch(batch: pa.Table, fetch_fn, fetch_args, explode_fn,
+                     seen_actors, host_actors) -> tuple:
+    """One generation's work after admit on one slice of admitted rows,
+    in one task: fetch -> explode links -> seen-probe -> offer. The new
+    links go straight into the host shards' heaps, so no next frontier
+    leaves the task. Returns (records without their links, meta), meta
+    in :data:`WAVE_META` order: link rows, record bytes, offered count
+    and the in-task seconds of each step."""
+    t0 = time.perf_counter()
     rec = fetch_fn(batch, *fetch_args)
-    front = explode_fn(rec)
-    return rec, front, (front.num_rows, rec.nbytes)
+    t1 = time.perf_counter()
+    links = explode_fn(rec)
+    t2 = time.perf_counter()
+    fresh = seen_probe_batch(links, seen_actors)
+    t3 = time.perf_counter()
+    offered = (int(offer_batch(fresh, host_actors)["offered"][0].as_py())
+               if fresh.num_rows else 0)
+    t4 = time.perf_counter()
+    rec = rec.drop_columns(["links"])
+    return rec, (links.num_rows, rec.nbytes, offered, t1 - t0, t2 - t1, t3 - t2, t4 - t3)
+
+
+def fetch_wave_block(batch: pa.Table, *args) -> pa.Table:
+    """:func:`fetch_wave_batch` as a Dataset UDF, which returns one
+    table: the records plus one :data:`WAVE_META` column each, holding
+    the meta on the first row and 0 on the others."""
+    rec, meta = fetch_wave_batch(batch, *args)
+    for name, v in zip(WAVE_META, meta):
+        col = np.zeros(rec.num_rows, dtype=type(v))
+        col[:1] = v
+        rec = rec.append_column(name, pa.array(col))
+    return rec
 
 
 RECORD_SCHEMA = pa.schema([
@@ -284,39 +352,47 @@ RECORD_SCHEMA = pa.schema([
 ])
 
 
+def _records(batch: pa.Table, clock_iso: str, payloads: pa.Array,
+             content_types, image_ids, fmts, captions, links) -> pa.Table:
+    """One fetcher's RECORD_SCHEMA table for the admitted ``batch``,
+    built column by column; a ``str`` column value repeats on every row."""
+    n = batch.num_rows
+
+    def col(v):
+        return pa.repeat(pa.scalar(v, type=pa.string()), n) if isinstance(v, str) else v
+
+    urls = batch.column("url")
+    seqs = batch.column("seq")
+    digests = sha1_b32_batch(payloads)
+    return pa.table({
+        "generation": batch.column("generation"),
+        "seq": seqs,
+        "record_type": col("resource"),
+        "target_uri": urls,
+        "host": batch.column("host"),
+        "warc_date": col(clock_iso),
+        "content_type": col(content_types),
+        "payload": payloads,
+        "content_length": pc.cast(pc.binary_length(payloads), pa.int64()),
+        "payload_digest": digests,
+        "record_id": record_id_batch(urls, clock_iso, digests, "resource", seqs),
+        "image_id": col(image_ids),
+        "fmt": col(fmts),
+        "caption": col(captions),
+        "links": links,
+    }, schema=RECORD_SCHEMA)
+
+
 def light_fetch_batch(batch: pa.Table, graph: WebGraph, clock_iso: str) -> pa.Table:
     """Payload-light fetch for frontier-throughput benchmarking: the
     record payload is the URL itself (no image corpus lookup), but the
     full record/digest/link bookkeeping is identical. Used to measure
     sustained frontier URLs/sec with the seen/offer/admit machinery at
-    full tilt. Column-wise iteration: per-row hashing (sha1/uuid5) is
-    intrinsic, but no per-row dicts are built."""
-    urls = batch.column("url").to_pylist()
-    gens = batch.column("generation").to_pylist()
-    seqs = batch.column("seq").to_pylist()
-    hosts = batch.column("host").to_pylist()
-    n = len(urls)
-    payloads = [u.encode("utf-8") for u in urls]
-    digests = [sha1_b32(p) for p in payloads]
-    out = {
-        "generation": gens,
-        "seq": seqs,
-        "record_type": ["resource"] * n,
-        "target_uri": urls,
-        "host": hosts,
-        "warc_date": [clock_iso] * n,
-        "content_type": ["text/plain"] * n,
-        "payload": payloads,
-        "content_length": [len(p) for p in payloads],
-        "payload_digest": digests,
-        "record_id": [record_id(u, clock_iso, d, "resource", s)
-                      for u, d, s in zip(urls, digests, seqs)],
-        "image_id": [""] * n,
-        "fmt": [""] * n,
-        "caption": [""] * n,
-        "links": [graph.links(graph.idx_of(u)) for u in urls],
-    }
-    return pa.table(out, schema=RECORD_SCHEMA)
+    full tilt. Column-wise: SHA-1 and uuid5 hash per row, everything
+    else runs in Arrow and numpy kernels."""
+    urls = batch.column("url")
+    return _records(batch, clock_iso, pc.cast(urls, pa.binary()), "text/plain",
+                    "", "", "", graph.links_batch(graph.idx_batch(urls)))
 
 
 # worker-process cache: a corpus bucket's key index is built once per
@@ -588,34 +664,16 @@ def fetch_batch(batch: pa.Table, corpus_ref: CorpusLookup, graph: WebGraph,
                 clock_iso: str) -> pa.Table:
     """Stateless-task fetch/convert: admitted URL -> corpus row -> WARC
     resource row + discovered links."""
-    urls = batch.column("url").to_pylist()
-    seqs = batch.column("seq").to_pylist()
-    idxs = [graph.idx_of(u) for u in urls]
-    image_ids = ["img%08d" % i for i in idxs]
-    rows = corpus_ref.rows(image_ids, (b"", "", ""))
-    payloads = [r[0] for r in rows]
+    idxs = graph.idx_batch(batch.column("url"))
+    image_ids = pc.binary_join_element_wise("img", _zero_padded(idxs, 8), "")
+    rows = corpus_ref.rows(image_ids.to_pylist(), (b"", "", ""))
     fmts = [r[1] for r in rows]
-    digests = [sha1_b32(p) for p in payloads]
-    out = {
-        "generation": batch.column("generation").to_pylist(),
-        "seq": seqs,
-        "record_type": ["resource"] * len(urls),
-        "target_uri": urls,
-        "host": batch.column("host").to_pylist(),
-        "warc_date": [clock_iso] * len(urls),
-        "content_type": [MIME_BY_FMT.get(f, "application/octet-stream")
-                         for f in fmts],
-        "payload": payloads,
-        "content_length": [len(p) for p in payloads],
-        "payload_digest": digests,
-        "record_id": [record_id(u, clock_iso, d, "resource", s)
-                      for u, d, s in zip(urls, digests, seqs)],
-        "image_id": image_ids,
-        "fmt": fmts,
-        "caption": [r[2] for r in rows],
-        "links": [graph.links(i) for i in idxs],
-    }
-    return pa.table(out, schema=RECORD_SCHEMA)
+    return _records(
+        batch, clock_iso, pa.array([r[0] for r in rows], type=pa.binary()),
+        pa.array([MIME_BY_FMT.get(f, "application/octet-stream") for f in fmts],
+                 type=pa.string()),
+        image_ids, pa.array(fmts, type=pa.string()),
+        pa.array([r[2] for r in rows], type=pa.string()), graph.links_batch(idxs))
 
 
 def explode_links(batch: pa.Table, graph: WebGraph) -> pa.Table:
@@ -686,73 +744,23 @@ class CrawlCheckpoint:
                 out.append(int(name.split("=")[1]))
         return out
 
-    def _write_frontier(self, d: str, frontier) -> None:
-        """Persist the next-generation frontier DISTRIBUTED — the
-        frontier never transits the driver on the checkpoint path
-        (checkpointing at the largest generations is exactly when that
-        would hurt). Carriers: list[(ObjectRef, rows)] (ref tier — one
-        remote write task per ref, each dumps its own part straight from
-        the object store), Dataset (backpressure tier —
-        ``write_parquet``, blocks written by workers). Atomic via
-        tmp-dir + rename; at multi-node scale the checkpoint root is
-        shared storage."""
-        import shutil
-
-        fdir = os.path.join(d, "next_frontier")
-        tmp = fdir + ".tmp"
-        shutil.rmtree(tmp, ignore_errors=True)
-        # clear any prior attempt's carrier FIRST: a crashed or rerun
-        # generation may have left a stale next_frontier/ dir (or a
-        # legacy single file, which load_next_frontier prefers) — an
-        # empty new frontier must not resurrect the abandoned lineage
-        shutil.rmtree(fdir, ignore_errors=True)
-        legacy = os.path.join(d, "next_frontier.parquet")
-        if os.path.exists(legacy):
-            os.remove(legacy)
-        if frontier is None:
-            return
-        if isinstance(frontier, list):
-            import ray
-
-            os.makedirs(tmp, exist_ok=True)
-            total = sum(c for _, c in frontier)
-            if total <= 65536:
-                # small generation: one driver-side part beats a task
-                # barrier per ref (the scale hazard was only ever the
-                # LARGE-generation materialization)
-                tables = [t for t in ray.get([r for r, c in frontier if c])
-                          if t.num_rows]
-                if tables:
-                    pq.write_table(pa.concat_tables(tables),
-                                   os.path.join(tmp, "part-000000.parquet"))
-            else:
-
-                def _dump(table: pa.Table, path: str) -> int:
-                    pq.write_table(table, path)
-                    return table.num_rows
-
-                dump = ray.remote(num_cpus=0.5)(_dump)
-                ray.get([
-                    dump.remote(r, os.path.join(tmp, "part-%06d.parquet" % i))
-                    for i, (r, c) in enumerate(frontier) if c
-                ])
-        else:  # materialized Dataset
-            frontier.write_parquet(tmp)
-        os.rename(tmp, fdir)
-
     def write_generation(self, g: int, *, records_ds, admitted: pa.Table,
-                         next_frontier,
                          seen_deltas: list[np.ndarray], host_states: list[dict],
                          stats: dict) -> None:
+        import shutil
+
         d = self.gen_dir(g)
         os.makedirs(d, exist_ok=True)
+        # a crashed attempt written by an older version may have left a
+        # next frontier here, which load_next_frontier would replay
+        shutil.rmtree(os.path.join(d, "next_frontier"), ignore_errors=True)
+        if os.path.exists(os.path.join(d, "next_frontier.parquet")):
+            os.remove(os.path.join(d, "next_frontier.parquet"))
         if records_ds is not None:
             # write-to-tmp + atomic rename (manifest-last protocol): a
             # crashed attempt (manifest absent) leaves partial part
             # files; rerunning the generation must not merge new
             # uniquely-named parts with stale ones.
-            import shutil
-
             rec_dir = os.path.join(d, "records")
             tmp_dir = rec_dir + ".tmp"
             shutil.rmtree(tmp_dir, ignore_errors=True)
@@ -768,9 +776,6 @@ class CrawlCheckpoint:
             shutil.rmtree(rec_dir, ignore_errors=True)
             os.rename(tmp_dir, rec_dir)
         pq.write_table(admitted, os.path.join(d, "admitted.parquet"))
-        # links discovered this generation but not yet offered — they
-        # are NOT in the host-shard snapshots, so resume needs them
-        self._write_frontier(d, next_frontier)
         for i, delta in enumerate(seen_deltas):
             pq.write_table(
                 pa.table({"hash": pa.array(delta, type=pa.uint64())}),
@@ -805,9 +810,8 @@ class CrawlCheckpoint:
     def restore(self, seen_actors, host_actors) -> int:
         """Resume: replay the last complete generation's seen deltas and
         host snapshots into the actors -> the next generation (0 when no
-        generation is complete). Pending URLs live in the restored host
-        shards; links found in the last generation but never offered
-        resume as the frontier (:meth:`load_next_frontier`)."""
+        generation is complete). Pending URLs, the last generation's
+        links included, live in the restored host shards."""
         import ray
 
         done = self.complete_generations()
@@ -821,11 +825,13 @@ class CrawlCheckpoint:
         return last + 1
 
     def load_next_frontier(self, g: int):
-        """Resume carrier: the frontier parts load via remote read tasks
-        into the OBJECT STORE — the driver gets back (ref, rows) pairs
-        (row counts from the parquet footers, no data read driver-side),
-        the ref-tier carrier crawl() feeds straight into probe tasks. A
-        legacy single-file checkpoint loads as one such part."""
+        """The links of generation ``g`` that a checkpoint written before
+        each generation offered its own links kept unoffered (a
+        ``next_frontier/`` part directory or, older still, one
+        ``next_frontier.parquet``), or None. The parts load via remote
+        read tasks into the OBJECT STORE — the driver gets back (ref,
+        rows) pairs (row counts from the parquet footers, no data read
+        driver-side), the carrier crawl() probes before its first admit."""
         import glob
 
         import ray
@@ -849,15 +855,12 @@ class CrawlCheckpoint:
 
 class _Layer(NamedTuple):
     """One phase of one generation: rows in and out, its tier ("ref",
-    "dataset", or None for a driver-only phase) and its seconds. The
-    fetch phase keeps its explode time out of ``s`` (on the ref tier the
-    explode runs inside the fetch tasks and counts as fetch)."""
+    "dataset", or None for a driver-only phase) and its wall seconds."""
 
     rows_in: int
     rows_out: int
     tier: str | None
     s: float
-    explode_s: float = 0.0
 
 
 @dataclasses.dataclass(frozen=True)
@@ -871,13 +874,11 @@ class _Plane:
     explode_fn: object
     affinity_fn: object
     ckpt: CrawlCheckpoint | None
-    # frontier rows (probe/offer) above this run on the Dataset tier;
-    # at or below it, on the ref tier
+    # admitted rows above min(this, FETCH_REF_MAX_ROWS) run the wave on
+    # the Dataset tier; at or below it, on the ref tier
     task_frontier: int
-    batch_size: int
     probe_task: object
     fetch_task: object
-    count_task: object
 
 
 def _put_slices(table: pa.Table, rows: int) -> list | None:
@@ -889,62 +890,21 @@ def _put_slices(table: pa.Table, rows: int) -> list | None:
             for lo in range(0, table.num_rows, rows)] or None
 
 
-def _carrier_rows(frontier) -> int:
-    if frontier is None:
-        return 0
-    if isinstance(frontier, list):
-        return sum(c for _, c in frontier)
-    return frontier.count()
-
-
-def _dataset_to_refs(plane: _Plane, ds) -> list | None:
-    """Dataset carrier -> ref carrier WITHOUT driver transit: block refs
-    + row counts from the ref bundles' metadata (no ray.get)."""
+def _probe_offer(plane: _Plane, carrier) -> tuple[int, _Layer]:
+    """Seen-probe + offer the initial carrier (the seed slices, or a
+    resumed checkpoint's legacy next frontier) -> (offered, layer): one
+    ref-tier task per ref, each reading its table from the object
+    store. Every later link is offered inside the fetch wave."""
     import ray
-
-    out = []
-    for bundle in ds.iter_internal_ref_bundles():
-        for block_ref, meta in bundle.blocks:
-            rows = meta.num_rows
-            if rows is None:  # metadata gap: count remotely, keep the ref
-                rows = ray.get(plane.count_task.remote(block_ref))
-            if rows:
-                out.append((block_ref, rows))
-    return out or None
-
-
-def _probe_offer(plane: _Plane, frontier) -> tuple[int, _Layer]:
-    """Phase 1: seen-probe + offer the frontier -> (offered, layer). The
-    carrier first moves, without driver transit, to the tier its size
-    picks: ref list (one fused probe+offer task per ref, reading its
-    table from the object store) or streaming Dataset."""
-    import ray
-    import ray.data as rd
 
     t0 = time.monotonic()
-    rows = _carrier_rows(frontier)
-    if not rows:
+    if not carrier:
         return 0, _Layer(0, 0, None, time.monotonic() - t0)
-    if isinstance(frontier, list) and rows > plane.task_frontier:
-        frontier = rd.from_arrow_refs([r for r, _ in frontier])
-    elif isinstance(frontier, rd.Dataset) and rows <= plane.task_frontier:
-        frontier = _dataset_to_refs(plane, frontier)
-    if isinstance(frontier, list):
-        offered = sum(ray.get([
-            plane.probe_task.remote(r, plane.seen_actors, plane.host_actors)
-            for r, _ in frontier]))
-        tier = "ref"
-    else:
-        out = (
-            frontier.map_batches(seen_probe_batch, fn_args=(plane.seen_actors,),
-                                 batch_size=plane.batch_size, batch_format="pyarrow")
-            .map_batches(offer_batch, fn_args=(plane.host_actors,),
-                         batch_size=plane.batch_size, batch_format="pyarrow")
-            .to_pandas()
-        )
-        offered = int(out["offered"].sum()) if len(out) else 0
-        tier = "dataset"
-    return offered, _Layer(rows, offered, tier, time.monotonic() - t0)
+    offered = sum(ray.get([
+        plane.probe_task.remote(r, plane.seen_actors, plane.host_actors)
+        for r, _ in carrier]))
+    return offered, _Layer(sum(c for _, c in carrier), offered, "ref",
+                           time.monotonic() - t0)
 
 
 def _admit(plane: _Plane, g: int, offered: int) -> tuple[pa.Table | None, _Layer]:
@@ -994,71 +954,61 @@ def _fetch_plan(admitted: pa.Table, affinity_fn) -> tuple[pa.Table, list]:
 
 
 def _fetch(plane: _Plane, admitted: pa.Table) -> tuple:
-    """Phase 3: fetch the admitted rows and explode their links ->
-    (records, next frontier carrier, layer); ``records`` is None when
-    no checkpoint consumes it. Dataset tier: one task per 4k-row block
-    (a one-block ``from_arrow(table)`` ran a 586k-row fetch as ONE task,
-    28.7 s vs 3.3 s sliced), each looping 256-row fetch batches."""
+    """Phase 3, the fetch wave: every slice of admitted rows is fetched,
+    its links exploded, seen-probed and offered in one
+    :func:`fetch_wave_batch` task -> (records, meta summed over the
+    slices, layer); ``records`` is None when no checkpoint consumes it. Ref
+    tier: plain tasks over 256- or 1,024-row slices. Dataset tier: one
+    task per 4k-row block (a one-block ``from_arrow(table)`` ran a
+    586k-row fetch as ONE task, 28.7 s vs 3.3 s sliced), each looping
+    256-row batches; the meta rides in :data:`WAVE_META` columns."""
+    import ray
     import ray.data as rd
 
     t0 = time.monotonic()
     n = admitted.num_rows
     if n == 0:
-        return None, None, _Layer(0, 0, None, time.monotonic() - t0)
+        return None, dict.fromkeys(WAVE_META, 0), _Layer(0, 0, None, time.monotonic() - t0)
     dispatch, segments = _fetch_plan(admitted, plane.affinity_fn)
-    if n <= min(plane.task_frontier, FETCH_REF_MAX_ROWS):
-        return _fetch_refs(plane, dispatch, segments, t0)
-    blocks = rd.from_arrow([dispatch.slice(lo, 4096) for lo in range(0, n, 4096)])
-    records = blocks.map_batches(plane.fetch_fn, fn_args=plane.fetch_args,
-                                 batch_size=256, batch_format="pyarrow").materialize()
-    t1 = time.monotonic()
-    front = (records.select_columns(["links"])
-             .map_batches(plane.explode_fn, batch_size=plane.batch_size,
-                          batch_format="pyarrow")
-             .materialize())
-    rows_out = front.count()
-    return records, front if rows_out else None, _Layer(
-        n, rows_out, "dataset", t1 - t0, time.monotonic() - t1)
-
-
-def _fetch_refs(plane: _Plane, dispatch: pa.Table, segments: list,
-                t0: float) -> tuple:
-    """Ref tier: plain tasks over 256- or 1,024-row slices with the explode
-    fused in (fetch_and_explode); frontier tables STAY in the object
-    store — the driver gets back only refs + row counts."""
-    import ray
-    import ray.data as rd
-
-    n = dispatch.num_rows
-    slice_rows = 1024 if n > 4096 else 256
-    rec_refs, front_refs, meta_refs = [], [], []
-    for seg_lo, seg_hi in segments:
-        for lo in range(seg_lo, seg_hi, slice_rows):
-            r, f, m = plane.fetch_task.remote(
-                dispatch.slice(lo, min(slice_rows, seg_hi - lo)),
-                plane.fetch_fn, plane.fetch_args, plane.explode_fn)
-            rec_refs.append(r)
-            front_refs.append(f)
-            meta_refs.append(m)
-    meta = ray.get(meta_refs)  # (front_rows, rec_bytes) per slice
+    args = (plane.fetch_fn, plane.fetch_args, plane.explode_fn,
+            plane.seen_actors, plane.host_actors)
     records = None
-    if plane.ckpt is not None:
-        # heavy-payload generations (image records) checkpoint their
-        # slices DISTRIBUTED as Dataset blocks (the driver concat +
-        # write was 5.5 s of the 9.4 s 100k image crawl); row-light
-        # ones keep the cheap concat
-        records = (rd.from_arrow_refs(rec_refs) if sum(m[1] for m in meta) > (64 << 20)
-                   else pa.concat_tables(ray.get(rec_refs)))
-    frontier = [(f, m[0]) for f, m in zip(front_refs, meta) if m[0]] or None
-    rows_out = sum(m[0] for m in meta)
-    return records, frontier, _Layer(n, rows_out, "ref", time.monotonic() - t0)
+    if n <= min(plane.task_frontier, FETCH_REF_MAX_ROWS):
+        slice_rows = 1024 if n > 4096 else 256
+        rec_refs, meta_refs = [], []
+        for seg_lo, seg_hi in segments:
+            for lo in range(seg_lo, seg_hi, slice_rows):
+                r, m = plane.fetch_task.remote(
+                    dispatch.slice(lo, min(slice_rows, seg_hi - lo)), *args)
+                rec_refs.append(r)
+                meta_refs.append(m)
+        meta = dict(zip(WAVE_META, map(sum, zip(*ray.get(meta_refs)))))
+        if plane.ckpt is not None:
+            # heavy-payload generations (image records) checkpoint their
+            # slices DISTRIBUTED as Dataset blocks (the driver concat +
+            # write was 5.5 s of the 9.4 s 100k image crawl); row-light
+            # ones keep the cheap concat
+            records = (rd.from_arrow_refs(rec_refs) if meta["record_bytes"] > (64 << 20)
+                       else pa.concat_tables(ray.get(rec_refs)))
+        tier = "ref"
+    else:
+        blocks = rd.from_arrow([dispatch.slice(lo, 4096) for lo in range(0, n, 4096)])
+        out = blocks.map_batches(fetch_wave_block, fn_args=args, batch_size=256,
+                                 batch_format="pyarrow").materialize()
+        sums = out.sum(list(WAVE_META))
+        meta = {k: (float if k.endswith("_s") else int)(sums["sum(%s)" % k])
+                for k in WAVE_META}
+        if plane.ckpt is not None:
+            records = out.drop_columns(list(WAVE_META))
+        tier = "dataset"
+    return records, meta, _Layer(n, meta["links"], tier, time.monotonic() - t0)
 
 
-def _checkpoint(plane: _Plane, g: int, records, admitted: pa.Table,
-                frontier) -> _Layer:
+def _checkpoint(plane: _Plane, g: int, records, admitted: pa.Table) -> _Layer:
     """Phase 4: write generation ``g``'s lineage (records, admitted rows,
-    next frontier carrier written distributed, seen deltas, host
-    snapshots). Rows out: the admitted rows made durable."""
+    seen deltas, host snapshots; the snapshots hold this generation's
+    links, offered by the fetch wave). Rows out: the admitted rows made
+    durable."""
     import ray
 
     t0 = time.monotonic()
@@ -1067,9 +1017,8 @@ def _checkpoint(plane: _Plane, g: int, records, admitted: pa.Table,
         return _Layer(n, 0, None, time.monotonic() - t0)
     plane.ckpt.write_generation(
         g,
-        records_ds=records.drop_columns(["links"]) if records is not None else None,
+        records_ds=records,
         admitted=admitted,
-        next_frontier=frontier,
         seen_deltas=ray.get([a.flush_delta.remote() for a in plane.seen_actors]),
         host_states=ray.get([a.checkpoint_state.remote() for a in plane.host_actors]),
         stats={"admitted": n},
@@ -1113,13 +1062,21 @@ def crawl(
     """Run the crawl; returns stats + (if checkpointing) the output layout.
 
     ``task_frontier_threshold`` (default ~4M rows) is the one tier
-    knob (see the module docstring). Stats carry ``phase_times``,
-    ``tiers`` (per phase, generations run on each tier), the seen set's
+    knob (see the module docstring). Stats carry ``phase_times`` (wall
+    seconds: ``probe_offer`` covers only the initial carrier, ``fetch``
+    the fused fetch wave), ``task_s`` (the wave tasks' in-task seconds
+    summed: ``fetch``, ``explode``, ``probe``, ``offer``), ``tiers``
+    (per phase, generations run on each tier), the seen set's
     ``seen_load_factor`` (filled over total cuckoo slots, all shards)
     and ``seen_fp_skips_est`` (new URLs expected to be skipped as
     false positives at ``seen_fp_bits``), and ``plane``: the shard
     actors ``reused`` from the Ray session's idle pool and ``spawned``,
     and ``lease_s``, the seconds until all of them were ready.
+
+    Every generation offers the links it finds, the last one too: on a
+    crawl cut short by ``max_generations`` or ``stop_after_generation``,
+    ``offered`` and ``seen`` count the last generation's links, and its
+    checkpoint holds them in the host shards' state.
 
     A ``corpus_table`` is read as ``corpus_partitions`` hash buckets
     (default: one per 64 MB), put into the object store or, with
@@ -1184,10 +1141,8 @@ def crawl(
         affinity_fn=fetch_affinity_fn, ckpt=ckpt,
         task_frontier=task_frontier_threshold if task_frontier_threshold is not None
         else 4_000_000 // max(1, batch_size) * batch_size,
-        batch_size=batch_size,
         probe_task=ray.remote(num_cpus=1)(probe_and_offer_batch),
-        fetch_task=ray.remote(num_cpus=1, num_returns=3)(fetch_and_explode),
-        count_task=ray.remote(num_cpus=0.25)(lambda t: t.num_rows),
+        fetch_task=ray.remote(num_cpus=1, num_returns=2)(fetch_wave_batch),
     )
     try:
         start_gen = ckpt.restore(lease.seen, lease.host) if resume else 0
@@ -1214,29 +1169,31 @@ def crawl(
     return totals
 
 
-def _generations(plane: _Plane, frontier, gens: range,
+def _generations(plane: _Plane, carrier, gens: range,
                  stop_after_generation: int | None, track_visits: bool) -> dict:
-    """The generation loop: the four phases in order until the crawl
-    drains, the generation budget runs out or ``stop_after_generation``
-    is reached. Returns crawl()'s counters, visit log and per-phase
-    times and tiers."""
+    """The generation loop: the initial carrier's probe/offer, then per
+    generation admit, the fetch wave (which offers the generation's
+    links) and checkpoint, until the crawl drains, the generation budget
+    runs out or ``stop_after_generation`` is reached. Returns crawl()'s
+    counters, visit log, per-phase times, in-task times and tiers."""
     totals = {"admitted": 0, "offered": 0, "generations": 0, "gen_admits": []}
     visit_log: list[tuple] = []
-    phase_times = dict.fromkeys(
-        ("probe_offer", "admit", "fetch", "explode", "checkpoint"), 0.0)
+    phase_times = dict.fromkeys(("probe_offer", "admit", "fetch", "checkpoint"), 0.0)
+    task_s = dict.fromkeys(("fetch", "explode", "probe", "offer"), 0.0)
     tiers = {p: {"ref": 0, "dataset": 0} for p in ("probe_offer", "fetch")}
 
     def tally(phase: str, layer: _Layer) -> None:
         phase_times[phase] += layer.s
-        phase_times["explode"] += layer.explode_s
         if layer.tier is not None:
             tiers[phase][layer.tier] += 1
 
-    for g in gens:
-        offered, layer = _probe_offer(plane, frontier)
-        frontier = None  # probed: release its refs before admit + fetch
+    offered = 0
+    if gens:
+        offered, layer = _probe_offer(plane, carrier)
         tally("probe_offer", layer)
         totals["offered"] += offered
+    carrier = None  # probed: release its refs
+    for g in gens:
         admitted, layer = _admit(plane, g, offered)
         tally("admit", layer)
         if admitted is None:
@@ -1249,13 +1206,18 @@ def _generations(plane: _Plane, frontier, gens: range,
             visit_log.extend((g, h, u) for h, u in zip(
                 admitted.column("host").to_pylist(),
                 admitted.column("url").to_pylist()))
-        records, frontier, layer = _fetch(plane, admitted)
+        records, meta, layer = _fetch(plane, admitted)
         tally("fetch", layer)
-        tally("checkpoint", _checkpoint(plane, g, records, admitted, frontier))
+        offered = meta["offered"]
+        totals["offered"] += offered
+        for k in task_s:
+            task_s[k] += meta[k + "_s"]
+        tally("checkpoint", _checkpoint(plane, g, records, admitted))
         records = None  # written: release it before the next generation
         if stop_after_generation is not None and g >= stop_after_generation:
             break
     totals["visit_log"] = visit_log
     totals["phase_times"] = {k: round(v, 3) for k, v in phase_times.items()}
+    totals["task_s"] = {k: round(v, 3) for k, v in task_s.items()}
     totals["tiers"] = tiers
     return totals

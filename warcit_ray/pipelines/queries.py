@@ -1083,7 +1083,7 @@ def _corpus_for(sf_dir: str, n: int | None = None) -> "pa.Table":
 
 
 def _warc_docs_table(t: pa.Table, with_digest: bool) -> pa.Table:
-    from ..functions.digests import sha1_b32
+    from ..functions.digests import sha1_b32_batch
 
     ids = t["doc_id"].to_pylist()
     texts = t["text"].to_pylist()
@@ -1096,8 +1096,7 @@ def _warc_docs_table(t: pa.Table, with_digest: bool) -> pa.Table:
         "content_length": pa.array([len(p) for p in payloads], type=pa.int64()),
     }
     if with_digest:
-        cols["payload_digest"] = pa.array([sha1_b32(p) for p in payloads],
-                                          type=pa.string())
+        cols["payload_digest"] = sha1_b32_batch(payloads)
     return pa.table(cols)
 
 

@@ -978,7 +978,8 @@ def near_dup_pairs(ds, *, num_perm: int = 64, num_bands: int = 16,
     it to components_from_pairs / stages.components.connected_components.
 
     ``ds`` executes once: its (id, text) projection is materialized as
-    the corpus, one pass over it computes signatures and band rows
+    the corpus (a materialized ``ds`` of exactly those columns is the
+    corpus as it is), one pass over it computes signatures and band rows
     together (the signatures never materialize), and both verify tiers
     read that corpus. The large tier then runs three bucket shuffles:
     the candidate emit (``_band_pair_rows``, pairs not yet distinct)
@@ -993,9 +994,13 @@ def near_dup_pairs(ds, *, num_perm: int = 64, num_bands: int = 16,
     (candidate pairs) and ``verify_s``."""
     import time
 
+    from ray.data.dataset import MaterializedDataset
+
     kw = {} if concurrency is None else {"concurrency": concurrency}
     t0 = time.perf_counter()
-    docs = ds.select_columns([id_col, "text"]).materialize()
+    docs = ds
+    if not (isinstance(ds, MaterializedDataset) and ds.columns() == [id_col, "text"]):
+        docs = ds.select_columns([id_col, "text"]).materialize()
     t1 = time.perf_counter()
     bands = docs.map_batches(
         lambda b: lsh_band_rows(minhash_sig_batch(b, num_perm, shingle_k),

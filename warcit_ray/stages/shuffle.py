@@ -86,10 +86,12 @@ def _by_bucket(slices) -> dict:
 def reduce_part(per_bucket, batch_format: str, multi: bool, blocks_per_side,
                 *slices):
     """Reduce stage: one part's slices, ``blocks_per_side[i]`` of them
-    for side ``i`` in side order, -> one block of ``per_bucket``
-    outputs, one call per bucket with rows on some side, ascending.
-    The outputs concatenate in Ray Data's block builder, which unifies
-    their schemas and skips empty ones."""
+    for side ``i`` in side order, -> (one block of ``per_bucket``
+    outputs, one call per bucket with rows on some side, ascending;
+    its row count, a small return whose ``ray.get`` surfaces the task's
+    error without fetching the block). The outputs concatenate in Ray
+    Data's block builder, which unifies their schemas and skips empty
+    ones."""
     from ray.data._internal.delegating_block_builder import DelegatingBlockBuilder
     from ray.data.block import BlockAccessor
 
@@ -100,7 +102,8 @@ def reduce_part(per_bucket, batch_format: str, multi: bool, blocks_per_side,
         rows = [BlockAccessor.for_block(s[b]).to_batch_format(batch_format)
                 if b in s else None for s in sides]
         out.add_batch(per_bucket(b, tuple(rows) if multi else rows[0]))
-    return out.build()
+    block = out.build()
+    return block, BlockAccessor.for_block(block).num_rows()
 
 
 def bucket_shuffle(sides, bucket_of, per_bucket, *, batch_format: str = "pyarrow"):
@@ -111,10 +114,13 @@ def bucket_shuffle(sides, bucket_of, per_bucket, *, batch_format: str = "pyarrow
     exactly that side's columns and types, or ``None`` where the side
     has no rows in the bucket. The inputs run to completion first, the
     output is materialized, and an exception raised in ``per_bucket``
-    reaches the caller as its own type. Output row order is by part,
-    then bucket: callers that need an order sort."""
+    reaches the caller as its own type: every part's error is consumed
+    (none is left for Ray to log as unhandled) and the first, in part
+    order, raised. Output row order is by part, then bucket: callers
+    that need an order sort."""
     import ray
     import ray.data as rd
+    from ray.exceptions import RayError
 
     multi = isinstance(sides, tuple)
     blocks = [[ref for bundle in ds.iter_internal_ref_bundles()
@@ -126,8 +132,21 @@ def bucket_shuffle(sides, bucket_of, per_bucket, *, batch_format: str = "pyarrow
     slices = [split.remote(ref, bucket_of, num_parts) for side in blocks for ref in side]
     if num_parts == 1:
         slices = [[s] for s in slices]
-    reduce, per_bucket = ray.remote(reduce_part), ray.put(per_bucket)
+    reduce = ray.remote(reduce_part).options(num_returns=2)
+    per_bucket = ray.put(per_bucket)
     counts = [len(side) for side in blocks]
-    return rd.from_arrow_refs([
-        reduce.remote(per_bucket, batch_format, multi, counts, *(s[p] for s in slices))
-        for p in range(num_parts)])
+    parts = [reduce.remote(per_bucket, batch_format, multi, counts, *(s[p] for s in slices))
+             for p in range(num_parts)]
+    errors = []
+    for block, rows in parts:
+        try:
+            ray.get(rows)
+        except RayError as e:
+            errors.append(e)
+            try:
+                ray.get(block)  # the same error: consumed, not logged
+            except RayError:
+                pass
+    if errors:
+        raise errors[0]
+    return rd.from_arrow_refs([block for block, _ in parts])
