@@ -549,11 +549,10 @@ def run_crawl_100k() -> dict:
 
 def run_dedup_150k() -> dict:
     """--dedup-150k: the MinHash+LSH near-dup flagship at 150k docs /
-    2.4M band rows — ABOVE the small-tier gate, so every stage runs the
-    10^10-doc code path by its own dispatch: vectorized signatures,
-    coarse-bucket candidate emit, and the two-shuffle verify (pair
-    halves onto their docs, then a sorted-merge Jaccard per pair
-    bucket; the r4 'weak' component, now a driver-reproducible
+    2.4M band rows through the one 10^10-doc code path: vectorized
+    signatures, coarse-bucket candidate emit, and the two-shuffle
+    verify (pair halves onto their docs, then a sorted-merge Jaccard
+    per pair bucket; the r4 'weak' component, now a driver-reproducible
     number). Corpus: documents x30 with per-copy
     deterministic token shuffles (distinct shingle sets, realistic
     candidate rate) + 200 planted first-token perturbations whose
@@ -612,7 +611,6 @@ def run_dedup_150k() -> dict:
         "sec": round(dt, 3),
         "n_docs": n_docs,
         "band_rows": stats["band_rows"],
-        "tier": stats["tier"],
         "verified_pairs": int(len(verified)),
         "planted": PLANT,
         "planted_found": planted_found,

@@ -13,14 +13,15 @@ from warcit_ray.stages.dedup import (
     HyperplaneBucketer,
     _blocked_cosine_pairs,
     _emit_pairs_bulk,
-    _verify_jaccard_small,
     banded_hamming_pairs,
     candidate_pairs_from_bands,
     components_from_pairs,
     embedding_near_dups,
     hamming64,
     hamming64_arrays,
+    lsh_band_rows,
     minhash_lsh_dedup,
+    minhash_sig_batch,
     shingle_hashes,
     simhash_near_dups,
     verify_jaccard_pairs,
@@ -120,8 +121,7 @@ def test_all_pairs_emitted_not_just_bucket_min(ray_session):
 
 
 def test_candidate_pairs_skewed_bucket_distributed(ray_session):
-    # One bucket with 1e5 members, small_threshold=0 forces the native
-    # groupby (large/scale) path: must complete without materializing
+    # One bucket with 1e5 members: must complete without materializing
     # member rows on the driver, bounded by bucket_cap.
     n = 100_000
     bands = rd.from_arrow(pa.table({
@@ -129,30 +129,27 @@ def test_candidate_pairs_skewed_bucket_distributed(ray_session):
         "doc_id": pa.array(np.arange(n, dtype=np.int64)),
     }))
     pairs = candidate_pairs_from_bands(
-        bands, "bkey", "doc_id", bucket_cap=64,
-        n_rows_hint=n, small_threshold=0,
-    )
+        bands, "bkey", "doc_id", bucket_cap=64, n_rows_hint=n)
     df = pairs.to_pandas()
     assert len(df) == 64 * 63 // 2  # capped all-pairs
     assert df["id_a"].max() < 64 and df["id_b"].max() < 64
 
 
 def test_candidate_pairs_paths_agree(ray_session):
-    # small (hot-filter) and large (native groupby) dispatch tiers are
-    # semantically identical
+    # the distributed candidate path equals one in-process bulk emit
+    # over every band row plus the distinct-pair dedup, also when a doc
+    # collides with another in several bands
     rng = np.random.default_rng(3)
-    bkeys = rng.integers(0, 50, 300)
-    bands = rd.from_arrow(pa.table({
-        "bkey": pa.array(bkeys, type=pa.int64()),
-        "doc_id": pa.array(np.arange(300, dtype=np.int64)),
-    }))
-    small = candidate_pairs_from_bands(
-        bands, "bkey", "doc_id", n_rows_hint=300, small_threshold=10**9
+    df = pd.DataFrame({"bkey": rng.integers(0, 50, 600),
+                       "doc_id": np.tile(np.arange(300, dtype=np.int64), 2)})
+    bands = rd.from_pandas([df.iloc[:200], df.iloc[200:]])
+    got = candidate_pairs_from_bands(
+        bands, "bkey", "doc_id", n_rows_hint=600
     ).to_pandas().sort_values(["id_a", "id_b"]).reset_index(drop=True)
-    large = candidate_pairs_from_bands(
-        bands, "bkey", "doc_id", n_rows_hint=300, small_threshold=0
-    ).to_pandas().sort_values(["id_a", "id_b"]).reset_index(drop=True)
-    pd.testing.assert_frame_equal(small[["id_a", "id_b"]], large[["id_a", "id_b"]])
+    want = _emit_pairs_bulk(df, "bkey", "doc_id", 256, []).drop_duplicates(
+        ["id_a", "id_b"]).sort_values(["id_a", "id_b"]).reset_index(drop=True)
+    assert len(want) > len(want.drop_duplicates("id_a"))
+    pd.testing.assert_frame_equal(got[["id_a", "id_b"]], want, check_dtype=False)
 
 
 def test_minhash_distributed_matches_planted(ray_session):
@@ -173,32 +170,35 @@ def test_minhash_distributed_matches_planted(ray_session):
 
 def test_minhash_dup_table_typed_with_or_without_dups(ray_session):
     # the dup map is one int64 table whether or not any dup was found,
-    # on both candidate tiers
+    # and equals the in-process reference's
     texts = ["w%d alpha beta gamma delta epsilon" % i for i in range(30)]
     rows = [{"doc_id": i, "text": t} for i, t in enumerate(texts)]
     with_dup = rows + [{"doc_id": 100, "text": texts[0]}]
-    for small_threshold in (10**9, 0):
-        got = [minhash_lsh_dedup(rd.from_items(r), threshold=0.9,
-                                 small_threshold=small_threshold)[0]
-               for r in (with_dup, rows)]
-        assert [d.count() for d in got] == [1, 0]
-        want = pa.schema([("doc_id", pa.int64()), ("dup_of", pa.int64())])
-        tables = [pa.concat_tables(ray.get(d.to_arrow_refs())) for d in got]
-        assert [t.schema for t in tables] == [want] * 2
-        assert [d.schema().names for d in got] == [want.names] * 2
-        assert tables[0].to_pylist() == [{"doc_id": 100, "dup_of": 0}]
+    got = [minhash_lsh_dedup(rd.from_items(r), threshold=0.9)[0]
+           for r in (with_dup, rows)]
+    assert [d.count() for d in got] == [1, 0]
+    want = pa.schema([("doc_id", pa.int64()), ("dup_of", pa.int64())])
+    tables = [pa.concat_tables(ray.get(d.to_arrow_refs())) for d in got]
+    assert [t.schema for t in tables] == [want] * 2
+    assert [d.schema().names for d in got] == [want.names] * 2
+    assert tables[0].to_pylist() == [{"doc_id": 100, "dup_of": 0}]
+    assert [_dup_map_ref(r, 0.9) for r in (with_dup, rows)] == [[(100, 0)], []]
 
 
 def test_minhash_forced_large_path_same_result(ray_session):
+    # the pipeline's dup map equals the in-process reference's, and a
+    # small_threshold (accepted and ignored) does not change it
     rows = [{"doc_id": i, "text": "w%d x y z common tokens here" % (i % 5)}
             for i in range(40)]
-    d1, _ = minhash_lsh_dedup(rd.from_items(rows), threshold=0.6,
-                              small_threshold=10**9)
+    d1, _ = minhash_lsh_dedup(rd.from_items(rows), threshold=0.6)
     d2, _ = minhash_lsh_dedup(rd.from_items(rows), threshold=0.6,
                               small_threshold=0)
     p1 = d1.to_pandas().sort_values("doc_id").reset_index(drop=True)
     p2 = d2.to_pandas().sort_values("doc_id").reset_index(drop=True)
     pd.testing.assert_frame_equal(p1, p2)
+    want = _dup_map_ref(rows, 0.6)
+    assert len(want) >= 35  # every repeat of a text at least
+    assert list(p1.itertuples(index=False, name=None)) == want
 
 
 def test_distinct_rows_tiers_equivalent(ray_session):
@@ -415,18 +415,22 @@ def test_clean_corpus_drop_tiers_equivalent(ray_session):
 
 
 def test_banded_hamming_string_ids_large_tier(ray_session):
-    """Code-review r5: the large tier's pair bucketing must accept
+    """Code-review r5: the candidate path's pair bucketing must accept
     STRING ids (phash_near_dup buckets on image_id strings) — the
     uint64 fast path only applies to integer ids."""
     rows = [{"doc_id": "img%04d" % i, "sig": 0} for i in range(6)]
-    rows += [{"doc_id": "imgfar", "sig": 0x5555555555555555}]
+    rows += [{"doc_id": "imgfar", "sig": 0x5555555555555555},
+             {"doc_id": "imgnear", "sig": 0b111}]
     ds = rd.from_items(rows)
-    small = banded_hamming_pairs(ds, sig_col="sig", id_col="doc_id",
-                                 max_hamming=3)
-    large = banded_hamming_pairs(ds, sig_col="sig", id_col="doc_id",
-                                 max_hamming=3, small_threshold=0)
-    assert len(small) == 15  # C(6,2) identical-sig pairs
-    pd.testing.assert_frame_equal(small, large)
+    got = banded_hamming_pairs(ds, sig_col="sig", id_col="doc_id",
+                               max_hamming=3)
+    # brute-force reference: every id pair within the hamming bound
+    want = sorted((min(a["doc_id"], b["doc_id"]), max(a["doc_id"], b["doc_id"]),
+                   hamming64(a["sig"], b["sig"]))
+                  for i, a in enumerate(rows) for b in rows[i + 1:]
+                  if hamming64(a["sig"], b["sig"]) <= 3)
+    assert len(want) == 15 + 6  # C(6,2) identical-sig pairs + imgnear's
+    assert list(got.itertuples(index=False, name=None)) == want
 
 
 def _verify_ref(pairs, texts, threshold, k=3):
@@ -447,6 +451,24 @@ def _verify_ref(pairs, texts, threshold, k=3):
 def _triples(df):
     return sorted((int(a), int(b), float(j)) for a, b, j in
                   df[["id_a", "id_b", "jaccard"]].itertuples(index=False, name=None))
+
+
+def _near_dup_ref(rows, threshold, num_bands=16):
+    """In-process reference of ``near_dup_pairs``: signatures and band
+    rows of all rows in one batch, one bulk emit over every band row,
+    then the Python-set verify of the distinct pairs."""
+    t = pa.table({"doc_id": pa.array([r["doc_id"] for r in rows], pa.int64()),
+                  "text": [r["text"] for r in rows]})
+    bands = lsh_band_rows(minhash_sig_batch(t, 64, 3), num_bands, "doc_id")
+    pairs = _emit_pairs_bulk(bands.to_pandas(), "bkey", "doc_id", 256, [])
+    return _verify_ref(list(pairs.itertuples(index=False, name=None)),
+                       {r["doc_id"]: r["text"] for r in rows}, threshold)
+
+
+def _dup_map_ref(rows, threshold):
+    """In-process reference of ``minhash_lsh_dedup``'s dup map."""
+    pairs = [(a, b) for a, b, _ in _near_dup_ref(rows, threshold)]
+    return [(d, r) for d, r in components_from_pairs(pairs) if d != r]
 
 
 @pytest.mark.parametrize("num_buckets", [1, 8])
@@ -494,10 +516,6 @@ def test_verify_jaccard_pairs_matches_set_reference(ray_session, num_buckets):
     got = verify_jaccard_pairs(rd.from_pandas(frames), docs, threshold=0.5,
                                num_buckets=num_buckets).to_pandas()
     assert _triples(got) == want  # repeats verified once, exact floats
-    present = sorted({p for p in pairs + [twice] if missing not in p})
-    small = _verify_jaccard_small(pd.DataFrame(present, columns=["id_a", "id_b"]),
-                                  docs, threshold=0.5)
-    assert _triples(small) == want
 
 
 def test_verify_reused_ids_get_own_texts(ray_session):
@@ -604,32 +622,32 @@ def test_affine_minima_exact_at_the_fold_boundary():
 
 
 def test_near_dup_pairs_reads_input_once(tmp_path, ray_session):
-    """Both candidate tiers execute each input row exactly once: the
-    corpus is materialized once and every later stage reads that."""
+    """Each input row executes exactly once: the corpus is materialized
+    once and every later stage reads that. The pairs equal the
+    in-process reference's."""
     from warcit_ray.stages.dedup import near_dup_pairs
 
     texts = ["w%d alpha beta gamma delta epsilon" % (i % 25) for i in range(60)]
     rows = [{"doc_id": i, "text": t, "extra": i * 2} for i, t in enumerate(texts)]
-    for tier, small_threshold in (("small", 10**9), ("large", 0)):
-        log = tmp_path / ("rows-%s.txt" % tier)
+    log = tmp_path / "rows.txt"
 
-        def count_rows(t: pa.Table, _log=str(log)) -> pa.Table:
-            with open(_log, "a") as fh:
-                fh.write("%d\n" % t.num_rows)
-            return t
+    def count_rows(t: pa.Table, _log=str(log)) -> pa.Table:
+        with open(_log, "a") as fh:
+            fh.write("%d\n" % t.num_rows)
+        return t
 
-        ds = rd.from_items(rows, override_num_blocks=4).map_batches(
-            count_rows, batch_format="pyarrow")
-        verified, stats = near_dup_pairs(ds, threshold=0.9,
-                                         small_threshold=small_threshold)
-        assert sum(map(int, log.read_text().split())) == len(rows)
-        assert stats["tier"] == tier and stats["docs"] == len(rows)
-        assert stats["band_rows"] == len(rows) * 16
-        # 25 texts, each 2-3 times: every copy pair verifies at 1.0
-        assert stats["verified_pairs"] == len(verified) == 25 * 1 + 10 * 2
-        assert stats["candidate_rows"] >= len(verified)
-        assert all(stats[k] >= 0 for k in ("read_s", "signature_s", "emit_s",
-                                           "verify_s"))
+    ds = rd.from_items(rows, override_num_blocks=4).map_batches(
+        count_rows, batch_format="pyarrow")
+    verified, stats = near_dup_pairs(ds, threshold=0.9)
+    assert sum(map(int, log.read_text().split())) == len(rows)
+    assert stats["docs"] == len(rows)
+    assert stats["band_rows"] == len(rows) * 16
+    # 25 texts, each 2-3 times: every copy pair verifies at 1.0
+    assert stats["verified_pairs"] == len(verified) == 25 * 1 + 10 * 2
+    assert stats["candidate_rows"] >= len(verified)
+    assert all(stats[k] >= 0 for k in ("read_s", "signature_s", "emit_s",
+                                       "verify_s"))
+    assert _triples(verified) == _near_dup_ref(rows, 0.9)
 
 
 def test_near_dup_pairs_reuses_a_materialized_corpus(ray_session, monkeypatch):
@@ -641,15 +659,16 @@ def test_near_dup_pairs_reuses_a_materialized_corpus(ray_session, monkeypatch):
     ds = rd.from_items([{"doc_id": i, "text": t} for i, t in enumerate(texts)],
                        override_num_blocks=4).materialize()
     seen = []
-    verify = dedup._verify_jaccard_small
+    verify = dedup.verify_jaccard_pairs
 
-    def spy(pair_df, docs, **kw):
+    def spy(pairs, docs, **kw):
         seen.append(docs)
-        return verify(pair_df, docs, **kw)
+        return verify(pairs, docs, **kw)
 
-    monkeypatch.setattr(dedup, "_verify_jaccard_small", spy)
+    monkeypatch.setattr(dedup, "verify_jaccard_pairs", spy)
     verified, stats = dedup.near_dup_pairs(ds, threshold=0.9)
-    assert stats["tier"] == "small" and len(verified) == 25 * 1 + 10 * 2
+    assert len(verified) == 25 * 1 + 10 * 2
+    assert _triples(verified) == _near_dup_ref(ds.take_all(), 0.9)
 
     def block_refs(d):
         return [ref for bundle in d.iter_internal_ref_bundles()
@@ -659,9 +678,10 @@ def test_near_dup_pairs_reuses_a_materialized_corpus(ray_session, monkeypatch):
 
 
 def test_empty_pair_results_are_typed(ray_session):
-    """No pair passing the threshold still gives typed frames: the
-    large tier's (id_a, id_b, jaccard) and embedding near-dup's
-    (id_a, id_b, cosine)."""
+    """No pair passing the threshold, or no input row at all, still
+    gives typed results: near-dup's (id_a, id_b, jaccard) and its empty
+    int64 dup map, banded hamming's (id_a, id_b, hamming) and embedding
+    near-dup's (id_a, id_b, cosine)."""
     from warcit_ray.stages.dedup import near_dup_pairs
 
     rng = np.random.default_rng(0)
@@ -675,8 +695,24 @@ def test_empty_pair_results_are_typed(ray_session):
         "id_a": "int64", "id_b": "int64", "cosine": "float64"}
     docs = rd.from_items([{"doc_id": i, "text": "d%d only its own words here" % i}
                           for i in range(30)])
-    for small_threshold in (0, 10**9):
-        verified, stats = near_dup_pairs(docs, small_threshold=small_threshold)
-        assert len(verified) == 0 and stats["verified_pairs"] == 0
-        assert verified.dtypes.astype(str).to_dict() == {
-            "id_a": "int64", "id_b": "int64", "jaccard": "float64"}
+    jaccard = {"id_a": "int64", "id_b": "int64", "jaccard": "float64"}
+    verified, stats = near_dup_pairs(docs)
+    assert len(verified) == 0 and stats["verified_pairs"] == 0
+    assert verified.dtypes.astype(str).to_dict() == jaccard
+
+    no_docs = rd.from_arrow(pa.table({"doc_id": pa.array([], pa.int64()),
+                                      "text": pa.array([], pa.string())}))
+    verified, stats = near_dup_pairs(no_docs)
+    assert verified.dtypes.astype(str).to_dict() == jaccard
+    assert (stats["docs"], stats["band_rows"], stats["candidate_rows"],
+            stats["verified_pairs"]) == (0, 0, 0, 0)
+    dup, stats = minhash_lsh_dedup(no_docs)
+    assert stats["dups"] == 0 and dup.count() == 0
+    assert pa.concat_tables(ray.get(dup.to_arrow_refs())).schema == pa.schema(
+        [("doc_id", pa.int64()), ("dup_of", pa.int64())])
+    no_sigs = rd.from_arrow(pa.table({"doc_id": pa.array([], pa.int64()),
+                                      "sig": pa.array([], pa.int64())}))
+    pairs = banded_hamming_pairs(no_sigs, sig_col="sig", id_col="doc_id",
+                                 max_hamming=3)
+    assert len(pairs) == 0 and list(pairs.columns) == ["id_a", "id_b", "hamming"]
+    assert pairs["hamming"].dtype == "int64"

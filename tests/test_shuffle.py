@@ -8,9 +8,19 @@ import pytest
 import ray
 import ray.data as rd
 
-from warcit_ray.stages.shuffle import bucket_shuffle, mix_buckets
+from warcit_ray.stages.shuffle import _group_blocks, bucket_shuffle, mix_buckets
 
 N = 600
+
+
+@pytest.fixture
+def per_block_split(monkeypatch):
+    """Every non-empty block its own map group, as a block of at least
+    ``target_min_block_size`` is: these tests' blocks are tiny, and they
+    check how rows of many map tasks come together."""
+    from ray.data import DataContext
+
+    monkeypatch.setattr(DataContext.get_current(), "target_min_block_size", 1)
 
 
 def _buckets(t: pa.Table) -> np.ndarray:
@@ -27,7 +37,7 @@ def _spread(ds) -> dict:
     return seen
 
 
-def test_bucket_shuffle_one_call_per_bucket(ray_session):
+def test_bucket_shuffle_one_call_per_bucket(ray_session, per_block_split):
     ds = rd.range(N, override_num_blocks=6).materialize()
     assert all(n >= 4 for n in _spread(ds).values())
 
@@ -42,7 +52,7 @@ def test_bucket_shuffle_one_call_per_bucket(ray_session):
         assert list(ids) == [i for i in range(N) if (i % 5) * 2 == b]
 
 
-def test_bucket_shuffle_two_sides(ray_session):
+def test_bucket_shuffle_two_sides(ray_session, per_block_split):
     left = rd.range(N, override_num_blocks=6).materialize()
     # the right side brings its own columns and skips bucket 8, which
     # then reaches per_bucket with right=None
@@ -76,7 +86,7 @@ def test_bucket_shuffle_two_sides(ray_session):
 
 
 @pytest.mark.parametrize("blocks", [1, 6])
-def test_bucket_shuffle_unifies_output_types(ray_session, blocks):
+def test_bucket_shuffle_unifies_output_types(ray_session, per_block_split, blocks):
     # one block: every bucket reduces in one task; six: across tasks
     ds = rd.range(N, override_num_blocks=blocks).materialize()
 
@@ -154,7 +164,7 @@ def test_mix_buckets_formula():
     assert mix_buckets(7, k, j).tolist() == [w % 7 for w in want2]
 
 
-def test_bucket_shuffle_consumes_every_reduce_error(ray_session):
+def test_bucket_shuffle_consumes_every_reduce_error(ray_session, per_block_split):
     """per_bucket raising in every bucket of a 3-bucket shuffle over 4
     blocks raises once, and no failed part is left for Ray to log as an
     unhandled error."""
@@ -184,3 +194,46 @@ def test_bucket_shuffle_consumes_every_reduce_error(ray_session):
     finally:
         log.removeHandler(handler)
     assert not [m for m in logged if "Unhandled error" in m], logged
+
+
+def test_group_blocks():
+    # runs of blocks under the minimum share a map group, closed once
+    # they reach it; a block at or over it, or of unknown size, is alone
+    sizes = [10, 10, 100, 5, 5, 5, None, 50, 20, 1]
+    assert _group_blocks(list(enumerate(sizes)), 20, 1) == [
+        [0, 1], [2], [3, 4, 5], [6], [7], [8], [9]]
+    assert _group_blocks([(i, 20) for i in range(4)], 20, 1) == [[0], [1], [2], [3]]
+    assert _group_blocks([], 20, 4) == []
+    # a side of 12 x 10 bytes keeps 4 groups, not 1, at min_groups=4
+    assert _group_blocks([(i, 10) for i in range(12)], 1000, 1) == [list(range(12))]
+    assert _group_blocks([(i, 10) for i in range(12)], 1000, 4) == [
+        [0, 1, 2], [3, 4, 5], [6, 7, 8], [9, 10, 11]]
+
+
+def test_bucket_shuffle_tiny_blocks_same_buckets(ray_session, monkeypatch):
+    """Two sides of one-row blocks give every bucket the same rows, in
+    input order, whether their blocks share map groups or not."""
+    from ray.data import DataContext
+
+    left = rd.from_items([{"id": i, "v": i * 3} for i in range(200)]).materialize()
+    right = rd.from_arrow([pa.table({"id": [i], "r": [str(i)]})
+                           for i in range(199, -1, -2)]).materialize()
+    assert left.num_blocks() == 200 and right.num_blocks() == 100
+
+    def per_bucket(b: int, sides: tuple) -> pa.Table:
+        l, r = sides
+        return pa.table({"bucket": [b], "l": [l.column("id").to_pylist()],
+                         "r": [r.column("id").to_pylist() if r is not None else []]})
+
+    def run():
+        got = bucket_shuffle((left, right), _buckets, per_bucket).to_pandas()
+        return {b: (list(l), list(r)) for b, l, r in
+                zip(got["bucket"], got["l"], got["r"])}
+
+    grouped = run()
+    monkeypatch.setattr(DataContext.get_current(), "target_min_block_size", 1)
+    assert run() == grouped
+    assert sorted(grouped) == [0, 2, 4, 6, 8]
+    for b, (l, r) in grouped.items():
+        assert l == [i for i in range(200) if (i % 5) * 2 == b]
+        assert r == [i for i in range(199, -1, -2) if (i % 5) * 2 == b]

@@ -13,8 +13,8 @@ Chains the engine's cleaning stages over a documents table
 
 Output is written with ``Dataset.write_parquet`` (one file per block —
 resumable, never one giant file). Prints ONE JSON stats line; with
-``--near-dup`` it carries the near-dup stage's own stats (tier, rows
-per layer, phase seconds) under ``near_dup``. Owns a Ray session only
+``--near-dup`` it carries the near-dup stage's own stats (rows per
+layer, phase seconds) under ``near_dup``. Owns a Ray session only
 when run as a script (guarded init)."""
 
 from __future__ import annotations

@@ -1093,7 +1093,7 @@ def crawl(
     test-scale equivalence checks."""
     import ray
 
-    from ..state.shards import make_actors, release_actors
+    from ..state.shards import kill_actors, make_actors, release_actors
 
     # fetcher plumbing: default = the corpus/WebGraph fetcher; callers
     # may pass any (fetch_fn(batch, *fetch_args) -> records-with-links,
@@ -1157,8 +1157,7 @@ def crawl(
     except BaseException:
         # a probe task still in flight could write into the plane after
         # a later crawl has reset it: a failed crawl's actors never pool
-        for a in lease.seen + lease.host:
-            ray.kill(a)
+        kill_actors(lease.seen + lease.host)
         raise
     release_actors(lease)
     totals["seen_load_factor"] = round(totals["seen"] / sum(f[0] for f in fill), 6)

@@ -997,11 +997,10 @@ def _shingle3(text: str) -> set:
 
 def jaccard_pairs(sf_dir: str) -> pd.DataFrame:
     """n-gram (3-token shingle) Jaccard as a first-class operator:
-    exact set Jaccard for the planted near-dup pairs, computed the
-    small-tier way (distributed semi-join filter + shingling, one
-    object-store crunch task) — the same verification kernel the
-    MinHash pipeline uses, here over raw shingle strings so DuckDB can
-    reproduce it exactly."""
+    exact set Jaccard for the planted near-dup pairs: a distributed
+    semi-join filter + shingling, then one object-store crunch task
+    scoring every pair — set Jaccard as the MinHash verify computes it,
+    here over raw shingle strings so DuckDB can reproduce it exactly."""
     ds = _docs_with_near_dups(sf_dir)
     head = _smallest_ids(sf_dir, 20)
     pairs = [(int(i), int(i) + 1_000_000) for i in head]

@@ -25,14 +25,9 @@ Shuffle discipline (the 100 TB design point):
   exact cosine verifies within buckets with a blocked (memory-bounded)
   pairwise matmul and a deterministic per-bucket member cap.
 
-Candidate generation is size-gated like the crawl dispatch tiers
-(pipelines/crawl.py): small band tables use a two-pass hot-bucket
-filter (per-batch counts -> tiny (bkey, n) partials -> broadcast-set
-filter) so only collision buckets reach the one emit task; large band
-tables go straight to the bucket shuffle (stages/shuffle.py), whose
-cost is the honest price at 10^10-doc scale. BOTH paths emit pairs
-inside distributed tasks — member rows never materialize on the
-driver.
+Candidate generation has one path at every size: band rows go straight
+to the bucket shuffle (stages/shuffle.py), which emits pairs inside
+its tasks — member rows never materialize on the driver.
 """
 
 from __future__ import annotations
@@ -627,69 +622,29 @@ def candidate_pairs_from_bands(bands, bkey_col: str, id_col: str, *,
                                extra_cols: list[str] | None = None,
                                bucket_cap: int = 256,
                                n_rows_hint: int | None = None,
-                               small_threshold: int = 2_000_000,
                                pair_filter=None):
     """Band rows -> Dataset of DISTINCT candidate pairs
     (id_a, id_b [, extra_a/extra_b...]), entirely distributed.
 
-    Size-gated dispatch (crawl-style tiers, semantically identical —
-    tested against each other in tests/test_dedup.py):
-    - small band tables (<= ``small_threshold`` rows): two-pass
-      hot-bucket detection — per-batch value_counts partials (tiny
-      (bkey, n) rows) combine on the driver into the hot-key set, which
-      broadcasts back as an ``isin`` filter; the surviving
-      collision-bucket rows (small by construction) are coalesced into
-      ONE block (``repartition(1)`` — object store, NOT the driver) and
-      a single task runs the pandas groupby-emit + pair dedup at C
-      speed. No shuffle at all.
-    - large band tables: the emit shuffle (:func:`_band_pair_rows`),
-      then a second bucket shuffle on ``mix(id_a, id_b) % B`` that
-      dedups cross-band duplicates with an in-frame
-      ``drop_duplicates``. Dispatch count is B, not one pandas group
-      per collision bucket or per candidate PAIR — per-group frame
-      overhead is 1-2 ms (measured, see _emit_pairs_bulk), which at a
-      10^10-doc corpus' candidate rate would be tens of millions of
-      dispatches. ``near_dup_pairs`` runs only the emit shuffle: its
-      verify drops the duplicates in the shuffle it needs anyway.
+    Two bucket shuffles: the emit shuffle (:func:`_band_pair_rows`),
+    then a second one on ``mix(id_a, id_b) % B`` that dedups cross-band
+    duplicates with an in-frame ``drop_duplicates``. Dispatch count is
+    B, not one pandas group per collision bucket or per candidate PAIR
+    — per-group frame overhead is 1-2 ms (measured, see
+    _emit_pairs_bulk), which at a 10^10-doc corpus' candidate rate would
+    be tens of millions of dispatches. ``near_dup_pairs`` runs only the
+    emit shuffle: its verify drops the duplicates in the shuffle it
+    needs anyway.
 
-    Pair emit happens inside distributed tasks in BOTH paths; member
-    rows never reach the driver. ``pair_filter(df)`` (optional) runs
-    inside the emit step — e.g. hamming verification — so rejected
-    pairs never shuffle further."""
+    Pair emit happens inside the shuffle's tasks; member rows never
+    reach the driver. ``pair_filter(df)`` (optional) runs inside the
+    emit step — e.g. hamming verification — so rejected pairs never
+    shuffle further."""
 
     extra_cols = extra_cols or []
     n_rows = n_rows_hint
     if n_rows is None:
         n_rows = bands.count()
-
-    if n_rows <= small_threshold:
-        # consumed twice below (count pass + pick pass): pin the band
-        # rows in the object store instead of re-running their lineage.
-        # Gated: only the small tier materializes.
-        bands = bands.materialize()
-
-        def count_partial(df: pd.DataFrame) -> pd.DataFrame:
-            c = df[bkey_col].value_counts()
-            return pd.DataFrame({bkey_col: c.index, "n": c.values})
-
-        counts = bands.map_batches(count_partial, batch_format="pandas").to_pandas()
-        total = counts.groupby(bkey_col, sort=False)["n"].sum()
-        hot = set(total[total >= 2].index)
-        if not hot:
-            return None
-
-        def pick(df: pd.DataFrame) -> pd.DataFrame:
-            return df[df[bkey_col].isin(hot)]
-
-        def emit(g: pd.DataFrame) -> pd.DataFrame:
-            return _emit_frame(g, bkey_col, id_col, bucket_cap, extra_cols,
-                               pair_filter)
-
-        return (
-            bands.map_batches(pick, batch_format="pandas")
-            .repartition(1)
-            .map_batches(emit, batch_format="pandas", batch_size=None)
-        )
 
     nbb = _coarse_bucket_count(n_rows)
 
@@ -706,38 +661,30 @@ def candidate_pairs_from_bands(bands, bkey_col: str, id_col: str, *,
     return bucket_shuffle(pairs, pair_buckets, dedup_bucket, batch_format="pandas")
 
 
-def _emit_frame(g: pd.DataFrame, bkey_col: str, id_col: str, bucket_cap: int,
-                extra_cols, pair_filter) -> pd.DataFrame:
-    """One bulk emit over every collision bucket in ``g``, then the
-    within-frame pair dedup (cross-band duplicates that share a frame
-    cost nothing downstream)."""
-    out = _emit_pairs_bulk(g, bkey_col, id_col, bucket_cap, extra_cols)
-    if pair_filter is not None:
-        out = pair_filter(out)  # applied to empties too: uniform schema
-    return out.drop_duplicates(["id_a", "id_b"])
-
-
 def _band_pair_rows(bands, bkey_col: str, id_col: str, n_rows: int, *,
                     extra_cols=(), bucket_cap: int = 256, pair_filter=None):
-    """The large tier's emit shuffle: one bulk emit per coarse bucket of
-    band rows on ``mix(bkey) % B`` (~1M rows each). Pairs are distinct
-    within a bucket only: a pair that collides in bands hashing to
-    different buckets comes out once per such bucket."""
+    """The candidate emit shuffle: one bulk emit per coarse bucket of
+    band rows on ``mix(bkey) % B`` (~1M rows each), then the in-frame
+    pair dedup. Pairs are distinct within a bucket only: a pair that
+    collides in bands hashing to different buckets comes out once per
+    such bucket."""
 
     def emit_bucket(_bucket: int, g: pd.DataFrame) -> pd.DataFrame:
         # holds every collision bucket whose bkey hashes here
-        return _emit_frame(g, bkey_col, id_col, bucket_cap, extra_cols,
-                           pair_filter)
+        out = _emit_pairs_bulk(g, bkey_col, id_col, bucket_cap, extra_cols)
+        if pair_filter is not None:
+            out = pair_filter(out)  # applied to empties too: uniform schema
+        return out.drop_duplicates(["id_a", "id_b"])
 
     return bucket_shuffle(bands, key_buckets(bkey_col, _coarse_bucket_count(n_rows)),
                           emit_bucket, batch_format="pandas")
 
 
 def _coarse_bucket_count(n_rows: int) -> int:
-    """Coarse shuffle-bucket count for the large candidate tier: ~1M
-    band rows per bucket so a group frame fits a worker, floored at 32
-    so small forced-large runs still parallelize, capped at 64k so the
-    group count never itself becomes a dispatch problem."""
+    """Coarse shuffle-bucket count for the candidate shuffles: ~1M band
+    rows per bucket so a group frame fits a worker, floored at 32 so
+    small runs still parallelize, capped at 64k so the group count
+    never itself becomes a dispatch problem."""
     return int(max(32, min(1 << 16, n_rows // 1_000_000 + 1)))
 
 
@@ -799,11 +746,11 @@ def verify_jaccard_pairs(pairs_ds, docs_ds, *, id_col: str = "doc_id",
 
     Returns a Dataset of (id_a, id_b, jaccard), id_a the smaller id,
     for pairs passing ``threshold``; a pair with a side missing from
-    the corpus drops, and a corpus is assumed to carry one row per id
-    (the small tier assumes the same). A ``docs_ds`` whose schema is
-    known to be exactly (``id_col``, ``text_col``) — ``near_dup_pairs``
-    passes its materialized corpus — enters the attach shuffle as it
-    is; any other is projected to those columns first."""
+    the corpus drops, and a corpus is assumed to carry one row per id.
+    A ``docs_ds`` whose schema is known to be exactly (``id_col``,
+    ``text_col``) — ``near_dup_pairs`` passes its materialized corpus —
+    enters the attach shuffle as it is; any other is projected to those
+    columns first."""
     import pyarrow.compute as pc
 
     sets_type = pa.large_list(pa.uint64())
@@ -851,53 +798,6 @@ def verify_jaccard_pairs(pairs_ds, docs_ds, *, id_col: str = "doc_id",
     return bucket_shuffle(attached, pair_buckets, row_jaccard)
 
 
-def _verify_jaccard_small(pair_df: pd.DataFrame, docs_ds, *,
-                          id_col: str = "doc_id", text_col: str = "text",
-                          threshold: float = 0.8,
-                          shingle_k: int = 3) -> pd.DataFrame:
-    """Small-tier Jaccard verify (gated by the same threshold as the
-    candidate tiers): the driver holds only the DISTINCT (id_a, id_b)
-    pair list; candidate docs are semi-join filtered and shingled
-    DISTRIBUTED, coalesced into one object-store block, and a single
-    task scores every pair with the large tier's sorted merge — texts
-    and shingles never touch the driver. A doc missing from the corpus
-    counts as the empty set."""
-    import pyarrow.compute as pc
-
-    cand_ids = sorted(set(pair_df["id_a"]) | set(pair_df["id_b"]))
-    cand_arr = pa.array([int(x) for x in cand_ids], type=pa.int64())
-    sets_type = pa.large_list(pa.uint64())
-
-    def pick_and_shingle(t: pa.Table) -> pa.Table:
-        t = t.select([id_col, text_col]).filter(
-            pc.is_in(t[id_col], value_set=cand_arr))
-        sh = [shingle_hashes(x or "", shingle_k)
-              for x in t.column(text_col).to_pylist()]
-        return pa.table({id_col: t[id_col], "shingles": pa.array(sh, sets_type)})
-
-    sub = docs_ds.map_batches(pick_and_shingle, batch_format="pyarrow").repartition(1)
-
-    pair_a = pair_df["id_a"].astype("int64").to_numpy()
-    pair_b = pair_df["id_b"].astype("int64").to_numpy()
-    sides = pa.array(np.concatenate([pair_a, pair_b]))  # row p: side a, P + p: b
-
-    def verify(t: pa.Table) -> pa.Table:
-        # a side not in the corpus points past the last doc: the empty set
-        sets = pa.concat_arrays([t.column("shingles").combine_chunks(),
-                                 pa.array([[]], sets_type)])
-        rows = pc.fill_null(pc.index_in(
-            sides, value_set=t.column(id_col).combine_chunks()), t.num_rows)
-        a, b, j, _ = _jaccard_sorted_merge(np.tile(pair_a, 2), np.tile(pair_b, 2),
-                                           sets.take(rows))
-        keep = j >= threshold
-        a, b = a[keep], b[keep]
-        return pa.table({"id_a": np.minimum(a, b), "id_b": np.maximum(a, b),
-                         "jaccard": j[keep]})
-
-    return _pairs_frame(sub.map_batches(verify, batch_format="pyarrow",
-                                        batch_size=None), "jaccard")
-
-
 def components_from_pairs(pairs: list[tuple]) -> list[tuple]:
     """Union-find over verified duplicate pairs -> sorted
     (member, component_min) rows, members != min only. Runs on the
@@ -924,7 +824,9 @@ def minhash_lsh_dedup(ds, *, num_perm: int = 64, num_bands: int = 16,
                       shingle_k: int = 3, threshold: float = 0.8,
                       id_col: str = "doc_id", concurrency: int | None = None,
                       bucket_cap: int = 256,
-                      small_threshold: int = 2_000_000):
+                      # ignored: near-dup has one path; kept because
+                      # perfbench/workloads.py still passes it
+                      small_threshold: int | None = None):
     """Full near-dup pipeline -> (Dataset(doc_id, dup_of) for docs whose
     verified Jaccard >= threshold with a lower-id doc, stats dict:
     ``near_dup_pairs``' stats plus ``dups``, the dup map's rows).
@@ -943,7 +845,7 @@ def minhash_lsh_dedup(ds, *, num_perm: int = 64, num_bands: int = 16,
     verified, stats = near_dup_pairs(
         ds, num_perm=num_perm, num_bands=num_bands, shingle_k=shingle_k,
         threshold=threshold, id_col=id_col, bucket_cap=bucket_cap,
-        small_threshold=small_threshold, concurrency=concurrency)
+        concurrency=concurrency)
     keep = list(zip(verified["id_a"].astype("int64"),
                     verified["id_b"].astype("int64")))
     rows = [(d, r) for d, r in components_from_pairs(keep) if d != r]
@@ -954,11 +856,10 @@ def minhash_lsh_dedup(ds, *, num_perm: int = 64, num_bands: int = 16,
 
 
 def _pairs_frame(ds, score: str) -> pd.DataFrame:
-    """``ds.to_pandas()`` of a pair Dataset (``None``: no pairs), typed
-    (id_a int64, id_b int64, score float64) also when it has no rows:
-    ``to_pandas`` of an empty Dataset has no columns, whatever its
-    blocks' schemas say."""
-    df = ds.to_pandas() if ds is not None else pd.DataFrame()
+    """``ds.to_pandas()`` of a pair Dataset, typed (id_a int64, id_b
+    int64, score float64) also when it has no rows: ``to_pandas`` of an
+    empty Dataset has no columns, whatever its blocks' schemas say."""
+    df = ds.to_pandas()
     if len(df):
         return df
     return pd.DataFrame({"id_a": pd.Series([], dtype="int64"),
@@ -969,7 +870,6 @@ def _pairs_frame(ds, score: str) -> pd.DataFrame:
 def near_dup_pairs(ds, *, num_perm: int = 64, num_bands: int = 16,
                    shingle_k: int = 3, threshold: float = 0.8,
                    id_col: str = "doc_id", bucket_cap: int = 256,
-                   small_threshold: int = 2_000_000,
                    concurrency: int | None = None):
     """The MinHash+LSH pipeline up to (and including) the exact-Jaccard
     verify: returns (verified pairs DataFrame(id_a, id_b, jaccard),
@@ -980,18 +880,17 @@ def near_dup_pairs(ds, *, num_perm: int = 64, num_bands: int = 16,
     ``ds`` executes once: its (id, text) projection is materialized as
     the corpus (a materialized ``ds`` of exactly those columns is the
     corpus as it is), one pass over it computes signatures and band rows
-    together (the signatures never materialize), and both verify tiers
-    read that corpus. The large tier then runs three bucket shuffles:
-    the candidate emit (``_band_pair_rows``, pairs not yet distinct)
-    and the two of ``verify_jaccard_pairs``. ``concurrency`` (optional
-    int) is forwarded as the task cap of the signature pass.
+    together (the signatures never materialize), and the verify reads
+    that corpus. Three bucket shuffles follow: the candidate emit
+    (``_band_pair_rows``, pairs not yet distinct) and the two of
+    ``verify_jaccard_pairs``. ``concurrency`` (optional int) is
+    forwarded as the task cap of the signature pass.
 
-    The stats: ``tier`` ("small" or "large"), ``docs``, ``band_rows``,
-    ``candidate_rows`` (emitted pair rows; on the large tier a pair
-    repeats once per emit bucket it collides in), ``verified_pairs``,
-    and the wall seconds of each phase: ``read_s`` (materializing the
-    corpus), ``signature_s`` (signatures + band rows), ``emit_s``
-    (candidate pairs) and ``verify_s``."""
+    The stats: ``docs``, ``band_rows``, ``candidate_rows`` (emitted
+    pair rows; a pair repeats once per emit bucket it collides in),
+    ``verified_pairs``, and the wall seconds of each phase: ``read_s``
+    (materializing the corpus), ``signature_s`` (signatures + band
+    rows), ``emit_s`` (candidate pairs) and ``verify_s``."""
     import time
 
     from ray.data.dataset import MaterializedDataset
@@ -1009,34 +908,16 @@ def near_dup_pairs(ds, *, num_perm: int = 64, num_bands: int = 16,
     ).materialize()
     n_rows = bands.count()
     t2 = time.perf_counter()
-    large = n_rows > small_threshold
-    if large:
-        pairs = _band_pair_rows(bands, "bkey", id_col, n_rows,
-                                bucket_cap=bucket_cap)
-        n_cand = pairs.count()
-    else:
-        pairs = candidate_pairs_from_bands(
-            bands, "bkey", id_col, bucket_cap=bucket_cap,
-            n_rows_hint=n_rows, small_threshold=small_threshold,
-        )
-        pair_df = pairs.to_pandas() if pairs is not None else pd.DataFrame()
-        n_cand = len(pair_df)  # (id_a, id_b) only — small tier
+    pairs = _band_pair_rows(bands, "bkey", id_col, n_rows, bucket_cap=bucket_cap)
+    n_cand = pairs.count()
     t3 = time.perf_counter()
-    if large:
-        # repeated pairs are fine: the verify's attach shuffle drops them
-        verified = _pairs_frame(verify_jaccard_pairs(
-            pairs, docs, id_col=id_col, threshold=threshold,
-            shingle_k=shingle_k), "jaccard")
-    elif n_cand:
-        verified = _verify_jaccard_small(
-            pair_df, docs, id_col=id_col, threshold=threshold,
-            shingle_k=shingle_k)
-    else:
-        verified = _pairs_frame(None, "jaccard")
+    # repeated pairs are fine: the verify's attach shuffle drops them
+    verified = _pairs_frame(verify_jaccard_pairs(
+        pairs, docs, id_col=id_col, threshold=threshold,
+        shingle_k=shingle_k), "jaccard")
     t4 = time.perf_counter()
     return verified, {
-        "tier": "large" if large else "small", "docs": docs.count(),
-        "band_rows": n_rows, "candidate_rows": n_cand,
+        "docs": docs.count(), "band_rows": n_rows, "candidate_rows": n_cand,
         "verified_pairs": len(verified), "read_s": t1 - t0,
         "signature_s": t2 - t1, "emit_s": t3 - t2, "verify_s": t4 - t3}
 
@@ -1176,8 +1057,7 @@ def sig_chunk_rows(batch: pa.Table, *, sig_col: str, id_col: str,
 
 
 def banded_hamming_pairs(ds, *, sig_col: str, id_col: str, max_hamming: int,
-                         bucket_cap: int = 256,
-                         small_threshold: int = 2_000_000) -> pd.DataFrame:
+                         bucket_cap: int = 256) -> pd.DataFrame:
     """Distributed near-dup pairs by signature hamming distance (used by
     SimHash text near-dup and pHash image near-dup).
 
@@ -1207,17 +1087,13 @@ def banded_hamming_pairs(ds, *, sig_col: str, id_col: str, max_hamming: int,
 
     pairs = candidate_pairs_from_bands(
         chunks, "bkey", id_col, extra_cols=["sig"], bucket_cap=bucket_cap,
-        n_rows_hint=n_docs * n_chunks, small_threshold=small_threshold,
-        pair_filter=ham_filter,
+        n_rows_hint=n_docs * n_chunks, pair_filter=ham_filter,
     )
-    empty = pd.DataFrame({"id_a": pd.Series([], dtype="object"),
-                          "id_b": pd.Series([], dtype="object"),
-                          "hamming": pd.Series([], dtype="int64")})
-    if pairs is None:
-        return empty
     out = pairs.to_pandas()
     if len(out) == 0:
-        return empty
+        return pd.DataFrame({"id_a": pd.Series([], dtype="object"),
+                             "id_b": pd.Series([], dtype="object"),
+                             "hamming": pd.Series([], dtype="int64")})
     out["hamming"] = out["hamming"].astype("int64")
     return out[["id_a", "id_b", "hamming"]].sort_values(
         ["id_a", "id_b"]).reset_index(drop=True)
@@ -1225,7 +1101,6 @@ def banded_hamming_pairs(ds, *, sig_col: str, id_col: str, max_hamming: int,
 
 def simhash_near_dups(ds, *, max_hamming: int = 3, id_col: str = "doc_id",
                       concurrency: int | tuple = (2, 8),
-                      small_threshold: int = 2_000_000,
                       tok_hash: str = "blake2b") -> pd.DataFrame:
     """SimHash near-dup pairs, fully distributed (see
     banded_hamming_pairs for the banding + verify discipline).
@@ -1235,9 +1110,7 @@ def simhash_near_dups(ds, *, max_hamming: int = 3, id_col: str = "doc_id",
                               fn_constructor_kwargs={"tok_hash": tok_hash},
                               concurrency=concurrency).materialize()
     pairs = banded_hamming_pairs(
-        with_sig, sig_col="simhash", id_col=id_col, max_hamming=max_hamming,
-        small_threshold=small_threshold,
-    )
+        with_sig, sig_col="simhash", id_col=id_col, max_hamming=max_hamming)
     if len(pairs):
         pairs = pairs.astype({"id_a": "int64", "id_b": "int64"})
     else:

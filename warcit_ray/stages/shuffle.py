@@ -1,12 +1,17 @@
 """The bucket shuffle: the engine's one hand-rolled all-to-all.
 
-The bucketed joins, q3, the large candidate tier and its pair dedup,
+The bucketed joins, q3, the LSH candidate emit and its pair dedup,
 the near-dup Jaccard verify, embedding near-dup, the corpus fragment
 writer and both sharded sinks all run :func:`bucket_shuffle`: a
 two-stage hash shuffle over plain Ray tasks and objects (the
-Exoshuffle design), not a Ray Data operator. With ``R`` non-empty
-input blocks, :func:`split_block` runs once per block and returns
-``R`` slices, row ``i`` in slice ``bucket_of(block)[i] % R``;
+Exoshuffle design), not a Ray Data operator. The non-empty input
+blocks form ``R`` map groups: a block of Ray Data's
+``target_min_block_size`` or more is a group of its own, and runs of
+smaller consecutive blocks of one side share a group (a shuffle makes
+``R``² slices, so a Dataset of one-row blocks would otherwise cost
+``rows``² objects), a side keeping one group per cluster CPU where it
+has the blocks. :func:`split_block` runs once per group and returns
+``R`` slices, row ``i`` in slice ``bucket_of(group)[i] % R``;
 :func:`reduce_part` runs once per part, groups that part's slices by
 bucket and calls ``per_bucket(bucket_id, rows)`` once per bucket
 holding rows, so an empty bucket gets no call. No row reaches the
@@ -45,15 +50,19 @@ def key_buckets(key: str, num_buckets: int):
     return bucket_of
 
 
-def split_block(block, bucket_of, num_parts: int):
-    """Map stage: one input block as ``num_parts`` Arrow tables, each
-    row tagged with its bucket and placed in part ``bucket % num_parts``
-    (input order kept within a part), ``None`` for an empty part: an
-    empty table costs a schema to ship, and a block count of tiny
-    blocks makes mostly empty parts."""
+def split_block(bucket_of, num_parts: int, *blocks):
+    """Map stage: one map group's input blocks, concatenated in order,
+    as ``num_parts`` Arrow tables, each row tagged with its bucket and
+    placed in part ``bucket % num_parts`` (input order kept within a
+    part), ``None`` for an empty part: an empty table costs a schema to
+    ship, and many map groups make mostly empty parts."""
+    from ray.data._internal.delegating_block_builder import DelegatingBlockBuilder
     from ray.data.block import BlockAccessor
 
-    t = BlockAccessor.for_block(block).to_arrow()
+    rows = DelegatingBlockBuilder()
+    for block in blocks:
+        rows.add_block(BlockAccessor.for_block(block).to_arrow())
+    t = rows.build()  # one block: that block as it is
     bucket = np.asarray(bucket_of(t), dtype=np.int64)
     t = t.append_column(TAG, pa.array(bucket))
     part = bucket % num_parts
@@ -61,6 +70,28 @@ def split_block(block, bucket_of, num_parts: int):
     order = np.argsort(part, kind="stable")
     slices = [t.take(i) if len(i) else None for i in np.split(order, bounds)]
     return slices if num_parts > 1 else slices[0]
+
+
+def _group_blocks(blocks, min_bytes: int, min_groups: int) -> list[list]:
+    """One side's non-empty ``(ref, size_bytes)`` blocks, in order, as
+    map groups of refs: a block of ``min_bytes`` or more (or of unknown
+    size) alone, and each run of smaller consecutive blocks together,
+    a run closing once its blocks sum to ``min_bytes``. ``min_bytes``
+    is first lowered to the side's bytes over ``min_groups``: a
+    shuffle's input size says little of its ``per_bucket`` work (the
+    LSH emit turns 32k band rows of 2k docs into 470k pairs), so a
+    small side still spreads over the cluster's CPUs."""
+    min_bytes = min(min_bytes, sum(size or 0 for _, size in blocks) // min_groups)
+    groups, run_bytes = [], min_bytes  # >= min_bytes: the next block opens a group
+    for ref, size in blocks:
+        big = size is None or size >= min_bytes
+        if big or run_bytes >= min_bytes:
+            groups.append([ref])
+            run_bytes = min_bytes if big else size
+        else:
+            groups[-1].append(ref)
+            run_bytes += size
+    return groups
 
 
 def _by_bucket(slices) -> dict:
@@ -83,20 +114,20 @@ def _by_bucket(slices) -> dict:
             zip(buckets.tolist(), starts.tolist(), counts.tolist())}
 
 
-def reduce_part(per_bucket, batch_format: str, multi: bool, blocks_per_side,
+def reduce_part(per_bucket, batch_format: str, multi: bool, groups_per_side,
                 *slices):
-    """Reduce stage: one part's slices, ``blocks_per_side[i]`` of them
-    for side ``i`` in side order, -> (one block of ``per_bucket``
-    outputs, one call per bucket with rows on some side, ascending;
-    its row count, a small return whose ``ray.get`` surfaces the task's
-    error without fetching the block). The outputs concatenate in Ray
-    Data's block builder, which unifies their schemas and skips empty
-    ones."""
+    """Reduce stage: one part's slices, one per map group,
+    ``groups_per_side[i]`` of them for side ``i`` in side order, -> (one
+    block of ``per_bucket`` outputs, one call per bucket with rows on
+    some side, ascending; its row count, a small return whose
+    ``ray.get`` surfaces the task's error without fetching the block).
+    The outputs concatenate in Ray Data's block builder, which unifies
+    their schemas and skips empty ones."""
     from ray.data._internal.delegating_block_builder import DelegatingBlockBuilder
     from ray.data.block import BlockAccessor
 
-    ends = np.cumsum(blocks_per_side).tolist()
-    sides = [_by_bucket(slices[end - n:end]) for n, end in zip(blocks_per_side, ends)]
+    ends = np.cumsum(groups_per_side).tolist()
+    sides = [_by_bucket(slices[end - n:end]) for n, end in zip(groups_per_side, ends)]
     out = DelegatingBlockBuilder()
     for b in sorted(set().union(*sides)):
         rows = [BlockAccessor.for_block(s[b]).to_batch_format(batch_format)
@@ -120,21 +151,26 @@ def bucket_shuffle(sides, bucket_of, per_bucket, *, batch_format: str = "pyarrow
     that need an order sort."""
     import ray
     import ray.data as rd
+    from ray.data import DataContext
     from ray.exceptions import RayError
 
     multi = isinstance(sides, tuple)
-    blocks = [[ref for bundle in ds.iter_internal_ref_bundles()
-               for ref, meta in bundle.blocks if meta.num_rows != 0]
+    min_bytes = DataContext.get_current().target_min_block_size
+    cpus = max(1, int(ray.cluster_resources().get("CPU", 1)))
+    groups = [_group_blocks([(ref, meta.size_bytes)
+                             for bundle in ds.iter_internal_ref_bundles()
+                             for ref, meta in bundle.blocks if meta.num_rows != 0],
+                            min_bytes, cpus)
               for ds in (sides if multi else (sides,))]
-    num_parts = sum(map(len, blocks))
+    num_parts = sum(map(len, groups))
     split = ray.remote(split_block).options(num_returns=num_parts)
     bucket_of = ray.put(bucket_of)
-    slices = [split.remote(ref, bucket_of, num_parts) for side in blocks for ref in side]
+    slices = [split.remote(bucket_of, num_parts, *g) for side in groups for g in side]
     if num_parts == 1:
         slices = [[s] for s in slices]
     reduce = ray.remote(reduce_part).options(num_returns=2)
     per_bucket = ray.put(per_bucket)
-    counts = [len(side) for side in blocks]
+    counts = [len(side) for side in groups]
     parts = [reduce.remote(per_bucket, batch_format, multi, counts, *(s[p] for s in slices))
              for p in range(num_parts)]
     errors = []

@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import heapq
 import threading
+import time
 from collections import Counter
 from typing import NamedTuple
 
@@ -306,8 +307,8 @@ def make_actors(num_seen: int, num_host: int, *, seen_capacity: int = 1 << 20,
     """Lease the actor fleets from this Ray session's idle pool, spawning
     only what it lacks; every actor starts in the state a fresh one built
     from these arguments would have, and is ready when this returns.
-    Hand them back with :func:`release_actors`, or ``ray.kill`` them if
-    the crawl failed.
+    Hand them back with :func:`release_actors`, or :func:`kill_actors`
+    them if the crawl failed.
 
     The actors reserve 0 CPUs: they are state servers that sit idle
     most of the time, and a fractional reservation only kept a CPU out
@@ -331,10 +332,37 @@ def make_actors(num_seen: int, num_host: int, *, seen_capacity: int = 1 << 20,
                       for cls, args in fleets.items()]
         ray.get([a.__ray_ready__.remote() for a in fresh])
     except BaseException:
-        for a in fresh + taken[SeenShardState] + taken[HostShardState]:
-            ray.kill(a)
+        kill_actors(fresh + taken[SeenShardState] + taken[HostShardState])
         raise
     return ShardLease(seen, host, num_seen + num_host - len(fresh), len(fresh))
+
+
+def kill_actors(actors: list) -> None:
+    """``ray.kill`` the actors and return once each is dead (its
+    ``__ray_ready__`` call fails) or 30 s have passed.
+    ``ray.kill`` only requests the kill: a call sent right after it can
+    still be served, so a caller that re-raises straight away would let
+    its own caller reach a live actor."""
+    import ray
+    from ray.exceptions import GetTimeoutError, RayError
+
+    for a in actors:
+        ray.kill(a)
+    deadline = time.monotonic() + 30.0
+    alive = list(actors)
+    while alive and time.monotonic() < deadline:
+        pings = [(a, a.__ray_ready__.remote()) for a in alive]
+        alive = []
+        for a, ref in pings:
+            try:
+                ray.get(ref, timeout=max(0.0, deadline - time.monotonic()))
+                alive.append(a)
+            except GetTimeoutError:
+                alive.append(a)
+            except RayError:
+                pass  # dead, or unreachable for good
+        if alive:
+            time.sleep(0.05)
 
 
 def release_actors(lease: ShardLease) -> None:
