@@ -332,29 +332,17 @@ def test_hot_host_cap():
     assert out["url"][0] == "http://hot/p00"
 
 
-def test_dataset_path_equivalent_to_direct_path(corpus):
-    """Forcing the Dataset tiers (task_frontier_threshold=0) must
-    produce the same crawl as the ref tiers."""
-    graph = WebGraph(N)
-    kw = dict(n_seeds=6, max_generations=10, num_seen_shards=2,
-              num_host_shards=2, clock_iso=CLOCK, seen_fp_bits=32,
-              track_visits=True)
-    small = crawl(corpus, graph=graph, **kw)
-    large = crawl(corpus, graph=graph, task_frontier_threshold=0, **kw)
-
-    def per_host(log):
-        out = {}
-        for g, h, u in log:
-            out.setdefault(h, []).append(u)
-        return out
-
-    assert per_host(small["visit_log"]) == per_host(large["visit_log"])
-    assert small["admitted"] == large["admitted"]
-    assert small["seen"] == large["seen"]
-    assert small["offered"] == large["offered"]
-    # the Dataset wave's meta columns are summed like the ref tasks' meta
-    assert small["tiers"]["fetch"]["dataset"] == 0 < large["tiers"]["fetch"]["dataset"]
-    assert all(large["task_s"][k] > 0 for k in ("fetch", "explode", "probe", "offer"))
+def test_dataset_path_equivalent_to_direct_path(tmp_path):
+    """The fetch wave with and without a checkpoint (its tasks write
+    their records, or nothing leaves them but meta) runs the same
+    crawl, and every in-task step is timed."""
+    on = _wide_crawl(checkpoint_dir=str(tmp_path / "ck"))
+    off = _wide_crawl()
+    assert max(on["gen_admits"]) > 256  # multi-slice waves
+    for k in ("visit_log", "admitted", "seen", "offered"):
+        assert on[k] == off[k], k
+    for res in (on, off):
+        assert all(res["task_s"][k] > 0 for k in ("fetch", "explode", "probe", "offer"))
 
 
 def test_offer_batch_top_per_host_trim():
@@ -447,36 +435,38 @@ def test_bucket_lookup_matches_dict(corpus, ray_session):
     assert lookup.rows(keys, ("", "", "")) == [full[k] for k in keys[:-1]] + [("", "", "")]
 
 
-def test_checkpointed_resume_dataset_tier(corpus, tmp_path):
-    """With the Dataset fetch-wave tier FORCED (task_frontier_threshold=0)
-    the checkpoint keeps no next frontier (the wave offered every link)
-    and resume from it is bit-identical."""
-    graph = WebGraph(N)
-    kw = dict(n_seeds=6, max_generations=12, num_seen_shards=2,
-              num_host_shards=2, clock_iso=CLOCK, seen_fp_bits=32,
-              track_visits=True, task_frontier_threshold=0)
-    ck_full = str(tmp_path / "full")
-    crawl(corpus, graph=graph, checkpoint_dir=ck_full, **kw)
-
+def test_checkpointed_resume_dataset_tier(wide_full, tmp_path):
+    """Resume is bit-identical on a crawl whose generations span several
+    records parts, and the checkpoint keeps no next frontier (the wave
+    offered every link)."""
     ck_part = str(tmp_path / "part")
-    crawl(corpus, graph=graph, checkpoint_dir=ck_part,
-          stop_after_generation=3, **kw)
+    _wide_crawl(checkpoint_dir=ck_part, stop_after_generation=1)
     assert _next_frontier_paths(ck_part) == []
-    resumed = crawl(corpus, graph=graph, checkpoint_dir=ck_part,
-                    resume=True, **kw)
-
-    def load_all(root):
-        out = []
-        for g in CrawlCheckpoint(root).complete_generations():
-            d = os.path.join(root, "gen=%05d" % g, "records")
-            if os.path.isdir(d):
-                for f in sorted(os.listdir(d)):
-                    out.extend(pq.read_table(os.path.join(d, f)).to_pylist())
-        return sorted(out, key=lambda r: (r["generation"], r["host"], r["seq"]))
-
-    a, b = load_all(ck_full), load_all(ck_part)
+    resumed = _wide_crawl(checkpoint_dir=ck_part, resume=True)
+    assert all(g > 1 for g, _, _ in resumed["visit_log"])
+    assert CrawlCheckpoint(ck_part).complete_generations() == \
+        CrawlCheckpoint(wide_full).complete_generations()
+    assert max(len(_parts(ck_part, g)) for g in range(2, 4)) > 1
+    a, b = _load_records(wide_full), _load_records(ck_part)
     assert len(a) == len(b) and a == b
-    assert all(g > 3 for g, _, _ in resumed["visit_log"])
+
+
+def test_resume_clears_stale_records_tmp(wide_full, tmp_path):
+    """A crashed attempt's part left in records.tmp/ (no manifest) never
+    reaches records/: the rerun starts from an empty records.tmp/ and
+    writes one part per slice of its own."""
+    ck = str(tmp_path / "ck")
+    _wide_crawl(checkpoint_dir=ck, stop_after_generation=1)
+    cp = CrawlCheckpoint(ck)
+    stale_dir = os.path.join(cp.gen_dir(2), "records.tmp")
+    os.makedirs(stale_dir)
+    shutil.copy(os.path.join(cp.gen_dir(1), "records", _parts(ck, 1)[0]),
+                os.path.join(stale_dir, "part-999999.parquet"))
+    _wide_crawl(checkpoint_dir=ck, resume=True)
+    assert not os.path.exists(stale_dir)
+    assert _parts(ck, 2) == _parts(wide_full, 2) == [
+        "part-%06d.parquet" % i for i in range(len(_parts(ck, 2)))]
+    assert _load_records(ck) == _load_records(wide_full)
 
 
 def test_fragment_corpus_equivalent(corpus, tmp_path):
@@ -595,19 +585,27 @@ def test_corpus_cache_lru():
         c._CORPUS_CACHE_MAX = saved_max
 
 
-def test_ref_tier_promotion_to_dataset_equivalent(corpus):
-    """A generation admitting more than task_frontier rows runs its
-    fetch wave on the streaming Dataset tier; forcing a tiny threshold
-    must not change the crawl."""
-    graph = WebGraph(N)
-    kw = dict(n_seeds=6, max_generations=10, num_seen_shards=2,
-              num_host_shards=2, clock_iso=CLOCK, seen_fp_bits=32,
-              track_visits=True)
-    base = crawl(corpus, graph=graph, **kw)
-    promoted = crawl(corpus, graph=graph, task_frontier_threshold=50, **kw)
-    assert sorted(base["visit_log"]) == sorted(promoted["visit_log"])
-    assert base["admitted"] == promoted["admitted"]
-    assert base["seen"] == promoted["seen"]
+def test_ref_tier_promotion_to_dataset_equivalent(wide_full):
+    """A generation of more than 256 admits writes one records part per
+    256-row slice, and its parts, in sorted name order, hold exactly
+    the generation's admitted rows in dispatch order."""
+    import pyarrow as pa
+
+    cp = CrawlCheckpoint(wide_full)
+    wide = 0
+    for g in cp.complete_generations():
+        admitted = pq.read_table(os.path.join(cp.gen_dir(g), "admitted.parquet"))
+        if admitted.num_rows <= 256:
+            continue
+        wide += 1
+        parts = _parts(wide_full, g)
+        assert len(parts) == -(-admitted.num_rows // 256)
+        rec = pa.concat_tables(pq.read_table(os.path.join(cp.gen_dir(g), "records", f))
+                               for f in parts)
+        assert rec.column("target_uri").to_pylist() == admitted.column("url").to_pylist()
+        for c in ("generation", "host", "seq"):
+            assert rec.column(c).to_pylist() == admitted.column(c).to_pylist(), c
+    assert wide >= 2
 
 
 def test_surt_host_batch_parity():
@@ -758,6 +756,75 @@ def _light_crawl(graph, fetch_fn=None, **kw):
                  seeds=seeds_table(graph, 6), num_seen_shards=2, num_host_shards=2,
                  seen_capacity=4 * N, clock_iso=CLOCK, max_generations=30,
                  track_visits=True, **kw)
+
+
+# 13 hosts at capacity 64 admit up to 832 rows a generation: the fetch
+# wave spans several 256-row slices
+WIDE = WebGraph(2000, n_hosts=13, fanout=4, private_every=0)
+
+
+def _wide_crawl(fetch_fn=None, explode_fn=None, **kw):
+    """A 4-generation payload-light crawl of :data:`WIDE` from 600 seeds."""
+    import functools
+
+    from warcit_ray.pipelines.crawl import (explode_links, light_fetch_batch,
+                                            seeds_table)
+
+    return crawl(fetch_fn=fetch_fn or light_fetch_batch, fetch_args=(WIDE, CLOCK),
+                 explode_fn=explode_fn or functools.partial(explode_links, graph=WIDE),
+                 seeds=seeds_table(WIDE, 600), robots_map=WIDE.robots_map(),
+                 num_seen_shards=2, num_host_shards=2, seen_capacity=4 * WIDE.n,
+                 rate=64.0, capacity=64.0, clock_iso=CLOCK, seen_fp_bits=32,
+                 max_generations=4, track_visits=True, **kw)
+
+
+@pytest.fixture(scope="module")
+def wide_full(tmp_path_factory):
+    """The checkpoint of an uninterrupted :func:`_wide_crawl`."""
+    ck = str(tmp_path_factory.mktemp("wide") / "full")
+    _wide_crawl(checkpoint_dir=ck)
+    return ck
+
+
+def _parts(root, g):
+    """Generation ``g``'s records part names, sorted."""
+    return sorted(os.listdir(os.path.join(CrawlCheckpoint(root).gen_dir(g), "records")))
+
+
+def _fetch_failing_last_slice(batch, graph, clock_iso):
+    """Raises on the short last slice of a wave; the full slices are
+    slow and then succeed."""
+    import time
+
+    from warcit_ray.pipelines.crawl import light_fetch_batch
+
+    if batch.num_rows < 256:
+        raise RuntimeError("fetch failed on the last slice")
+    time.sleep(3)
+    return light_fetch_batch(batch, graph, clock_iso)
+
+
+def _no_links(records):
+    from warcit_ray.pipelines.crawl import FRONTIER_SCHEMA
+
+    return FRONTIER_SCHEMA.empty_table()
+
+
+def test_failed_wave_leaves_no_writer(tmp_path):
+    """A wave whose one slice raises cancels and awaits its other tasks
+    before crawl() raises: no records part appears afterwards. The
+    other slices find no links, so they would reach their write
+    without any call to the (killed) shard actors."""
+    import time
+
+    ck = str(tmp_path / "ck")
+    with pytest.raises(RuntimeError, match="last slice"):
+        _wide_crawl(fetch_fn=_fetch_failing_last_slice, explode_fn=_no_links,
+                    checkpoint_dir=ck)
+    tmp = os.path.join(CrawlCheckpoint(ck).gen_dir(0), "records.tmp")
+    before = sorted(os.listdir(tmp))
+    time.sleep(5)
+    assert sorted(os.listdir(tmp)) == before
 
 
 def test_failed_crawl_kills_its_actors(corpus, leases):

@@ -212,7 +212,6 @@ def main(args=None) -> int:
         "robots_blocked": res["robots_blocked"],
         "phase_times": res.get("phase_times"),
         "task_s": res["task_s"],
-        "tiers": res["tiers"],
         "plane": res["plane"],
         "checkpoint": ns.checkpoint,
         "warc_records": warc_records,

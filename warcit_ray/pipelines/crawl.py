@@ -23,13 +23,14 @@ function each:
 A generation is one admit plus one task wave. There is no frontier
 carrier between generations: a wave task offers its links before it
 returns, so they sit in the host shards' heaps — and in the host-state
-snapshot of the generation's checkpoint — before the next admit; only
-the records and a small meta tuple leave the task. One threshold,
-``task_frontier``, with ``FETCH_REF_MAX_ROWS`` admitted rows as a
-ceiling, picks the wave's tier: at or below it plain Ray tasks over
-256/1,024-row slices, above it a streaming Dataset ``map_batches`` of
-the same function (backpressure + spilling). The initial carrier
-always runs as plain tasks, one per ref.
+snapshot of the generation's checkpoint — before the next admit. The
+wave has one tier at every size: plain Ray tasks over 256/1,024-row
+slices. When the crawl checkpoints, each task writes its own records
+part into ``gen=g/records.tmp/`` after its offer returns, and
+:meth:`CrawlCheckpoint.write_generation` renames the directory to
+``records/``; only a small meta tuple reaches the driver, so no record
+table ever passes through it or the object store. The initial carrier
+runs as plain tasks too, one per ref.
 
 State partitioning is explicit: the URL-seen set shards on
 ``hash64(surt(url)) % S`` (uniform), politeness shards on
@@ -75,10 +76,6 @@ from ..functions.digests import record_id_batch, sha1_b32_batch
 from ..functions.urls import surt_batch, surt_hash64_batch, surt_host_batch
 from ..stages.shuffle import bucket_shuffle
 from ..state.shards import ADMIT_SCHEMA
-
-# admitted rows per generation above which fetch runs on the Dataset
-# tier: on a 524k-admit generation the ref tier lost 3 of 3 A/B pairs
-FETCH_REF_MAX_ROWS = 262_144
 
 FRONTIER_SCHEMA = pa.schema(
     [
@@ -302,18 +299,19 @@ def probe_and_offer_batch(batch: pa.Table, seen_actors, host_actors) -> int:
 
 
 # the wave's per-slice counters, in fetch_wave_batch's meta order
-WAVE_META = ("links", "record_bytes", "offered",
-             "fetch_s", "explode_s", "probe_s", "offer_s")
+WAVE_META = ("links", "offered", "fetch_s", "explode_s", "probe_s", "offer_s")
 
 
 def fetch_wave_batch(batch: pa.Table, fetch_fn, fetch_args, explode_fn,
-                     seen_actors, host_actors) -> tuple:
+                     seen_actors, host_actors, part_path: str | None) -> tuple:
     """One generation's work after admit on one slice of admitted rows,
     in one task: fetch -> explode links -> seen-probe -> offer. The new
     links go straight into the host shards' heaps, so no next frontier
-    leaves the task. Returns (records without their links, meta), meta
-    in :data:`WAVE_META` order: link rows, record bytes, offered count
-    and the in-task seconds of each step."""
+    leaves the task. With a ``part_path`` the records, without their
+    links, are written there once the offer has returned (a task whose
+    offer failed writes nothing); no record leaves the task. Returns
+    the meta in :data:`WAVE_META` order: link rows, offered count and
+    the in-task seconds of each step."""
     t0 = time.perf_counter()
     rec = fetch_fn(batch, *fetch_args)
     t1 = time.perf_counter()
@@ -324,20 +322,12 @@ def fetch_wave_batch(batch: pa.Table, fetch_fn, fetch_args, explode_fn,
     offered = (int(offer_batch(fresh, host_actors)["offered"][0].as_py())
                if fresh.num_rows else 0)
     t4 = time.perf_counter()
-    rec = rec.drop_columns(["links"])
-    return rec, (links.num_rows, rec.nbytes, offered, t1 - t0, t2 - t1, t3 - t2, t4 - t3)
-
-
-def fetch_wave_block(batch: pa.Table, *args) -> pa.Table:
-    """:func:`fetch_wave_batch` as a Dataset UDF, which returns one
-    table: the records plus one :data:`WAVE_META` column each, holding
-    the meta on the first row and 0 on the others."""
-    rec, meta = fetch_wave_batch(batch, *args)
-    for name, v in zip(WAVE_META, meta):
-        col = np.zeros(rec.num_rows, dtype=type(v))
-        col[:1] = v
-        rec = rec.append_column(name, pa.array(col))
-    return rec
+    if part_path is not None:
+        # records are payload-dominated (already-encoded image bytes):
+        # snappy costs 3.6x the write time for a 1% size win (measured
+        # on a 339 MB generation) — store them raw
+        pq.write_table(rec.drop_columns(["links"]), part_path, compression="NONE")
+    return links.num_rows, offered, t1 - t0, t2 - t1, t3 - t2, t4 - t3
 
 
 RECORD_SCHEMA = pa.schema([
@@ -744,9 +734,25 @@ class CrawlCheckpoint:
                 out.append(int(name.split("=")[1]))
         return out
 
-    def write_generation(self, g: int, *, records_ds, admitted: pa.Table,
+    def records_tmp(self, g: int) -> str:
+        """Generation ``g``'s empty ``records.tmp/`` directory, into which
+        the fetch wave's tasks write their parts: a crashed attempt
+        (manifest absent) may have left parts there, and a rerun must
+        not merge them with its own."""
+        import shutil
+
+        tmp_dir = os.path.join(self.gen_dir(g), "records.tmp")
+        shutil.rmtree(tmp_dir, ignore_errors=True)
+        os.makedirs(tmp_dir)
+        return tmp_dir
+
+    def write_generation(self, g: int, *, admitted: pa.Table,
                          seen_deltas: list[np.ndarray], host_states: list[dict],
                          stats: dict) -> None:
+        """Make generation ``g`` durable: ``records.tmp/`` (the wave's
+        parts) is renamed to ``records/`` (removed when the wave wrote no
+        part), then admitted rows, seen deltas and host state are
+        written, and the manifest last."""
         import shutil
 
         d = self.gen_dir(g)
@@ -756,25 +762,13 @@ class CrawlCheckpoint:
         shutil.rmtree(os.path.join(d, "next_frontier"), ignore_errors=True)
         if os.path.exists(os.path.join(d, "next_frontier.parquet")):
             os.remove(os.path.join(d, "next_frontier.parquet"))
-        if records_ds is not None:
-            # write-to-tmp + atomic rename (manifest-last protocol): a
-            # crashed attempt (manifest absent) leaves partial part
-            # files; rerunning the generation must not merge new
-            # uniquely-named parts with stale ones.
-            rec_dir = os.path.join(d, "records")
-            tmp_dir = rec_dir + ".tmp"
-            shutil.rmtree(tmp_dir, ignore_errors=True)
-            # records are payload-dominated (already-encoded image
-            # bytes): snappy costs 3.6x the write time for a 1% size
-            # win (measured on a 339 MB generation) — store them raw
-            if isinstance(records_ds, pa.Table):
-                os.makedirs(tmp_dir, exist_ok=True)
-                pq.write_table(records_ds, os.path.join(tmp_dir, "part-0.parquet"),
-                               compression="NONE")
-            else:
-                records_ds.write_parquet(tmp_dir, compression="NONE")
-            shutil.rmtree(rec_dir, ignore_errors=True)
+        rec_dir = os.path.join(d, "records")
+        tmp_dir = rec_dir + ".tmp"
+        shutil.rmtree(rec_dir, ignore_errors=True)
+        if os.path.isdir(tmp_dir) and os.listdir(tmp_dir):
             os.rename(tmp_dir, rec_dir)
+        else:
+            shutil.rmtree(tmp_dir, ignore_errors=True)
         pq.write_table(admitted, os.path.join(d, "admitted.parquet"))
         for i, delta in enumerate(seen_deltas):
             pq.write_table(
@@ -854,12 +848,11 @@ class CrawlCheckpoint:
 
 
 class _Layer(NamedTuple):
-    """One phase of one generation: rows in and out, its tier ("ref",
-    "dataset", or None for a driver-only phase) and its wall seconds."""
+    """One phase of one generation: rows in and out and its wall
+    seconds."""
 
     rows_in: int
     rows_out: int
-    tier: str | None
     s: float
 
 
@@ -874,9 +867,6 @@ class _Plane:
     explode_fn: object
     affinity_fn: object
     ckpt: CrawlCheckpoint | None
-    # admitted rows above min(this, FETCH_REF_MAX_ROWS) run the wave on
-    # the Dataset tier; at or below it, on the ref tier
-    task_frontier: int
     probe_task: object
     fetch_task: object
 
@@ -899,12 +889,11 @@ def _probe_offer(plane: _Plane, carrier) -> tuple[int, _Layer]:
 
     t0 = time.monotonic()
     if not carrier:
-        return 0, _Layer(0, 0, None, time.monotonic() - t0)
+        return 0, _Layer(0, 0, time.monotonic() - t0)
     offered = sum(ray.get([
         plane.probe_task.remote(r, plane.seen_actors, plane.host_actors)
         for r, _ in carrier]))
-    return offered, _Layer(sum(c for _, c in carrier), offered, "ref",
-                           time.monotonic() - t0)
+    return offered, _Layer(sum(c for _, c in carrier), offered, time.monotonic() - t0)
 
 
 def _admit(plane: _Plane, g: int, offered: int) -> tuple[pa.Table | None, _Layer]:
@@ -922,10 +911,10 @@ def _admit(plane: _Plane, g: int, offered: int) -> tuple[pa.Table | None, _Layer
     n = body.num_rows
     # buckets may be empty this tick while URLs remain: the next refills
     if n == 0 and not sum(ray.get([a.pending.remote() for a in plane.host_actors])):
-        return None, _Layer(offered, 0, None, time.monotonic() - t0)
+        return None, _Layer(offered, 0, time.monotonic() - t0)
     admitted = body.add_column(0, "generation",
                                pa.array(np.full(n, g, dtype=np.int64)))
-    return admitted, _Layer(offered, n, None, time.monotonic() - t0)
+    return admitted, _Layer(offered, n, time.monotonic() - t0)
 
 
 def _fetch_plan(admitted: pa.Table, affinity_fn) -> tuple[pa.Table, list]:
@@ -953,77 +942,63 @@ def _fetch_plan(admitted: pa.Table, affinity_fn) -> tuple[pa.Table, list]:
     return admitted.take(pa.array(order)), segments
 
 
-def _fetch(plane: _Plane, admitted: pa.Table) -> tuple:
-    """Phase 3, the fetch wave: every slice of admitted rows is fetched,
-    its links exploded, seen-probed and offered in one
-    :func:`fetch_wave_batch` task -> (records, meta summed over the
-    slices, layer); ``records`` is None when no checkpoint consumes it. Ref
-    tier: plain tasks over 256- or 1,024-row slices. Dataset tier: one
-    task per 4k-row block (a one-block ``from_arrow(table)`` ran a
-    586k-row fetch as ONE task, 28.7 s vs 3.3 s sliced), each looping
-    256-row batches; the meta rides in :data:`WAVE_META` columns."""
+def _fetch(plane: _Plane, g: int, admitted: pa.Table) -> tuple[dict, _Layer]:
+    """Phase 3, the fetch wave: every 256- or 1,024-row slice of admitted
+    rows is fetched, its links exploded, seen-probed and offered in one
+    :func:`fetch_wave_batch` task -> (meta summed over the slices,
+    layer). With a checkpoint, slice ``i`` writes its records to
+    ``gen=g/records.tmp/part-<i>.parquet``, so sorted part names keep
+    dispatch order. If the wave fails, every task still in flight is
+    cancelled and waited for before the error propagates: none can
+    write into a later run's ``records.tmp``."""
     import ray
-    import ray.data as rd
 
     t0 = time.monotonic()
     n = admitted.num_rows
     if n == 0:
-        return None, dict.fromkeys(WAVE_META, 0), _Layer(0, 0, None, time.monotonic() - t0)
+        return dict.fromkeys(WAVE_META, 0), _Layer(0, 0, time.monotonic() - t0)
     dispatch, segments = _fetch_plan(admitted, plane.affinity_fn)
+    part_dir = plane.ckpt.records_tmp(g) if plane.ckpt is not None else None
     args = (plane.fetch_fn, plane.fetch_args, plane.explode_fn,
             plane.seen_actors, plane.host_actors)
-    records = None
-    if n <= min(plane.task_frontier, FETCH_REF_MAX_ROWS):
-        slice_rows = 1024 if n > 4096 else 256
-        rec_refs, meta_refs = [], []
-        for seg_lo, seg_hi in segments:
-            for lo in range(seg_lo, seg_hi, slice_rows):
-                r, m = plane.fetch_task.remote(
-                    dispatch.slice(lo, min(slice_rows, seg_hi - lo)), *args)
-                rec_refs.append(r)
-                meta_refs.append(m)
-        meta = dict(zip(WAVE_META, map(sum, zip(*ray.get(meta_refs)))))
-        if plane.ckpt is not None:
-            # heavy-payload generations (image records) checkpoint their
-            # slices DISTRIBUTED as Dataset blocks (the driver concat +
-            # write was 5.5 s of the 9.4 s 100k image crawl); row-light
-            # ones keep the cheap concat
-            records = (rd.from_arrow_refs(rec_refs) if meta["record_bytes"] > (64 << 20)
-                       else pa.concat_tables(ray.get(rec_refs)))
-        tier = "ref"
-    else:
-        blocks = rd.from_arrow([dispatch.slice(lo, 4096) for lo in range(0, n, 4096)])
-        out = blocks.map_batches(fetch_wave_block, fn_args=args, batch_size=256,
-                                 batch_format="pyarrow").materialize()
-        sums = out.sum(list(WAVE_META))
-        meta = {k: (float if k.endswith("_s") else int)(sums["sum(%s)" % k])
-                for k in WAVE_META}
-        if plane.ckpt is not None:
-            records = out.drop_columns(list(WAVE_META))
-        tier = "dataset"
-    return records, meta, _Layer(n, meta["links"], tier, time.monotonic() - t0)
+    slice_rows = 1024 if n > 4096 else 256
+    refs = []
+    for seg_lo, seg_hi in segments:
+        for lo in range(seg_lo, seg_hi, slice_rows):
+            part = (None if part_dir is None
+                    else os.path.join(part_dir, "part-%06d.parquet" % len(refs)))
+            refs.append(plane.fetch_task.remote(
+                dispatch.slice(lo, min(slice_rows, seg_hi - lo)), *args, part))
+    try:
+        metas = ray.get(refs)
+    except BaseException:
+        for r in refs:
+            ray.cancel(r)
+        ray.wait(refs, num_returns=len(refs))
+        raise
+    meta = dict(zip(WAVE_META, map(sum, zip(*metas))))
+    return meta, _Layer(n, meta["links"], time.monotonic() - t0)
 
 
-def _checkpoint(plane: _Plane, g: int, records, admitted: pa.Table) -> _Layer:
-    """Phase 4: write generation ``g``'s lineage (records, admitted rows,
-    seen deltas, host snapshots; the snapshots hold this generation's
-    links, offered by the fetch wave). Rows out: the admitted rows made
-    durable."""
+def _checkpoint(plane: _Plane, g: int, admitted: pa.Table) -> _Layer:
+    """Phase 4: make generation ``g`` durable: its records parts (written
+    by the fetch wave), admitted rows, seen deltas and host snapshots
+    (which hold this generation's links, offered by the fetch wave).
+    Rows out: the admitted rows made durable."""
     import ray
 
     t0 = time.monotonic()
     n = admitted.num_rows
     if plane.ckpt is None:
-        return _Layer(n, 0, None, time.monotonic() - t0)
+        return _Layer(n, 0, time.monotonic() - t0)
     plane.ckpt.write_generation(
         g,
-        records_ds=records,
         admitted=admitted,
         seen_deltas=ray.get([a.flush_delta.remote() for a in plane.seen_actors]),
         host_states=ray.get([a.checkpoint_state.remote() for a in plane.host_actors]),
         stats={"admitted": n},
     )
-    return _Layer(n, n, None, time.monotonic() - t0)
+    return _Layer(n, n, time.monotonic() - t0)
 
 
 def crawl(
@@ -1046,27 +1021,27 @@ def crawl(
     resume: bool = False,
     stop_after_generation: int | None = None,
     batch_size: int = 4096,
-    # ignored: tiers follow task_frontier_threshold alone; kept because
-    # perfbench/workloads.py still passes them
+    # ignored; kept because perfbench/workloads.py still passes them
     small_frontier_threshold: int | None = None,
     small_admit_threshold: int | None = None,
     track_visits: bool = False,
     seen_fp_bits: int = 16,
     corpus_partitions: int | None = None,
     corpus_fragments_dir: str | None = None,
-    task_frontier_threshold: int | None = None,
     seen_capacity: int | None = None,
     fetch_affinity_fn=None,
     max_pending_per_host: int = 100_000,
 ) -> dict:
     """Run the crawl; returns stats + (if checkpointing) the output layout.
 
-    ``task_frontier_threshold`` (default ~4M rows) is the one tier
-    knob (see the module docstring). Stats carry ``phase_times`` (wall
-    seconds: ``probe_offer`` covers only the initial carrier, ``fetch``
-    the fused fetch wave), ``task_s`` (the wave tasks' in-task seconds
-    summed: ``fetch``, ``explode``, ``probe``, ``offer``), ``tiers``
-    (per phase, generations run on each tier), the seen set's
+    Each generation's fetch wave runs as plain tasks, one per slice of
+    admitted rows; with ``checkpoint_dir`` each task writes its own
+    records part (see the module docstring). Stats carry
+    ``phase_times`` (wall seconds: ``probe_offer`` covers only the
+    initial carrier, ``fetch`` the fused fetch wave and its records
+    writes, ``checkpoint`` the rest of the generation's lineage),
+    ``task_s`` (the wave tasks' in-task seconds summed: ``fetch``,
+    ``explode``, ``probe``, ``offer``), the seen set's
     ``seen_load_factor`` (filled over total cuckoo slots, all shards)
     and ``seen_fp_skips_est`` (new URLs expected to be skipped as
     false positives at ``seen_fp_bits``), and ``plane``: the shard
@@ -1139,10 +1114,8 @@ def crawl(
         seen_actors=lease.seen, host_actors=lease.host,
         fetch_fn=fetch_fn, fetch_args=fetch_args, explode_fn=explode_fn,
         affinity_fn=fetch_affinity_fn, ckpt=ckpt,
-        task_frontier=task_frontier_threshold if task_frontier_threshold is not None
-        else 4_000_000 // max(1, batch_size) * batch_size,
         probe_task=ray.remote(num_cpus=1)(probe_and_offer_batch),
-        fetch_task=ray.remote(num_cpus=1, num_returns=2)(fetch_wave_batch),
+        fetch_task=ray.remote(num_cpus=1)(fetch_wave_batch),
     )
     try:
         start_gen = ckpt.restore(lease.seen, lease.host) if resume else 0
@@ -1157,6 +1130,7 @@ def crawl(
     except BaseException:
         # a probe task still in flight could write into the plane after
         # a later crawl has reset it: a failed crawl's actors never pool
+        # (a failed wave has already cancelled and awaited its tasks)
         kill_actors(lease.seen + lease.host)
         raise
     release_actors(lease)
@@ -1174,27 +1148,21 @@ def _generations(plane: _Plane, carrier, gens: range,
     generation admit, the fetch wave (which offers the generation's
     links) and checkpoint, until the crawl drains, the generation budget
     runs out or ``stop_after_generation`` is reached. Returns crawl()'s
-    counters, visit log, per-phase times, in-task times and tiers."""
+    counters, visit log, per-phase times and in-task times."""
     totals = {"admitted": 0, "offered": 0, "generations": 0, "gen_admits": []}
     visit_log: list[tuple] = []
     phase_times = dict.fromkeys(("probe_offer", "admit", "fetch", "checkpoint"), 0.0)
     task_s = dict.fromkeys(("fetch", "explode", "probe", "offer"), 0.0)
-    tiers = {p: {"ref": 0, "dataset": 0} for p in ("probe_offer", "fetch")}
-
-    def tally(phase: str, layer: _Layer) -> None:
-        phase_times[phase] += layer.s
-        if layer.tier is not None:
-            tiers[phase][layer.tier] += 1
 
     offered = 0
     if gens:
         offered, layer = _probe_offer(plane, carrier)
-        tally("probe_offer", layer)
+        phase_times["probe_offer"] += layer.s
         totals["offered"] += offered
     carrier = None  # probed: release its refs
     for g in gens:
         admitted, layer = _admit(plane, g, offered)
-        tally("admit", layer)
+        phase_times["admit"] += layer.s
         if admitted is None:
             break
         n = admitted.num_rows
@@ -1205,18 +1173,16 @@ def _generations(plane: _Plane, carrier, gens: range,
             visit_log.extend((g, h, u) for h, u in zip(
                 admitted.column("host").to_pylist(),
                 admitted.column("url").to_pylist()))
-        records, meta, layer = _fetch(plane, admitted)
-        tally("fetch", layer)
+        meta, layer = _fetch(plane, g, admitted)
+        phase_times["fetch"] += layer.s
         offered = meta["offered"]
         totals["offered"] += offered
         for k in task_s:
             task_s[k] += meta[k + "_s"]
-        tally("checkpoint", _checkpoint(plane, g, records, admitted))
-        records = None  # written: release it before the next generation
+        phase_times["checkpoint"] += _checkpoint(plane, g, admitted).s
         if stop_after_generation is not None and g >= stop_after_generation:
             break
     totals["visit_log"] = visit_log
     totals["phase_times"] = {k: round(v, 3) for k, v in phase_times.items()}
     totals["task_s"] = {k: round(v, 3) for k, v in task_s.items()}
-    totals["tiers"] = tiers
     return totals

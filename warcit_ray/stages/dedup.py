@@ -4,7 +4,8 @@ Jaccard verification, embedding-cosine near-dup.
 Shuffle discipline (the 100 TB design point):
 - exact dedup: hash computed per batch (vectorized) -> PARTIAL
   aggregation inside map_batches (one row per hash per batch) -> one
-  small groupby over partials. The full rows never shuffle.
+  bucket shuffle of the partials on the hash. The full rows never
+  shuffle.
 - MinHash LSH: the input executes once, into a materialized (id, text)
   corpus; one pass over it computes each batch's signatures and
   explodes them straight to (band_hash, doc) rows (signatures never
@@ -47,26 +48,28 @@ from .text import md5_batch
 
 def exact_dedup_groups(ds, id_col: str = "doc_id", text_col: str = "text"):
     """-> Dataset(text_md5, keep_id, n_dups): one row per distinct text,
-    keeping the minimum id. Partial-aggregates before the shuffle."""
-    from ray.data.aggregate import Min, Sum
+    keeping the minimum id. Partial-aggregates each batch, then one
+    bucket shuffle on the hash combines the partials (min of the
+    minimum ids, sum of the counts)."""
+    import pyarrow.compute as pc
 
     def partial(batch: pa.Table) -> pa.Table:
-        b = md5_batch(batch, text_col)
-        df = b.select([id_col, "text_md5"]).to_pandas()
-        g = df.groupby("text_md5", sort=False)[id_col].agg(["min", "size"]).reset_index()
-        return pa.table(
-            {
-                "text_md5": g["text_md5"],
-                "pmin": g["min"].astype("int64"),
-                "pcnt": g["size"].astype("int64"),
-            }
-        )
+        g = md5_batch(batch, text_col).group_by(["text_md5", "text_md5_i64"]).aggregate(
+            [(id_col, "min"), (id_col, "count", pc.CountOptions(mode="all"))])
+        return pa.table({"text_md5": g["text_md5"], "text_md5_i64": g["text_md5_i64"],
+                         "pmin": pc.cast(g[id_col + "_min"], pa.int64()),
+                         "pcnt": g[id_col + "_count"]})
 
-    partials = ds.map_batches(partial, batch_format="pyarrow")
-    return (
-        partials.groupby("text_md5")
-        .aggregate(Min("pmin", alias_name="keep_id"), Sum("pcnt", alias_name="n_dups"))
-    )
+    def combine(_bucket: int, t: pa.Table) -> pa.Table:
+        g = t.group_by("text_md5").aggregate([("pmin", "min"), ("pcnt", "sum")])
+        return pa.table({"text_md5": g["text_md5"], "keep_id": g["pmin_min"],
+                         "n_dups": g["pcnt_sum"]})
+
+    # materialized: its row count, from block metadata, sizes the buckets
+    partials = ds.map_batches(partial, batch_format="pyarrow").materialize()
+    return bucket_shuffle(partials, key_buckets("text_md5_i64",
+                                                _coarse_bucket_count(partials.count())),
+                          combine)
 
 
 def _splitmix64(x: np.ndarray) -> np.ndarray:

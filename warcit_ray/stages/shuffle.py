@@ -61,7 +61,10 @@ def split_block(bucket_of, num_parts: int, *blocks):
 
     rows = DelegatingBlockBuilder()
     for block in blocks:
-        rows.add_block(BlockAccessor.for_block(block).to_arrow())
+        # without the pandas metadata a pandas-derived block carries: it
+        # makes the schema unhashable, and Ray's schema unification (here
+        # and in the reduce) then logs a warning and takes its slow path
+        rows.add_block(BlockAccessor.for_block(block).to_arrow().replace_schema_metadata())
     t = rows.build()  # one block: that block as it is
     bucket = np.asarray(bucket_of(t), dtype=np.int64)
     t = t.append_column(TAG, pa.array(bucket))
