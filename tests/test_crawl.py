@@ -345,37 +345,6 @@ def test_dataset_path_equivalent_to_direct_path(tmp_path):
         assert all(res["task_s"][k] > 0 for k in ("fetch", "explode", "probe", "offer"))
 
 
-def test_offer_batch_top_per_host_trim():
-    """Skew lever: a batch dominated by one host ships only its best
-    top_per_host entries; other hosts are untouched."""
-    import pyarrow as pa
-    import ray
-
-    from warcit_ray.pipelines.crawl import offer_batch
-    from warcit_ray.state.shards import make_actors, release_actors
-
-    lease = make_actors(0, 1, rate=100.0, capacity=100.0)
-    host_actors = lease.host
-    n = 50
-    batch = pa.table({
-        "url": (["http://hot.example/p%02d" % i for i in range(n)]
-                + ["http://cold.example/x"]),
-        "priority": pa.array([i % 3 for i in range(n)] + [0], type=pa.int64()),
-        "seq": pa.array(list(range(n)) + [999], type=pa.int64()),
-        "payload_key": pa.array([""] * (n + 1), type=pa.string()),
-        "depth": pa.array([0] * (n + 1), type=pa.int64()),
-    })
-    out = offer_batch(batch, host_actors, top_per_host=5)
-    assert out["offered"][0].as_py() == 6  # 5 hot + 1 cold
-    admitted = ray.get(host_actors[0].admit.remote())
-    hot = [u for u in admitted["url"] if "hot" in u]
-    # the kept 5 are the best (priority, seq): priorities 0 come first
-    assert len(hot) == 5
-    assert hot[0] == "http://hot.example/p00"
-    assert "http://cold.example/x" in admitted["url"]
-    release_actors(lease)
-
-
 def _records_by_uri(root):
     """target_uri -> (image_id, payload_digest, fmt, caption) over every
     checkpointed records part."""

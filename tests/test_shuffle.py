@@ -8,7 +8,13 @@ import pytest
 import ray
 import ray.data as rd
 
-from warcit_ray.stages.shuffle import _group_blocks, bucket_shuffle, mix_buckets
+from warcit_ray.stages.shuffle import (
+    _group_blocks,
+    bucket_shuffle,
+    dataset_blocks,
+    mix_buckets,
+    shuffle_blocks,
+)
 
 N = 600
 
@@ -237,3 +243,39 @@ def test_bucket_shuffle_tiny_blocks_same_buckets(ray_session, monkeypatch):
     for b, (l, r) in grouped.items():
         assert l == [i for i in range(200) if (i % 5) * 2 == b]
         assert r == [i for i in range(199, -1, -2) if (i % 5) * 2 == b]
+
+
+@pytest.mark.parametrize("two_sides", [False, True])
+def test_bucket_shuffle_equals_its_block_core(ray_session, per_block_split, two_sides):
+    """bucket_shuffle over Datasets and shuffle_blocks over the same
+    blocks' refs give every bucket the same rows, in input order."""
+    left = rd.from_arrow([pa.table({"id": list(range(i, N, 7)), "v": list(range(i, N, 7))})
+                          for i in range(7)]).materialize()
+    right = rd.range(N, override_num_blocks=5).map_batches(
+        lambda t: t.append_column("r", pa.array([str(i) for i in t["id"].to_pylist()])),
+        batch_format="pyarrow").materialize()
+
+    def per_bucket(b: int, rows) -> pa.Table:
+        sides = rows if two_sides else (rows,)
+        return pa.table({"bucket": [b]} | {
+            "ids%d" % k: [s.column("id").to_pylist() if s is not None else []]
+            for k, s in enumerate(sides)})
+
+    def rows_of(blocks) -> dict:
+        got = [r for t in ray.get(blocks) for r in t.to_pylist()]
+        assert len({r["bucket"] for r in got}) == len(got)  # one call a bucket
+        return {r.pop("bucket"): r for r in got}
+
+    sides = (left, right) if two_sides else left
+    blocks = (tuple(map(dataset_blocks, sides)) if two_sides
+              else dataset_blocks(sides))
+    assert all(len(side) >= 5 for side in (blocks if two_sides else (blocks,)))
+    via_ds = rows_of(bucket_shuffle(sides, _buckets, per_bucket).to_arrow_refs())
+    via_refs = rows_of(shuffle_blocks(blocks, _buckets, per_bucket))
+    assert via_ds == via_refs
+    assert sorted(via_refs) == [0, 2, 4, 6, 8]
+    order = [i for k in range(7) for i in range(k, N, 7)]  # left's input order
+    for b, row in via_refs.items():
+        assert row["ids0"] == [i for i in order if (i % 5) * 2 == b]
+        if two_sides:
+            assert row["ids1"] == [i for i in range(N) if (i % 5) * 2 == b]

@@ -170,8 +170,7 @@ def host_shard_of(host: str, num_shards: int) -> int:
     token bucket for a host deliberately CANNOT be salted across shards
     — politeness must be a local decision on one actor. Hot-host skew is
     handled upstream instead: batch URL dedup before probing
-    (seen_probe_batch), per-batch top-k offer trimming (offer_batch's
-    ``top_per_host``), the per-host frontier cap
+    (seen_probe_batch), the per-host frontier cap
     (HostShardState.max_pending), and batched heapify offers."""
     h = hashlib.blake2b(host.encode(), digest_size=4).digest()
     return int.from_bytes(h, "little") % num_shards
@@ -227,14 +226,8 @@ def seen_probe_batch(batch: pa.Table, seen_actors) -> pa.Table:
     return batch.filter(pa.array(keep))
 
 
-def offer_batch(batch: pa.Table, host_actors, top_per_host: int | None = None) -> pa.Table:
-    """Stateless-task stage: route new URLs to their HostShard actors.
-
-    ``top_per_host``: skew lever — keep only the best (priority, seq)
-    entries per host WITHIN this batch before shipping. Safe whenever it
-    is >= what politeness could admit for one host over the remaining
-    crawl budget (entries beyond that are dead weight); a hot host that
-    dominates a batch then costs O(top_per_host) instead of O(batch)."""
+def offer_batch(batch: pa.Table, host_actors) -> pa.Table:
+    """Stateless-task stage: route new URLs to their HostShard actors."""
     import ray
 
     if batch.num_rows == 0:
@@ -255,18 +248,6 @@ def offer_batch(batch: pa.Table, host_actors, top_per_host: int | None = None) -
     # hosts repeat heavily in link batches: hash each DISTINCT host once,
     # then all grouping is integer-code arithmetic (no per-row dicts)
     uniq_hosts, host_codes = np.unique(hosts, return_inverse=True)
-    if top_per_host is not None and batch.num_rows > top_per_host:
-        # per-host rank under the heap order (priority, seq, url);
-        # lexsort keys are last-key-primary
-        order = np.lexsort((urls, seqs, pris, host_codes))
-        gc = host_codes[order]
-        grp_first = np.concatenate(([0], 1 + np.nonzero(gc[1:] != gc[:-1])[0]))
-        counts = np.diff(np.concatenate((grp_first, [len(gc)])))
-        rank = np.arange(len(gc)) - np.repeat(grp_first, counts)
-        keep_idx = np.sort(order[rank < top_per_host])
-        urls, hosts, keys = urls[keep_idx], hosts[keep_idx], keys[keep_idx]
-        pris, seqs, depths = pris[keep_idx], seqs[keep_idx], depths[keep_idx]
-        host_codes = host_codes[keep_idx]
     shard_of_host = np.fromiter(
         (host_shard_of(h, n) for h in uniq_hosts),
         dtype=np.int64, count=len(uniq_hosts))

@@ -1,21 +1,21 @@
-"""file/ZIP -> WARC as a Ray Data pipeline.
+"""file/ZIP -> WARC as one wave of plain Ray tasks.
 
 Reference lifecycle reproduced (warcit.py:395-448) as:
 
     enumerate_seeds (driver, ordering frozen into `seq`)
-      -> Dataset
-      -> map_batches(PayloadLoader())      # stateless tasks; zip handles
-                                           # cached per worker process
-      -> map_batches(RecordBuilder(cfg))   # stateless tasks: resource/
-                                           # revisit/conversion/
-                                           # transclusion expansion
-      -> union(warcinfo row)
+      -> slices of the candidate table (:func:`slice_bounds`)
+      -> one task per slice: RecordBuilder(cfg)(PayloadLoader()(slice))
+                                           # resource/revisit/conversion/
+                                           # transclusion expansion; zip
+                                           # handles cached per worker
+      -> rd.from_arrow_refs([warcinfo row] + the slices' record blocks)
       -> [sort('seq')] only at physical WARC emission; the Parquet sink
          keeps the seq column instead (SURVEY §2.5 ordering note).
 
-Both stages are callable instances, not classes, so Ray Data runs them
-as tasks on warm worker processes instead of starting an actor pool per
-job. The sharded sinks write one part per range of input files
+No Ray Data operator runs: the record Dataset holds blocks that exist
+when :func:`build_warc_dataset` returns, so every consumer (a sink,
+``count()``, the logfile) reads the same blocks and the records are
+built once. The sharded sinks write one part per range of input files
 (:func:`part_of_seq`).
 """
 
@@ -23,83 +23,119 @@ from __future__ import annotations
 
 import os
 
+import numpy as np
 import pyarrow as pa
 
 from ..config import WarcitConfig
-from ..sinks.warc_sink import pin_layout, write_warc_file
-from ..sources.seeds import PayloadLoader, part_of_seq, seeds_dataset
+from ..sinks.warc_sink import pin_layout, write_shards, write_warc_file
+from ..sources.seeds import PayloadLoader, enumerate_seeds
 from ..stages.build_records import RecordBuilder, warcinfo_row
-from ..stages.shuffle import bucket_shuffle
 
-# small because payload rows are wide (binary blobs): blocks stay within
-# the object-store target block size
-BATCH_SIZE = 64
+
+def slice_bounds(sizes: np.ndarray, min_slices: int, max_bytes: int) -> list[int]:
+    """Row bounds of the convert wave's slices of candidates whose input
+    files have ``sizes`` bytes: ``min_slices`` runs of consecutive rows
+    of near-equal row count (fewer when there are fewer rows, one empty
+    slice when there are none), each cut again where its files would
+    sum past ``max_bytes`` (a larger file is a slice of its own)."""
+    n = len(sizes)
+    even = np.linspace(0, n, max(1, min(n, min_slices)) + 1).round().astype(int).tolist()
+    bounds = []
+    for a, b in zip(even[:-1], even[1:]):
+        bounds.append(a)
+        if sizes[a:b].sum() > max_bytes:
+            run = 0
+            for i in range(a, b):
+                if run and run + sizes[i] > max_bytes:
+                    bounds.append(i)
+                    run = 0
+                run += sizes[i]
+    return bounds + [n]
+
+
+def _build_slice(cfg: WarcitConfig, candidates: pa.Table) -> pa.Table:
+    """One task of the convert wave: a slice of candidate rows -> its
+    records."""
+    return RecordBuilder(cfg)(PayloadLoader()(candidates))
 
 
 def build_warc_dataset(cfg: WarcitConfig):
-    """The record Dataset (lazy)."""
+    """The record Dataset, built by the time this returns: the seeds are
+    enumerated on the driver and cut into slices, at least one per
+    cluster CPU and none holding more than
+    ``DataContext.target_max_block_size`` bytes of input files
+    (:func:`slice_bounds`), and one plain task per slice loads its
+    payloads and builds its records. The Dataset is
+    ``rd.from_arrow_refs`` over the warcinfo row and the slices' blocks,
+    in seq order: no Ray Data operator runs, and however many consumers
+    read it, each slice's records are built once."""
+    import ray
     import ray.data as rd
+    from ray.data import DataContext
 
-    ds = seeds_dataset(cfg.inputs, cfg.url_prefix, strict=False)
-    ds = ds.map_batches(PayloadLoader(), batch_size=BATCH_SIZE,
-                        batch_format="pyarrow")
-    ds = ds.map_batches(RecordBuilder(cfg), batch_size=BATCH_SIZE,
-                        batch_format="pyarrow")
+    table, _ = enumerate_seeds(cfg.inputs, cfg.url_prefix, strict=False)
+    bounds = slice_bounds(table.column("size").to_numpy(),
+                          max(1, int(ray.cluster_resources().get("CPU", 1))),
+                          DataContext.get_current().target_max_block_size)
+    build = ray.remote(_build_slice)
+    cfg_ref = ray.put(cfg)
+    blocks = [build.remote(cfg_ref, table.slice(a, b - a))
+              for a, b in zip(bounds[:-1], bounds[1:])]
     if cfg.warcinfo:
-        ds = rd.from_arrow(warcinfo_row(cfg)).union(ds)
-    return ds
+        blocks.insert(0, ray.put(warcinfo_row(cfg)))
+    return rd.from_arrow_refs(blocks)
 
 
 LOGFILE_COLUMNS = ["file", "Record-Type", "URL", "timestamp",
                    "Content-Type", "mime", "charset"]
 
 
+def logfile_rows(t: pa.Table) -> pa.Table:
+    """The CSV logfile projection (warcit.py:316-330) of record rows:
+    fixed 7 columns plus the ``seq`` ordering key, one row per record
+    except warcinfo. All-Arrow (no pandas transit)."""
+    import pyarrow.compute as pc
+
+    rt = pc.cast(t.column("record_type"), pa.string())
+    t = t.filter(pc.fill_null(pc.invert(pc.equal(rt, "warcinfo")), True))
+    rt = pc.cast(t.column("record_type"), pa.string())
+    # revisit/metadata rows only log file/type/url/timestamp
+    # (warcit.py:558-566,609-618); a null is not a meta row
+    meta_mask = pc.or_(
+        pc.fill_null(pc.equal(rt, "revisit"), False),
+        pc.fill_null(
+            pc.equal(pc.cast(t.column("log_file"), pa.string()), "-"),
+            False))
+    empty = pa.scalar("", type=pa.string())
+
+    def blank(col: str):
+        return pc.if_else(meta_mask, empty,
+                          pc.cast(t.column(col), pa.string()))
+
+    return pa.table({
+        "seq": t.column("seq"),
+        "file": t.column("log_file"),
+        "Record-Type": rt,
+        "URL": t.column("target_uri"),
+        "timestamp": t.column("warc_date"),
+        "Content-Type": blank("content_type"),
+        "mime": blank("mime"),
+        "charset": blank("charset"),
+    })
+
+
 def logfile_dataset(records_ds):
-    """The CSV logfile projection (warcit.py:316-330) as a DISTRIBUTED
-    Dataset: fixed 7 columns plus the ``seq`` ordering key, one row per
-    written record except warcinfo. The projection runs inside
-    map_batches — the full table never lands on the driver (VERDICT r3
-    #2: at 10^10 records the K3 log is corpus-sized). Consume with
-    :func:`write_logfile_shards` (sharded, resumable), stream with
-    :func:`write_logfile_csv` (single file, one batch in memory), or
-    small-collect with :func:`logfile_table` (fixture/test scale)."""
+    """:func:`logfile_rows` as a DISTRIBUTED Dataset: the projection
+    runs inside map_batches — the full table never lands on the driver
+    (VERDICT r3 #2: at 10^10 records the K3 log is corpus-sized). Stream
+    it with :func:`write_logfile_csv` (single file, one batch in memory)
+    or small-collect it with :func:`logfile_table` (fixture/test scale);
+    the sharded, resumable :func:`write_logfile_shards` projects each
+    record block in a task of its own."""
     cols = ["seq", "log_file", "record_type", "target_uri", "warc_date",
             "content_type", "mime", "charset"]
-
-    def project(t: pa.Table) -> pa.Table:
-        # all-Arrow projection (zero pandas transit in the K3 hot path)
-        import pyarrow.compute as pc
-
-        rt = pc.cast(t.column("record_type"), pa.string())
-        t = t.filter(pc.fill_null(pc.invert(pc.equal(rt, "warcinfo")), True))
-        rt = pc.cast(t.column("record_type"), pa.string())
-        # revisit/metadata rows only log file/type/url/timestamp
-        # (warcit.py:558-566,609-618); null-safe like the pandas
-        # predicate this replaces (null -> not a meta row)
-        meta_mask = pc.or_(
-            pc.fill_null(pc.equal(rt, "revisit"), False),
-            pc.fill_null(
-                pc.equal(pc.cast(t.column("log_file"), pa.string()), "-"),
-                False))
-        empty = pa.scalar("", type=pa.string())
-
-        def blank(col: str):
-            return pc.if_else(meta_mask, empty,
-                              pc.cast(t.column(col), pa.string()))
-
-        return pa.table({
-            "seq": t.column("seq"),
-            "file": t.column("log_file"),
-            "Record-Type": rt,
-            "URL": t.column("target_uri"),
-            "timestamp": t.column("warc_date"),
-            "Content-Type": blank("content_type"),
-            "mime": blank("mime"),
-            "charset": blank("charset"),
-        })
-
     return records_ds.select_columns(cols).map_batches(
-        project, batch_format="pyarrow")
+        logfile_rows, batch_format="pyarrow")
 
 
 def logfile_table(records_ds) -> "pa.Table":
@@ -138,7 +174,10 @@ def write_logfile_shards(records_ds, out_dir: str,
     fixed ranges of ``files_per_part`` input files
     (:func:`part_of_seq`), each part ``part-<shard:020d>.csv`` (header +
     rows in seq order) written atomically via tmp+rename; lexicographic
-    filename order == record order. A rerun reproduces byte-identical
+    filename order == record order. Each record block is projected
+    (:func:`logfile_rows`) by a task of its own, and the parts are
+    written by the reduce tasks of one shuffle (``write_shards``, the
+    WARC sink's shape). A rerun reproduces byte-identical
     parts, so resume skips existing identical parts and raises on a
     content mismatch instead of mis-skipping. A ``_shards.json``
     sidecar pins files_per_part on first write (:func:`pin_layout`):
@@ -149,11 +188,9 @@ def write_logfile_shards(records_ds, out_dir: str,
     pin_layout(out_dir, {"files_per_part": int(files_per_part)},
                r"part-\d{20}\.csv")
 
-    def write_shard(shard_id: int, g: "pd.DataFrame") -> "pd.DataFrame":
+    def write_shard(shard_id: int, g: "pd.DataFrame") -> pa.Table:
         import csv
         import io
-
-        import pandas as pd
 
         g = g.sort_values("seq")
         buf = io.StringIO()
@@ -165,7 +202,7 @@ def write_logfile_shards(records_ds, out_dir: str,
         if os.path.exists(name):
             with open(name, "rb") as fh:
                 if fh.read() == payload:
-                    return pd.DataFrame({"path": [name], "records": [len(g)]})
+                    return pa.table({"path": [name], "records": [len(g)]})
             raise ValueError(
                 "%s exists with different content (changed input or walk "
                 "order) — refusing to overwrite on resume" % name)
@@ -173,13 +210,10 @@ def write_logfile_shards(records_ds, out_dir: str,
         with open(tmp, "wb") as fh:
             fh.write(payload)
         os.replace(tmp, name)
-        return pd.DataFrame({"path": [name], "records": [len(g)]})
+        return pa.table({"path": [name], "records": [len(g)]})
 
-    manifest = bucket_shuffle(
-        logfile_dataset(records_ds),
-        lambda t: part_of_seq(t["seq"].to_numpy(), files_per_part),
-        write_shard, batch_format="pandas").to_pandas()
-    return sorted(manifest.get("path", []))  # no column: no records
+    return write_shards(records_ds, logfile_rows, (), files_per_part,
+                        write_shard, batch_format="pandas")
 
 
 def run_warcit(cfg: WarcitConfig, output_path: str | None = None,

@@ -28,8 +28,9 @@ import re
 
 import pyarrow as pa
 
+from ..functions.digests import row_bytes
 from ..sources.seeds import part_of_seq
-from ..stages.shuffle import bucket_shuffle
+from ..stages.shuffle import dataset_blocks, shuffle_blocks
 
 REVISIT_PROFILE = "http://netpreserve.org/warc/1.0/revisit/identical-payload-digest"
 
@@ -100,6 +101,39 @@ def serialize_batch(batch: pa.Table, gzip_members: bool = True) -> bytes:
     return b"".join(chunks)
 
 
+def serialize_rows(t: pa.Table, gzip_members: bool = True) -> pa.Table:
+    """Map side of :func:`write_warc_shards`: each record of ``t`` as its
+    WARC bytes (:func:`serialize_record`), keyed by its seq."""
+    warc = [serialize_record(row, gzip_members) for row in t.to_pylist()]
+    return pa.table({"seq": t.column("seq"), "warc": pa.array(warc, pa.large_binary())})
+
+
+def _prepare(prepare, block, *args) -> pa.Table:
+    """``prepare`` over a block of any format, as an Arrow table."""
+    from ray.data.block import BlockAccessor
+
+    return prepare(BlockAccessor.for_block(block).to_arrow(), *args)
+
+
+def write_shards(ds, prepare, args: tuple, files_per_part: int, write_shard,
+                 batch_format: str = "pyarrow") -> list[str]:
+    """The sharded sinks' one shape: ``prepare(table, *args)`` runs as a
+    task on each block of ``ds``, its rows go to the part of their
+    ``seq`` (:func:`part_of_seq`), and ``write_shard(part, rows)`` writes
+    that part and returns its manifest row (``path``, ``records``).
+    Returns the parts' paths, sorted; the manifest is read with one
+    ``ray.get``."""
+    import ray
+
+    prep = ray.remote(_prepare)
+    blocks = [(prep.remote(prepare, ref, *args), size) for ref, size in dataset_blocks(ds)]
+    parts = shuffle_blocks(
+        blocks, lambda t: part_of_seq(t["seq"].to_numpy(), files_per_part),
+        write_shard, batch_format=batch_format)
+    return sorted(p for t in ray.get(parts) if t.num_rows
+                  for p in t.column("path").to_pylist())
+
+
 def _open_mode(path: str, mode: str):
     """Reference tri-mode (warcit.py:143-148,409-419): default 'xb'
     create-exclusive (EEXIST -> error), '-a' append, '-o' overwrite."""
@@ -160,8 +194,11 @@ def write_warc_shards(ds, out_dir: str, mode: str = "xb",
     produces byte-identical parts and the skip-if-exists resume is
     safe — skipping by Ray block boundaries would silently drop or
     duplicate records whenever a rerun split blocks differently. Each
-    part is ``<out_dir>/part-<shard:020d>.warc.gz`` written atomically
-    (tmp + rename); lexicographic filename order == record order.
+    block's records are serialized by a task of its own
+    (:func:`serialize_rows`); a part's writer only sorts their bytes by
+    seq and joins them. Each part is
+    ``<out_dir>/part-<shard:020d>.warc.gz`` written atomically (tmp +
+    rename); lexicographic filename order == record order.
     A ``_shards.json`` meta pin records (files_per_part, gzip) so a
     resume/append with mismatched parameters, or into parts with no
     pin, fails loudly instead of mis-skipping (:func:`pin_layout`).
@@ -170,8 +207,8 @@ def write_warc_shards(ds, out_dir: str, mode: str = "xb",
     ``part-<shard>.meta.json`` (records, max_seq, sha256) written
     atomically with it, so append is SAFE, not skip-blind: for a group
     landing on an existing part, the rows at or below the part's
-    recorded ``max_seq`` are re-serialized and digest-verified against
-    the on-disk prefix (identical rerun -> skip), and rows with HIGHER
+    recorded ``max_seq`` have their bytes digest-verified against the
+    on-disk prefix (identical rerun -> skip), and rows with HIGHER
     seq are appended to the part (gzip members / records concatenate,
     so append preserves in-part seq order). A digest mismatch — the
     input rows for an already-written range changed — raises instead
@@ -224,9 +261,9 @@ def write_warc_shards(ds, out_dir: str, mode: str = "xb",
         g = g.sort_by("seq")
         name = os.path.join(out_dir, "part-%020d%s" % (shard_id, ext))
         seqs = g.column("seq").to_pylist()
+        warc = row_bytes(g.column("warc"))  # each record's bytes, in seq order
         if not os.path.exists(name):
-            _write_part(name, shard_id, serialize_batch(g, gzip_members),
-                        g.num_rows, int(seqs[-1]))
+            _write_part(name, shard_id, b"".join(warc), g.num_rows, int(seqs[-1]))
             return pa.table({"path": [name], "records": [g.num_rows]})
         # part exists: verify-then-append (never skip-blind — every
         # branch below checks on-disk bytes before writing or no-op'ing)
@@ -249,7 +286,7 @@ def write_warc_shards(ds, out_dir: str, mode: str = "xb",
                 return _disk[0]
 
             if n_old:
-                prefix = serialize_batch(g.slice(0, n_old), gzip_members)
+                prefix = b"".join(warc[:n_old])
                 if hashlib.sha256(prefix).hexdigest() != old["sha256"]:
                     # retry of an ALREADY-APPLIED delta: the supplied
                     # "overlap" rows are the part's suffix (appended by
@@ -264,7 +301,7 @@ def write_warc_shards(ds, out_dir: str, mode: str = "xb",
                             "shifted walk order) — refusing to append; use "
                             "mode='wb' to rewrite" % (name, old["max_seq"]))
             if n_old < g.num_rows:  # genuinely new higher-seq rows: append
-                tail = serialize_batch(g.slice(n_old), gzip_members)
+                tail = b"".join(warc[n_old:])
                 existing, disk_sha = _load_disk()
                 if disk_sha != old["sha256"]:
                     # part/meta desync — a crash landed between the part
@@ -294,7 +331,7 @@ def write_warc_shards(ds, out_dir: str, mode: str = "xb",
             # difference is an error (no way to know what's already in it)
             with open(name, "rb") as fh:
                 existing = fh.read()
-            if existing != serialize_batch(g, gzip_members):
+            if existing != b"".join(warc):
                 raise ValueError(
                     "%s exists without a .meta.json sidecar and its bytes "
                     "differ from this run's records — refusing to guess; "
@@ -307,10 +344,8 @@ def write_warc_shards(ds, out_dir: str, mode: str = "xb",
                         hashlib.sha256(existing).hexdigest())
         return pa.table({"path": [name], "records": [g.num_rows]})
 
-    manifest = bucket_shuffle(
-        ds, lambda t: part_of_seq(t["seq"].to_numpy(), files_per_part),
-        write_shard).to_pandas()
-    return sorted(manifest.get("path", []))  # no column: no records
+    return write_shards(ds, serialize_rows, (gzip_members,), files_per_part,
+                        write_shard)
 
 
 # --- parser (for round-trip tests) ------------------------------------------

@@ -12,7 +12,7 @@ Reference behavior reproduced (base.py:34-61 ``iter_inputs``):
 Design difference from the reference (by intent): enumeration yields
 only *metadata* rows on the driver — paths, sizes, mtimes, seq — while
 payload bytes are read later, distributed, by :class:`PayloadLoader`
-inside ``map_batches``. The reference's walk order IS its output order
+inside the tasks that build the records. The reference's walk order IS its output order
 (SURVEY §2.5); we freeze that order into ``seq`` at enumeration time so
 it survives any downstream parallelism or shuffle.
 """
@@ -129,7 +129,9 @@ def enumerate_seeds(inputs: list[str], url_prefix: str,
 
 
 def seeds_dataset(inputs: list[str], url_prefix: str, strict: bool = True):
-    """Candidate Dataset (payload-less). Blocks split automatically."""
+    """Candidate Dataset (payload-less), one block: a ``map_batches``
+    over it runs as one task (the convert wave slices the table itself,
+    ``warc_build.slice_bounds``)."""
     import ray.data as rd
 
     table, _ = enumerate_seeds(inputs, url_prefix, strict=strict)
@@ -137,7 +139,7 @@ def seeds_dataset(inputs: list[str], url_prefix: str, strict: bool = True):
 
 
 class PayloadLoader:
-    """Stateless ``map_batches`` stage: resolve payload bytes for
+    """Stateless batch stage: resolve payload bytes for
     candidate rows. ZIP handles come from the per-worker-process cache
     shared with the zip crawl (:func:`open_zip`), so each archive opens
     once per process, not once per batch.

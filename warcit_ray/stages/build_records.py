@@ -1,8 +1,9 @@
 """The core WARC-record-building stage.
 
-One ``map_batches`` body turns payload-bearing candidate rows into
-WARC-equivalent record rows, reproducing the per-file expansion order
-of the reference's serial loop (warcit.py:426-442):
+One batch body, run in the convert wave's tasks, turns
+payload-bearing candidate rows into WARC-equivalent record rows,
+reproducing the per-file expansion order of the reference's serial
+loop (warcit.py:426-442):
 
     resource -> auto-index revisit -> conversion records (results-list
     order) -> transclusion metadata records
@@ -98,14 +99,14 @@ def transclusion_metadata_json(url: str, contain_url: str, contain_ts: str,
 
 
 class RecordBuilder:
-    """Stateless ``map_batches`` stage, passed as an instance
-    (``RecordBuilder(cfg)``) so it runs as plain tasks, not an actor pool.
+    """Stateless batch stage: each task of the convert wave builds one
+    from the config (``RecordBuilder(cfg)(batch)``), no actor pool.
 
-    All config (patterns, overrides, broadcast side dicts) is prepared
-    once on the driver in ``__init__`` and ships with the instance — the
-    reference holds the same state as instance attributes of its single
-    WARCIT object (SURVEY §2.3). Each task works on its own copy, so
-    the mime cache is per task.
+    All config (patterns, overrides, broadcast side dicts) comes from
+    the one ``cfg`` the driver puts in the object store and is prepared
+    in ``__init__`` — the reference holds the same state as instance
+    attributes of its single WARCIT object (SURVEY §2.3). Each task has
+    its own instance, so the mime cache is per task.
     """
 
     def __init__(self, cfg: WarcitConfig):

@@ -16,6 +16,8 @@ has the blocks. :func:`split_block` runs once per group and returns
 bucket and calls ``per_bucket(bucket_id, rows)`` once per bucket
 holding rows, so an empty bucket gets no call. No row reaches the
 driver, and ``bucket_of`` and ``per_bucket`` run only in workers.
+:func:`shuffle_blocks` is the shuffle itself, over block refs;
+:func:`bucket_shuffle` runs it on Datasets.
 """
 
 from __future__ import annotations
@@ -140,31 +142,39 @@ def reduce_part(per_bucket, batch_format: str, multi: bool, groups_per_side,
     return block, BlockAccessor.for_block(block).num_rows()
 
 
-def bucket_shuffle(sides, bucket_of, per_bucket, *, batch_format: str = "pyarrow"):
-    """Dataset of ``per_bucket(bucket_id, rows)`` over the buckets that
-    ``bucket_of(table) -> int64 array`` assigns the rows of ``sides``
-    (a Dataset, or a tuple of Datasets). ``rows`` is one
-    ``batch_format`` batch; for a tuple it is one batch per side holding
-    exactly that side's columns and types, or ``None`` where the side
-    has no rows in the bucket. The inputs run to completion first, the
-    output is materialized, and an exception raised in ``per_bucket``
-    reaches the caller as its own type: every part's error is consumed
-    (none is left for Ray to log as unhandled) and the first, in part
-    order, raised. Output row order is by part, then bucket: callers
-    that need an order sort."""
+def dataset_blocks(ds) -> list:
+    """``(block ref, size in bytes)`` of each non-empty block of ``ds``,
+    in order. A Dataset whose blocks already exist (``from_arrow_refs``,
+    ``materialize``) hands them over as they are; any other runs to
+    completion first. Ray Data's own ``iter_internal_ref_bundles``
+    starts its streaming executor even for the first kind, 30-40 ms a
+    call."""
+    from ray.data._internal.logical.interfaces import SourceOperator
+
+    dag = ds._logical_plan.dag
+    bundles = dag.output_data() if isinstance(dag, SourceOperator) else None
+    if bundles is None:
+        bundles = ds.iter_internal_ref_bundles()
+    return [(ref, meta.size_bytes) for bundle in bundles
+            for ref, meta in bundle.blocks if meta.num_rows != 0]
+
+
+def shuffle_blocks(sides, bucket_of, per_bucket, *, batch_format: str = "pyarrow") -> list:
+    """The shuffle over blocks already in the object store: ``sides`` is
+    one list of ``(block ref, size in bytes or None)`` or a tuple of
+    such lists, one per side, and ``per_bucket`` is called as for
+    :func:`bucket_shuffle`. Returns one output block ref per part, in
+    part order, once every part has run: every part's error is
+    consumed (none is left for Ray to log as unhandled) and the first,
+    in part order, raised as its own type."""
     import ray
-    import ray.data as rd
     from ray.data import DataContext
     from ray.exceptions import RayError
 
     multi = isinstance(sides, tuple)
     min_bytes = DataContext.get_current().target_min_block_size
     cpus = max(1, int(ray.cluster_resources().get("CPU", 1)))
-    groups = [_group_blocks([(ref, meta.size_bytes)
-                             for bundle in ds.iter_internal_ref_bundles()
-                             for ref, meta in bundle.blocks if meta.num_rows != 0],
-                            min_bytes, cpus)
-              for ds in (sides if multi else (sides,))]
+    groups = [_group_blocks(side, min_bytes, cpus) for side in (sides if multi else (sides,))]
     num_parts = sum(map(len, groups))
     split = ray.remote(split_block).options(num_returns=num_parts)
     bucket_of = ray.put(bucket_of)
@@ -188,4 +198,23 @@ def bucket_shuffle(sides, bucket_of, per_bucket, *, batch_format: str = "pyarrow
                 pass
     if errors:
         raise errors[0]
-    return rd.from_arrow_refs([block for block, _ in parts])
+    return [block for block, _ in parts]
+
+
+def bucket_shuffle(sides, bucket_of, per_bucket, *, batch_format: str = "pyarrow"):
+    """Dataset of ``per_bucket(bucket_id, rows)`` over the buckets that
+    ``bucket_of(table) -> int64 array`` assigns the rows of ``sides``
+    (a Dataset, or a tuple of Datasets). ``rows`` is one
+    ``batch_format`` batch; for a tuple it is one batch per side holding
+    exactly that side's columns and types, or ``None`` where the side
+    has no rows in the bucket. The inputs run to completion first, the
+    output is materialized, and an exception raised in ``per_bucket``
+    reaches the caller as its own type (:func:`shuffle_blocks`, which
+    this runs on the Datasets' blocks). Output row order is by part,
+    then bucket: callers that need an order sort."""
+    import ray.data as rd
+
+    blocks = (tuple(map(dataset_blocks, sides)) if isinstance(sides, tuple)
+              else dataset_blocks(sides))
+    return rd.from_arrow_refs(shuffle_blocks(blocks, bucket_of, per_bucket,
+                                             batch_format=batch_format))
