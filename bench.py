@@ -135,46 +135,34 @@ def bench_convert(results: dict, thr: dict, n: int | None = None) -> None:
     warcit.py:568-578) at engine scale, and the workload the scaling
     criterion is measured on (embarrassingly parallel per-row compute)."""
     import pyarrow as pa
+    import pyarrow.compute as pc
+    import ray
     import ray.data as rd
 
-    from warcit_ray.codecs import decode, encode
-    from warcit_ray.functions.digests import sha1_b32
+    from warcit_ray.stages.shuffle import dataset_blocks
+    from warcit_ray.stages.transcode import recode_batch
 
     n = n or max(500, int(2000 * _sf() * 10))
     path = _corpus(n)
     out_dir = os.path.join(SCRATCH, "convert_rows_n%d_c%d" % (n, NUM_CPUS))
     shutil.rmtree(out_dir, ignore_errors=True)
 
-    from warcit_ray.codecs import phash64, psnr
-
+    @ray.remote
     def convert(t: pa.Table) -> pa.Table:
-        out = {"image_id": [], "url": [], "out_fmt": [], "digest": [],
-               "nbytes": [], "phash": [], "psnr_ok": []}
-        for row in t.select(["image_id", "bytes", "fmt"]).to_pylist():
-            img = decode(row["bytes"], row["fmt"])
-            ph = phash64(img)
-            for fmt in ("png", "dctq"):
-                b = encode(img, fmt)
-                back = decode(b, fmt)
-                p = psnr(img, back)
-                out["image_id"].append(row["image_id"])
-                out["url"].append("http://img.example/%s.%s" % (row["image_id"], fmt))
-                out["out_fmt"].append(fmt)
-                out["digest"].append(sha1_b32(b))
-                out["nbytes"].append(len(b))
-                out["phash"].append(ph & ((1 << 63) - 1))
-                out["psnr_ok"].append(bool(p == float("inf") or p >= 40.0))
-        return pa.table(out)
+        r = recode_batch(t, ("png", "dctq"))
+        url = pc.binary_join_element_wise("http://img.example/", r["image_id"],
+                                          ".", r["out_fmt"], "")
+        return r.drop_columns(["ok"]).add_column(1, "url", url)
 
     t = time.time()
     # columns pruned at the read; block count is a property of the JOB
     # (scales with corpus size, identical at both scaling levels — NOT a
-    # function of cluster size)
+    # function of cluster size); one kernel task per block
     blocks = min(256, max(16, n // 187))
     ds = rd.read_parquet(path, columns=["image_id", "bytes", "fmt"],
                          override_num_blocks=blocks)
-    ds = ds.map_batches(convert, batch_size=32, batch_format="pyarrow")
-    ds.write_parquet(out_dir)
+    rd.from_arrow_refs([convert.remote(ref) for ref, _ in dataset_blocks(ds)]
+                       ).write_parquet(out_dir)
     dt = time.time() - t
     results["convert"] = round(dt, 3)
     thr["convert_images_per_sec"] = round(n / dt, 1)

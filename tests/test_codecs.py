@@ -79,3 +79,42 @@ def test_synth_table_deterministic_and_invariant():
             assert psnr(dec, src) >= 40.0
         assert row["caption"] == make_caption(idx)
         assert row["phash"] == make_row(idx)["phash"]
+
+
+def test_recode_batch_matches_direct_codec_calls():
+    """The recode kernel equals the codec calls made one by one: one row
+    per (image, target format), image-major, and a payload that does
+    not decode comes back ok=False."""
+    import pyarrow as pa
+
+    from warcit_ray.functions.digests import sha1_b32
+    from warcit_ray.stages.transcode import recode_batch
+
+    t = make_image_table(4).select(["image_id", "bytes", "fmt"])
+    t = pa.concat_tables([t, pa.table({
+        "image_id": ["broken"], "bytes": [b"P6 not a pixmap"], "fmt": ["ppm"],
+    }).cast(t.schema)])
+    to_fmts = ("png", "dctq")
+    want = []
+    for row in t.to_pylist()[:4]:
+        img = decode(row["bytes"], row["fmt"])
+        for fmt in to_fmts:
+            b = encode(img, fmt)
+            want.append({"image_id": row["image_id"], "out_fmt": fmt, "ok": True,
+                         "digest": sha1_b32(b), "nbytes": len(b),
+                         "phash": phash64(img) & ((1 << 63) - 1),
+                         "psnr_ok": psnr(img, decode(b, fmt)) >= 40.0})
+    for fmt in to_fmts:
+        want.append({"image_id": "broken", "out_fmt": fmt, "ok": False,
+                     "digest": None, "nbytes": 0, "phash": None,
+                     "psnr_ok": False})
+    got = recode_batch(t, to_fmts).to_pylist()
+    assert got == want
+    assert all(r["psnr_ok"] for r in got[:8])
+
+
+@pytest.mark.parametrize("data", [b"P6", b"P6 broken", b"P6\n4 4", b"P6 # no end",
+                                  b"P6\n4 4\n255"])
+def test_ppm_header_cut_short_raises(data):
+    with pytest.raises(ValueError):
+        decode(data, "ppm")

@@ -101,6 +101,51 @@ def test_codec_recode_rule_still_builtin(tmp_path, ray_session):
     assert all(e["success"] for e in results["http://m.example/b.ppm"])
 
 
+def test_convert_all_runs_a_wave_in_input_order(tmp_path, ray_session):
+    """convert_all runs one task per slice of its inputs, so 18 image
+    files give more than one result block, and results_to_dict lists
+    every source in input order with its rules' results in rule order."""
+    from warcit_ray.codecs import decode, encode
+    from warcit_ray.sources.sidetables import load_rules
+    from warcit_ray.sources.synth import make_image
+    from warcit_ray.stages.transcode import convert_all, results_to_dict
+
+    # one input directory per file, named so that input order is not
+    # name order; every fifth file is a .bmp (one rule), the 8th does
+    # not decode
+    inputs, want = [], []
+    for i in range(18):
+        d = tmp_path / "src" / ("d%02d" % i)
+        d.mkdir(parents=True)
+        fmt = "bmp" if i % 5 == 0 else "ppm"
+        name = "f%02d.%s" % (17 - i, fmt)
+        data = b"P6 broken" if i == 7 else encode(make_image(i), fmt)
+        (d / name).write_bytes(data)
+        inputs.append(str(d))
+        exts = ("png",) if fmt == "bmp" else ("png", "dctq")
+        want.append(("http://m.example/" + name, [
+            (ext, str(tmp_path / "out" / "src" / ("d%02d" % i) / (name + "." + ext)),
+             None if i == 7 else encode(decode(data, fmt), ext))
+            for ext in exts]))
+
+    ds = convert_all(inputs, "http://m.example/", load_rules(None)["file_types"],
+                     str(tmp_path / "out"))
+    assert ds.num_blocks() > 1
+    results = results_to_dict(ds)
+    assert list(results) == [url for url, _ in want]
+    for url, convs in want:
+        got = results[url]
+        assert [c["url"] for c in got] == [url + "." + ext for ext, _, _ in convs]
+        assert [c["output"] for c in got] == [out for _, out, _ in convs]
+        assert [c["success"] for c in got] == [b is not None for _, _, b in convs]
+        for _, out, b in convs:
+            if b is None:
+                assert not os.path.exists(out)
+            else:
+                with open(out, "rb") as fh:
+                    assert fh.read() == b
+
+
 def test_tika_fail_fast(tmp_path, iana_dir, capsys):
     assert warcit_main(["-n", str(tmp_path / "t1"), "-q", "--use-magic", "tika",
                         "http://www.iana.org/", iana_dir]) == 1

@@ -27,17 +27,19 @@ def ppm_decode(data: bytes) -> np.ndarray:
     if not data.startswith(b"P6"):
         raise ValueError("not a P6 ppm")
     # header: magic, whitespace-separated w h maxval, single whitespace, raster
-    idx = 2
+    # (a header cut short raises: int(b"") or no comment end)
+    idx, n = 2, len(data)
     fields = []
     while len(fields) < 3:
         while data[idx:idx + 1].isspace():
             idx += 1
         if data[idx:idx + 1] == b"#":
-            while data[idx:idx + 1] != b"\n":
-                idx += 1
+            idx = data.find(b"\n", idx)
+            if idx < 0:
+                raise ValueError("ppm header cut short")
             continue
         start = idx
-        while not data[idx:idx + 1].isspace():
+        while idx < n and not data[idx:idx + 1].isspace():
             idx += 1
         fields.append(int(data[start:idx]))
     idx += 1  # single whitespace after maxval

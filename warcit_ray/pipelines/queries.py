@@ -628,36 +628,28 @@ def _zip_fixture(sf_dir: str, n: int = 500) -> str:
     return path
 
 
+def _seed_frame(inputs: list[str], url_prefix: str) -> pd.DataFrame:
+    """(url, size, modified_iso) of the seeds of ``inputs``, by url."""
+    from ..sources.seeds import enumerate_seeds
+
+    t, _ = enumerate_seeds(inputs, url_prefix, strict=True)
+    return (t.select(["url", "size", "modified_iso"]).to_pandas()
+            .sort_values("url").reset_index(drop=True))
+
+
 def dir_walk(sf_dir: str) -> pd.DataFrame:
     """S1/S2 directory walker (base.py:36-41) + M1 escaping through the
     real seed source: one row per file, URL from the escaped relpath,
     stat-derived size/mtime."""
-    from ..sources.seeds import seeds_dataset
-
-    tree = _walk_fixture(sf_dir)
-    out = (
-        seeds_dataset([tree], "http://w.example/")
-        .select_columns(["url", "size", "modified_iso"])
-        .to_pandas().sort_values("url").reset_index(drop=True)
-    )
-    out["size"] = out["size"].astype("int64")
-    return out
+    return _seed_frame([_walk_fixture(sf_dir)], "http://w.example/")
 
 
 def zip_enumerate(sf_dir: str) -> pd.DataFrame:
     """S3 zip enumerator + S4 pseudo-path parser (base.py:52-79): the
     whole archive AND a '<zip>/src3' pseudo-path (subtree selected,
     prefix stripped from URLs, zip date_time as the mtime)."""
-    from ..sources.seeds import seeds_dataset
-
     zpath = _zip_fixture(sf_dir)
-    out = (
-        seeds_dataset([zpath, os.path.join(zpath, "src3")], "http://z.example/")
-        .select_columns(["url", "size", "modified_iso"])
-        .to_pandas().sort_values("url").reset_index(drop=True)
-    )
-    out["size"] = out["size"].astype("int64")
-    return out
+    return _seed_frame([zpath, os.path.join(zpath, "src3")], "http://z.example/")
 
 
 def mapfile_load(sf_dir: str) -> pd.DataFrame:
@@ -1301,91 +1293,66 @@ def crawl_demo(sf_dir: str) -> pd.DataFrame:
     return rows.sort_values(["generation", "host", "url"]).reset_index(drop=True)
 
 
+def _image_slice_transcode(t: pa.Table) -> pa.Table:
+    """One task of :func:`image_transcode`: the recode kernel to png,
+    projected to the query's columns."""
+    from ..stages.transcode import recode_batch
+
+    r = recode_batch(t, ("png",))
+    return pa.table({"image_id": r["image_id"], "src_fmt": t["fmt"],
+                     "ok": r["ok"], "out_len": r["nbytes"],
+                     "psnr_ok": r["psnr_ok"]})
+
+
+def _image_wave(fn, n: int, sf_dir: str):
+    """``fn`` over the synthetic image corpus's (image_id, bytes, fmt)
+    columns as a convert wave (one plain task per slice), as a frame
+    sorted by image_id."""
+    from .warc_build import slice_wave
+
+    corpus = _corpus_for(sf_dir, n=min(_scale_n(sf_dir), n))
+    corpus = corpus.select(["image_id", "bytes", "fmt"])
+    out = slice_wave(corpus, pc.binary_length(corpus["bytes"]), fn)
+    return out.to_pandas().sort_values("image_id").reset_index(drop=True)
+
+
 def image_transcode(sf_dir: str) -> pd.DataFrame:
-    """Decode/re-encode the synthetic image corpus (fmt -> png),
-    verifying the decoded-pixel invariant per row (the multimodal
-    actor-pool stage shape)."""
-    import ray.data as rd
-
-    from ..codecs import decode, encode, psnr
-
-    corpus = _corpus_for(sf_dir, n=min(_scale_n(sf_dir), 200))
-
-    def f(t: pa.Table) -> pa.Table:
-        out = {"image_id": [], "src_fmt": [], "ok": [], "out_len": [], "psnr_ok": []}
-        for row in t.to_pylist():
-            try:
-                img = decode(row["bytes"], row["fmt"])
-                png = encode(img, "png")
-                back = decode(png, "png")
-                p = psnr(img, back)
-                out["ok"].append(True)
-                out["out_len"].append(len(png))
-                out["psnr_ok"].append(bool(p == float("inf") or p >= 40.0))
-            except Exception:
-                out["ok"].append(False)
-                out["out_len"].append(0)
-                out["psnr_ok"].append(False)
-            out["image_id"].append(row["image_id"])
-            out["src_fmt"].append(row["fmt"])
-        return pa.table(out)
-
-    return (
-        rd.from_arrow(corpus)
-        .map_batches(f, batch_size=32, batch_format="pyarrow", concurrency=2)
-        .to_pandas().sort_values("image_id").reset_index(drop=True)
-    )
+    """Decode/re-encode the synthetic image corpus (fmt -> png) through
+    the engine's recode kernel, verifying the decoded-pixel invariant
+    per row."""
+    return _image_wave(_image_slice_transcode, 200, sf_dir)
 
 
 def image_features(sf_dir: str) -> pd.DataFrame:
-    """Multimodal feature extraction (decode -> stats/phash) as an
-    actor-pool stage over the synthetic image corpus (rows-only)."""
-    import ray.data as rd
-
+    """Multimodal feature extraction (decode -> stats/phash) over the
+    synthetic image corpus, one plain task per slice (rows-only)."""
     from ..stages.multimodal import ImageFeatures
 
-    corpus = _corpus_for(sf_dir, n=min(_scale_n(sf_dir), 150))
-    out = (
-        rd.from_arrow(corpus.select(["image_id", "bytes", "fmt"]))
-        .map_batches(ImageFeatures, batch_size=32, batch_format="pyarrow",
-                     concurrency=2)
-        .to_pandas().sort_values("image_id").reset_index(drop=True)
-    )
+    out = _image_wave(ImageFeatures(), 150, sf_dir)
     for c in ("mean_r", "mean_g", "mean_b", "luma_std", "edge_density"):
         out[c] = out[c].round(6)
     return out
 
 
-def image_resize(sf_dir: str) -> pd.DataFrame:
-    """Multimodal resize stage (actor pool, wide binary rows, small
-    batches): decode -> 32x32 area resize -> re-encode; output digest
-    keeps the result checkable without shipping pixels."""
+def _resize_digest(t: pa.Table) -> pa.Table:
+    """One task of :func:`image_resize`: decode -> 32x32 area resize ->
+    re-encode, each output kept as its SHA-1 and length."""
     import hashlib
-
-    import ray.data as rd
 
     from ..stages.multimodal import ImageDecodeResize
 
-    corpus = _corpus_for(sf_dir, n=min(_scale_n(sf_dir), 150))
+    r = ImageDecodeResize()(t)
+    blobs = r.column("resized").to_pylist()  # b"" where the resize failed
+    return r.select(["image_id", "resize_ok"]).append_column(
+        "out_len", pa.array([len(b) for b in blobs], pa.int64())).append_column(
+        "resized_sha1", pa.array([hashlib.sha1(b).hexdigest() for b in blobs]))
 
-    def digest(t: pa.Table) -> pa.Table:
-        hs = [hashlib.sha1(b or b"").hexdigest()
-              for b in t.column("resized").to_pylist()]
-        lens = [len(b or b"") for b in t.column("resized").to_pylist()]
-        return pa.table({
-            "image_id": t["image_id"],
-            "resize_ok": t["resize_ok"],
-            "out_len": pa.array(lens, type=pa.int64()),
-            "resized_sha1": pa.array(hs, type=pa.string()),
-        })
 
-    return (
-        rd.from_arrow(corpus.select(["image_id", "bytes", "fmt"]))
-        .map_batches(ImageDecodeResize, batch_size=32,
-                     batch_format="pyarrow", concurrency=2)
-        .map_batches(digest, batch_format="pyarrow")
-        .to_pandas().sort_values("image_id").reset_index(drop=True)
-    )
+def image_resize(sf_dir: str) -> pd.DataFrame:
+    """Multimodal resize stage (wide binary rows) over the synthetic
+    image corpus, one plain task per slice; the output digest keeps the
+    result checkable without shipping pixels."""
+    return _image_wave(_resize_digest, 150, sf_dir)
 
 
 def phash_near_dup(sf_dir: str) -> pd.DataFrame:

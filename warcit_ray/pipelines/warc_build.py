@@ -3,7 +3,7 @@
 Reference lifecycle reproduced (warcit.py:395-448) as:
 
     enumerate_seeds (driver, ordering frozen into `seq`)
-      -> slices of the candidate table (:func:`slice_bounds`)
+      -> slices of the candidate table (:func:`slice_wave`)
       -> one task per slice: RecordBuilder(cfg)(PayloadLoader()(slice))
                                            # resource/revisit/conversion/
                                            # transclusion expansion; zip
@@ -53,6 +53,35 @@ def slice_bounds(sizes: np.ndarray, min_slices: int, max_bytes: int) -> list[int
     return bounds + [n]
 
 
+def _run_slice(fn, *args):
+    """One task of a convert wave: ``fn(*args)``, the last arg a slice
+    of the wave's table."""
+    return fn(*args)
+
+
+def slice_wave(table: pa.Table, sizes, fn, *args, lead=()):
+    """The convert wave: ``table`` cut into slices, at least one per
+    cluster CPU and none holding more than
+    ``DataContext.target_max_block_size`` input bytes (``sizes``, one
+    per row; :func:`slice_bounds`), and one plain task per slice running
+    ``fn(*args, slice)`` (``fn`` and each arg put once). Returns
+    ``rd.from_arrow_refs`` over the ``lead`` block refs and the slices'
+    blocks, in slice order: no Ray Data operator runs, and however many
+    consumers read the Dataset, each slice runs once."""
+    import ray
+    import ray.data as rd
+    from ray.data import DataContext
+
+    bounds = slice_bounds(np.asarray(sizes),
+                          max(1, int(ray.cluster_resources().get("CPU", 1))),
+                          DataContext.get_current().target_max_block_size)
+    task = ray.remote(_run_slice)
+    refs = [ray.put(a) for a in (fn, *args)]
+    return rd.from_arrow_refs(
+        [*lead, *(task.remote(*refs, table.slice(a, b - a))
+                  for a, b in zip(bounds[:-1], bounds[1:]))])
+
+
 def _build_slice(cfg: WarcitConfig, candidates: pa.Table) -> pa.Table:
     """One task of the convert wave: a slice of candidate rows -> its
     records."""
@@ -61,29 +90,14 @@ def _build_slice(cfg: WarcitConfig, candidates: pa.Table) -> pa.Table:
 
 def build_warc_dataset(cfg: WarcitConfig):
     """The record Dataset, built by the time this returns: the seeds are
-    enumerated on the driver and cut into slices, at least one per
-    cluster CPU and none holding more than
-    ``DataContext.target_max_block_size`` bytes of input files
-    (:func:`slice_bounds`), and one plain task per slice loads its
-    payloads and builds its records. The Dataset is
-    ``rd.from_arrow_refs`` over the warcinfo row and the slices' blocks,
-    in seq order: no Ray Data operator runs, and however many consumers
-    read it, each slice's records are built once."""
+    enumerated on the driver and one :func:`slice_wave` task per slice
+    loads its payloads and builds its records. The Dataset's blocks are
+    the warcinfo row and the slices' records, in seq order."""
     import ray
-    import ray.data as rd
-    from ray.data import DataContext
 
     table, _ = enumerate_seeds(cfg.inputs, cfg.url_prefix, strict=False)
-    bounds = slice_bounds(table.column("size").to_numpy(),
-                          max(1, int(ray.cluster_resources().get("CPU", 1))),
-                          DataContext.get_current().target_max_block_size)
-    build = ray.remote(_build_slice)
-    cfg_ref = ray.put(cfg)
-    blocks = [build.remote(cfg_ref, table.slice(a, b - a))
-              for a, b in zip(bounds[:-1], bounds[1:])]
-    if cfg.warcinfo:
-        blocks.insert(0, ray.put(warcinfo_row(cfg)))
-    return rd.from_arrow_refs(blocks)
+    lead = [ray.put(warcinfo_row(cfg))] if cfg.warcinfo else []
+    return slice_wave(table, table.column("size"), _build_slice, cfg, lead=lead)
 
 
 LOGFILE_COLUMNS = ["file", "Record-Type", "URL", "timestamp",

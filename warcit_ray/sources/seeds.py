@@ -128,16 +128,6 @@ def enumerate_seeds(inputs: list[str], url_prefix: str,
     return pa.table(rows, schema=CANDIDATE_SCHEMA), errors
 
 
-def seeds_dataset(inputs: list[str], url_prefix: str, strict: bool = True):
-    """Candidate Dataset (payload-less), one block: a ``map_batches``
-    over it runs as one task (the convert wave slices the table itself,
-    ``warc_build.slice_bounds``)."""
-    import ray.data as rd
-
-    table, _ = enumerate_seeds(inputs, url_prefix, strict=strict)
-    return rd.from_arrow(table)
-
-
 class PayloadLoader:
     """Stateless batch stage: resolve payload bytes for
     candidate rows. ZIP handles come from the per-worker-process cache

@@ -825,8 +825,7 @@ def components_from_pairs(pairs: list[tuple]) -> list[tuple]:
 
 def minhash_lsh_dedup(ds, *, num_perm: int = 64, num_bands: int = 16,
                       shingle_k: int = 3, threshold: float = 0.8,
-                      id_col: str = "doc_id", concurrency: int | None = None,
-                      bucket_cap: int = 256,
+                      id_col: str = "doc_id", bucket_cap: int = 256,
                       # ignored: near-dup has one path; kept because
                       # perfbench/workloads.py still passes it
                       small_threshold: int | None = None):
@@ -840,15 +839,12 @@ def minhash_lsh_dedup(ds, *, num_perm: int = 64, num_bands: int = 16,
     meet their docs in one corpus shuffle, which also drops repeated
     pairs; a pair shuffle then runs one sorted-merge Jaccard per
     bucket). Only the verified pair list — the actual result — reaches
-    the driver, for the union-find component labels. ``concurrency``
-    (optional int) caps the task pools of the map_batches stages for
-    callers that must bound the job's footprint."""
+    the driver, for the union-find component labels."""
     import ray.data as rd
 
     verified, stats = near_dup_pairs(
         ds, num_perm=num_perm, num_bands=num_bands, shingle_k=shingle_k,
-        threshold=threshold, id_col=id_col, bucket_cap=bucket_cap,
-        concurrency=concurrency)
+        threshold=threshold, id_col=id_col, bucket_cap=bucket_cap)
     keep = list(zip(verified["id_a"].astype("int64"),
                     verified["id_b"].astype("int64")))
     rows = [(d, r) for d, r in components_from_pairs(keep) if d != r]
@@ -872,8 +868,7 @@ def _pairs_frame(ds, score: str) -> pd.DataFrame:
 
 def near_dup_pairs(ds, *, num_perm: int = 64, num_bands: int = 16,
                    shingle_k: int = 3, threshold: float = 0.8,
-                   id_col: str = "doc_id", bucket_cap: int = 256,
-                   concurrency: int | None = None):
+                   id_col: str = "doc_id", bucket_cap: int = 256):
     """The MinHash+LSH pipeline up to (and including) the exact-Jaccard
     verify: returns (verified pairs DataFrame(id_a, id_b, jaccard),
     stats dict). The verified pair list is the job's output-sized
@@ -886,8 +881,7 @@ def near_dup_pairs(ds, *, num_perm: int = 64, num_bands: int = 16,
     together (the signatures never materialize), and the verify reads
     that corpus. Three bucket shuffles follow: the candidate emit
     (``_band_pair_rows``, pairs not yet distinct) and the two of
-    ``verify_jaccard_pairs``. ``concurrency`` (optional int) is
-    forwarded as the task cap of the signature pass.
+    ``verify_jaccard_pairs``.
 
     The stats: ``docs``, ``band_rows``, ``candidate_rows`` (emitted
     pair rows; a pair repeats once per emit bucket it collides in),
@@ -898,7 +892,6 @@ def near_dup_pairs(ds, *, num_perm: int = 64, num_bands: int = 16,
 
     from ray.data.dataset import MaterializedDataset
 
-    kw = {} if concurrency is None else {"concurrency": concurrency}
     t0 = time.perf_counter()
     docs = ds
     if not (isinstance(ds, MaterializedDataset) and ds.columns() == [id_col, "text"]):
@@ -907,7 +900,7 @@ def near_dup_pairs(ds, *, num_perm: int = 64, num_bands: int = 16,
     bands = docs.map_batches(
         lambda b: lsh_band_rows(minhash_sig_batch(b, num_perm, shingle_k),
                                 num_bands, id_col),
-        batch_format="pyarrow", **kw,
+        batch_format="pyarrow",
     ).materialize()
     n_rows = bands.count()
     t2 = time.perf_counter()

@@ -1,5 +1,6 @@
 """Multimodal columns: image/audio/video as opaque ``binary`` columns
-with typed metadata, processed by actor-pool ``map_batches`` stages.
+with typed metadata, processed by stateless batch stages: callables a
+plain task (or ``map_batches``) calls on a table of rows.
 
 Real (no external libs needed — in-repo codecs):
 - :class:`ImageDecodeResize` — decode -> area-resize -> re-encode.
@@ -7,7 +8,7 @@ Real (no external libs needed — in-repo codecs):
   density, pHash.
 
 STUBBED (decoders for these media types are not installed in this
-environment; the Ray-side plumbing — schema, batch size, actor
+environment; the Ray-side plumbing — schema, batch size, stage
 signature, output layout — is real and tested):
 - :class:`VideoFrameSample` — with ``strict=True`` raises
   NotImplementedError (no video codec available); the default
@@ -45,10 +46,9 @@ def area_resize(img: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
 
 
 class ImageDecodeResize:
-    """Actor-pool stage: bytes(fmt) -> decode -> resize -> bytes(out_fmt).
-
-    batch_size should stay small (rows are wide binaries); the codec
-    dispatch tables are per-actor state."""
+    """Stateless stage: bytes(fmt) -> decode -> resize -> bytes(out_fmt).
+    Rows are wide binaries, so callers keep batches small (the convert
+    wave caps a slice's input bytes)."""
 
     def __init__(self, out_h: int = 32, out_w: int = 32, out_fmt: str = "png"):
         self.out_h, self.out_w, self.out_fmt = out_h, out_w, out_fmt
@@ -72,7 +72,7 @@ class ImageDecodeResize:
 
 
 class ImageFeatures:
-    """Actor-pool stage: decoded-pixel features for dedup/quality."""
+    """Stateless stage: decoded-pixel features for dedup/quality."""
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         feats = {"mean_r": [], "mean_g": [], "mean_b": [], "luma_std": [],

@@ -1,5 +1,7 @@
 """Conversion (transcode) stage — the reference's warcit-converter
-re-expressed as a stateless batch stage.
+re-expressed as a stateless stage on the convert wave
+(``warc_build.slice_wave``), plus the engine's one image recode kernel
+(:func:`recode_batch`).
 
 Reference semantics reproduced (converter.py:136-195):
 - rule matching: first by ``ext`` suffix on the URL, else by compiled
@@ -37,7 +39,9 @@ import tempfile
 
 import pyarrow as pa
 
-from ..codecs import decode, encode, sniff_fmt
+from ..codecs import decode, encode, phash64, psnr, sniff_fmt
+from ..functions.digests import sha1_b32
+from ..sources.seeds import PayloadLoader
 
 RESULT_SCHEMA = pa.schema(
     [
@@ -51,6 +55,48 @@ RESULT_SCHEMA = pa.schema(
         pa.field("command", pa.string()),
     ]
 )
+
+
+def _codec(fn, *args):
+    """``fn(*args)``, or None where it raises ValueError/KeyError."""
+    try:
+        return fn(*args)
+    except (ValueError, KeyError):
+        return None
+
+
+def recode(payload: bytes, fmt: str | None, to_fmts) -> tuple:
+    """The recode step: ``payload`` decoded once as ``fmt`` (sniffed
+    when None) and encoded to each of ``to_fmts`` -> (image, [bytes per
+    format]), None where the decode or an encode fails."""
+    img = _codec(decode, payload, fmt or sniff_fmt(payload))
+    return img, [None if img is None else _codec(encode, img, to) for to in to_fmts]
+
+
+def recode_batch(t: pa.Table, to_fmts) -> pa.Table:
+    """The image recode kernel: ``(image_id, bytes, fmt)`` rows -> one
+    row per (image, target format), image-major. Each image is decoded
+    once and pHashed (``phash``, low 63 bits); each format's encoding
+    is decoded back and recorded as ``digest`` (:func:`sha1_b32`),
+    ``nbytes`` and ``psnr_ok`` (PSNR >= 40 dB; lossless is infinite).
+    A row whose :func:`recode` failed has ``ok`` False, no digest, 0
+    bytes, ``psnr_ok`` False, and no ``phash`` if the decode failed."""
+    schema = pa.schema([("image_id", pa.string()), ("out_fmt", pa.string()),
+                        ("ok", pa.bool_()), ("digest", pa.string()),
+                        ("nbytes", pa.int64()), ("phash", pa.int64()),
+                        ("psnr_ok", pa.bool_())])
+    rows = []
+    for image_id, payload, fmt in zip(*(t.column(c).to_pylist()
+                                        for c in ("image_id", "bytes", "fmt"))):
+        img, encoded = recode(payload, fmt, to_fmts)
+        ph = None if img is None else phash64(img) & ((1 << 63) - 1)
+        for to, b in zip(to_fmts, encoded):
+            ok = b is not None
+            rows.append((image_id, to, ok, sha1_b32(b) if ok else None,
+                         len(b) if ok else 0, ph,
+                         ok and psnr(img, decode(b, to)) >= 40.0))
+    return pa.Table.from_pylist([dict(zip(schema.names, r)) for r in rows],
+                                schema=schema)
 
 
 def match_file_types(url: str, file_types: list[dict]) -> list[dict]:
@@ -71,10 +117,9 @@ def output_filename(convert_filename: str, output_dir: str, root_dir: str) -> st
 
 
 class TranscodeStage:
-    """Stateless ``map_batches`` stage: candidate rows (+payload) ->
-    result rows. Passed as an instance, so it runs as plain tasks on
-    warm worker processes; each batch is pure work plus the output files
-    it writes.
+    """Stateless stage: candidate rows (+payload) -> result rows, called
+    once per slice of the converter's wave (:func:`convert_all`); each
+    call is pure work plus the output files it writes.
     """
 
     def __init__(self, file_types: list[dict], output_dir: str,
@@ -96,13 +141,8 @@ class TranscodeStage:
         return open(self.convert_stdout, "at")
 
     def _convert_one(self, payload: bytes, out_path: str, to_ext: str) -> bool:
-        src_fmt = sniff_fmt(payload)
-        if src_fmt is None:
-            return False
-        try:
-            img = decode(payload, src_fmt)
-            out_bytes = encode(img, to_ext)
-        except (ValueError, KeyError):
+        _, (out_bytes,) = recode(payload, None, (to_ext,))
+        if out_bytes is None:
             return False
         os.makedirs(os.path.dirname(out_path), exist_ok=True)
         with open(out_path, "wb") as fh:
@@ -179,29 +219,34 @@ class TranscodeStage:
         return pa.table(out, schema=RESULT_SCHEMA)
 
 
-def convert_all(inputs: list[str], url_prefix: str, file_types: list[dict],
-                output_dir: str, *, batch_size: int = 32,
-                dry_run: bool = False, convert_stdout: str | None = None):
-    """warcit-converter pipeline: seeds -> payloads -> transcode, both
-    stages as stateless tasks."""
-    from ..sources.seeds import PayloadLoader, seeds_dataset
+def _convert_slice(stage: TranscodeStage, candidates: pa.Table) -> pa.Table:
+    """One task of the converter's wave: a slice of candidate rows ->
+    its conversion results."""
+    return stage(PayloadLoader()(candidates))
 
-    ds = seeds_dataset(inputs, url_prefix, strict=False)
-    ds = ds.map_batches(PayloadLoader(), batch_size=batch_size,
-                        batch_format="pyarrow")
-    return ds.map_batches(
-        TranscodeStage(file_types, output_dir, dry_run, convert_stdout),
-        batch_size=batch_size, batch_format="pyarrow")
+
+def convert_all(inputs: list[str], url_prefix: str, file_types: list[dict],
+                output_dir: str, *, dry_run: bool = False,
+                convert_stdout: str | None = None):
+    """warcit-converter pipeline: the seeds enumerated on the driver,
+    then one ``slice_wave`` task per slice loads its payloads and
+    transcodes them. The result Dataset's blocks are in seq order."""
+    from ..pipelines.warc_build import slice_wave
+    from ..sources.seeds import enumerate_seeds
+
+    table, _ = enumerate_seeds(inputs, url_prefix, strict=False)
+    return slice_wave(table, table.column("size"), _convert_slice,
+                      TranscodeStage(file_types, output_dir, dry_run, convert_stdout))
 
 
 def results_to_dict(results_ds) -> dict[str, list[dict]]:
-    """The {source_url: [result, ...]} map (converter.py:171-178), list
-    order = rule order (seq), ready for RecordBuilder's broadcast join."""
+    """The {source_url: [result, ...]} map (converter.py:171-178), in
+    input order, list order = rule order (the wave's blocks are in seq
+    order), ready for RecordBuilder's broadcast join."""
     import json
 
-    t = results_ds.sort("seq").to_pandas()
     out: dict[str, list[dict]] = {}
-    for row in t.itertuples(index=False):
+    for row in results_ds.to_pandas().itertuples(index=False):
         out.setdefault(row.source_url, []).append(
             {
                 "url": row.url,
