@@ -5,6 +5,7 @@ cosine verification, union-find labels."""
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+import pyarrow.parquet as pq
 import pytest
 import ray
 import ray.data as rd
@@ -22,6 +23,7 @@ from warcit_ray.stages.dedup import (
     lsh_band_rows,
     minhash_lsh_dedup,
     minhash_sig_batch,
+    near_dup_pairs,
     shingle_hashes,
     simhash_near_dups,
     verify_jaccard_pairs,
@@ -675,6 +677,69 @@ def test_near_dup_pairs_reuses_a_materialized_corpus(ray_session, monkeypatch):
                 for ref, _ in bundle.blocks]
 
     assert len(seen) == 1 and block_refs(seen[0]) == block_refs(ds)
+
+
+def test_near_dup_runs_no_ray_data_operator(ray_session, monkeypatch):
+    """Once the corpus blocks are taken, near-dup runs plain tasks only:
+    with Dataset.map_batches, .materialize and .count raising, both
+    entry points still give the reference pairs and dup map."""
+    from warcit_ray.stages import dedup
+
+    texts = ["w%d alpha beta gamma delta epsilon" % (i % 25) for i in range(60)]
+    rows = [{"doc_id": i, "text": t, "extra": -i} for i, t in enumerate(texts)]
+    ds = rd.from_arrow([pa.Table.from_pylist(rows[i * 15:(i + 1) * 15])
+                        for i in range(4)])
+
+    def refuse(*_a, **_k):
+        raise AssertionError("a Ray Data operator ran")
+
+    for name in ("map_batches", "materialize", "count"):
+        monkeypatch.setattr(rd.Dataset, name, refuse)
+    verified, stats = dedup.near_dup_pairs(ds, threshold=0.9)
+    dup, dup_stats = dedup.minhash_lsh_dedup(ds, threshold=0.9)
+    monkeypatch.undo()
+    assert _triples(verified) == _near_dup_ref(rows, 0.9)
+    assert stats["docs"] == dup_stats["docs"] == len(rows)
+    got = pa.concat_tables(ray.get(dup.to_arrow_refs()))
+    assert list(zip(got["doc_id"].to_pylist(), got["dup_of"].to_pylist())) \
+        == _dup_map_ref(rows, 0.9) != []
+
+
+def test_near_dup_block_layouts_agree(tmp_path, ray_session):
+    """One ~2k-doc corpus as 1, 4 and 16 materialized blocks and as a
+    lazy parquet read of 4 files: the same verified triples, dup map
+    and counts."""
+    rng = np.random.default_rng(11)
+    vocab = np.array(["t%d" % i for i in range(3000)])
+    base = [vocab[rng.integers(len(vocab), size=int(rng.integers(20, 40)))]
+            for _ in range(1000)]
+    texts = [" ".join(t) for t in base]
+    for b in rng.choice(len(base), size=1000, replace=False):
+        toks = base[b].copy()  # a copy with 0-5 tokens replaced
+        toks[rng.integers(len(toks), size=int(rng.integers(0, 6)))] = "zz"
+        texts.append(" ".join(toks))
+    order = rng.permutation(len(texts))  # copies spread over the blocks
+    table = pa.table({"doc_id": pa.array(order, pa.int64()),
+                      "text": [texts[i] for i in order]})
+    for i in range(4):
+        pq.write_table(table.slice(i * 500, 500), str(tmp_path / ("p%d.parquet" % i)))
+
+    def blocks(n):
+        step = -(-table.num_rows // n)
+        return rd.from_arrow([table.slice(i * step, step) for i in range(n)])
+
+    keys = ("docs", "band_rows", "candidate_rows", "verified_pairs")
+    runs = []
+    for ds in (blocks(1), blocks(4), blocks(16), rd.read_parquet(str(tmp_path))):
+        verified, stats = near_dup_pairs(ds, threshold=0.5)
+        dup, _ = minhash_lsh_dedup(ds, threshold=0.5)
+        dup = pa.concat_tables(ray.get(dup.to_arrow_refs()))
+        runs.append((_triples(verified), [stats[k] for k in keys],
+                     sorted(zip(dup["doc_id"].to_pylist(), dup["dup_of"].to_pylist()))))
+    assert all(run == runs[0] for run in runs[1:])
+    triples, counts, dups = runs[0]
+    assert counts[:2] == [2000, 2000 * 16] and counts[3] == len(triples) > 500
+    assert counts[2] > len(triples) and len(dups) > 500
 
 
 def test_empty_pair_results_are_typed(ray_session):

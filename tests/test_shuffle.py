@@ -271,7 +271,7 @@ def test_bucket_shuffle_equals_its_block_core(ray_session, per_block_split, two_
               else dataset_blocks(sides))
     assert all(len(side) >= 5 for side in (blocks if two_sides else (blocks,)))
     via_ds = rows_of(bucket_shuffle(sides, _buckets, per_bucket).to_arrow_refs())
-    via_refs = rows_of(shuffle_blocks(blocks, _buckets, per_bucket))
+    via_refs = rows_of([ref for ref, _ in shuffle_blocks(blocks, _buckets, per_bucket)])
     assert via_ds == via_refs
     assert sorted(via_refs) == [0, 2, 4, 6, 8]
     order = [i for k in range(7) for i in range(k, N, 7)]  # left's input order

@@ -25,7 +25,9 @@ carrier between generations: a wave task offers its links before it
 returns, so they sit in the host shards' heaps — and in the host-state
 snapshot of the generation's checkpoint — before the next admit. The
 wave has one tier at every size: plain Ray tasks over 256/1,024-row
-slices. When the crawl checkpoints, each task writes its own records
+slices; the admitted table is put once per wave and the wave's
+constant arguments once per crawl, so a task gets refs and its slice's
+bounds. When the crawl checkpoints, each task writes its own records
 part into ``gen=g/records.tmp/`` after its offer returns, and
 :meth:`CrawlCheckpoint.write_generation` renames the directory to
 ``records/``; only a small meta tuple reaches the driver, so no record
@@ -283,10 +285,12 @@ def probe_and_offer_batch(batch: pa.Table, seen_actors, host_actors) -> int:
 WAVE_META = ("links", "offered", "fetch_s", "explode_s", "probe_s", "offer_s")
 
 
-def fetch_wave_batch(batch: pa.Table, fetch_fn, fetch_args, explode_fn,
-                     seen_actors, host_actors, part_path: str | None) -> tuple:
+def fetch_wave_batch(table: pa.Table, lo: int, n: int, fetch_fn, fetch_args,
+                     explode_fn, seen_actors, host_actors,
+                     part_path: str | None) -> tuple:
     """One generation's work after admit on one slice of admitted rows,
-    in one task: fetch -> explode links -> seen-probe -> offer. The new
+    ``table.slice(lo, n)``, in one task: fetch -> explode links ->
+    seen-probe -> offer. The new
     links go straight into the host shards' heaps, so no next frontier
     leaves the task. With a ``part_path`` the records, without their
     links, are written there once the offer has returned (a task whose
@@ -294,7 +298,7 @@ def fetch_wave_batch(batch: pa.Table, fetch_fn, fetch_args, explode_fn,
     the meta in :data:`WAVE_META` order: link rows, offered count and
     the in-task seconds of each step."""
     t0 = time.perf_counter()
-    rec = fetch_fn(batch, *fetch_args)
+    rec = fetch_fn(table.slice(lo, n), *fetch_args)
     t1 = time.perf_counter()
     links = explode_fn(rec)
     t2 = time.perf_counter()
@@ -843,9 +847,9 @@ class _Plane:
 
     seen_actors: list
     host_actors: list
-    fetch_fn: object
-    fetch_args: tuple
-    explode_fn: object
+    # refs of fetch_wave_batch's constant args, put once per crawl:
+    # fetch_fn, fetch_args, explode_fn, seen_actors, host_actors
+    wave_args: tuple
     affinity_fn: object
     ckpt: CrawlCheckpoint | None
     probe_task: object
@@ -939,9 +943,8 @@ def _fetch(plane: _Plane, g: int, admitted: pa.Table) -> tuple[dict, _Layer]:
     if n == 0:
         return dict.fromkeys(WAVE_META, 0), _Layer(0, 0, time.monotonic() - t0)
     dispatch, segments = _fetch_plan(admitted, plane.affinity_fn)
+    dispatch = ray.put(dispatch)
     part_dir = plane.ckpt.records_tmp(g) if plane.ckpt is not None else None
-    args = (plane.fetch_fn, plane.fetch_args, plane.explode_fn,
-            plane.seen_actors, plane.host_actors)
     slice_rows = 1024 if n > 4096 else 256
     refs = []
     for seg_lo, seg_hi in segments:
@@ -949,7 +952,7 @@ def _fetch(plane: _Plane, g: int, admitted: pa.Table) -> tuple[dict, _Layer]:
             part = (None if part_dir is None
                     else os.path.join(part_dir, "part-%06d.parquet" % len(refs)))
             refs.append(plane.fetch_task.remote(
-                dispatch.slice(lo, min(slice_rows, seg_hi - lo)), *args, part))
+                dispatch, lo, min(slice_rows, seg_hi - lo), *plane.wave_args, part))
     try:
         metas = ray.get(refs)
     except BaseException:
@@ -1093,7 +1096,8 @@ def crawl(
                    "lease_s": round(time.monotonic() - t0, 3)}
     plane = _Plane(
         seen_actors=lease.seen, host_actors=lease.host,
-        fetch_fn=fetch_fn, fetch_args=fetch_args, explode_fn=explode_fn,
+        wave_args=tuple(ray.put(a) for a in (fetch_fn, fetch_args, explode_fn,
+                                             lease.seen, lease.host)),
         affinity_fn=fetch_affinity_fn, ckpt=ckpt,
         probe_task=ray.remote(num_cpus=1)(probe_and_offer_batch),
         fetch_task=ray.remote(num_cpus=1)(fetch_wave_batch),

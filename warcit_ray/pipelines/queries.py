@@ -926,8 +926,8 @@ def _docs_with_near_dups(sf_dir: str):
     import ray.data as rd
 
     # explicit block count: the pruned two-column read of the (small)
-    # documents file would otherwise land in 1-2 blocks, capping every
-    # downstream actor pool (MinHasher/SimHasher) at 2 concurrent tasks
+    # documents file would otherwise land in 1-2 blocks, and the
+    # signature waves (MinHash, SimHash) run one task per block
     base = _rp(sf_dir, "documents", ["doc_id", "text"], blocks=16)
     head = _smallest_rows(base, "doc_id", 20)
     pert = head.copy()

@@ -8,7 +8,7 @@ Reference lifecycle reproduced (warcit.py:395-448) as:
                                            # resource/revisit/conversion/
                                            # transclusion expansion; zip
                                            # handles cached per worker
-      -> rd.from_arrow_refs([warcinfo row] + the slices' record blocks)
+      -> a Dataset over [warcinfo row] + the slices' record blocks
       -> [sort('seq')] only at physical WARC emission; the Parquet sink
          keeps the seq column instead (SURVEY §2.5 ordering note).
 
@@ -30,6 +30,7 @@ from ..config import WarcitConfig
 from ..sinks.warc_sink import pin_layout, write_shards, write_warc_file
 from ..sources.seeds import PayloadLoader, enumerate_seeds
 from ..stages.build_records import RecordBuilder, warcinfo_row
+from ..stages.shuffle import block_meta, blocks_dataset
 
 
 def slice_bounds(sizes: np.ndarray, min_slices: int, max_bytes: int) -> list[int]:
@@ -53,10 +54,13 @@ def slice_bounds(sizes: np.ndarray, min_slices: int, max_bytes: int) -> list[int
     return bounds + [n]
 
 
-def _run_slice(fn, *args):
-    """One task of a convert wave: ``fn(*args)``, the last arg a slice
-    of the wave's table."""
-    return fn(*args)
+def _run_slice(fn, *args) -> tuple:
+    """One task of a convert wave, whose last three args are the wave's
+    table and one slice's bounds ``lo, n``: ``fn(*rest,
+    table.slice(lo, n))`` and that block's ``block_meta``."""
+    *args, table, lo, n = args
+    block = fn(*args, table.slice(lo, n))
+    return block, block_meta(block)
 
 
 def slice_wave(table: pa.Table, sizes, fn, *args, lead=()):
@@ -64,22 +68,25 @@ def slice_wave(table: pa.Table, sizes, fn, *args, lead=()):
     cluster CPU and none holding more than
     ``DataContext.target_max_block_size`` input bytes (``sizes``, one
     per row; :func:`slice_bounds`), and one plain task per slice running
-    ``fn(*args, slice)`` (``fn`` and each arg put once). Returns
-    ``rd.from_arrow_refs`` over the ``lead`` block refs and the slices'
-    blocks, in slice order: no Ray Data operator runs, and however many
-    consumers read the Dataset, each slice runs once."""
+    ``fn(*args, slice)``. ``fn``, each arg and the table are put once; a
+    task gets their refs and its slice's bounds, and slices in the
+    worker. Returns, once every slice has run, a Dataset over the
+    ``lead`` tables (put from the driver) and the slices' blocks, in
+    slice order (``blocks_dataset``, from the metadata the tasks return
+    beside their blocks): no Ray Data operator or metadata task runs,
+    and however many consumers read the Dataset, each slice runs once."""
     import ray
-    import ray.data as rd
     from ray.data import DataContext
 
     bounds = slice_bounds(np.asarray(sizes),
                           max(1, int(ray.cluster_resources().get("CPU", 1))),
                           DataContext.get_current().target_max_block_size)
-    task = ray.remote(_run_slice)
-    refs = [ray.put(a) for a in (fn, *args)]
-    return rd.from_arrow_refs(
-        [*lead, *(task.remote(*refs, table.slice(a, b - a))
-                  for a, b in zip(bounds[:-1], bounds[1:]))])
+    task = ray.remote(_run_slice).options(num_returns=2)
+    refs = [ray.put(a) for a in (fn, *args, table)]
+    outs = [task.remote(*refs, a, b - a) for a, b in zip(bounds[:-1], bounds[1:])]
+    metas = ray.get([meta for _, meta in outs])
+    return blocks_dataset([(ray.put(t), block_meta(t)) for t in lead]
+                          + [(block, meta) for (block, _), meta in zip(outs, metas)])
 
 
 def _build_slice(cfg: WarcitConfig, candidates: pa.Table) -> pa.Table:
@@ -93,10 +100,8 @@ def build_warc_dataset(cfg: WarcitConfig):
     enumerated on the driver and one :func:`slice_wave` task per slice
     loads its payloads and builds its records. The Dataset's blocks are
     the warcinfo row and the slices' records, in seq order."""
-    import ray
-
     table, _ = enumerate_seeds(cfg.inputs, cfg.url_prefix, strict=False)
-    lead = [ray.put(warcinfo_row(cfg))] if cfg.warcinfo else []
+    lead = [warcinfo_row(cfg)] if cfg.warcinfo else []
     return slice_wave(table, table.column("size"), _build_slice, cfg, lead=lead)
 
 

@@ -130,7 +130,7 @@ def write_shards(ds, prepare, args: tuple, files_per_part: int, write_shard,
     parts = shuffle_blocks(
         blocks, lambda t: part_of_seq(t["seq"].to_numpy(), files_per_part),
         write_shard, batch_format=batch_format)
-    return sorted(p for t in ray.get(parts) if t.num_rows
+    return sorted(p for t in ray.get([ref for ref, meta in parts if meta.num_rows])
                   for p in t.column("path").to_pylist())
 
 

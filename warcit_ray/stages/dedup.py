@@ -6,10 +6,12 @@ Shuffle discipline (the 100 TB design point):
   aggregation inside map_batches (one row per hash per batch) -> one
   bucket shuffle of the partials on the hash. The full rows never
   shuffle.
-- MinHash LSH: the input executes once, into a materialized (id, text)
-  corpus; one pass over it computes each batch's signatures and
-  explodes them straight to (band_hash, doc) rows (signatures never
-  materialize) -> DISTRIBUTED candidate-pair emit (a bucket shuffle on
+- MinHash LSH: the input executes once, into its blocks, and plain
+  task waves run from there (no Ray Data operator): one task per
+  block projects it to the (id, text) corpus, computes its signatures
+  and explodes them straight to (band_hash, doc) rows (signatures
+  never leave the task), and returns both blocks' row counts and
+  sizes -> DISTRIBUTED candidate-pair emit (a bucket shuffle on
   the band key with a per-bucket member cap) -> DISTRIBUTED
   exact-Jaccard verify in two more shuffles: pair halves meet their
   doc (the corpus's only shuffle, which also drops the cross-band
@@ -18,7 +20,8 @@ Shuffle discipline (the 100 TB design point):
   (id, text) shuffle, only (band, hash, id) triples, pair halves and
   per-half shingle arrays cross the wire; nothing corpus-sized ever
   lands on the driver.
-- SimHash / pHash: 64-bit signature per doc; chunk banding (pigeonhole:
+- SimHash / pHash: 64-bit signature per doc (SimHash's in one plain
+  task per block, as MinHash's); chunk banding (pigeonhole:
   ``n_chunks >= max_hamming + 1`` exact chunks guarantee every
   qualifying pair shares a bucket); candidates emitted AND
   popcount-verified inside the band emit, distributed.
@@ -39,7 +42,15 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
-from .shuffle import bucket_shuffle, key_buckets, mix_buckets
+from .shuffle import (
+    block_meta,
+    blocks_dataset,
+    bucket_shuffle,
+    dataset_blocks,
+    key_buckets,
+    mix_buckets,
+    shuffle_blocks,
+)
 from .text import md5_batch
 
 # ---------------------------------------------------------------------------
@@ -658,19 +669,21 @@ def candidate_pairs_from_bands(bands, bkey_col: str, id_col: str, *,
     def dedup_bucket(_bucket: int, g: pd.DataFrame) -> pd.DataFrame:
         return g.drop_duplicates(["id_a", "id_b"])
 
-    pairs = _band_pair_rows(bands, bkey_col, id_col, n_rows,
+    pairs = _band_pair_rows(dataset_blocks(bands), bkey_col, id_col, n_rows,
                             extra_cols=extra_cols, bucket_cap=bucket_cap,
                             pair_filter=pair_filter)
-    return bucket_shuffle(pairs, pair_buckets, dedup_bucket, batch_format="pandas")
+    return bucket_shuffle(blocks_dataset(pairs), pair_buckets, dedup_bucket,
+                          batch_format="pandas")
 
 
-def _band_pair_rows(bands, bkey_col: str, id_col: str, n_rows: int, *,
-                    extra_cols=(), bucket_cap: int = 256, pair_filter=None):
-    """The candidate emit shuffle: one bulk emit per coarse bucket of
-    band rows on ``mix(bkey) % B`` (~1M rows each), then the in-frame
-    pair dedup. Pairs are distinct within a bucket only: a pair that
-    collides in bands hashing to different buckets comes out once per
-    such bucket."""
+def _band_pair_rows(bands: list, bkey_col: str, id_col: str, n_rows: int, *,
+                    extra_cols=(), bucket_cap: int = 256, pair_filter=None) -> list:
+    """The candidate emit shuffle over band blocks (``(ref, size)``):
+    one bulk emit per coarse bucket of band rows on ``mix(bkey) % B``
+    (~1M rows each), then the in-frame pair dedup. Returns the
+    non-empty parts as ``(ref, block_meta)``. Pairs are distinct within
+    a bucket only: a pair that collides in bands hashing to different
+    buckets comes out once per such bucket."""
 
     def emit_bucket(_bucket: int, g: pd.DataFrame) -> pd.DataFrame:
         # holds every collision bucket whose bkey hashes here
@@ -679,8 +692,22 @@ def _band_pair_rows(bands, bkey_col: str, id_col: str, n_rows: int, *,
             out = pair_filter(out)  # applied to empties too: uniform schema
         return out.drop_duplicates(["id_a", "id_b"])
 
-    return bucket_shuffle(bands, key_buckets(bkey_col, _coarse_bucket_count(n_rows)),
-                          emit_bucket, batch_format="pandas")
+    parts = shuffle_blocks(bands, key_buckets(bkey_col, _coarse_bucket_count(n_rows)),
+                           emit_bucket, batch_format="pandas")
+    return [(ref, meta) for ref, meta in parts if meta.num_rows]
+
+
+def _block_wave(fn, blocks: list, *args, num_returns: int = 2) -> list:
+    """One plain task per ``(ref, size)`` block running ``fn(block,
+    *args)``, whose last return is a small metadata value: returns, per
+    block in order, the task's other refs and that value, once every
+    task has run. No Ray Data operator runs."""
+    import ray
+
+    task = ray.remote(fn).options(num_returns=num_returns)
+    outs = [task.remote(ref, *args) for ref, _ in blocks]
+    metas = ray.get([out[-1] for out in outs])
+    return [(*out[:-1], meta) for out, meta in zip(outs, metas)]
 
 
 def _coarse_bucket_count(n_rows: int) -> int:
@@ -729,40 +756,29 @@ def _jaccard_sorted_merge(ia: np.ndarray, ib: np.ndarray, sets) -> tuple:
     return ia[first], ib[first], j, np.bincount(pair)
 
 
-def verify_jaccard_pairs(pairs_ds, docs_ds, *, id_col: str = "doc_id",
-                         text_col: str = "text", threshold: float = 0.8,
-                         shingle_k: int = 3, num_buckets: int = 8):
-    """Distributed exact-Jaccard verification of candidate pairs in two
-    bucket shuffles, with no per-pair group dispatch (a pandas group
-    per pair costs 1-2 ms of frame overhead, hours of pure dispatch at
-    10^10-doc candidate rates).
+def _pair_halves(block, id_col: str) -> tuple:
+    """One task of the verify: a block of pairs (a, b) -> (its halves,
+    keyed on doc a and on doc b in ``id_col``; their size in bytes)."""
+    from ray.data.block import BlockAccessor
 
-    - Attach: each pair (a, b), a != b, splits into two halves keyed on
-      doc a and on doc b, and one two-sided shuffle on that key brings
-      every half to its doc: the corpus, projected to (id, text), moves
-      once. All copies of a half land in one bucket, so dropping
-      duplicate halves there dedups pairs repeated across bands or emit
-      frames (``pairs_ds`` need not be distinct). Each referenced doc
-      is shingled once per bucket (sorted unique ``shingle_hashes``).
-    - Combine: a shuffle on the pair brings its two halves together and
-      one ``_jaccard_sorted_merge`` per bucket scores every pair.
+    t = BlockAccessor.for_block(block).to_arrow()
+    a, b = t.column("id_a").to_numpy(), t.column("id_b").to_numpy()
+    h = pa.table({id_col: np.concatenate([a, b]), "id_a": np.tile(a, 2),
+                  "id_b": np.tile(b, 2)})
+    return h, h.nbytes
 
-    Returns a Dataset of (id_a, id_b, jaccard), id_a the smaller id,
-    for pairs passing ``threshold``; a pair with a side missing from
-    the corpus drops, and a corpus is assumed to carry one row per id.
-    A ``docs_ds`` whose schema is known to be exactly (``id_col``,
-    ``text_col``) — ``near_dup_pairs`` passes its materialized corpus —
-    enters the attach shuffle as it is; any other is projected to those
-    columns first."""
+
+def _verify_blocks(pairs: list, docs: list, *, id_col: str, text_col: str,
+                   threshold: float, shingle_k: int, num_buckets: int) -> list:
+    """The exact-Jaccard verify over blocks: ``pairs`` and ``docs`` (the
+    corpus, exactly (``id_col``, ``text_col``)) as ``(ref, size)``
+    blocks -> the verified parts as ``(ref, block_meta)``, no part when
+    there is no pair (see :func:`verify_jaccard_pairs`)."""
     import pyarrow.compute as pc
 
+    if not pairs:
+        return []
     sets_type = pa.large_list(pa.uint64())
-
-    def halves(t: pa.Table) -> pa.Table:
-        # keyed on id_col, so one bucket_of serves both shuffle sides
-        a, b = t.column("id_a").to_numpy(), t.column("id_b").to_numpy()
-        return pa.table({id_col: np.concatenate([a, b]), "id_a": np.tile(a, 2),
-                         "id_b": np.tile(b, 2)})
 
     def attach(_bucket: int, sides) -> pa.Table:
         h, docs = sides
@@ -792,13 +808,47 @@ def verify_jaccard_pairs(pairs_ds, docs_ds, *, id_col: str = "doc_id",
         return pa.table({"id_a": np.minimum(a, b), "id_b": np.maximum(a, b),
                          "jaccard": j[keep]})
 
+    # keyed on id_col, so one bucket_of serves both shuffle sides
+    halves = _block_wave(_pair_halves, pairs, id_col)
+    attached = shuffle_blocks((halves, docs), key_buckets(id_col, num_buckets), attach)
+    return shuffle_blocks([(ref, meta.size_bytes) for ref, meta in attached
+                           if meta.num_rows], pair_buckets, row_jaccard)
+
+
+def verify_jaccard_pairs(pairs_ds, docs_ds, *, id_col: str = "doc_id",
+                         text_col: str = "text", threshold: float = 0.8,
+                         shingle_k: int = 3, num_buckets: int = 8):
+    """Distributed exact-Jaccard verification of candidate pairs in two
+    bucket shuffles, with no per-pair group dispatch (a pandas group
+    per pair costs 1-2 ms of frame overhead, hours of pure dispatch at
+    10^10-doc candidate rates). A Dataset adapter of the block-level
+    verify that ``near_dup_pairs`` runs:
+
+    - Attach: each pair (a, b), a != b, splits into two halves keyed on
+      doc a and on doc b (one plain task per block of pairs), and one
+      two-sided shuffle on that key brings every half to its doc: the
+      corpus, projected to (id, text), moves once. All copies of a half
+      land in one bucket, so dropping duplicate halves there dedups
+      pairs repeated across bands or emit frames (``pairs_ds`` need not
+      be distinct). Each referenced doc is shingled once per bucket
+      (sorted unique ``shingle_hashes``).
+    - Combine: a shuffle on the pair brings its two halves together and
+      one ``_jaccard_sorted_merge`` per bucket scores every pair.
+
+    Returns a Dataset of (id_a, id_b, jaccard), id_a the smaller id,
+    for pairs passing ``threshold``; a pair with a side missing from
+    the corpus drops, and a corpus is assumed to carry one row per id.
+    A ``docs_ds`` whose schema is known to be exactly (``id_col``,
+    ``text_col``) — ``near_dup_pairs`` passes its corpus blocks — enters
+    the attach shuffle as it is; any other is projected to those
+    columns first."""
     schema = docs_ds.schema(fetch_if_missing=False)
     if schema is None or sorted(schema.names) != sorted([id_col, text_col]):
         docs_ds = docs_ds.select_columns([id_col, text_col])
-    attached = bucket_shuffle(
-        (pairs_ds.map_batches(halves, batch_format="pyarrow"), docs_ds),
-        key_buckets(id_col, num_buckets), attach)
-    return bucket_shuffle(attached, pair_buckets, row_jaccard)
+    return blocks_dataset(_verify_blocks(
+        dataset_blocks(pairs_ds), dataset_blocks(docs_ds), id_col=id_col,
+        text_col=text_col, threshold=threshold, shingle_k=shingle_k,
+        num_buckets=num_buckets))
 
 
 def components_from_pairs(pairs: list[tuple]) -> list[tuple]:
@@ -833,14 +883,16 @@ def minhash_lsh_dedup(ds, *, num_perm: int = 64, num_bands: int = 16,
     verified Jaccard >= threshold with a lower-id doc, stats dict:
     ``near_dup_pairs``' stats plus ``dups``, the dup map's rows).
 
-    Every stage is distributed: signatures (stateless tasks over warm
-    worker processes) -> band rows -> candidate pairs (coarse-bucketed
-    groupby, all-pairs with cap) -> exact-Jaccard verify (pair halves
+    Every stage is distributed, as plain tasks over the corpus blocks
+    (``near_dup_pairs``): signatures and band rows (one task per block,
+    over warm worker processes) -> candidate pairs (coarse-bucketed
+    shuffle, all-pairs with cap) -> exact-Jaccard verify (pair halves
     meet their docs in one corpus shuffle, which also drops repeated
     pairs; a pair shuffle then runs one sorted-merge Jaccard per
     bucket). Only the verified pair list — the actual result — reaches
-    the driver, for the union-find component labels."""
-    import ray.data as rd
+    the driver, for the union-find component labels; the dup map is one
+    block put from the driver."""
+    import ray
 
     verified, stats = near_dup_pairs(
         ds, num_perm=num_perm, num_bands=num_bands, shingle_k=shingle_k,
@@ -851,19 +903,38 @@ def minhash_lsh_dedup(ds, *, num_perm: int = 64, num_bands: int = 16,
     # one block, typed even when empty (from_items makes a block per row)
     dup = pa.table({id_col: pa.array([d for d, _ in rows], pa.int64()),
                     "dup_of": pa.array([r for _, r in rows], pa.int64())})
-    return rd.from_arrow(dup), dict(stats, dups=len(rows))
+    return blocks_dataset([(ray.put(dup), block_meta(dup))]), dict(stats, dups=len(rows))
 
 
 def _pairs_frame(ds, score: str) -> pd.DataFrame:
-    """``ds.to_pandas()`` of a pair Dataset, typed (id_a int64, id_b
-    int64, score float64) also when it has no rows: ``to_pandas`` of an
-    empty Dataset has no columns, whatever its blocks' schemas say."""
-    df = ds.to_pandas()
-    if len(df):
-        return df
+    """The rows of a pair Dataset whose blocks exist, read from its
+    block refs (``to_pandas`` would start Ray Data's executor), typed
+    (id_a int64, id_b int64, score float64) also when it has no rows."""
+    import ray
+    from ray.data.block import BlockAccessor
+
+    frames = [BlockAccessor.for_block(b).to_pandas()
+              for b in ray.get([ref for ref, _ in dataset_blocks(ds)])]
+    if frames:
+        return pd.concat(frames, ignore_index=True)
     return pd.DataFrame({"id_a": pd.Series([], dtype="int64"),
                          "id_b": pd.Series([], dtype="int64"),
                          score: pd.Series([], dtype="float64")})
+
+
+def _signature_block(block, id_col: str, num_perm: int, shingle_k: int,
+                     num_bands: int) -> tuple:
+    """One task of near-dup's signature wave: a corpus block -> (its
+    (id, text) projection, ``None`` when the block is an Arrow table of
+    exactly those columns already; its band rows; (that as-is flag, the
+    projection's and the band rows' ``block_meta``))."""
+    from ray.data.block import BlockAccessor
+
+    as_is = isinstance(block, pa.Table) and block.column_names == [id_col, "text"]
+    docs = BlockAccessor.for_block(block).to_arrow().select([id_col, "text"])
+    bands = lsh_band_rows(minhash_sig_batch(docs, num_perm, shingle_k),
+                          num_bands, id_col)
+    return None if as_is else docs, bands, (as_is, block_meta(docs), block_meta(bands))
 
 
 def near_dup_pairs(ds, *, num_perm: int = 64, num_bands: int = 16,
@@ -875,45 +946,46 @@ def near_dup_pairs(ds, *, num_perm: int = 64, num_bands: int = 16,
     result, so it lands on the driver; callers needing components feed
     it to components_from_pairs / stages.components.connected_components.
 
-    ``ds`` executes once: its (id, text) projection is materialized as
-    the corpus (a materialized ``ds`` of exactly those columns is the
-    corpus as it is), one pass over it computes signatures and band rows
-    together (the signatures never materialize), and the verify reads
-    that corpus. Three bucket shuffles follow: the candidate emit
-    (``_band_pair_rows``, pairs not yet distinct) and the two of
-    ``verify_jaccard_pairs``.
+    ``ds`` executes once, into its blocks (``dataset_blocks``); from
+    there on no Ray Data operator runs, only plain tasks and the object
+    store. One signature task per block projects it to (id, text) — a
+    block of exactly those columns is the corpus as it is, no copy —
+    and computes its signatures and band rows together (the signatures
+    never leave the task); each task returns its blocks' row counts and
+    sizes beside them, which the driver sums. Three bucket shuffles
+    follow over those refs: the candidate emit (``_band_pair_rows``,
+    pairs not yet distinct) and the two of ``verify_jaccard_pairs``;
+    each returns its parts' row counts, and empty parts drop.
 
     The stats: ``docs``, ``band_rows``, ``candidate_rows`` (emitted
     pair rows; a pair repeats once per emit bucket it collides in),
     ``verified_pairs``, and the wall seconds of each phase: ``read_s``
-    (materializing the corpus), ``signature_s`` (signatures + band
-    rows), ``emit_s`` (candidate pairs) and ``verify_s``."""
+    (running ``ds`` into its blocks), ``signature_s`` (signatures +
+    band rows), ``emit_s`` (candidate pairs) and ``verify_s``."""
     import time
 
-    from ray.data.dataset import MaterializedDataset
-
     t0 = time.perf_counter()
-    docs = ds
-    if not (isinstance(ds, MaterializedDataset) and ds.columns() == [id_col, "text"]):
-        docs = ds.select_columns([id_col, "text"]).materialize()
+    blocks = dataset_blocks(ds)
     t1 = time.perf_counter()
-    bands = docs.map_batches(
-        lambda b: lsh_band_rows(minhash_sig_batch(b, num_perm, shingle_k),
-                                num_bands, id_col),
-        batch_format="pyarrow",
-    ).materialize()
-    n_rows = bands.count()
+    corpus, bands = [], []
+    for (ref, _), (docs, band, (as_is, docs_meta, band_meta)) in zip(blocks, _block_wave(
+            _signature_block, blocks, id_col, num_perm, shingle_k, num_bands,
+            num_returns=3)):
+        corpus.append((ref if as_is else docs, docs_meta))
+        bands.append((band, band_meta))
+    n_rows = sum(meta.num_rows for _, meta in bands)
     t2 = time.perf_counter()
-    pairs = _band_pair_rows(bands, "bkey", id_col, n_rows, bucket_cap=bucket_cap)
-    n_cand = pairs.count()
+    pairs = _band_pair_rows([(ref, meta.size_bytes) for ref, meta in bands], "bkey",
+                            id_col, n_rows, bucket_cap=bucket_cap)
     t3 = time.perf_counter()
     # repeated pairs are fine: the verify's attach shuffle drops them
     verified = _pairs_frame(verify_jaccard_pairs(
-        pairs, docs, id_col=id_col, threshold=threshold,
-        shingle_k=shingle_k), "jaccard")
+        blocks_dataset(pairs), blocks_dataset(corpus), id_col=id_col,
+        threshold=threshold, shingle_k=shingle_k), "jaccard")
     t4 = time.perf_counter()
     return verified, {
-        "docs": docs.count(), "band_rows": n_rows, "candidate_rows": n_cand,
+        "docs": sum(meta.num_rows for _, meta in corpus), "band_rows": n_rows,
+        "candidate_rows": sum(meta.num_rows for _, meta in pairs),
         "verified_pairs": len(verified), "read_s": t1 - t0,
         "signature_s": t2 - t1, "emit_s": t3 - t2, "verify_s": t4 - t3}
 
@@ -924,14 +996,16 @@ def near_dup_pairs(ds, *, num_perm: int = 64, num_bands: int = 16,
 
 class SimHasher:
     """64-bit SimHash over word tokens (public Charikar construction).
-    Actor-pool class: token-hash cache amortized across batches; the
-    bit-vote accumulation is one vectorized (n_toks, 64) reduction."""
+    One instance per worker process and token hash
+    (``_simhash_block``'s cache, run by stateless tasks): the
+    token-hash cache lives for the process's lifetime; the bit-vote
+    accumulation is one vectorized (n_toks, 64) reduction."""
 
     _SHIFTS = np.arange(64, dtype=np.uint64)
 
     def __init__(self, tok_hash: str = "blake2b"):
-        # the hash primitive is a named choice (not a callable) so the
-        # actor-pool constructor args stay trivially serializable
+        # the hash primitive is a named choice (not a callable): the
+        # worker cache keys on it
         self._hash_fn = _SIMHASH_TOK_HASHES[tok_hash]
         self._tok_cache: dict[str, int] = {}
 
@@ -1003,6 +1077,23 @@ class SimHasher:
                                       starts[sel] - base)
                 lo = hi
         return batch.append_column("simhash", pa.array(self._pack(acc)))
+
+
+# worker-process SimHasher cache, one per token hash (as _MINHASHER_CACHE:
+# an actor pool per call cost 1.5-2 s of startup on 2,000 docs)
+_SIMHASHER_CACHE: dict = {}
+
+
+def _simhash_block(block, tok_hash: str) -> tuple:
+    """One task of SimHash's signature wave: a block -> (the block as
+    Arrow with its ``simhash`` column, that table's ``block_meta``)."""
+    from ray.data.block import BlockAccessor
+
+    sh = _SIMHASHER_CACHE.get(tok_hash)
+    if sh is None:
+        sh = _SIMHASHER_CACHE[tok_hash] = SimHasher(tok_hash)
+    out = sh(BlockAccessor.for_block(block).to_arrow())
+    return out, block_meta(out)
 
 
 def hamming64(a: int, b: int) -> int:
@@ -1096,15 +1187,14 @@ def banded_hamming_pairs(ds, *, sig_col: str, id_col: str, max_hamming: int,
 
 
 def simhash_near_dups(ds, *, max_hamming: int = 3, id_col: str = "doc_id",
-                      concurrency: int | tuple = (2, 8),
                       tok_hash: str = "blake2b") -> pd.DataFrame:
     """SimHash near-dup pairs, fully distributed (see
-    banded_hamming_pairs for the banding + verify discipline).
-    ``tok_hash`` picks the token-hash primitive ('md5le' makes the
-    signatures DuckDB-reproducible for oracle checking)."""
-    with_sig = ds.map_batches(SimHasher, batch_format="pyarrow",
-                              fn_constructor_kwargs={"tok_hash": tok_hash},
-                              concurrency=concurrency).materialize()
+    banded_hamming_pairs for the banding + verify discipline). The
+    signatures run as one plain task per block of ``ds``
+    (``_simhash_block``), as near-dup's do. ``tok_hash`` picks the
+    token-hash primitive ('md5le' makes the signatures
+    DuckDB-reproducible for oracle checking)."""
+    with_sig = blocks_dataset(_block_wave(_simhash_block, dataset_blocks(ds), tok_hash))
     pairs = banded_hamming_pairs(
         with_sig, sig_col="simhash", id_col=id_col, max_hamming=max_hamming)
     if len(pairs):

@@ -16,8 +16,11 @@ has the blocks. :func:`split_block` runs once per group and returns
 bucket and calls ``per_bucket(bucket_id, rows)`` once per bucket
 holding rows, so an empty bucket gets no call. No row reaches the
 driver, and ``bucket_of`` and ``per_bucket`` run only in workers.
-:func:`shuffle_blocks` is the shuffle itself, over block refs;
-:func:`bucket_shuffle` runs it on Datasets.
+:func:`shuffle_blocks` is the shuffle itself, over block refs: each
+reduce task returns its part's block metadata (rows, bytes, schema)
+beside the block, so a caller learns every part's size without a
+``count()`` and a Dataset over the parts (:func:`blocks_dataset`) needs
+no metadata task. :func:`bucket_shuffle` runs it on Datasets.
 """
 
 from __future__ import annotations
@@ -124,7 +127,7 @@ def reduce_part(per_bucket, batch_format: str, multi: bool, groups_per_side,
     """Reduce stage: one part's slices, one per map group,
     ``groups_per_side[i]`` of them for side ``i`` in side order, -> (one
     block of ``per_bucket`` outputs, one call per bucket with rows on
-    some side, ascending; its row count, a small return whose
+    some side, ascending; its :func:`block_meta`, a small return whose
     ``ray.get`` surfaces the task's error without fetching the block).
     The outputs concatenate in Ray Data's block builder, which unifies
     their schemas and skips empty ones."""
@@ -139,7 +142,34 @@ def reduce_part(per_bucket, batch_format: str, multi: bool, groups_per_side,
                 if b in s else None for s in sides]
         out.add_batch(per_bucket(b, tuple(rows) if multi else rows[0]))
     block = out.build()
-    return block, BlockAccessor.for_block(block).num_rows()
+    return block, block_meta(block)
+
+
+def block_meta(block):
+    """A block's ``BlockMetadataWithSchema`` (rows, bytes, schema), as
+    ``rd.from_arrow_refs`` computes it in a task of its own: a task that
+    builds a block returns this beside it."""
+    from ray.data.block import BlockExecStats, BlockMetadataWithSchema
+
+    return BlockMetadataWithSchema.from_block(block, stats=BlockExecStats.builder().build())
+
+
+def blocks_dataset(parts):
+    """``rd.from_arrow_refs`` over ``(block ref, block_meta)`` parts
+    whose producers returned their metadata: the same
+    ``MaterializedDataset``, built without the metadata tasks."""
+    from ray.data import DataContext
+    from ray.data._internal.logical.interfaces import LogicalPlan
+    from ray.data._internal.logical.operators.from_operators import FromArrow
+    from ray.data._internal.plan import ExecutionPlan
+    from ray.data._internal.stats import DatasetStats
+    from ray.data.dataset import MaterializedDataset
+
+    refs = [ref for ref, _ in parts]
+    metas = [meta for _, meta in parts]
+    plan = ExecutionPlan(DatasetStats(metadata={"FromArrow": metas}, parent=None),
+                         DataContext.get_current().copy())
+    return MaterializedDataset(plan, LogicalPlan(FromArrow(refs, metas), plan._context))
 
 
 def dataset_blocks(ds) -> list:
@@ -163,8 +193,8 @@ def shuffle_blocks(sides, bucket_of, per_bucket, *, batch_format: str = "pyarrow
     """The shuffle over blocks already in the object store: ``sides`` is
     one list of ``(block ref, size in bytes or None)`` or a tuple of
     such lists, one per side, and ``per_bucket`` is called as for
-    :func:`bucket_shuffle`. Returns one output block ref per part, in
-    part order, once every part has run: every part's error is
+    :func:`bucket_shuffle`. Returns ``(block ref, block_meta)`` per
+    part, in part order, once every part has run: every part's error is
     consumed (none is left for Ray to log as unhandled) and the first,
     in part order, raised as its own type."""
     import ray
@@ -186,10 +216,10 @@ def shuffle_blocks(sides, bucket_of, per_bucket, *, batch_format: str = "pyarrow
     counts = [len(side) for side in groups]
     parts = [reduce.remote(per_bucket, batch_format, multi, counts, *(s[p] for s in slices))
              for p in range(num_parts)]
-    errors = []
-    for block, rows in parts:
+    out, errors = [], []
+    for block, meta in parts:
         try:
-            ray.get(rows)
+            out.append((block, ray.get(meta)))
         except RayError as e:
             errors.append(e)
             try:
@@ -198,7 +228,7 @@ def shuffle_blocks(sides, bucket_of, per_bucket, *, batch_format: str = "pyarrow
                 pass
     if errors:
         raise errors[0]
-    return [block for block, _ in parts]
+    return out
 
 
 def bucket_shuffle(sides, bucket_of, per_bucket, *, batch_format: str = "pyarrow"):
@@ -212,9 +242,7 @@ def bucket_shuffle(sides, bucket_of, per_bucket, *, batch_format: str = "pyarrow
     reaches the caller as its own type (:func:`shuffle_blocks`, which
     this runs on the Datasets' blocks). Output row order is by part,
     then bucket: callers that need an order sort."""
-    import ray.data as rd
-
     blocks = (tuple(map(dataset_blocks, sides)) if isinstance(sides, tuple)
               else dataset_blocks(sides))
-    return rd.from_arrow_refs(shuffle_blocks(blocks, bucket_of, per_bucket,
-                                             batch_format=batch_format))
+    return blocks_dataset(shuffle_blocks(blocks, bucket_of, per_bucket,
+                                         batch_format=batch_format))
