@@ -507,7 +507,7 @@ def oracle_sql() -> dict[str, str]:
                 SELECT doc_id, coalesce(text, '') AS text FROM documents
                 UNION ALL
                 SELECT doc_id + 1000000 AS doc_id,
-                       regexp_replace(coalesce(text, ''), '^\S+', 'ZZZ') AS text
+                       regexp_replace(coalesce(text, ''), '^\\S+', 'ZZZ') AS text
                 FROM documents
                 WHERE doc_id IN (SELECT doc_id FROM documents ORDER BY doc_id LIMIT 20)
             ), toks AS (
@@ -547,7 +547,7 @@ def oracle_sql() -> dict[str, str]:
                        CAST(len(toks) AS BIGINT) AS ws_tokens,
                        CAST(length(text) AS DOUBLE) AS n_chars,
                        CAST(length(regexp_replace(text,
-                            '[\w \t\n\r\f\v]', '', 'g')) AS DOUBLE) AS punct,
+                            '[\\w \t\n\r\f\v]', '', 'g')) AS DOUBLE) AS punct,
                        CAST(len(list_filter(toks, s -> lower(s) IN
                             ('the','and','of','a','to','in','is','it',
                              'that','for'))) AS DOUBLE) AS stop_hits
@@ -792,7 +792,7 @@ def oracle_sql() -> dict[str, str]:
                 SELECT doc_id, coalesce(text, '') AS text FROM documents
                 UNION ALL
                 SELECT doc_id + 1000000 AS doc_id,
-                       regexp_replace(coalesce(text, ''), '^\S+', 'ZZZ') AS text
+                       regexp_replace(coalesce(text, ''), '^\\S+', 'ZZZ') AS text
                 FROM documents
                 WHERE doc_id IN (SELECT doc_id FROM documents ORDER BY doc_id LIMIT 20)
             ), toks AS (

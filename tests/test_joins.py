@@ -1,9 +1,9 @@
-"""Large-large join implementations (bucketed explicit + native)."""
+"""Large-large joins: the bucketed hash and anti joins."""
 
 import pandas as pd
 import pytest
 
-from warcit_ray.stages.joins import bucketed_hash_join, hash_join
+from warcit_ray.stages.joins import bucketed_hash_join
 
 
 @pytest.fixture(scope="module")
@@ -74,23 +74,6 @@ def test_bucketed_anti_join_keeps_63bit_ids_exact(ray_session):
     assert got["k"].tolist() == keys[1::2]
     assert got["payload"].tolist() == [k ^ 0x5A5A for k in keys[1::2]]
     assert str(got["payload"].dtype) == "int64"  # no float widening at all
-
-
-def test_native_hash_join_if_available(sides):
-    import ray.data as rd
-
-    if not hasattr(rd.Dataset, "join"):
-        pytest.skip("Dataset.join not in this Ray version")
-    left, right = sides
-    got = (
-        hash_join(left, right, "k", num_partitions=4)
-        .to_pandas()
-        .sort_values(["k", "rval"])
-        .reset_index(drop=True)
-    )
-    pd.testing.assert_frame_equal(got[["k", "lval", "rval"]],
-                                  _expected(sides)[["k", "lval", "rval"]],
-                                  check_dtype=False)
 
 
 def test_bucketed_join_keeps_a_column_null_in_one_bucket(ray_session):

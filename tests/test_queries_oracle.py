@@ -176,3 +176,16 @@ def test_ann_recall_vs_brute(entry_mod):
 def test_image_transcode_all_ok(entry_mod):
     df = _to_df(entry_mod.queries()["image_transcode"](SF_DIR))
     assert df["ok"].all() and df["psnr_ok"].all()
+
+
+def test_entry_compiles_without_warnings():
+    """The oracle SQL strings hold no invalid escape sequence: each
+    would warn on every import (a SyntaxWarning from Python 3.12)."""
+    import warnings
+
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "__ray_entry__.py")
+    with open(path) as fh:
+        src = fh.read()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        compile(src, "__ray_entry__.py", "exec")

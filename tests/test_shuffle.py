@@ -279,3 +279,85 @@ def test_bucket_shuffle_equals_its_block_core(ray_session, per_block_split, two_
         assert row["ids0"] == [i for i in order if (i % 5) * 2 == b]
         if two_sides:
             assert row["ids1"] == [i for i in range(N) if (i % 5) * 2 == b]
+
+
+def test_engine_runs_no_ray_data_shuffle(ray_session, monkeypatch, tmp_path):
+    """Every grouped step of the engine runs on the one bucket shuffle
+    or a driver merge of per-block partials: with Ray Data's groupby,
+    repartition, join, sort and sum raising, components, top-k search,
+    sessions, the mapfile double-match check and the top-customers
+    query still return their references."""
+    from warcit_ray.pipelines import queries
+    from warcit_ray.stages.build_records import check_mapfile_unique
+    from warcit_ray.stages.components import connected_components
+    from warcit_ray.stages.dedup import components_from_pairs
+    from warcit_ray.stages.similarity import brute_topk, ivf_topk
+    from warcit_ray.stages.windows import sessionize
+
+    rng = np.random.default_rng(7)
+    edges = [(int(a), int(b)) for a, b in rng.integers(0, 60, (50, 2)) if a != b]
+    pairs = rd.from_arrow([pa.Table.from_pylist(
+        [{"id_a": a, "id_b": b} for a, b in edges[i::3]]) for i in range(3)])
+    vecs = rng.normal(size=(300, 8))
+    vectors = rd.from_arrow([pa.table({
+        "vec_id": np.arange(i, 300, 3),
+        "embedding": pa.array(vecs[i::3].tolist(), pa.list_(pa.float32()))})
+        for i in range(3)])
+    queries_m = rng.normal(size=(4, 8))
+    events = pd.DataFrame({
+        "event_id": np.arange(400),
+        "user_id": rng.integers(0, 12, 400),
+        "ts": pd.Timestamp("2026-01-01") + pd.to_timedelta(
+            np.sort(rng.integers(0, 24 * 60, 400)), unit="min"),
+        "value": rng.random(400)})
+    orders = pd.DataFrame({"o_custkey": rng.integers(0, 60, 600),
+                           "o_totalprice": rng.integers(100, 100_000, 600) / 100})
+    orders.to_parquet(tmp_path / "orders.parquet")
+    pd.DataFrame({"c_custkey": np.arange(60), "c_name": ["c%d" % i for i in range(60)]}
+                 ).to_parquet(tmp_path / "customer.parquet")
+    mapped = rd.from_arrow([pa.table({"mapfile_row": [-1, 0, 2]}),
+                            pa.table({"mapfile_row": [1, -1, 2]})])
+
+    def refuse(*_a, **_k):
+        raise AssertionError("a Ray Data shuffle ran")
+
+    for name in ("groupby", "repartition", "join", "sort", "sum"):
+        monkeypatch.setattr(rd.Dataset, name, refuse)
+    comp = connected_components(pairs).to_pandas()
+    brute = brute_topk(vectors, queries_m, k=5, dtype=np.float64)
+    ivf = ivf_topk(vectors, queries_m, k=5, n_clusters=4, nprobe=4)
+    sessions = sessionize(rd.from_pandas(events)).to_pandas()
+    with pytest.raises(ValueError, match=r"Mapfile row\(s\) \[2\] matched more than one"):
+        check_mapfile_unique(mapped, 3)
+    check_mapfile_unique(rd.from_arrow(pa.table({"mapfile_row": [0, 1, -1, -1]})), 2)
+    top = queries.top_customers(str(tmp_path))
+    monkeypatch.undo()
+
+    assert dict(zip(comp["member"], comp["component"])) == dict(components_from_pairs(edges))
+    # exact cosine top-k, and IVF probing every list is exact too
+    unit = vecs / np.linalg.norm(vecs, axis=1, keepdims=True)
+    sims = (queries_m / np.linalg.norm(queries_m, axis=1, keepdims=True)) @ unit.T
+    want = np.argsort(-sims, axis=1, kind="stable")[:, :5]
+    for got in (brute, ivf):
+        assert list(got.columns) == ["query_id", "vec_id", "score", "rank"]
+        assert got["vec_id"].tolist() == want.ravel().tolist()
+        assert got["rank"].tolist() == [1, 2, 3, 4, 5] * 4
+        np.testing.assert_allclose(got["score"], np.take_along_axis(sims, want, 1).ravel(),
+                                   rtol=1e-5)
+    ref = []
+    for user, g in events.sort_values(["user_id", "ts", "event_id"]).groupby("user_id"):
+        sid = (g["ts"].diff() > pd.Timedelta(minutes=30)).cumsum()
+        for _, s in g.groupby(sid):
+            ref.append((user, s["ts"].min(), len(s), s["value"].sum()))
+    got = sessions.sort_values(["user_id", "session_start"])
+    assert list(sessions.columns) == ["user_id", "session_start", "n_events", "sum_value"]
+    assert [r[:3] for r in ref] == list(zip(got["user_id"], got["session_start"],
+                                            got["n_events"]))
+    np.testing.assert_allclose(got["sum_value"], [r[3] for r in ref])
+    spend = orders.groupby("o_custkey")["o_totalprice"].agg(["sum", "size"]).reset_index()
+    spend["sum"] = spend["sum"].round(2)
+    spend = spend.sort_values(["sum", "o_custkey"], ascending=[False, True]).head(10)
+    assert top["c_custkey"].tolist() == spend["o_custkey"].tolist()
+    assert top["c_name"].tolist() == ["c%d" % k for k in spend["o_custkey"]]
+    assert top["n_orders"].tolist() == spend["size"].tolist()
+    np.testing.assert_allclose(top["total_spend"], spend["sum"])

@@ -214,6 +214,26 @@ def test_mapfile_remap_and_double_match(iana_dir, tmp_path):
     assert res["content_type"] == "x/y; charset=q"
 
 
+def test_mapfile_double_match_synthetic_tree(tmp_path):
+    """A one-row mapfile whose file matches an ``index.html`` in each of
+    two input dirs raises; either dir alone does not."""
+    from warcit_ray.sources.sidetables import load_mapfile
+
+    dirs = []
+    for name in ("a", "b"):
+        d = tmp_path / name
+        d.mkdir()
+        (d / "index.html").write_text("<html>%s</html>" % name)
+        (d / "style.css").write_text("p {}")
+        dirs.append(str(d))
+    mapfile = tmp_path / "map.csv"
+    mapfile.write_text("file,URL\nindex.html,http://remapped.example/\n")
+    rows = load_mapfile(str(mapfile))
+    with pytest.raises(ValueError, match=r"Mapfile row\(s\) \[0\] matched more than one"):
+        check_mapfile_unique(build_warc_dataset(cfg_for(dirs, mapfile=rows)), len(rows))
+    check_mapfile_unique(build_warc_dataset(cfg_for(dirs[:1], mapfile=rows)), len(rows))
+
+
 def test_mapfile_validation(tmp_path):
     from warcit_ray.sources.sidetables import MapfileError, load_mapfile
 

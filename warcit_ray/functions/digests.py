@@ -70,12 +70,6 @@ def sha1_b32_batch(payloads) -> pa.Array:
     return _fill(b"sha1:" + b"x" * 32, _B32[digits])
 
 
-def md5_hex(text: str | bytes) -> str:
-    if isinstance(text, str):
-        text = text.encode("utf-8")
-    return hashlib.md5(text).hexdigest()
-
-
 # Deterministic record IDs: the reference gets uuid4 from warcio
 # (nondeterministic). For distributed replay/resume we derive uuid5
 # from content-stable fields instead; format matches WARC
@@ -104,8 +98,3 @@ def record_id_batch(target_uris, warc_date: str, digests, record_type: str,
     u[:, 8] = (u[:, 8] & 0x3F) | 0x80  # RFC 4122 variant
     hexed = np.stack([_HEX[u >> 4], _HEX[u & 0x0F]], axis=2).reshape(-1, 32)
     return _fill(b"<urn:uuid:xxxxxxxx-xxxx-xxxx-xxxx-xxxxxxxxxxxx>", hexed)
-
-
-def content_hash64(data: bytes) -> np.uint64:
-    """64-bit content hash for exact-dedup keys."""
-    return np.frombuffer(hashlib.blake2b(data, digest_size=8).digest(), dtype=np.uint64)[0]

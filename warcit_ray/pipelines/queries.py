@@ -143,31 +143,26 @@ def q3_top_orders(sf_dir: str) -> pd.DataFrame:
 
 def top_customers(sf_dir: str) -> pd.DataFrame:
     """High-cardinality grouped aggregation: o_custkey partials do NOT
-    compress (≈ one row per customer per block), so this uses the
-    native ``groupby().aggregate`` shuffle — the right tool at this
-    cardinality regime per partial_then_combine's scale note. Top-10 is
-    taken per output block (sums are already complete per customer
-    after the groupby), so the driver sees 10 rows per block; customer
-    names are fetched for the FINAL ten keys only — nothing
-    customer-table-sized is ever broadcast or collected."""
+    compress (≈ one row per customer per block), so the orders take
+    one bucket shuffle on the custkey, and the sums AND the top-10
+    happen per bucket (every order of a customer is in its bucket):
+    the driver sees 10 rows per bucket. Customer names are fetched for
+    the FINAL ten keys only — nothing customer-table-sized is ever
+    broadcast or collected."""
     import pyarrow.compute as pc_
-    from ray.data.aggregate import Count, Sum
 
-    agg_ds = (
-        _rp(sf_dir, "orders", ["o_custkey", "o_totalprice"])
-        .groupby("o_custkey")
-        .aggregate(Sum("o_totalprice", alias_name="total_spend"),
-                   Count("o_totalprice", alias_name="n_orders"))
-    )
+    from ..stages.shuffle import bucket_shuffle, key_buckets
 
-    def block_topk(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.copy()
-        df["total_spend"] = df["total_spend"].astype("float64").round(2)
-        return df.sort_values(["total_spend", "o_custkey"],
-                              ascending=[False, True]).head(10)
+    def bucket_topk(_bucket: int, df: pd.DataFrame) -> pd.DataFrame:
+        agg = df.groupby("o_custkey", sort=False)["o_totalprice"].agg(
+            total_spend="sum", n_orders="size").reset_index()
+        agg["total_spend"] = agg["total_spend"].astype("float64").round(2)
+        return agg.sort_values(["total_spend", "o_custkey"],
+                               ascending=[False, True]).head(10)
 
-    parts = agg_ds.map_batches(block_topk, batch_format="pandas",
-                               batch_size=None).to_pandas()
+    parts = bucket_shuffle(_rp(sf_dir, "orders", ["o_custkey", "o_totalprice"]),
+                           key_buckets("o_custkey", 16), bucket_topk,
+                           batch_format="pandas").to_pandas()
     top = parts.sort_values(["total_spend", "o_custkey"],
                             ascending=[False, True]).head(10)
 
@@ -991,9 +986,10 @@ def _shingle3(text: str) -> set:
 def jaccard_pairs(sf_dir: str) -> pd.DataFrame:
     """n-gram (3-token shingle) Jaccard as a first-class operator:
     exact set Jaccard for the planted near-dup pairs: a distributed
-    semi-join filter + shingling, then one object-store crunch task
-    scoring every pair — set Jaccard as the MinHash verify computes it,
-    here over raw shingle strings so DuckDB can reproduce it exactly."""
+    semi-join filter + shingling, then the driver scores every pair
+    from the 40 picked docs' shingle sets — set Jaccard as the MinHash
+    verify computes it, here over raw shingle strings so DuckDB can
+    reproduce it exactly."""
     ds = _docs_with_near_dups(sf_dir)
     head = _smallest_ids(sf_dir, 20)
     pairs = [(int(i), int(i) + 1_000_000) for i in head]
@@ -1006,23 +1002,16 @@ def jaccard_pairs(sf_dir: str) -> pd.DataFrame:
         return pa.table({"doc_id": t["doc_id"],
                          "sh": pa.array(sh, type=pa.list_(pa.string()))})
 
-    sub = ds.map_batches(pick_shingle, batch_format="pyarrow").repartition(1)
+    picked = ds.map_batches(pick_shingle, batch_format="pyarrow").take_all()
+    m = {row["doc_id"]: set(row["sh"]) for row in picked}
 
-    def verify(t: pa.Table) -> pa.Table:
-        m = {i: set(s) for i, s in zip(t.column("doc_id").to_pylist(),
-                                       t.column("sh").to_pylist())}
-        out_a, out_b, out_j = [], [], []
-        for a, b in pairs:
-            sa, sb = m.get(a, set()), m.get(b, set())
-            out_a.append(a)
-            out_b.append(b)
-            out_j.append(round(len(sa & sb) / max(1, len(sa | sb)), 6))
-        return pa.table({"id_a": pa.array(out_a, type=pa.int64()),
-                         "id_b": pa.array(out_b, type=pa.int64()),
-                         "jaccard": pa.array(out_j, type=pa.float64())})
+    def jaccard(a: int, b: int) -> float:
+        sa, sb = m.get(a, set()), m.get(b, set())
+        return round(len(sa & sb) / max(1, len(sa | sb)), 6)
 
-    return (sub.map_batches(verify, batch_format="pyarrow", batch_size=None)
-            .to_pandas().sort_values("id_a").reset_index(drop=True))
+    out = pd.DataFrame(pairs, columns=["id_a", "id_b"], dtype="int64")
+    out["jaccard"] = [jaccard(a, b) for a, b in pairs]
+    return out.sort_values("id_a").reset_index(drop=True)
 
 
 def embedding_near_dup(sf_dir: str) -> pd.DataFrame:

@@ -51,8 +51,9 @@ def load_mapfile(path: str) -> list[dict]:
 def match_mapfile(filename: str, filemap: list[dict]) -> tuple[int, dict | None]:
     """First row whose 'file' is a suffix of ``filename``
     (warcit.py:332-342). Returns (row_index, row) — the index feeds the
-    distributed double-match check (a grouped count, since per-process
-    mutable 'matched' flags don't distribute)."""
+    distributed double-match check (per-block counts summed on the
+    driver, since per-process mutable 'matched' flags don't
+    distribute)."""
     for i, row in enumerate(filemap):
         if filename.endswith(row["file"]):
             return i, row

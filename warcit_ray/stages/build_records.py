@@ -29,6 +29,7 @@ from __future__ import annotations
 import json
 import os
 
+import numpy as np
 import pyarrow as pa
 
 from ..config import WarcitConfig
@@ -337,18 +338,21 @@ def warcinfo_row(cfg: WarcitConfig) -> pa.Table:
 def check_mapfile_unique(ds, filemap_len: int) -> None:
     """Distributed analogue of the reference's matched-twice hard error
     (warcit.py:335-337): a mapfile row matching two files aborts.
-    Implemented as a grouped count over the small projection."""
+    Each block counts its ``mapfile_row`` values; the driver sums those
+    counts, one ``filemap_len`` vector per block."""
     if filemap_len == 0:
         return
-    counts = (
-        ds.select_columns(["mapfile_row"])
-        .groupby("mapfile_row")
-        .count()
-        .to_pandas()
-    )
-    dup = counts[(counts["mapfile_row"] >= 0) & (counts["count()"] > 1)]
+
+    def block_counts(t: pa.Table) -> pa.Table:
+        rows = t.column("mapfile_row").to_numpy()
+        return pa.table({"n": [np.bincount(rows[rows >= 0], minlength=filemap_len)]})
+
+    counts = ds.select_columns(["mapfile_row"]).map_batches(
+        block_counts, batch_format="pyarrow", batch_size=None).take_all()
+    dup = np.flatnonzero(sum((np.asarray(row["n"]) for row in counts),
+                             np.zeros(filemap_len, np.int64)) > 1)
     if len(dup):
         raise ValueError(
             "Mapfile row(s) %s matched more than one file; ensure file names "
-            "in your mapfile are unique" % dup["mapfile_row"].tolist()
+            "in your mapfile are unique" % dup.tolist()
         )

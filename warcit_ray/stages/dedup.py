@@ -944,7 +944,9 @@ def near_dup_pairs(ds, *, num_perm: int = 64, num_bands: int = 16,
     verify: returns (verified pairs DataFrame(id_a, id_b, jaccard),
     stats dict). The verified pair list is the job's output-sized
     result, so it lands on the driver; callers needing components feed
-    it to components_from_pairs / stages.components.connected_components.
+    it to components_from_pairs (the driver union-find, as
+    minhash_lsh_dedup does) or, as a Dataset, to
+    stages.components.connected_components (no label on the driver).
 
     ``ds`` executes once, into its blocks (``dataset_blocks``); from
     there on no Ray Data operator runs, only plain tasks and the object

@@ -1,18 +1,14 @@
 """Large-large joins.
 
 The reference has only broadcast-small-side lookups (SURVEY §2.4); a
-complete engine also needs the both-sides-large case. Two
-implementations:
-
-- :func:`hash_join` — Ray Data's native ``Dataset.join`` (hash
-  partitioned on the key) when available in the running Ray version.
-- :func:`bucketed_hash_join` / :func:`bucketed_anti_join` — one
-  :func:`~.shuffle.bucket_shuffle` of both sides on ``mix(key) % B``
-  (:func:`~.shuffle.key_buckets`); each bucket's left and right rows
-  arrive as separate tables with their own columns, and merge there.
-  B is chosen so a bucket's rows fit a worker; salt a hot key by
-  splitting its bucket if a single key dominates (document the skew
-  assumption at call sites).
+complete engine also needs the both-sides-large case.
+:func:`bucketed_hash_join` and :func:`bucketed_anti_join` run one
+:func:`~.shuffle.bucket_shuffle` of both sides on ``mix(key) % B``
+(:func:`~.shuffle.key_buckets`); each bucket's left and right rows
+arrive as separate tables with their own columns, and merge there. B
+is chosen so a bucket's rows fit a worker; salt a hot key by splitting
+its bucket if a single key dominates (document the skew assumption at
+call sites).
 """
 
 from __future__ import annotations
@@ -25,8 +21,8 @@ from .shuffle import bucket_shuffle, key_buckets
 # Arrow -> pandas mapper keeping integer columns integral: an outer or
 # left join fills the unmatched side's columns with nulls, and a plain
 # to_pandas would widen those int64 columns to float64 and silently
-# round values >= 2^53 (the dedup/components callers join on 63-bit
-# hashes, exactly the regime the large tiers exist for).
+# round values >= 2^53 (the dedup callers join on 63-bit hashes,
+# exactly the regime the large tiers exist for).
 _NULLABLE_INTS = {
     pa.int8(): pd.Int8Dtype(), pa.int16(): pd.Int16Dtype(),
     pa.int32(): pd.Int32Dtype(), pa.int64(): pd.Int64Dtype(),
@@ -73,8 +69,3 @@ def bucketed_anti_join(left, right_keys, key: str, *, num_buckets: int = 32):
 
     return bucket_shuffle((left, right_keys), key_buckets(key, num_buckets), anti)
 
-
-def hash_join(left, right, key: str, *, num_partitions: int = 32,
-              join_type: str = "inner"):
-    """Ray Data native hash join (requires Dataset.join in this Ray)."""
-    return left.join(right, join_type, num_partitions, on=(key,))

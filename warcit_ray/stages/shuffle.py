@@ -192,7 +192,9 @@ def dataset_blocks(ds) -> list:
 def shuffle_blocks(sides, bucket_of, per_bucket, *, batch_format: str = "pyarrow") -> list:
     """The shuffle over blocks already in the object store: ``sides`` is
     one list of ``(block ref, size in bytes or None)`` or a tuple of
-    such lists, one per side, and ``per_bucket`` is called as for
+    such lists, one per side; ``bucket_of`` is one function for every
+    side or a tuple of one per side (a block list given twice, keyed
+    on two columns, is two sides); ``per_bucket`` is called as for
     :func:`bucket_shuffle`. Returns ``(block ref, block_meta)`` per
     part, in part order, once every part has run: every part's error is
     consumed (none is left for Ray to log as unhandled) and the first,
@@ -207,8 +209,9 @@ def shuffle_blocks(sides, bucket_of, per_bucket, *, batch_format: str = "pyarrow
     groups = [_group_blocks(side, min_bytes, cpus) for side in (sides if multi else (sides,))]
     num_parts = sum(map(len, groups))
     split = ray.remote(split_block).options(num_returns=num_parts)
-    bucket_of = ray.put(bucket_of)
-    slices = [split.remote(bucket_of, num_parts, *g) for side in groups for g in side]
+    keyed = (tuple(map(ray.put, bucket_of)) if isinstance(bucket_of, tuple)
+             else (ray.put(bucket_of),) * len(groups))
+    slices = [split.remote(key, num_parts, *g) for key, side in zip(keyed, groups) for g in side]
     if num_parts == 1:
         slices = [[s] for s in slices]
     reduce = ray.remote(reduce_part).options(num_returns=2)

@@ -2,13 +2,15 @@
 
 - :func:`brute_topk` — exact cosine top-k: every batch does one numpy
   matmul against the BROADCAST query matrix (ray.put once; each worker
-  process resolves and caches it once), emits its batch-local top-k,
-  and a single small groupby(query_id) reduces to the global top-k.
-  The full vector table never shuffles; only (query, candidate, score)
-  triples do.
+  process resolves and caches it once) and emits its batch-local top-k.
+  Only those (query, candidate, score) triples, k per query per batch,
+  reach the driver, which merges them into the global top-k (as
+  ``partial_then_combine`` does in pipelines/queries.py); nothing
+  shuffles.
 - :func:`ivf_topk` — the scale path: k-means-lite centroids (sampled,
   driver-side numpy), vectors assigned to their nearest centroid once
-  (a partitioning key!), queries probe only ``nprobe`` nearest lists.
+  (a partitioning key!), queries probe only ``nprobe`` nearest lists;
+  its per-batch top-k merge the same way.
 
 Both run as stateless tasks, not actor pools: the only per-stage state
 is the broadcast matrix, which the worker-process cache amortizes just
@@ -94,14 +96,15 @@ def _batch_topk(batch: pa.Table, q_ref, k: int, id_col: str, vec_col: str,
     )
 
 
-def _reduce_topk_fn(k: int):
-    def reduce_topk(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(["score", "vec_id"], ascending=[False, True]).head(k)
-        g = g.reset_index(drop=True)
-        g["rank"] = np.arange(1, len(g) + 1, dtype=np.int64)
-        return g
-
-    return reduce_topk
+def _merge_topk(partials, k: int) -> pd.DataFrame:
+    """The per-batch top-k triples -> DataFrame(query_id, vec_id, score,
+    rank): the global top-k per query by (score desc, vec_id), merged on
+    the driver."""
+    df = partials.to_pandas().sort_values(["query_id", "score", "vec_id"],
+                                          ascending=[True, False, True])
+    df = df.groupby("query_id", sort=False).head(k).reset_index(drop=True)
+    df["rank"] = df.groupby("query_id").cumcount().astype("int64") + 1
+    return df
 
 
 def brute_topk(ds, queries: np.ndarray, k: int = 10, *, id_col: str = "vec_id",
@@ -116,13 +119,7 @@ def brute_topk(ds, queries: np.ndarray, k: int = 10, *, id_col: str = "vec_id",
         _batch_topk, fn_args=(q_ref, k, id_col, vec_col, dtype),
         batch_format="pyarrow",
     )
-    return (
-        partials.groupby("query_id").map_groups(_reduce_topk_fn(k),
-                                                batch_format="pandas")
-        .to_pandas()
-        .sort_values(["query_id", "rank"])
-        .reset_index(drop=True)
-    )
+    return _merge_topk(partials, k)
 
 
 def kmeans_lite(sample: np.ndarray, n_clusters: int, iters: int = 10,
@@ -217,10 +214,4 @@ def ivf_topk(ds, queries: np.ndarray, k: int = 10, *, n_clusters: int = 16,
         _assign_and_search, fn_args=(c_ref, q, probe_lists, k, id_col, vec_col),
         batch_format="pyarrow",
     )
-    return (
-        partials.groupby("query_id").map_groups(_reduce_topk_fn(k),
-                                                batch_format="pandas")
-        .to_pandas()
-        .sort_values(["query_id", "rank"])
-        .reset_index(drop=True)
-    )
+    return _merge_topk(partials, k)

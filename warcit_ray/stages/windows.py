@@ -1,57 +1,42 @@
 """Stream-shaped windowing over the events table.
 
 Ray Data has no event-time windows or watermarks (and the reference has
-no streaming semantics either, SURVEY §2.7); windows are expressed the
-Ray-Data way: partition by key, sort within the group, window with
-pandas inside ``groupby(key).map_groups``. The ordering assumption —
-rows of one key fit a group and are processed in ts order — is the
-documented partitioning contract.
+no streaming semantics either, SURVEY §2.7); a window is expressed as
+one :func:`~.shuffle.bucket_shuffle` on the key, so that all rows of a
+key meet in one bucket, and one vectorized pandas pass per bucket that
+sorts by (key, ts) and windows every key of the bucket at once. The
+ordering assumption — rows of one key fit a bucket and are processed in
+ts order — is the documented partitioning contract. Fixed (tumbling)
+windows need no shuffle at all: ``queries.events_hourly`` combines
+per-batch partials on the driver.
 """
 
 from __future__ import annotations
 
 import pandas as pd
 
+from .shuffle import bucket_shuffle, key_buckets
+
 
 def sessionize(ds, *, gap_minutes: int = 30, key: str = "user_id",
                ts_col: str = "ts", val_col: str = "value",
                tiebreak: str = "event_id"):
-    """Gap-based sessions per key -> Dataset(user_id, session_start,
-    n_events, sum_value). A new session starts when the gap to the
-    previous event exceeds ``gap_minutes``."""
+    """Gap-based sessions per (integer) key -> Dataset(user_id,
+    session_start, n_events, sum_value). A new session starts at a
+    key's first event and when the gap to the previous event exceeds
+    ``gap_minutes``."""
     gap = pd.Timedelta(minutes=gap_minutes)
 
-    def per_key(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values([ts_col, tiebreak])
-        brk = (g[ts_col].diff() > gap).astype("int64")
-        sid = brk.cumsum()
-        out = g.groupby(sid).agg(
-            session_start=(ts_col, "min"),
-            n_events=(ts_col, "size"),
-            sum_value=(val_col, "sum"),
-        ).reset_index(drop=True)
-        out.insert(0, key, g[key].iloc[0])
+    def per_bucket(_bucket: int, df: pd.DataFrame) -> pd.DataFrame:
+        df = df.sort_values([key, ts_col, tiebreak])
+        starts = df[key].ne(df[key].shift()) | (df[ts_col].diff() > gap)
+        out = df.groupby(starts.cumsum().to_numpy()).agg(**{
+            key: (key, "first"),
+            "session_start": (ts_col, "min"),
+            "n_events": (ts_col, "size"),
+            "sum_value": (val_col, "sum"),
+        }).reset_index(drop=True)
         out["n_events"] = out["n_events"].astype("int64")
         return out
 
-    return ds.groupby(key).map_groups(per_key, batch_format="pandas")
-
-
-def tumbling(ds, *, minutes: int = 60, key: str = "event_type",
-             ts_col: str = "ts", val_col: str = "value"):
-    """Tumbling windows as a grouped aggregate on the floored timestamp
-    (partial-aggregated per batch before the shuffle)."""
-    from ray.data.aggregate import Count, Sum
-
-    freq = "%dmin" % minutes
-
-    def prep(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.copy()
-        df["window"] = df[ts_col].dt.floor(freq)
-        return df[[key, "window", val_col]]
-
-    return (
-        ds.map_batches(prep, batch_format="pandas")
-        .groupby([key, "window"])
-        .aggregate(Count(alias_name="n"), Sum(val_col, alias_name="sum_value"))
-    )
+    return bucket_shuffle(ds, key_buckets(key, 32), per_bucket, batch_format="pandas")
