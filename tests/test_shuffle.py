@@ -16,6 +16,8 @@ from warcit_ray.stages.shuffle import (
     shuffle_blocks,
 )
 
+from .test_warc_convert import crawl_records, csv_reference
+
 N = 600
 
 
@@ -285,9 +287,12 @@ def test_engine_runs_no_ray_data_shuffle(ray_session, monkeypatch, tmp_path):
     """Every grouped step of the engine runs on the one bucket shuffle
     or a driver merge of per-block partials: with Ray Data's groupby,
     repartition, join, sort and sum raising, components, top-k search,
-    sessions, the mapfile double-match check and the top-customers
-    query still return their references."""
+    sessions, the mapfile double-match check, the top-customers query
+    and the single-file WARC and logfile sinks still return their
+    references."""
     from warcit_ray.pipelines import queries
+    from warcit_ray.pipelines.warc_build import logfile_rows, logfile_table, write_logfile_csv
+    from warcit_ray.sinks.warc_sink import serialize_batch, write_warc_file
     from warcit_ray.stages.build_records import check_mapfile_unique
     from warcit_ray.stages.components import connected_components
     from warcit_ray.stages.dedup import components_from_pairs
@@ -317,6 +322,8 @@ def test_engine_runs_no_ray_data_shuffle(ray_session, monkeypatch, tmp_path):
                  ).to_parquet(tmp_path / "customer.parquet")
     mapped = rd.from_arrow([pa.table({"mapfile_row": [-1, 0, 2]}),
                             pa.table({"mapfile_row": [1, -1, 2]})])
+    records = crawl_records(rng.permutation([-1] + list(range(0, 2**40, 2**34))).tolist())
+    records_ds = rd.from_arrow([records.slice(i, 13) for i in range(0, records.num_rows, 13)])
 
     def refuse(*_a, **_k):
         raise AssertionError("a Ray Data shuffle ran")
@@ -331,6 +338,9 @@ def test_engine_runs_no_ray_data_shuffle(ray_session, monkeypatch, tmp_path):
         check_mapfile_unique(mapped, 3)
     check_mapfile_unique(rd.from_arrow(pa.table({"mapfile_row": [0, 1, -1, -1]})), 2)
     top = queries.top_customers(str(tmp_path))
+    warc_n = write_warc_file(records_ds, str(tmp_path / "r.warc.gz"))
+    log_n = write_logfile_csv(records_ds, str(tmp_path / "r.csv"))
+    log = logfile_table(records_ds)
     monkeypatch.undo()
 
     assert dict(zip(comp["member"], comp["component"])) == dict(components_from_pairs(edges))
@@ -361,3 +371,7 @@ def test_engine_runs_no_ray_data_shuffle(ray_session, monkeypatch, tmp_path):
     assert top["c_name"].tolist() == ["c%d" % k for k in spend["o_custkey"]]
     assert top["n_orders"].tolist() == spend["size"].tolist()
     np.testing.assert_allclose(top["total_spend"], spend["sum"])
+    assert warc_n == log_n + 1 == records.num_rows
+    assert (tmp_path / "r.warc.gz").read_bytes() == serialize_batch(records.sort_by("seq"))
+    assert (tmp_path / "r.csv").read_bytes() == csv_reference(records)
+    assert log.equals(logfile_rows(records.sort_by("seq")).drop_columns(["seq"]))

@@ -1,24 +1,40 @@
 """The file/ZIP -> WARC convert wave on a synthetic tree and ZIP (no
-reference corpus needed): sharded parts and sidecars equal an
-in-process build, an append rerun writes nothing, and the records are
-built once per slice however many consumers read them."""
+reference corpus needed): sharded parts and sidecars, the single WARC
+file and the CSV logfile equal an in-process build, an append rerun
+writes nothing, and the records are built once per slice however many
+consumers read them. Crawl-shaped records (sparse 63-bit seqs in
+overlapping blocks) make the same single file."""
 
+import csv
 import hashlib
+import io
 import json
 import os
 import zipfile
 
+import numpy as np
 import pyarrow as pa
+import pyarrow.parquet as pq
 import pytest
 
 from warcit_ray.config import WarcitConfig
 from warcit_ray.pipelines import warc_build
 from warcit_ray.pipelines.warc_build import (
+    LOGFILE_COLUMNS,
     build_warc_dataset,
+    logfile_rows,
+    logfile_table,
     slice_bounds,
+    write_logfile_csv,
     write_logfile_shards,
 )
-from warcit_ray.sinks.warc_sink import read_warc_dir, serialize_batch, write_warc_shards
+from warcit_ray.sinks.warc_sink import (
+    read_warc_dir,
+    seq_ranges,
+    serialize_batch,
+    write_warc_file,
+    write_warc_shards,
+)
 from warcit_ray.sources.seeds import PayloadLoader, enumerate_seeds, part_of_seq
 from warcit_ray.stages.build_records import RecordBuilder, warcinfo_row
 
@@ -56,15 +72,49 @@ def _cfg(inputs, gzip):
                         creation_date="2026-01-01T00:00:00Z", gzip=gzip)
 
 
-def _reference_parts(cfg) -> dict:
-    """File name -> bytes of each part and its sidecar, from an
-    in-process build: every candidate through one PayloadLoader and
-    RecordBuilder, sorted by seq, serialized per part by
-    serialize_batch."""
+def _records(cfg) -> pa.Table:
+    """An in-process build: every candidate through one PayloadLoader
+    and RecordBuilder, sorted by seq."""
     table, _ = enumerate_seeds(cfg.inputs, cfg.url_prefix)
     records = pa.concat_tables([warcinfo_row(cfg),
                                 RecordBuilder(cfg)(PayloadLoader()(table))])
-    records = records.sort_by("seq")
+    return records.sort_by("seq")
+
+
+def csv_reference(records: pa.Table) -> bytes:
+    """The logfile of ``records`` by csv.writer, header first."""
+    buf = io.StringIO()
+    w = csv.writer(buf)
+    w.writerow(LOGFILE_COLUMNS)
+    w.writerows([r[c] for c in LOGFILE_COLUMNS]
+                for r in logfile_rows(records.sort_by("seq")).to_pylist())
+    return buf.getvalue().encode()
+
+
+def crawl_records(seqs) -> pa.Table:
+    """Crawl-shaped record rows with these seqs: the columns the WARC
+    and logfile sinks read, seq -1 being the warcinfo row."""
+    n = len(seqs)
+    return pa.table({
+        "seq": pa.array(seqs, pa.int64()),
+        "record_type": ["warcinfo" if s == -1 else "resource" for s in seqs],
+        "record_id": ["<urn:uuid:%x>" % (s % 2**64) for s in seqs],
+        "warc_date": ["2026-01-01T00:00:%02dZ" % (s % 60) for s in seqs],
+        "target_uri": ["file:///site/%d.html" % s for s in seqs],
+        "payload": pa.array([b"<p>page %d</p>" % s for s in seqs], pa.binary()),
+        "payload_digest": ["sha1:%d" % (s % 997) for s in seqs],
+        "content_type": ["text/html; charset=utf-8"] * n,
+        "log_file": ["%d.html" % s for s in seqs],
+        "mime": ["text/html"] * n,
+        "charset": [None if s % 3 else "utf-8" for s in seqs],
+    })
+
+
+def _reference_parts(cfg) -> dict:
+    """File name -> bytes of each part and its sidecar, from an
+    in-process build (:func:`_records`) serialized per part by
+    serialize_batch."""
+    records = _records(cfg)
     parts = part_of_seq(records.column("seq").to_numpy(), FILES_PER_PART)
     ext = ".warc.gz" if cfg.gzip else ".warc"
     want = {}
@@ -107,6 +157,12 @@ def test_convert_parts_match_in_process_build(ray_session, corpus, tmp_path, gzi
     types = [r["headers"].get("Content-Type", "") for r in read_warc_dir(out_dir)]
     assert len(types) == 1 + 42 + 9  # warcinfo, resources, index revisits
     assert sum(t.endswith("charset=windows-1252") for t in types) == 4  # latin-1
+    # a part write cut short by a crash leaves its .tmp: not a part
+    first = next(f for f in want if not f.endswith(".meta.json"))
+    with open(os.path.join(out_dir, first + ".tmp"), "wb") as fh:
+        fh.write(want[first])
+    assert len(read_warc_dir(out_dir)) == len(types)
+    os.remove(os.path.join(out_dir, first + ".tmp"))
 
     # an append rerun over a fresh build finds every part complete and
     # writes nothing: same files, same bytes, not even rewritten
@@ -115,6 +171,81 @@ def test_convert_parts_match_in_process_build(ray_session, corpus, tmp_path, gzi
     again = _snapshot(out_dir)
     again.pop("_shards.json")
     assert again == got
+
+
+@pytest.mark.parametrize("gzip", [True, False])
+def test_single_file_matches_in_process_build(ray_session, corpus, tmp_path, gzip):
+    """The one-file WARC is the in-process build serialized in seq
+    order; 'ab' appends it again, 'xb' refuses an existing file without
+    touching it, and no range directory is left behind. The CSV logfile
+    and logfile_table are the build's logfile rows in seq order."""
+    cfg = _cfg(corpus, gzip)
+    records = _records(cfg)
+    want = serialize_batch(records, gzip)
+    path = str(tmp_path / ("c.warc.gz" if gzip else "c.warc"))
+    ds = build_warc_dataset(cfg)
+    assert write_warc_file(ds, path, gzip_members=gzip) == records.num_rows == 1 + 42 + 9
+    with open(path, "rb") as fh:
+        assert fh.read() == want
+    assert write_warc_file(build_warc_dataset(cfg), path, mode="ab",
+                           gzip_members=gzip) == records.num_rows
+    with open(path, "rb") as fh:
+        assert fh.read() == want + want
+    with pytest.raises(FileExistsError):
+        write_warc_file(ds, path, gzip_members=gzip)
+    with open(path, "rb") as fh:
+        assert fh.read() == want + want
+    log = str(tmp_path / "log.csv")
+    assert write_logfile_csv(ds, log) == records.num_rows - 1  # no warcinfo row
+    with open(log, "rb") as fh:
+        assert fh.read() == csv_reference(records)
+    assert sorted(os.listdir(tmp_path)) == sorted(["log.csv", os.path.basename(path)])
+    assert logfile_table(ds).equals(logfile_rows(records).drop_columns(["seq"]))
+
+
+def test_single_file_crawl_shaped(ray_session, tmp_path, monkeypatch):
+    """Crawl records arrive out of seq order: sparse 63-bit seqs (up to
+    2**63 - 1, and -1) spread over overlapping parquet parts, one of
+    them empty. The one-file WARC still equals serialize_batch over the
+    rows sorted by seq, the lazy read executes once, and a failed write
+    leaves no range directory."""
+    import ray
+    import ray.data as rd
+    from ray.data._internal.execution.streaming_executor import StreamingExecutor
+
+    rng = np.random.default_rng(11)
+    seqs = np.concatenate([rng.integers(0, 2**63 - 1, 200, dtype=np.int64),
+                           [2**63 - 1, 2**63 - 2, 2**62, 0, -1]])
+    rng.shuffle(seqs)
+    table = crawl_records(seqs.tolist())
+    src = tmp_path / "records"
+    src.mkdir()
+    for i, rows in enumerate([table.slice(0, 80), table.slice(80, 0),
+                              table.slice(80, 70), table.slice(150)]):
+        pq.write_table(rows, src / ("part-%d.parquet" % i))
+    executions = []
+    execute = StreamingExecutor.execute
+
+    def recorded(self, *args, **kwargs):
+        executions.append(self)
+        return execute(self, *args, **kwargs)
+
+    monkeypatch.setattr(StreamingExecutor, "execute", recorded)
+    path = str(tmp_path / "crawl.warc.gz")
+    assert write_warc_file(rd.read_parquet(str(src)), path, mode="wb") == table.num_rows
+    assert len(executions) == 1
+    with open(path, "rb") as fh:
+        assert fh.read() == serialize_batch(table.sort_by("seq"))
+    assert sorted(os.listdir(tmp_path)) == ["crawl.warc.gz", "records"]
+    # a failed write removes its range directory too
+    with pytest.raises(KeyError):
+        write_warc_file(rd.from_arrow(table.drop_columns(["record_id"])),
+                        str(tmp_path / "bad.warc.gz"))
+    assert sorted(os.listdir(tmp_path)) == ["bad.warc.gz", "crawl.warc.gz", "records"]
+    # the range key is monotone over the whole span a seq can take
+    bounds = [ray.put(b) for b in [(5, 9), None, (2**62, 2**63 - 1), (-1, 0)]]
+    key = seq_ranges(bounds)(np.array([-1, 0, 2**62, 2**63 - 2, 2**63 - 1]))
+    assert key.tolist() == [0, 0, 1, 3, 3]
 
 
 def test_convert_builds_each_slice_once(ray_session, corpus, tmp_path, monkeypatch):

@@ -553,8 +553,9 @@ def test_warc_shards_refuse_unpinned_parts_and_spare_foreign_files(
 def test_sharded_sinks_write_nothing_for_no_records(tmp_path, ray_session):
     """An input tree with no files and no warcinfo record gives both
     sharded sinks an empty record set: each returns no part and still
-    pins its layout."""
-    from warcit_ray.pipelines.warc_build import write_logfile_shards
+    pins its layout. The single-file sinks write no record: an empty
+    WARC and a CSV holding only its header."""
+    from warcit_ray.pipelines.warc_build import write_logfile_csv, write_logfile_shards
 
     empty = tmp_path / "empty"
     empty.mkdir()
@@ -563,6 +564,11 @@ def test_sharded_sinks_write_nothing_for_no_records(tmp_path, ray_session):
         out_dir = tmp_path / sink.__name__
         assert sink(build_warc_dataset(cfg), str(out_dir)) == []
         assert os.listdir(out_dir) == ["_shards.json"]
+    assert write_warc_file(build_warc_dataset(cfg), str(tmp_path / "one.warc.gz")) == 0
+    assert write_logfile_csv(build_warc_dataset(cfg), str(tmp_path / "one.csv")) == 0
+    assert (tmp_path / "one.warc.gz").read_bytes() == b""
+    assert (tmp_path / "one.csv").read_bytes() == (
+        b"file,Record-Type,URL,timestamp,Content-Type,mime,charset\r\n")
 
 
 def test_warc_parts_hold_whole_file_ranges(tmp_path):

@@ -125,7 +125,7 @@ def main(args=None) -> int:
         else:
             n = write_warc_file(ds, name, mode=mode, gzip_members=gzip_on)
         if r.logfile:
-            # streamed (one batch on the driver), not a full collect
+            # written by tasks and appended in seq order, not collected
             write_logfile_csv(ds, r.logfile)
         if not r.quiet:
             print("Wrote %d resources to %s" % (n - (1 if cfg.warcinfo else 0), name))

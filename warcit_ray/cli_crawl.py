@@ -18,7 +18,7 @@
 seen-set deltas, host-shard snapshots, next-frontier parts) and
 ``--resume`` continues bit-identically. ``--warc-out`` serializes the
 checkpointed record partitions to one ``.warc.gz`` in seq order
-(sinks/warc_sink.write_warc_file).
+(sinks/warc_sink.write_warc_file, the seq-range sink).
 
 Prints ONE JSON stats line. This module owns a Ray session only when
 run as a script (guarded init — the driver contract forbids module-level
@@ -52,8 +52,8 @@ def build_parser() -> ArgumentParser:
     p.add_argument("--checkpoint", help="checkpoint/lineage directory")
     p.add_argument("--resume", action="store_true")
     p.add_argument("--warc-out",
-                   help="serialize checkpointed records to WARC shards here "
-                        "(requires --checkpoint)")
+                   help="serialize checkpointed records to one WARC file "
+                        "here (requires --checkpoint)")
     p.add_argument("--corpus-fragments",
                    help="corpus mode: pre-bucket the corpus to parquet "
                         "fragments here (fetch tasks read only their buckets)")
@@ -76,9 +76,10 @@ def _is_parquet_input(path: str) -> bool:
 
 def _records_to_warc(checkpoint_dir: str, warc_out: str) -> int:
     """Serialize the checkpointed record partitions to ONE .warc.gz in
-    seq order (reference parity: one output file per run; crawl seqs
-    for dir/zip inputs are sparse URL hashes, for which the seq-RANGED
-    shard writer would degenerate to a part per record)."""
+    seq order (reference parity: one output file per run). Crawl seqs
+    are sparse URL hashes: ``write_warc_file`` cuts their span into one
+    range per block, where fixed file ranges would make a part per
+    record."""
     import ray.data as rd
 
     from warcit_ray.sinks.warc_sink import write_warc_file

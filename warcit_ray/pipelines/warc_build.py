@@ -9,28 +9,30 @@ Reference lifecycle reproduced (warcit.py:395-448) as:
                                            # transclusion expansion; zip
                                            # handles cached per worker
       -> a Dataset over [warcinfo row] + the slices' record blocks
-      -> [sort('seq')] only at physical WARC emission; the Parquet sink
-         keeps the seq column instead (SURVEY §2.5 ordering note).
+      -> a sink, whose reduce tasks sort each part by seq (SURVEY §2.5
+         ordering note).
 
 No Ray Data operator runs: the record Dataset holds blocks that exist
 when :func:`build_warc_dataset` returns, so every consumer (a sink,
 ``count()``, the logfile) reads the same blocks and the records are
 built once. The sharded sinks write one part per range of input files
-(:func:`part_of_seq`).
+(:func:`part_of_seq`), the single-file sinks one per seq range
+(:func:`write_ranges`).
 """
 
 from __future__ import annotations
 
 import os
+from functools import partial
 
 import numpy as np
 import pyarrow as pa
 
 from ..config import WarcitConfig
-from ..sinks.warc_sink import pin_layout, write_shards, write_warc_file
-from ..sources.seeds import PayloadLoader, enumerate_seeds
+from ..sinks.warc_sink import _prepare, pin_layout, write_ranges, write_shards, write_warc_file
+from ..sources.seeds import PayloadLoader, enumerate_seeds, part_of_seq
 from ..stages.build_records import RecordBuilder, warcinfo_row
-from ..stages.shuffle import block_meta, blocks_dataset
+from ..stages.shuffle import block_meta, blocks_dataset, dataset_blocks
 
 
 def slice_bounds(sizes: np.ndarray, min_slices: int, max_bytes: int) -> list[int]:
@@ -143,80 +145,57 @@ def logfile_rows(t: pa.Table) -> pa.Table:
     })
 
 
-def logfile_dataset(records_ds):
-    """:func:`logfile_rows` as a DISTRIBUTED Dataset: the projection
-    runs inside map_batches — the full table never lands on the driver
-    (VERDICT r3 #2: at 10^10 records the K3 log is corpus-sized). Stream
-    it with :func:`write_logfile_csv` (single file, one batch in memory)
-    or small-collect it with :func:`logfile_table` (fixture/test scale);
-    the sharded, resumable :func:`write_logfile_shards` projects each
-    record block in a task of its own."""
-    cols = ["seq", "log_file", "record_type", "target_uri", "warc_date",
-            "content_type", "mime", "charset"]
-    return records_ds.select_columns(cols).map_batches(
-        logfile_rows, batch_format="pyarrow")
+def _csv_bytes(rows) -> bytes:
+    """CSV lines, DictWriter-parity (QUOTE_MINIMAL, CRLF; warcit.py:316-330)."""
+    import csv
+    import io
+
+    buf = io.StringIO()
+    csv.writer(buf).writerows(rows)
+    return buf.getvalue().encode("utf-8")
+
+
+def logfile_csv(g: "pd.DataFrame") -> bytes:
+    """A pandas batch of :func:`logfile_rows` as CSV lines in seq order."""
+    return _csv_bytes(g.sort_values("seq")[LOGFILE_COLUMNS].itertuples(index=False, name=None))
 
 
 def logfile_table(records_ds) -> "pa.Table":
-    """Small-collect convenience over :func:`logfile_dataset` (CLI
-    single-file mode and the fixture oracle query): sorts by seq and
-    drops the key. Collects on the driver — test/fixture scale only;
-    the scale path is :func:`write_logfile_shards`."""
-    t = logfile_dataset(records_ds).sort("seq").to_pandas()
-    return pa.Table.from_pandas(t.drop(columns=["seq"]).reset_index(drop=True),
-                                preserve_index=False)
+    """The logfile projection, one :func:`logfile_rows` task per block,
+    collected on the driver and sorted by seq, without the key: fixture
+    scale only (the scale path is :func:`write_logfile_shards`)."""
+    import ray
+
+    prep = ray.remote(_prepare).options(num_returns=2)
+    t = pa.concat_tables(ray.get([prep.remote(logfile_rows, ref)[0]
+                                  for ref, _ in dataset_blocks(records_ds)]))
+    return t.sort_by("seq").drop_columns(["seq"])
 
 
 def write_logfile_csv(records_ds, path: str) -> int:
-    """Stream the logfile projection into ONE CSV in seq order
-    (DictWriter-parity: QUOTE_MINIMAL, CRLF — warcit.py:316-330). The
-    driver holds one batch at a time (same discipline as
-    write_warc_file). Returns the row count."""
-    import csv
-
-    n = 0
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(LOGFILE_COLUMNS)
-        for batch in logfile_dataset(records_ds).sort("seq").iter_batches(
-                batch_size=4096, batch_format="pandas"):
-            w.writerows(batch[LOGFILE_COLUMNS].itertuples(index=False,
-                                                          name=None))
-            n += len(batch)
-    return n
+    """The logfile projection as ONE CSV in seq order, header first
+    (:func:`write_ranges`). Returns the row count."""
+    return write_ranges(records_ds, logfile_rows, (), logfile_csv, path, "wb",
+                        head=_csv_bytes([LOGFILE_COLUMNS]), batch_format="pandas")
 
 
 def write_logfile_shards(records_ds, out_dir: str,
                          files_per_part: int = 1024) -> list:
-    """Distributed sharded K3 sink with DETERMINISTIC shard boundaries
-    (the write_warc_shards discipline, warc_sink.py): rows partition on
-    fixed ranges of ``files_per_part`` input files
+    """Sharded K3 sink with DETERMINISTIC part boundaries (the
+    write_warc_shards discipline, on ``write_shards``): rows partition
+    on fixed ranges of ``files_per_part`` input files
     (:func:`part_of_seq`), each part ``part-<shard:020d>.csv`` (header +
-    rows in seq order) written atomically via tmp+rename; lexicographic
-    filename order == record order. Each record block is projected
-    (:func:`logfile_rows`) by a task of its own, and the parts are
-    written by the reduce tasks of one shuffle (``write_shards``, the
-    WARC sink's shape). A rerun reproduces byte-identical
-    parts, so resume skips existing identical parts and raises on a
-    content mismatch instead of mis-skipping. A ``_shards.json``
-    sidecar pins files_per_part on first write (:func:`pin_layout`):
-    resuming with a different value would write a second, overlapping
-    set of part files under different names — refused."""
+    rows in seq order, tmp + rename; filename order == record order).
+    Resume skips identical parts and raises on a content mismatch; a
+    ``_shards.json`` pin of files_per_part refuses a resume with another
+    value (:func:`pin_layout`)."""
     out_dir = os.path.abspath(out_dir)
     os.makedirs(out_dir, exist_ok=True)
     pin_layout(out_dir, {"files_per_part": int(files_per_part)},
                r"part-\d{20}\.csv")
 
     def write_shard(shard_id: int, g: "pd.DataFrame") -> pa.Table:
-        import csv
-        import io
-
-        g = g.sort_values("seq")
-        buf = io.StringIO()
-        w = csv.writer(buf)
-        w.writerow(LOGFILE_COLUMNS)
-        w.writerows(g[LOGFILE_COLUMNS].itertuples(index=False, name=None))
-        payload = buf.getvalue().encode("utf-8")
+        payload = _csv_bytes([LOGFILE_COLUMNS]) + logfile_csv(g)
         name = os.path.join(out_dir, "part-%020d.csv" % shard_id)
         if os.path.exists(name):
             with open(name, "rb") as fh:
@@ -231,8 +210,10 @@ def write_logfile_shards(records_ds, out_dir: str,
         os.replace(tmp, name)
         return pa.table({"path": [name], "records": [len(g)]})
 
-    return write_shards(records_ds, logfile_rows, (), files_per_part,
-                        write_shard, batch_format="pandas")
+    parts = write_shards(records_ds, logfile_rows, (),
+                         lambda _: partial(part_of_seq, files_per_part=files_per_part),
+                         write_shard, batch_format="pandas")
+    return [path for path, _ in parts]
 
 
 def run_warcit(cfg: WarcitConfig, output_path: str | None = None,

@@ -6,26 +6,29 @@ Implements the WARC 1.0 record grammar from the public ISO 28500 spec
 two trailing CRLFs; when gzip is on, each record is its own gzip
 member (the standard .warc.gz framing).
 
-Two writers:
+Two writers, one shape (:func:`write_shards`):
+- :func:`write_warc_shards` — one .warc.gz per range of input files,
+  named by the range's index (zero-padded, so lexicographic filename
+  order == record order), plus a layout pin and per-part sidecars for
+  resume.
 - :func:`write_warc_file` — ONE output file, exclusive-create /
   overwrite / append modes exactly like the reference ('xb'/'wb'/'ab',
-  warcit.py:143-148,409-419; EEXIST is an error in default mode).
-  Streams `iter_batches` in seq order, so the driver holds one batch.
-- :func:`write_warc_shards` — the scale path: one .warc.gz per range
-  of input files, named by the range's index (zero-padded, so
-  lexicographic filename order == record order), plus a layout pin and
-  per-part sidecars for resume.
+  warcit.py:143-148,409-419), its parts seq ranges appended in order
+  (:func:`write_ranges`).
 """
 
 from __future__ import annotations
 
-import glob
 import gzip
 import io
 import json
 import os
 import re
+import shutil
+import tempfile
+from functools import partial
 
+import numpy as np
 import pyarrow as pa
 
 from ..functions.digests import row_bytes
@@ -95,63 +98,89 @@ def serialize_record(row: dict, gzip_member: bool = True) -> bytes:
 
 
 def serialize_batch(batch: pa.Table, gzip_members: bool = True) -> bytes:
-    chunks = []
-    for row in batch.to_pylist():
-        chunks.append(serialize_record(row, gzip_members))
-    return b"".join(chunks)
+    return b"".join(serialize_record(row, gzip_members) for row in batch.to_pylist())
 
 
 def serialize_rows(t: pa.Table, gzip_members: bool = True) -> pa.Table:
-    """Map side of :func:`write_warc_shards`: each record of ``t`` as its
-    WARC bytes (:func:`serialize_record`), keyed by its seq."""
+    """Map side of both WARC sinks: each record of ``t`` as its WARC
+    bytes (:func:`serialize_record`), keyed by its seq."""
     warc = [serialize_record(row, gzip_members) for row in t.to_pylist()]
     return pa.table({"seq": t.column("seq"), "warc": pa.array(warc, pa.large_binary())})
 
 
-def _prepare(prepare, block, *args) -> pa.Table:
-    """``prepare`` over a block of any format, as an Arrow table."""
+def _prepare(prepare, block, *args) -> tuple:
+    """``prepare`` over a block, as an Arrow table, and its (min, max) ``seq``."""
     from ray.data.block import BlockAccessor
 
-    return prepare(BlockAccessor.for_block(block).to_arrow(), *args)
+    t = prepare(BlockAccessor.for_block(block).to_arrow(), *args)
+    seq = t.column("seq").to_numpy()
+    return t, ((int(seq.min()), int(seq.max())) if len(seq) else None)
 
 
-def write_shards(ds, prepare, args: tuple, files_per_part: int, write_shard,
-                 batch_format: str = "pyarrow") -> list[str]:
-    """The sharded sinks' one shape: ``prepare(table, *args)`` runs as a
-    task on each block of ``ds``, its rows go to the part of their
-    ``seq`` (:func:`part_of_seq`), and ``write_shard(part, rows)`` writes
-    that part and returns its manifest row (``path``, ``records``).
-    Returns the parts' paths, sorted; the manifest is read with one
-    ``ray.get``."""
+def seq_ranges(bounds: list):
+    """The single-file sinks' part function: the merged span ``[lo, hi]``
+    of the blocks' (min, max) seq ``bounds`` cut into one range per
+    block, ``(seq - lo) // ceil((hi - lo + 1) / blocks)`` in uint64."""
     import ray
 
-    prep = ray.remote(_prepare)
+    got = [b for b in ray.get(bounds) if b] or [(0, 0)]
+    lo, hi = min(b[0] for b in got), max(b[1] for b in got)
+    width = np.uint64(-(-(hi - lo + 1) // max(1, len(bounds))))
+    return lambda seq: ((seq.astype(np.int64, copy=False).view(np.uint64)
+                         - np.uint64(lo % 2**64)) // width).astype(np.int64)
+
+
+def write_shards(ds, prepare, args: tuple, part_of, write_shard,
+                 batch_format: str = "pyarrow") -> list[tuple[str, int]]:
+    """The sinks' one shape: ``prepare(table, *args)`` runs as a task on
+    each block of ``ds`` beside its (min, max) ``seq``, whose refs are the
+    ``bounds``; one shuffle sends each row to part ``part_of(bounds)(seq)``;
+    ``write_shard(part, rows)`` writes a part and returns its manifest
+    row (``path``, ``records``). Returns the manifest, sorted by path."""
+    import ray
+
+    prep = ray.remote(_prepare).options(num_returns=2)
     blocks = [(prep.remote(prepare, ref, *args), size) for ref, size in dataset_blocks(ds)]
-    parts = shuffle_blocks(
-        blocks, lambda t: part_of_seq(t["seq"].to_numpy(), files_per_part),
-        write_shard, batch_format=batch_format)
-    return sorted(p for t in ray.get([ref for ref, meta in parts if meta.num_rows])
-                  for p in t.column("path").to_pylist())
+    key = part_of([b for (_, b), _ in blocks])
+    parts = shuffle_blocks([(t, size) for (t, _), size in blocks],
+                           lambda t: key(t["seq"].to_numpy()),
+                           write_shard, batch_format=batch_format)
+    return sorted(row for t in ray.get([ref for ref, meta in parts if meta.num_rows])
+                  for row in zip(t["path"].to_pylist(), t["records"].to_pylist()))
 
 
-def _open_mode(path: str, mode: str):
-    """Reference tri-mode (warcit.py:143-148,409-419): default 'xb'
-    create-exclusive (EEXIST -> error), '-a' append, '-o' overwrite."""
+def write_ranges(ds, prepare, args: tuple, range_bytes, path: str, mode: str,
+                 head: bytes = b"", batch_format: str = "pyarrow") -> int:
+    """ONE file from :func:`write_shards`: ``path`` opens in ``mode``
+    ('xb'/'ab'/'wb') before any task runs and gets ``head``, then each
+    :func:`seq_ranges` range's ``range_bytes(rows)``, which a reduce task
+    writes to a private temp directory beside ``path`` and the driver
+    copies in range order. Returns the row count."""
     if mode not in ("xb", "wb", "ab"):
         raise ValueError("mode must be xb/wb/ab")
-    return open(path, mode)
+    with open(path, mode) as fh, tempfile.TemporaryDirectory(
+            dir=os.path.dirname(os.path.abspath(path))) as tmp:
+        fh.write(head)
+
+        def write_range(r: int, rows) -> pa.Table:
+            name = os.path.join(tmp, "range-%020d" % r)
+            with open(name, "wb") as out:
+                out.write(range_bytes(rows))
+            return pa.table({"path": [name], "records": [len(rows)]})
+
+        ranges = write_shards(ds, prepare, args, seq_ranges, write_range, batch_format)
+        for name, _ in ranges:
+            with open(name, "rb") as src:
+                shutil.copyfileobj(src, fh)
+    return sum(n for _, n in ranges)
 
 
-def write_warc_file(ds, path: str, mode: str = "xb", gzip_members: bool = True,
-                    batch_size: int = 256) -> int:
-    """Stream the record Dataset (already carrying seq) into one WARC
-    file in seq order. Returns the record count."""
-    n = 0
-    with _open_mode(path, mode) as fh:
-        for batch in ds.sort("seq").iter_batches(batch_size=batch_size, batch_format="pyarrow"):
-            fh.write(serialize_batch(batch, gzip_members))
-            n += batch.num_rows
-    return n
+def write_warc_file(ds, path: str, mode: str = "xb", gzip_members: bool = True) -> int:
+    """The record Dataset (carrying seq) as ONE WARC file in seq order
+    (:func:`write_ranges`). Returns the record count."""
+    return write_ranges(ds, serialize_rows, (gzip_members,),
+                        lambda g: b"".join(row_bytes(g.sort_by("seq").column("warc"))),
+                        path, mode)
 
 
 # every name write_warc_shards writes: its parts, their sidecars, their
@@ -188,38 +217,23 @@ def pin_layout(out_dir: str, meta: dict, part_rx: str) -> None:
 def write_warc_shards(ds, out_dir: str, mode: str = "xb",
                       gzip_members: bool = True,
                       files_per_part: int = 1024) -> list[str]:
-    """Distributed sharded writer with DETERMINISTIC shard boundaries:
-    records partition on fixed ranges of ``files_per_part`` input files
-    (:func:`part_of_seq`), so a rerun under any CPU count / block split
-    produces byte-identical parts and the skip-if-exists resume is
-    safe — skipping by Ray block boundaries would silently drop or
-    duplicate records whenever a rerun split blocks differently. Each
-    block's records are serialized by a task of its own
-    (:func:`serialize_rows`); a part's writer only sorts their bytes by
-    seq and joins them. Each part is
-    ``<out_dir>/part-<shard:020d>.warc.gz`` written atomically (tmp +
-    rename); lexicographic filename order == record order.
-    A ``_shards.json`` meta pin records (files_per_part, gzip) so a
-    resume/append with mismatched parameters, or into parts with no
-    pin, fails loudly instead of mis-skipping (:func:`pin_layout`).
+    """Sharded writer with DETERMINISTIC part boundaries: records
+    partition on fixed ranges of ``files_per_part`` input files
+    (:func:`part_of_seq`), so a rerun under any CPU count or block split
+    writes byte-identical parts ``<out_dir>/part-<shard:020d>.warc.gz``
+    (tmp + rename; filename order == record order) and resume is safe.
+    A ``_shards.json`` pin of (files_per_part, gzip) makes a resume with
+    other parameters, or into unpinned parts, fail (:func:`pin_layout`).
 
-    ``mode='ab'`` = resume/append. Every part carries a sidecar
-    ``part-<shard>.meta.json`` (records, max_seq, sha256) written
-    atomically with it, so append is SAFE, not skip-blind: for a group
-    landing on an existing part, the rows at or below the part's
-    recorded ``max_seq`` have their bytes digest-verified against the
-    on-disk prefix (identical rerun -> skip), and rows with HIGHER
-    seq are appended to the part (gzip members / records concatenate,
-    so append preserves in-part seq order). A digest mismatch — the
-    input rows for an already-written range changed — raises instead
-    of silently keeping the stale part (the reference's single-file
-    'ab' appends everything; an immutable seq-ranged part cannot
-    interleave, so mutation of written ranges is an error here).
-    Appends are retry-idempotent: a rerun of an already-applied delta
-    byte-verifies the on-disk suffix and no-ops, and a crash between
-    the part rename and the meta rename is healed on retry (the stale
-    meta's digest matches the on-disk prefix and the extra bytes match
-    the delta, so only the meta is rewritten — never a double append)."""
+    ``mode='ab'`` = resume/append. Every part has a sidecar
+    ``part-<shard>.meta.json`` (records, max_seq, sha256), so append is
+    not skip-blind: rows at or below the recorded ``max_seq`` are
+    digest-verified against the on-disk prefix (identical rerun ->
+    skip) and HIGHER seqs are appended (gzip members concatenate). A
+    mismatch — the input of a written range changed — raises. A rerun
+    of an applied delta byte-verifies the on-disk suffix and no-ops,
+    and a crash between the part and meta renames is healed on retry
+    by rewriting only the meta — never a double append."""
     import hashlib
 
     out_dir = os.path.abspath(out_dir)  # workers have their own CWD
@@ -344,8 +358,10 @@ def write_warc_shards(ds, out_dir: str, mode: str = "xb",
                         hashlib.sha256(existing).hexdigest())
         return pa.table({"path": [name], "records": [g.num_rows]})
 
-    return write_shards(ds, serialize_rows, (gzip_members,), files_per_part,
-                        write_shard)
+    parts = write_shards(ds, serialize_rows, (gzip_members,),
+                         lambda _: partial(part_of_seq, files_per_part=files_per_part),
+                         write_shard)
+    return [path for path, _ in parts]
 
 
 # --- parser (for round-trip tests) ------------------------------------------
@@ -380,8 +396,10 @@ def parse_warc(data: bytes) -> list[dict]:
 
 
 def read_warc_dir(out_dir: str) -> list[dict]:
+    """The records of the WARC parts in ``out_dir`` (not a crash's .tmp)."""
     recs = []
-    for path in sorted(glob.glob(os.path.join(out_dir, "part-*.warc*"))):
-        with open(path, "rb") as fh:
-            recs.extend(parse_warc(fh.read()))
+    for f in sorted(os.listdir(out_dir)):
+        if re.fullmatch(_WARC_PART, f):
+            with open(os.path.join(out_dir, f), "rb") as fh:
+                recs.extend(parse_warc(fh.read()))
     return recs

@@ -2,7 +2,7 @@
 
 The bucketed joins, q3, the LSH candidate emit and its pair dedup,
 the near-dup Jaccard verify, embedding near-dup, the corpus fragment
-writer and both sharded sinks all run :func:`bucket_shuffle`: a
+writer and the WARC and CSV sinks all run :func:`bucket_shuffle`: a
 two-stage hash shuffle over plain Ray tasks and objects (the
 Exoshuffle design), not a Ray Data operator. The non-empty input
 blocks form ``R`` map groups: a block of Ray Data's
