@@ -203,33 +203,52 @@ def test_minhash_forced_large_path_same_result(ray_session):
     assert list(p1.itertuples(index=False, name=None)) == want
 
 
-def test_distinct_rows_tiers_equivalent(ray_session):
-    """Exact whole-row dedup: the broadcast keep-set tier and the
-    bucketed-join fallback (forced via broadcast_threshold=0) must both
-    keep exactly the min-id row per distinct text."""
-    import ray.data as rd
+def _blocks(rows, n):
+    """``rows`` as a Dataset of ``n`` Arrow blocks, in order."""
+    step = -(-len(rows) // n)
+    return rd.from_arrow([pa.Table.from_pylist(rows[i:i + step])
+                          for i in range(0, len(rows), step)])
 
+
+def _distinct_ref(rows):
+    """pandas reference of ``distinct_rows``: the row with the minimum
+    id of each text, one copy, sorted by id."""
+    df = pd.DataFrame(rows).sort_values(["text", "doc_id"], kind="stable")
+    return (df.drop_duplicates("text").sort_values("doc_id", kind="stable")
+            .reset_index(drop=True))
+
+
+def _sorted_frame(ds, cols):
+    return ds.to_pandas()[cols].sort_values(cols).reset_index(drop=True)
+
+
+def test_distinct_rows_matches_pandas_reference(ray_session):
+    """Exact whole-row dedup over multi-block inputs keeps, per distinct
+    text, exactly one copy of its min-id row, as pandas does: a row
+    whose (id, text) repeats in another block is kept once, and a
+    duplicate id of unrelated text is not kept just because the id is
+    some other text's keeper."""
     from warcit_ray.stages.dedup import distinct_rows
 
     rows = [{"doc_id": i, "text": "body %d" % (i % 40)} for i in range(200)]
-    want_ids = sorted(range(40))
-    for thresh in (50_000_000, 0):
-        out = distinct_rows(rd.from_items(rows),
-                            broadcast_threshold=thresh).to_pandas()
-        assert sorted(out["doc_id"]) == want_ids, thresh
-        assert len(set(out["text"])) == 40
-    # duplicate-id robustness: the keep filter matches the (id, hash)
-    # PAIR, so a duplicate-id row of UNRELATED text is not kept just
-    # because its id happens to be some group's keeper
+    out = distinct_rows(_blocks(rows, 4))
+    assert sorted(out.to_pandas()["doc_id"]) == list(range(40))
+    assert set(out.columns()) == {"doc_id", "text", "text_md5", "text_md5_i64"}
+    pd.testing.assert_frame_equal(_sorted_frame(out, ["doc_id", "text"]),
+                                  _distinct_ref(rows))
     rows2 = [{"doc_id": 3, "text": "unique B"},
              {"doc_id": 5, "text": "shared A"},
              {"doc_id": 5, "text": "unique B"},  # dup id, not B's keeper
              {"doc_id": 9, "text": "shared A"}]
-    for thresh in (50_000_000, 0):
-        out = distinct_rows(rd.from_items(rows2),
-                            broadcast_threshold=thresh).to_pandas()
-        got = sorted(zip(out["doc_id"], out["text"]))
-        assert got == [(3, "unique B"), (5, "shared A")], (thresh, got)
+    got = _sorted_frame(distinct_rows(_blocks(rows2, 2)), ["doc_id", "text"])
+    assert list(got.itertuples(index=False, name=None)) == \
+        [(3, "unique B"), (5, "shared A")]
+    # one (id, text) row in two blocks
+    rows3 = [{"doc_id": 1, "text": "same"}, {"doc_id": 2, "text": "other"},
+             {"doc_id": 1, "text": "same"}, {"doc_id": 4, "text": "other"}]
+    got = _sorted_frame(distinct_rows(_blocks(rows3, 2)), ["doc_id", "text"])
+    assert list(got.itertuples(index=False, name=None)) == [(1, "same"), (2, "other")]
+    pd.testing.assert_frame_equal(got, _distinct_ref(rows3))
 
 
 def test_simhash_batched_matches_per_doc():
@@ -384,36 +403,60 @@ def test_lsh_band_rows_vectorized_semantics():
 
 
 def test_filter_out_ids_tier_equivalence(ray_session):
-    """VERDICT r3 #5: the near-dup drop filter's two tiers — broadcast
-    searchsorted vs bucketed anti-join — keep exactly the same rows."""
+    """The near-dup drop filter (one bucketed anti-join on the id) keeps
+    exactly the rows pandas' ``isin`` keeps, and passes the input
+    through unchanged on an empty drop set."""
     from warcit_ray.stages.dedup import filter_out_ids
 
-    docs = rd.from_items([{"doc_id": i, "text": "doc %d text" % i}
-                          for i in range(200)])
-    drop = rd.from_items([{"doc_id": i} for i in range(0, 200, 7)])
-    a = filter_out_ids(docs, drop, "doc_id",
-                       broadcast_threshold=10**9).to_pandas()
-    b = filter_out_ids(docs, drop, "doc_id",
-                       broadcast_threshold=0).to_pandas()
-    a = a.sort_values("doc_id").reset_index(drop=True)
-    b = b.sort_values("doc_id").reset_index(drop=True)
-    pd.testing.assert_frame_equal(a, b)
-    assert len(a) == 200 - len(range(0, 200, 7))
-    assert not a["doc_id"].isin(set(range(0, 200, 7))).any()
+    rows = [{"doc_id": i, "text": "doc %d text" % i} for i in range(200)]
+    dropped = list(range(0, 200, 7))
+    drop = _blocks([{"doc_id": i, "dup_of": 0} for i in dropped], 3)
+    got = _sorted_frame(filter_out_ids(_blocks(rows, 4), drop, "doc_id"),
+                        ["doc_id", "text"])
+    df = pd.DataFrame(rows)
+    pd.testing.assert_frame_equal(
+        got, df[~df["doc_id"].isin(dropped)].reset_index(drop=True))
+    assert len(got) == 200 - len(dropped)
     # empty drop set: pass-through
-    empty = rd.from_items([])
-    c = filter_out_ids(docs, empty, "doc_id").to_pandas()
-    assert len(c) == 200
+    docs = _blocks(rows, 4)
+    assert filter_out_ids(docs, rd.from_items([]), "doc_id") is docs
 
 
-def test_clean_corpus_drop_tiers_equivalent(ray_session):
-    """clean_corpus with the near-dup drop forced through the bucketed
-    anti-join tier matches the broadcast tier on the planted corpus."""
-    from warcit_ray.pipelines.queries import clean_corpus
+def test_exact_dedup_runs_no_ray_data_operator(ray_session, monkeypatch):
+    """Once their inputs' blocks are taken, exact dedup runs plain tasks
+    only: with Dataset.map_batches, .materialize and .count raising,
+    distinct_rows, filter_out_ids and exact_dedup_groups still give
+    their references on a 4-block input."""
+    import hashlib
 
-    a = clean_corpus("/root/testdata/sf0.001")
-    b = clean_corpus("/root/testdata/sf0.001", drop_broadcast_threshold=0)
-    pd.testing.assert_frame_equal(a, b)
+    from warcit_ray.stages import dedup
+
+    rows = [{"doc_id": i, "text": "t%d" % (i % 13), "extra": -i} for i in range(60)]
+    docs = _blocks(rows, 4)
+    drop = _blocks([{"doc_id": i} for i in range(0, 60, 5)], 4)
+
+    def refuse(*_a, **_k):
+        raise AssertionError("a Ray Data operator ran")
+
+    for name in ("map_batches", "materialize", "count"):
+        monkeypatch.setattr(rd.Dataset, name, refuse)
+    kept = dedup.distinct_rows(docs)
+    filtered = dedup.filter_out_ids(docs, drop)
+    groups = dedup.exact_dedup_groups(docs)
+    monkeypatch.undo()
+    pd.testing.assert_frame_equal(_sorted_frame(kept, ["doc_id", "text", "extra"]),
+                                  _distinct_ref(rows))
+    df = pd.DataFrame(rows)
+    pd.testing.assert_frame_equal(
+        _sorted_frame(filtered, ["doc_id", "text", "extra"]),
+        df[df["doc_id"] % 5 != 0].reset_index(drop=True))
+    got = groups.to_pandas().sort_values("text_md5")
+    want = df.groupby("text")["doc_id"].agg(["min", "count"]).reset_index()
+    want["text_md5"] = [hashlib.md5(t.encode()).hexdigest() for t in want["text"]]
+    want = want.sort_values("text_md5")
+    assert got["text_md5"].tolist() == want["text_md5"].tolist()
+    assert got["keep_id"].tolist() == want["min"].tolist()
+    assert got["n_dups"].tolist() == want["count"].tolist()
 
 
 def test_banded_hamming_string_ids_large_tier(ray_session):

@@ -7,6 +7,7 @@ import json
 import os
 
 import numpy as np
+import pyarrow as pa
 import pytest
 
 from warcit_ray.codecs import encode
@@ -554,8 +555,13 @@ def test_sharded_sinks_write_nothing_for_no_records(tmp_path, ray_session):
     """An input tree with no files and no warcinfo record gives both
     sharded sinks an empty record set: each returns no part and still
     pins its layout. The single-file sinks write no record: an empty
-    WARC and a CSV holding only its header."""
-    from warcit_ray.pipelines.warc_build import write_logfile_csv, write_logfile_shards
+    WARC and a CSV holding only its header; the logfile projection is
+    an empty table of the logfile columns."""
+    from warcit_ray.pipelines.warc_build import (
+        LOGFILE_COLUMNS,
+        write_logfile_csv,
+        write_logfile_shards,
+    )
 
     empty = tmp_path / "empty"
     empty.mkdir()
@@ -569,6 +575,9 @@ def test_sharded_sinks_write_nothing_for_no_records(tmp_path, ray_session):
     assert (tmp_path / "one.warc.gz").read_bytes() == b""
     assert (tmp_path / "one.csv").read_bytes() == (
         b"file,Record-Type,URL,timestamp,Content-Type,mime,charset\r\n")
+    log = logfile_table(build_warc_dataset(cfg))
+    assert log.num_rows == 0 and log.column_names == LOGFILE_COLUMNS
+    assert set(log.schema.types) == {pa.string()}
 
 
 def test_warc_parts_hold_whole_file_ranges(tmp_path):

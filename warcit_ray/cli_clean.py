@@ -6,10 +6,10 @@
 Chains the engine's cleaning stages over a documents table
 (``doc_id:int64, text:string``):
 
-  exact dedup (keep min doc_id per content hash, aggregate + keep-set —
-  stages/dedup.distinct_rows) -> [optional MinHash+LSH near-dup removal]
-  -> quality scoring + threshold filter -> token counts
-  [-> optional language ID] -> partitioned parquet out.
+  exact dedup (keep min doc_id per content hash, one shuffle of the
+  hashed rows — stages/dedup.distinct_rows) -> [optional MinHash+LSH
+  near-dup removal] -> quality scoring + threshold filter -> token
+  counts [-> optional language ID] -> partitioned parquet out.
 
 Output is written with ``Dataset.write_parquet`` (one file per block —
 resumable, never one giant file). Prints ONE JSON stats line; with
@@ -78,10 +78,9 @@ def clean(ns) -> dict:
             nd_ds, threshold=ns.near_dup_threshold, id_col=ns.id_col)
         n_near = dup.count()
         if n_near:
-            # size-gated anti-join (broadcast under threshold, bucketed
-            # join above): the drop set of a high-dup-rate corpus can be
-            # corpus-scale, so it must never be forced through a
-            # driver-side frozenset
+            # bucketed anti-join on the id: the drop set of a
+            # high-dup-rate corpus can be corpus-scale, so it never
+            # reaches the driver
             from warcit_ray.stages.dedup import filter_out_ids
 
             kept = filter_out_ids(kept, dup, ns.id_col)

@@ -1159,8 +1159,7 @@ def clean_corpus_exact(sf_dir: str) -> pd.DataFrame:
     return out[["doc_id", "ws_tokens", "quality"]]
 
 
-def _clean_corpus_frame(sf_dir: str, *, with_lang: bool,
-                        drop_broadcast_threshold: int) -> pd.DataFrame:
+def _clean_corpus_frame(sf_dir: str, *, with_lang: bool) -> pd.DataFrame:
     from ..stages.dedup import distinct_rows, filter_out_ids, minhash_lsh_dedup
     from ..stages.text import lang_id_batch, quality_score_batch, token_count_batch
 
@@ -1168,8 +1167,7 @@ def _clean_corpus_frame(sf_dir: str, *, with_lang: bool,
     dup, _ = minhash_lsh_dedup(ds, threshold=0.5)
 
     kept = distinct_rows(ds)
-    kept = filter_out_ids(kept, dup, "doc_id",
-                          broadcast_threshold=drop_broadcast_threshold)
+    kept = filter_out_ids(kept, dup, "doc_id")
 
     def score_filter(df: pd.DataFrame) -> pd.DataFrame:
         out = quality_score_batch(df)
@@ -1189,16 +1187,14 @@ def _clean_corpus_frame(sf_dir: str, *, with_lang: bool,
     return out[cols]
 
 
-def clean_corpus(sf_dir: str, *,
-                 drop_broadcast_threshold: int = 50_000_000) -> pd.DataFrame:
+def clean_corpus(sf_dir: str) -> pd.DataFrame:
     """Full cleaning chain including the non-SQL-native ops: exact dedup
-    -> MinHash+LSH near-dup removal -> quality filter -> token counts ->
-    language ID. The near-dup drop set goes through the size-gated
-    ``filter_out_ids`` anti-join (broadcast under the threshold,
-    bucketed anti-join above — VERDICT r3 #3)."""
-    return _clean_corpus_frame(
-        sf_dir, with_lang=True,
-        drop_broadcast_threshold=drop_broadcast_threshold)
+    (``distinct_rows``, one shuffle of the hashed corpus) -> MinHash+LSH
+    near-dup removal -> quality filter -> token counts -> language ID.
+    The near-dup drop set leaves through ``filter_out_ids``, the
+    bucketed anti-join on the id: neither the kept rows' keys nor the
+    dropped ids reach the driver."""
+    return _clean_corpus_frame(sf_dir, with_lang=True)
 
 
 def clean_corpus_near(sf_dir: str) -> pd.DataFrame:
@@ -1212,8 +1208,7 @@ def clean_corpus_near(sf_dir: str) -> pd.DataFrame:
     determinism argument as embedding_near_dup's oracle), so the SQL
     expresses the drop set exactly: string-shingle self-join Jaccard +
     a recursive-CTE min-label connected-components pass."""
-    return _clean_corpus_frame(sf_dir, with_lang=False,
-                               drop_broadcast_threshold=50_000_000)
+    return _clean_corpus_frame(sf_dir, with_lang=False)
 
 
 def components(sf_dir: str) -> pd.DataFrame:

@@ -167,9 +167,11 @@ def logfile_table(records_ds) -> "pa.Table":
     import ray
 
     prep = ray.remote(_prepare).options(num_returns=2)
-    t = pa.concat_tables(ray.get([prep.remote(logfile_rows, ref)[0]
-                                  for ref, _ in dataset_blocks(records_ds)]))
-    return t.sort_by("seq").drop_columns(["seq"])
+    tables = ray.get([prep.remote(logfile_rows, ref)[0]
+                      for ref, _ in dataset_blocks(records_ds)])
+    if not tables:
+        return pa.table({c: pa.array([], pa.string()) for c in LOGFILE_COLUMNS})
+    return pa.concat_tables(tables).sort_by("seq").drop_columns(["seq"])
 
 
 def write_logfile_csv(records_ds, path: str) -> int:

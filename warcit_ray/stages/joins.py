@@ -21,8 +21,8 @@ from .shuffle import bucket_shuffle, key_buckets
 # Arrow -> pandas mapper keeping integer columns integral: an outer or
 # left join fills the unmatched side's columns with nulls, and a plain
 # to_pandas would widen those int64 columns to float64 and silently
-# round values >= 2^53 (the dedup callers join on 63-bit hashes,
-# exactly the regime the large tiers exist for).
+# round values >= 2^53 (63-bit hash keys and ids would no longer join
+# exactly).
 _NULLABLE_INTS = {
     pa.int8(): pd.Int8Dtype(), pa.int16(): pd.Int16Dtype(),
     pa.int32(): pd.Int32Dtype(), pa.int64(): pd.Int64Dtype(),
@@ -54,10 +54,10 @@ def bucketed_hash_join(left, right, key: str, *, num_buckets: int = 32,
 
 def bucketed_anti_join(left, right_keys, key: str, *, num_buckets: int = 32):
     """Rows of ``left`` whose ``key`` does NOT appear in ``right_keys``
-    (a Dataset carrying only the key column). Same one-shuffle bucketed
-    pattern as :func:`bucketed_hash_join`; the right side ships nothing
-    but keys. Runs entirely in Arrow — left rows come back with their
-    original column types and exact values (no pandas float widening)."""
+    (a Dataset of which only the ``key`` column is read). Same
+    one-shuffle bucketed pattern as :func:`bucketed_hash_join`. Runs
+    entirely in Arrow — left rows come back with their original column
+    types and exact values (no pandas float widening)."""
     import pyarrow.compute as pc
 
     def anti(_bucket: int, sides: tuple) -> pa.Table:
