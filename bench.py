@@ -457,6 +457,7 @@ def run_frontier_1m() -> dict:
         "n_urls": n,
         "num_cpus": NUM_CPUS,
         "gen_admits": res.get("gen_admits"),
+        "gen_slices": res.get("gen_slices"),
         "phase_times": _phase_times(res),
     }
     ray.shutdown()
@@ -539,6 +540,7 @@ def run_crawl_100k() -> dict:
         "ingest_sec": round(ingest_sec, 3),
         "num_cpus": NUM_CPUS,
         "gen_admits": res.get("gen_admits"),
+        "gen_slices": res.get("gen_slices"),
         "phase_times": _phase_times(res),
     }
     ray.shutdown()

@@ -5,6 +5,7 @@ per-row decode invariants, and bit-identical resume from checkpoint."""
 import heapq
 import os
 import shutil
+from collections import Counter
 
 import numpy as np
 import pyarrow.parquet as pq
@@ -16,7 +17,7 @@ from warcit_ray.pipelines.crawl import CrawlCheckpoint, WebGraph, crawl
 from warcit_ray.sources.synth import make_caption, make_image, make_image_table
 from warcit_ray.state.cuckoo import CuckooFilter
 from warcit_ray.state.robots import allowed, parse_robots
-from warcit_ray.state.shards import HostShardState
+from warcit_ray.state.shards import ADMIT_SCHEMA, HostShardState
 
 N = 120
 CLOCK = "2026-01-01T00:00:00Z"
@@ -72,6 +73,22 @@ Disallow: /
     assert dis == ["/private/", "/tmp"]
     assert not allowed("http://h/private/x", dis)
     assert allowed("http://h/public/x", dis)
+
+
+def test_url_path_batch_parity():
+    """The robots gate's path column equals the scalar url_path on every
+    URL shape: the regex fast path and the rows it leaves to url_path."""
+    import pyarrow as pa
+
+    from warcit_ray.state.robots import url_path, url_path_batch
+
+    urls = ["http://h/a/b", "http://h", "http://h/", "https://x.y/p?q=/a",
+            "http://h?/private/", "http://h#/private/", "http://h/p#f",
+            "http://a:80/x", "https://u@h/x", "http://[::1]/x", "http://h\n/x",
+            "http://h/a\nb", "http://ü.example/ä", "zip://a.zip!site/secret/x",
+            "zip://a.zip!x", "file:///tmp/x", "file://", "ftp://x/y", "", "x"]
+    assert url_path_batch(pa.array(urls)).to_pylist() == [url_path(u) for u in urls]
+    assert url_path_batch(pa.array(urls[:3])).to_pylist() == ["/a/b", "/", "/"]
 
 
 def test_hostshard_politeness_order():
@@ -318,6 +335,155 @@ def test_resume_from_next_frontier_checkpoint(corpus, tmp_path, legacy_file):
     assert new == [r for r in _load_records(ck) if r["generation"] > 3]
 
 
+class _HeapHostShard:
+    """The heap frontier HostShardState replaced, kept as the oracle of
+    its columnar frontier: per-host heaps of (priority, seq, url, key,
+    depth), a scalar robots check per URL, an exact trim per offer."""
+
+    def __init__(self, rate, capacity, robots_map, max_pending):
+        self.rate, self.capacity = rate, capacity
+        self.robots, self.max_pending = robots_map, max_pending
+        self.hosts, self.stats = {}, Counter()
+
+    def offer(self, hosts, urls, priorities, seqs, payload_keys, depths):
+        accepted, pending = 0, {}
+        for host, url, pri, seq, key, depth in zip(
+                hosts, urls, priorities, seqs, payload_keys, depths):
+            if not allowed(url, self.robots.get(host, ())):
+                self.stats["robots_blocked"] += 1
+                continue
+            pending.setdefault(host, []).append((pri, seq, url, key, depth))
+            accepted += 1
+        for host, entries in pending.items():
+            st = self.hosts.setdefault(host, {"tokens": self.capacity, "heap": []})
+            st["heap"].extend(entries)
+            if len(st["heap"]) > self.max_pending:
+                self.stats["evicted"] += len(st["heap"]) - self.max_pending
+                st["heap"] = heapq.nsmallest(self.max_pending, st["heap"])
+            heapq.heapify(st["heap"])
+        self.stats["offered"] += accepted
+        return accepted
+
+    def admit(self):
+        out = {c: [] for c in ("host", "url", "priority", "seq", "payload_key", "depth")}
+        for host in sorted(self.hosts):
+            st = self.hosts[host]
+            if not st["heap"]:
+                continue
+            st["tokens"] = min(self.capacity, st["tokens"] + self.rate)
+            for _ in range(min(int(st["tokens"]), len(st["heap"]))):
+                pri, seq, url, key, depth = heapq.heappop(st["heap"])
+                for c, v in zip(out, (host, url, pri, seq, key, depth)):
+                    out[c].append(v)
+                st["tokens"] -= 1.0
+        self.stats["admitted"] += len(out["url"])
+        return out
+
+    def pending(self):
+        return sum(len(st["heap"]) for st in self.hosts.values())
+
+    def get_stats(self):
+        return dict(self.stats)
+
+    def checkpoint_state(self):
+        return {"rate": self.rate, "capacity": self.capacity,
+                "max_pending": self.max_pending,
+                "hosts": {h: {"tokens": st["tokens"], "heap": sorted(st["heap"])}
+                          for h, st in self.hosts.items()},
+                "stats": dict(self.stats)}
+
+    def restore_state(self, state):
+        self.rate, self.capacity = state["rate"], state["capacity"]
+        self.max_pending = state["max_pending"]
+        self.hosts = {h: {"tokens": s["tokens"], "heap": [tuple(e) for e in s["heap"]]}
+                      for h, s in state["hosts"].items()}
+        for st in self.hosts.values():
+            heapq.heapify(st["heap"])
+        self.stats = Counter(state["stats"])
+
+
+# (host, URL shapes on it): http and https, ports, query strings,
+# fragments, userinfo, zip:// and file:// pseudo-URLs, non-ASCII paths
+_SHARD_HOSTS = [
+    ("a.example", ["http://a.example/{}", "https://a.example/{}",
+                   "http://a.example/{}?q=/private/", "http://a.example"]),
+    ("b.example", ["http://b.example:8080/{}", "http://u@b.example/{}",
+                   "https://b.example/{}#frag", "http://b.example/{}"]),
+    ("zip:site.zip", ["zip://site.zip!site/{}", "zip://site.zip!{}"]),
+    ("file:", ["file:///{}", "file://"]),
+    ("ü.example", ["http://ü.example/{}", "http://[::1]/{}"]),
+    ("free.example", ["http://free.example/{}"]),
+]
+_SHARD_PATHS = ["private/x", "private", "tmp/y", "img/ä", "", "a/private/z", "tmpz"]
+_SHARD_ROBOTS = {"a.example": ["/private/"], "b.example": ["/private/", "/tmp"],
+                 "zip:site.zip": ["/private/"], "file:": ["/tmp", "/tmp"],
+                 "ü.example": ["/img/ä", "/private/"], "free.example": []}
+
+
+def _shard_offer(rng, n):
+    hosts, urls = [], []
+    for _ in range(n):
+        host, shapes = _SHARD_HOSTS[rng.integers(len(_SHARD_HOSTS))]
+        hosts.append(host)
+        shape = shapes[rng.integers(len(shapes))]
+        urls.append(shape.format(_SHARD_PATHS[rng.integers(len(_SHARD_PATHS))]))
+    # few distinct priorities and seqs: (priority, seq) ties are common
+    return (hosts, urls, rng.integers(0, 3, n).tolist(), rng.integers(0, 4, n).tolist(),
+            [["", "k1", "k2", "ü"][i] for i in rng.integers(0, 4, n)],
+            rng.integers(0, 2, n).tolist())
+
+
+@pytest.mark.parametrize("seed", range(24))
+def test_columnar_host_shard_matches_heap_oracle(seed):
+    """HostShardState's Arrow frontier against the heap frontier it
+    replaced, over random offers (Arrow columns to the shard, lists to
+    the oracle), admits and reads: every admit, pending() and the stats
+    agree, and so do their checkpoints; a checkpoint -> restore round
+    trip through JSON, into either implementation, continues identically."""
+    import json
+
+    import pyarrow as pa
+
+    rng = np.random.default_rng(seed)
+    rate = [0.5, 0.7, 1.0, 1.3, 2.5][seed % 5]
+    capacity = [1.0, 2.0, 3.5][seed % 3]
+    max_pending = [1, 3, 7, 100_000][seed % 4]
+    kw = dict(rate=rate, capacity=capacity, robots_map=_SHARD_ROBOTS)
+    shards = [HostShardState(0, max_pending_per_host=max_pending, **kw),
+              _HeapHostShard(max_pending=max_pending, **kw)]
+    types = [f.type for f in ADMIT_SCHEMA]
+    cut = int(rng.integers(10, 50))
+    for step in range(80):
+        op = rng.random()
+        if op < 0.55:
+            cols = _shard_offer(rng, int(rng.integers(0, 30)))
+            arrow = [pa.array(c, type=t) for c, t in zip(cols, types)]
+            got = [s.offer(*(arrow if isinstance(s, HostShardState) else cols))
+                   for s in shards]
+        elif op < 0.85:
+            got = [s.admit() for s in shards]
+        elif op < 0.95:
+            got = [s.pending() for s in shards]
+        else:
+            got = [s.get_stats() for s in shards]
+        assert all(g == got[-1] for g in got), (step, got)
+        if step == cut:
+            states = [json.loads(json.dumps(s.checkpoint_state())) for s in shards]
+            assert json.dumps(states[0], sort_keys=True) ==                 json.dumps(states[1], sort_keys=True)
+            assert list(states[0]["hosts"]) == list(states[1]["hosts"])
+            col = HostShardState(0, **kw)
+            col.restore_state(states[1])
+            heap = _HeapHostShard(1.0, 1.0, _SHARD_ROBOTS, 1)
+            heap.restore_state(states[0])
+            shards += [col, heap]
+    for s in shards:
+        assert (s.pending(), s.get_stats()) == (shards[1].pending(), shards[1].get_stats())
+    stats = shards[1].get_stats()
+    assert stats.get("robots_blocked", 0) > 0 and stats["admitted"] > 0
+    if max_pending < 100_000:
+        assert stats["evicted"] > 0
+
+
 def test_hot_host_cap():
     # skew guard: a hot host's frontier is capped; best-(priority,seq)
     # entries are retained, eviction counted
@@ -325,8 +491,8 @@ def test_hot_host_cap():
     n = 20
     hs.offer(["hot"] * n, ["http://hot/p%02d" % i for i in range(n)],
              [i % 3 for i in range(n)], list(range(n)), [""] * n, [0] * n)
-    assert hs.pending() <= 5  # cap 4 with 1.2x amortization slack
-    assert hs.get_stats()["evicted"] > 0
+    assert hs.pending() == 4
+    assert hs.get_stats()["evicted"] == 16
     out = hs.admit()
     # the best-priority entries survived the trim
     assert out["url"][0] == "http://hot/p00"
@@ -338,7 +504,8 @@ def test_dataset_path_equivalent_to_direct_path(tmp_path):
     crawl, and every in-task step is timed."""
     on = _wide_crawl(checkpoint_dir=str(tmp_path / "ck"))
     off = _wide_crawl()
-    assert max(on["gen_admits"]) > 256  # multi-slice waves
+    assert max(on["gen_admits"]) > 256
+    assert max(on["gen_slices"]) > 1  # multi-slice waves
     for k in ("visit_log", "admitted", "seen", "offered"):
         assert on[k] == off[k], k
     for res in (on, off):
@@ -554,27 +721,72 @@ def test_corpus_cache_lru():
         c._CORPUS_CACHE_MAX = saved_max
 
 
-def test_ref_tier_promotion_to_dataset_equivalent(wide_full):
-    """A generation of more than 256 admits writes one records part per
-    256-row slice, and its parts, in sorted name order, hold exactly
-    the generation's admitted rows in dispatch order."""
+def test_wave_parts_are_balanced_slices_in_dispatch_order(wide_full):
+    """A generation writes one records part per fetch-wave slice, one
+    per CPU, the rows split evenly, and its parts, in sorted name order,
+    hold exactly the generation's admitted rows in dispatch order."""
     import pyarrow as pa
+    import ray
 
+    cpus = int(ray.cluster_resources()["CPU"])
     cp = CrawlCheckpoint(wide_full)
     wide = 0
     for g in cp.complete_generations():
         admitted = pq.read_table(os.path.join(cp.gen_dir(g), "admitted.parquet"))
-        if admitted.num_rows <= 256:
+        if admitted.num_rows < cpus:
             continue
         wide += 1
         parts = _parts(wide_full, g)
-        assert len(parts) == -(-admitted.num_rows // 256)
-        rec = pa.concat_tables(pq.read_table(os.path.join(cp.gen_dir(g), "records", f))
-                               for f in parts)
+        assert len(parts) == cpus  # every WIDE generation is under cpus x 4,096 rows
+        rec = [pq.read_table(os.path.join(cp.gen_dir(g), "records", f)) for f in parts]
+        sizes = [t.num_rows for t in rec]
+        assert max(sizes) - min(sizes) <= 1 and sum(sizes) == admitted.num_rows
+        rec = pa.concat_tables(rec)
         assert rec.column("target_uri").to_pylist() == admitted.column("url").to_pylist()
         for c in ("generation", "host", "seq"):
             assert rec.column(c).to_pylist() == admitted.column(c).to_pylist(), c
     assert wide >= 2
+
+
+def test_gen_slices_are_balanced_cpu_multiples(tmp_path):
+    """Each generation's wave runs one slice per CPU, or the least
+    multiple of the CPU count whose slices stay under the row cap, the
+    rows split evenly; with bucket affinity each slice is a run of
+    adjacent buckets."""
+    import pyarrow as pa
+    import ray
+
+    from warcit_ray.pipelines.crawl import (SLICE_MAX_ROWS, _fetch_plan,
+                                            _slice_count, _split)
+
+    cpus = int(ray.cluster_resources()["CPU"])
+    ck = str(tmp_path / "ck")
+    res = _wide_crawl(checkpoint_dir=ck)
+    assert len(res["gen_slices"]) == len(res["gen_admits"]) == res["generations"]
+    for g, (n, k) in enumerate(zip(res["gen_admits"], res["gen_slices"])):
+        assert k == len(_parts(ck, g)) == min(n, cpus)
+    cap = cpus * SLICE_MAX_ROWS
+    for n in (1, cpus - 1, cpus, 600, cap, cap + 1, 3 * cap - 5):
+        k = _slice_count(n, cpus)
+        slices = _split(n, k)
+        sizes = [rows for _, rows in slices]
+        assert [lo for lo, _ in slices] == np.cumsum([0] + sizes[:-1]).tolist()
+        assert sum(sizes) == n and max(sizes) - min(sizes) <= 1
+        assert max(sizes) <= SLICE_MAX_ROWS
+        if n < cpus:
+            assert k == n
+        else:  # the least multiple of cpus under the cap
+            assert k % cpus == 0 and (k == cpus or -(-n // (k - cpus)) > SLICE_MAX_ROWS)
+    # bucket-affine dispatch: rows sorted by bucket, so each slice holds
+    # a run of adjacent buckets
+    n, num_buckets = 3 * cap - 5, 50
+    table = pa.table({"b": np.random.default_rng(0).integers(0, num_buckets, n)})
+    dispatch = _fetch_plan(table, lambda t: t.column("b").to_numpy())
+    buckets = dispatch.column("b").to_numpy()
+    assert (np.diff(buckets) >= 0).all()
+    k = _slice_count(n, cpus)
+    for lo, rows in _split(n, k):
+        assert len(np.unique(buckets[lo:lo + rows])) <= -(-num_buckets // k) + 1
 
 
 def test_surt_host_batch_parity():
@@ -601,7 +813,9 @@ def test_surt_host_batch_parity():
     ]
     got = surt_host_batch(pa.array(urls, type=pa.string()))
     want = [surt_host(u) for u in urls]
-    assert list(got) == want
+    assert got.to_pylist() == want
+    simple = urls[:3]
+    assert surt_host_batch(pa.array(simple)).to_pylist() == [surt_host(u) for u in simple]
 
 
 def test_resume_bit_identical_under_eviction_pressure(corpus, tmp_path):
@@ -667,13 +881,13 @@ def test_fragment_registry_single_decode(corpus, tmp_path, ray_session):
 
 
 def test_fetch_affinity_dispatch_equivalent(corpus, tmp_path):
-    """Bucket-affine dispatch (sorted + segment-sliced fetch tasks) must
+    """Bucket-affine dispatch (bucket-sorted, evenly sliced fetch tasks) must
     not change WHAT is crawled — only which task fetches which row."""
     graph = WebGraph(N)
     kw = dict(n_seeds=6, max_generations=10, num_seen_shards=2,
               num_host_shards=2, clock_iso=CLOCK, seen_fp_bits=32,
               track_visits=True, corpus_partitions=5)
-    # one constant bucket id: unsorted dispatch, one segment
+    # one constant bucket id: dispatch in admit order
     base = crawl(corpus, graph=graph, checkpoint_dir=str(tmp_path / "base"),
                  fetch_affinity_fn=lambda t: np.zeros(t.num_rows, dtype=np.int64),
                  **kw)
@@ -728,7 +942,7 @@ def _light_crawl(graph, fetch_fn=None, **kw):
 
 
 # 13 hosts at capacity 64 admit up to 832 rows a generation: the fetch
-# wave spans several 256-row slices
+# wave spans one slice per CPU
 WIDE = WebGraph(2000, n_hosts=13, fanout=4, private_every=0)
 
 
@@ -760,15 +974,15 @@ def _parts(root, g):
     return sorted(os.listdir(os.path.join(CrawlCheckpoint(root).gen_dir(g), "records")))
 
 
-def _fetch_failing_last_slice(batch, graph, clock_iso):
-    """Raises on the short last slice of a wave; the full slices are
-    slow and then succeed."""
+def _fetch_failing_one_slice(batch, graph, clock_iso):
+    """Raises on the slice that holds the first seed (index 0); the
+    other slices are slow and then succeed."""
     import time
 
     from warcit_ray.pipelines.crawl import light_fetch_batch
 
-    if batch.num_rows < 256:
-        raise RuntimeError("fetch failed on the last slice")
+    if 0 in batch.column("seq").to_pylist():
+        raise RuntimeError("fetch failed on the chosen slice")
     time.sleep(3)
     return light_fetch_batch(batch, graph, clock_iso)
 
@@ -787,8 +1001,8 @@ def test_failed_wave_leaves_no_writer(tmp_path):
     import time
 
     ck = str(tmp_path / "ck")
-    with pytest.raises(RuntimeError, match="last slice"):
-        _wide_crawl(fetch_fn=_fetch_failing_last_slice, explode_fn=_no_links,
+    with pytest.raises(RuntimeError, match="chosen slice"):
+        _wide_crawl(fetch_fn=_fetch_failing_one_slice, explode_fn=_no_links,
                     checkpoint_dir=ck)
     tmp = os.path.join(CrawlCheckpoint(ck).gen_dir(0), "records.tmp")
     before = sorted(os.listdir(tmp))

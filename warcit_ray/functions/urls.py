@@ -246,17 +246,14 @@ def surt_batch(col) -> pa.Array:
     return pc.replace_with_mask(joined, other, pa.array(fallback, type=pa.string()))
 
 
-def surt_host_batch(col) -> np.ndarray:
-    """Vectorized :func:`surt_host` over a URL column (object ndarray
-    out). The common ``http(s)://simplehost/...`` shape runs entirely in
+def surt_host_batch(col) -> pa.Array:
+    """Vectorized :func:`surt_host` over a URL column, as an Arrow string
+    array. The common ``http(s)://simplehost/...`` shape runs entirely in
     Arrow kernels — scheme strip, cut at first '/', lowercase, regex
     validate — so no Python executes per row; only rows outside the
     simple shape (ports, userinfo, IPv6, pseudo-URLs) fall back to the
     scalar function, which keeps the two paths semantically identical
     (parity-tested in tests/test_crawl.py)."""
-    import pyarrow as pa
-    import pyarrow.compute as pc
-
     if isinstance(col, pa.ChunkedArray):
         col = col.combine_chunks()
     http = pc.starts_with(col, pattern="http://")
@@ -269,14 +266,11 @@ def surt_host_batch(col) -> np.ndarray:
         pc.or_(http, https),
         pc.and_(pc.not_equal(hostl, ""),
                 pc.match_substring_regex(hostl, r"^[a-z0-9.\-]+$")))
-    out = np.asarray(hostl.to_pylist(), dtype=object)
-    mask = simple.to_numpy(zero_copy_only=False)
-    if not mask.all():
-        idx = np.nonzero(~mask)[0]
-        urls = col.take(pa.array(idx)).to_pylist()
-        for i, u in zip(idx, urls):
-            out[i] = surt_host(u)
-    return out
+    if pc.all(simple).as_py() is not False:
+        return hostl
+    other = pc.invert(simple)
+    fallback = [surt_host(u) for u in col.filter(other).to_pylist()]
+    return pc.replace_with_mask(hostl, other, pa.array(fallback, type=pa.string()))
 
 
 def surt_hash64(s: str) -> int:

@@ -22,13 +22,15 @@ function each:
 
 A generation is one admit plus one task wave. There is no frontier
 carrier between generations: a wave task offers its links before it
-returns, so they sit in the host shards' heaps — and in the host-state
-snapshot of the generation's checkpoint — before the next admit. The
-wave has one tier at every size: plain Ray tasks over 256/1,024-row
-slices; the admitted table is put once per wave and the wave's
-constant arguments once per crawl, so a task gets refs and its slice's
-bounds. When the crawl checkpoints, each task writes its own records
-part into ``gen=g/records.tmp/`` after its offer returns, and
+returns, so they sit in the host shards' frontier tables — and in the
+host-state snapshot of the generation's checkpoint — before the next
+admit. The wave has one tier at every size: plain Ray tasks, one per
+CPU, or a multiple of the CPU count where a slice would pass
+:data:`SLICE_MAX_ROWS` rows, the rows split evenly; the admitted table
+is put once per wave and the wave's constant arguments once per crawl,
+so a task gets refs and its slice's bounds. When the crawl
+checkpoints, each task writes its own records part into
+``gen=g/records.tmp/`` after its offer returns, and
 :meth:`CrawlCheckpoint.write_generation` renames the directory to
 ``records/``; only a small meta tuple reaches the driver, so no record
 table ever passes through it or the object store. The initial carrier
@@ -62,6 +64,7 @@ equivalence-tested down to the payload digests
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import json
 import os
@@ -167,13 +170,15 @@ def _zero_padded(ints: np.ndarray, width: int) -> pa.Array:
     return pc.utf8_lpad(pc.cast(pa.array(ints, type=pa.int64()), pa.string()), width, "0")
 
 
+@functools.lru_cache(maxsize=1 << 16)
 def host_shard_of(host: str, num_shards: int) -> int:
-    """Politeness routing: stable hash of the host. The authoritative
+    """Politeness routing: stable hash of the host, memoized per process
+    (hosts repeat across every wave task's offers). The authoritative
     token bucket for a host deliberately CANNOT be salted across shards
     — politeness must be a local decision on one actor. Hot-host skew is
     handled upstream instead: batch URL dedup before probing
     (seen_probe_batch), the per-host frontier cap
-    (HostShardState.max_pending), and batched heapify offers."""
+    (HostShardState.max_pending), and columnar offers."""
     h = hashlib.blake2b(host.encode(), digest_size=4).digest()
     return int.from_bytes(h, "little") % num_shards
 
@@ -229,44 +234,28 @@ def seen_probe_batch(batch: pa.Table, seen_actors) -> pa.Table:
 
 
 def offer_batch(batch: pa.Table, host_actors) -> pa.Table:
-    """Stateless-task stage: route new URLs to their HostShard actors."""
+    """Stateless-task stage: route new URLs to their HostShard actors,
+    each shard's rows as six Arrow arrays (no per-row Python)."""
     import ray
 
     if batch.num_rows == 0:
         return pa.table({"offered": pa.array([], type=pa.int64())})
     n = len(host_actors)
-    url_col = batch.column("url")
-    if isinstance(url_col, pa.ChunkedArray):
-        url_col = url_col.combine_chunks()
-    urls = np.asarray(url_col.to_pylist(), dtype=object)
-    # vectorized host extraction: Arrow kernels parse the whole column
-    # (URLs here are already distinct post-probe, so the remaining
-    # interpreter cost WAS the per-row surt_host calls — VERDICT r3 #5)
-    hosts = surt_host_batch(url_col)
-    pris = batch.column("priority").combine_chunks().to_numpy()
-    seqs = batch.column("seq").combine_chunks().to_numpy()
-    keys = np.asarray(batch.column("payload_key").to_pylist(), dtype=object)
-    depths = batch.column("depth").combine_chunks().to_numpy()
-    # hosts repeat heavily in link batches: hash each DISTINCT host once,
-    # then all grouping is integer-code arithmetic (no per-row dicts)
-    uniq_hosts, host_codes = np.unique(hosts, return_inverse=True)
-    shard_of_host = np.fromiter(
-        (host_shard_of(h, n) for h in uniq_hosts),
-        dtype=np.int64, count=len(uniq_hosts))
-    shard_codes = shard_of_host[host_codes]
+    hosts = surt_host_batch(batch.column("url"))
+    # hosts repeat heavily in link batches: route each DISTINCT host once,
+    # then all grouping is integer-code arithmetic
+    dic = hosts.dictionary_encode()
+    shard_of_host = np.array([host_shard_of(h, n) for h in
+                              dic.dictionary.to_numpy(zero_copy_only=False)], dtype=np.int64)
+    shard_codes = shard_of_host[dic.indices.to_numpy(zero_copy_only=False)]
     order = np.argsort(shard_codes, kind="stable")  # rows stay in batch order per shard
     sc = shard_codes[order]
     bounds = np.concatenate(([0], 1 + np.nonzero(sc[1:] != sc[:-1])[0], [len(sc)]))
-    refs = []
-    for bi in range(len(bounds) - 1):
-        rows = order[bounds[bi]: bounds[bi + 1]]
-        refs.append(
-            host_actors[int(sc[bounds[bi]])].offer.remote(
-                hosts[rows].tolist(), urls[rows].tolist(),
-                pris[rows].tolist(), seqs[rows].tolist(),
-                keys[rows].tolist(), depths[rows].tolist(),
-            )
-        )
+    rows = batch.select(["url", "priority", "seq", "payload_key", "depth"]) \
+        .add_column(0, "host", hosts)
+    refs = [host_actors[int(sc[lo])].offer.remote(
+                *rows.take(pa.array(order[lo:hi])).combine_chunks().columns)
+            for lo, hi in zip(bounds[:-1], bounds[1:])]
     offered = sum(ray.get(refs))
     return pa.table({"offered": pa.array([offered], type=pa.int64())})
 
@@ -291,7 +280,7 @@ def fetch_wave_batch(table: pa.Table, lo: int, n: int, fetch_fn, fetch_args,
     """One generation's work after admit on one slice of admitted rows,
     ``table.slice(lo, n)``, in one task: fetch -> explode links ->
     seen-probe -> offer. The new
-    links go straight into the host shards' heaps, so no next frontier
+    links go straight into the host shards' frontiers, so no next frontier
     leaves the task. With a ``part_path`` the records, without their
     links, are written there once the offer has returned (a task whose
     offer failed writes nothing); no record leaves the task. Returns
@@ -852,8 +841,9 @@ class _Plane:
     wave_args: tuple
     affinity_fn: object
     ckpt: CrawlCheckpoint | None
-    probe_task: object
-    fetch_task: object
+    # the cluster's CPUs, read once per crawl: a fetch wave's slice count
+    # is a multiple of it (_slice_count)
+    cpus: int
 
 
 def _put_slices(table: pa.Table, rows: int) -> list | None:
@@ -876,7 +866,7 @@ def _probe_offer(plane: _Plane, carrier) -> tuple[int, _Layer]:
     if not carrier:
         return 0, _Layer(0, 0, time.monotonic() - t0)
     offered = sum(ray.get([
-        plane.probe_task.remote(r, plane.seen_actors, plane.host_actors)
+        _task(probe_and_offer_batch).remote(r, plane.seen_actors, plane.host_actors)
         for r, _ in carrier]))
     return offered, _Layer(sum(c for _, c in carrier), offered, time.monotonic() - t0)
 
@@ -902,36 +892,52 @@ def _admit(plane: _Plane, g: int, offered: int) -> tuple[pa.Table | None, _Layer
     return admitted, _Layer(offered, n, time.monotonic() - t0)
 
 
-def _fetch_plan(admitted: pa.Table, affinity_fn) -> tuple[pa.Table, list]:
-    """Bucket-affine dispatch (the map side of a co-partitioned join) ->
-    (dispatch table, [(lo, hi)] segments): rows sort by corpus bucket and
-    slices cut at bucket boundaries, so a fetch task touches ONE bucket
-    instead of faulting all of them into its worker's cache (at 100k
-    urls / 17 fragments: 108 s of duplicate builds for a 0.6 s fetch)."""
-    n = admitted.num_rows
+# the most admitted rows one fetch wave task takes
+SLICE_MAX_ROWS = 4096
+
+
+def _slice_count(n: int, cpus: int) -> int:
+    """A fetch wave's task count for ``n`` admitted rows: one slice per
+    CPU, or the least multiple of ``cpus`` whose slices hold at most
+    :data:`SLICE_MAX_ROWS` rows; never more slices than rows."""
+    return min(n, cpus * -(-n // (cpus * SLICE_MAX_ROWS)))
+
+
+def _split(n: int, m: int) -> list[tuple[int, int]]:
+    """``n`` rows as ``m`` consecutive (start, rows) slices whose sizes
+    differ by at most one row."""
+    return [(n * i // m, n * (i + 1) // m - n * i // m) for i in range(m)]
+
+
+@functools.lru_cache(maxsize=8)
+def _task(fn):
+    """``fn`` as a one-CPU Ray task, decorated once per process and
+    function: each fresh ``ray.remote`` exports the function again and
+    every worker fetches it again."""
+    import ray
+
+    return ray.remote(num_cpus=1)(fn)
+
+
+def _fetch_plan(admitted: pa.Table, affinity_fn) -> pa.Table:
+    """Bucket-affine dispatch (the map side of a co-partitioned join):
+    rows sort by corpus bucket, so each even slice of the dispatch table
+    touches a few adjacent buckets instead of faulting all of them into
+    its worker's cache (at 100k urls / 17 fragments: 108 s of duplicate
+    builds for a 0.6 s fetch)."""
     if affinity_fn is None:
-        return admitted, [(0, n)]
-    bk = np.asarray(affinity_fn(admitted))
-    order = np.argsort(bk, kind="stable")
-    sb = bk[order]
-    cuts = (np.flatnonzero(sb[1:] != sb[:-1]) + 1).tolist()
-    # coalesce adjacent sub-task-size segments: with many buckets and a
-    # sparse generation, one task per bucket would mean thousands of
-    # few-row tasks — a merged task touches a FEW adjacent buckets
-    min_rows = 1024 if n > 4096 else 256
-    segments, lo = [], 0
-    for hi in cuts + [n]:
-        if hi - lo >= min_rows or hi == n:
-            segments.append((lo, hi))
-            lo = hi
-    return admitted.take(pa.array(order)), segments
+        return admitted
+    order = np.argsort(np.asarray(affinity_fn(admitted)), kind="stable")
+    return admitted.take(pa.array(order))
 
 
 def _fetch(plane: _Plane, g: int, admitted: pa.Table) -> tuple[dict, _Layer]:
-    """Phase 3, the fetch wave: every 256- or 1,024-row slice of admitted
-    rows is fetched, its links exploded, seen-probed and offered in one
-    :func:`fetch_wave_batch` task -> (meta summed over the slices,
-    layer). With a checkpoint, slice ``i`` writes its records to
+    """Phase 3, the fetch wave: the dispatch table (:func:`_fetch_plan`)
+    is split evenly into :func:`_slice_count` slices, and each slice is
+    fetched, its links exploded,
+    seen-probed and offered in one :func:`fetch_wave_batch` task ->
+    (meta summed over the slices plus their count, ``slices``; layer).
+    With a checkpoint, slice ``i`` writes its records to
     ``gen=g/records.tmp/part-<i>.parquet``, so sorted part names keep
     dispatch order. If the wave fails, every task still in flight is
     cancelled and waited for before the error propagates: none can
@@ -941,18 +947,15 @@ def _fetch(plane: _Plane, g: int, admitted: pa.Table) -> tuple[dict, _Layer]:
     t0 = time.monotonic()
     n = admitted.num_rows
     if n == 0:
-        return dict.fromkeys(WAVE_META, 0), _Layer(0, 0, time.monotonic() - t0)
-    dispatch, segments = _fetch_plan(admitted, plane.affinity_fn)
-    dispatch = ray.put(dispatch)
+        return dict.fromkeys(WAVE_META + ("slices",), 0), _Layer(0, 0, time.monotonic() - t0)
+    slices = _split(n, _slice_count(n, plane.cpus))
+    dispatch = ray.put(_fetch_plan(admitted, plane.affinity_fn))
     part_dir = plane.ckpt.records_tmp(g) if plane.ckpt is not None else None
-    slice_rows = 1024 if n > 4096 else 256
-    refs = []
-    for seg_lo, seg_hi in segments:
-        for lo in range(seg_lo, seg_hi, slice_rows):
-            part = (None if part_dir is None
-                    else os.path.join(part_dir, "part-%06d.parquet" % len(refs)))
-            refs.append(plane.fetch_task.remote(
-                dispatch, lo, min(slice_rows, seg_hi - lo), *plane.wave_args, part))
+    fetch_task = _task(fetch_wave_batch)
+    refs = [fetch_task.remote(dispatch, lo, rows, *plane.wave_args,
+                              None if part_dir is None
+                              else os.path.join(part_dir, "part-%06d.parquet" % i))
+            for i, (lo, rows) in enumerate(slices)]
     try:
         metas = ray.get(refs)
     except BaseException:
@@ -960,7 +963,7 @@ def _fetch(plane: _Plane, g: int, admitted: pa.Table) -> tuple[dict, _Layer]:
             ray.cancel(r)
         ray.wait(refs, num_returns=len(refs))
         raise
-    meta = dict(zip(WAVE_META, map(sum, zip(*metas))))
+    meta = dict(zip(WAVE_META, map(sum, zip(*metas))), slices=len(refs))
     return meta, _Layer(n, meta["links"], time.monotonic() - t0)
 
 
@@ -1025,7 +1028,8 @@ def crawl(
     initial carrier, ``fetch`` the fused fetch wave and its records
     writes, ``checkpoint`` the rest of the generation's lineage),
     ``task_s`` (the wave tasks' in-task seconds summed: ``fetch``,
-    ``explode``, ``probe``, ``offer``), the seen set's
+    ``explode``, ``probe``, ``offer``), ``gen_slices`` (each
+    generation's wave task count, beside ``gen_admits``), the seen set's
     ``seen_load_factor`` (filled over total cuckoo slots, all shards)
     and ``seen_fp_skips_est`` (new URLs expected to be skipped as
     false positives at ``seen_fp_bits``), and ``plane``: the shard
@@ -1071,7 +1075,7 @@ def crawl(
                 [ray.put(t) for t in _bucket_tables(corpus_table, num_parts)]))
         fetch_fn = fetch_batch
         fetch_args = (corpus_ref, graph, clock_iso)
-        # bucket-affine fetch dispatch (_fetch_plan); one segment at P = 1
+        # bucket-affine fetch dispatch (_fetch_plan)
         fetch_affinity_fn = fetch_affinity_fn or corpus_affinity_fn(graph, num_parts)
         explode_fn = lambda t: explode_links(t, graph)  # noqa: E731
         seeds = seeds_table(graph, n_seeds)
@@ -1099,8 +1103,7 @@ def crawl(
         wave_args=tuple(ray.put(a) for a in (fetch_fn, fetch_args, explode_fn,
                                              lease.seen, lease.host)),
         affinity_fn=fetch_affinity_fn, ckpt=ckpt,
-        probe_task=ray.remote(num_cpus=1)(probe_and_offer_batch),
-        fetch_task=ray.remote(num_cpus=1)(fetch_wave_batch),
+        cpus=max(1, int(ray.cluster_resources().get("CPU", 1))),
     )
     try:
         start_gen = ckpt.restore(lease.seen, lease.host) if resume else 0
@@ -1134,7 +1137,8 @@ def _generations(plane: _Plane, carrier, gens: range,
     links) and checkpoint, until the crawl drains, the generation budget
     runs out or ``stop_after_generation`` is reached. Returns crawl()'s
     counters, visit log, per-phase times and in-task times."""
-    totals = {"admitted": 0, "offered": 0, "generations": 0, "gen_admits": []}
+    totals = {"admitted": 0, "offered": 0, "generations": 0, "gen_admits": [],
+              "gen_slices": []}
     visit_log: list[tuple] = []
     phase_times = dict.fromkeys(("probe_offer", "admit", "fetch", "checkpoint"), 0.0)
     task_s = dict.fromkeys(("fetch", "explode", "probe", "offer"), 0.0)
@@ -1162,6 +1166,7 @@ def _generations(plane: _Plane, carrier, gens: range,
         phase_times["fetch"] += layer.s
         offered = meta["offered"]
         totals["offered"] += offered
+        totals["gen_slices"].append(meta["slices"])
         for k in task_s:
             task_s[k] += meta[k + "_s"]
         phase_times["checkpoint"] += _checkpoint(plane, g, admitted).s

@@ -6,6 +6,13 @@ from __future__ import annotations
 
 from urllib.parse import urlsplit
 
+import pyarrow as pa
+import pyarrow.compute as pc
+
+# url_path's fast-path shape, 'http(s)://simplehost/path' with no port,
+# userinfo, query or fragment: the path is the text from the first '/'
+_SIMPLE_PATH = r"^https?://[^/?#:@\[\]]+(?P<path>/[^?#]*)?$"
+
 
 def parse_robots(text: str) -> list[str]:
     """Extract Disallow prefixes that apply to User-agent: * ."""
@@ -54,6 +61,20 @@ def url_path(url: str) -> str:
         return urlsplit(url).path or "/"
     except ValueError:
         return "/"
+
+
+def url_path_batch(urls) -> pa.Array:
+    """:func:`url_path` of each URL of an Arrow string column: one regex
+    kernel for the simple shape, the scalar function for other rows."""
+    if isinstance(urls, pa.ChunkedArray):
+        urls = urls.combine_chunks()
+    path = pc.struct_field(pc.extract_regex(urls, _SIMPLE_PATH), "path")
+    path = pc.if_else(pc.equal(path, ""), "/", path)
+    other = pc.is_null(path)
+    if not pc.any(other).as_py():
+        return path
+    fallback = [url_path(u) for u in urls.filter(other).to_pylist()]
+    return pc.replace_with_mask(path, other, pa.array(fallback, type=pa.string()))
 
 
 def allowed(url: str, disallows: list[str] | tuple[str, ...]) -> bool:

@@ -4,8 +4,11 @@
   on SURT-form 64-bit hashes; batch ``add_if_absent`` API; records
   per-generation insert deltas for checkpoint lineage.
 - :class:`HostShard` — per-host politeness token buckets, robots
-  gating, and a deterministic priority min-heap frontier for every
-  host whose hash lands on this shard.
+  gating (one path kernel per Disallow prefix), and a deterministic
+  priority frontier for every host whose hash lands on this shard:
+  one Arrow table sorted by (host, priority, seq, url, payload_key,
+  depth), offered as Arrow columns and admitted by a per-host rank
+  cut.
 
 Shard routing is ``hash % num_shards`` on the *host* for HostShard
 (politeness must be local to one actor per host) and on the *URL hash*
@@ -30,7 +33,6 @@ actors are not detached, so they die with the driver that leased them.
 
 from __future__ import annotations
 
-import heapq
 import threading
 import time
 from collections import Counter
@@ -38,9 +40,10 @@ from typing import NamedTuple
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 
 from .cuckoo import CuckooFilter
-from .robots import allowed
+from .robots import url_path_batch
 
 
 # the one admitted-row format: what HostShardState.admit_table emits
@@ -106,14 +109,51 @@ class SeenShardState(_Leasable):
         return self.filter.nbuckets * 4, self.filter.expected_fp_skips()
 
 
+# the frontier's row order: by host, then the order admit takes a
+# host's rows in
+_FRONTIER_ORDER = [(c, "ascending") for c in
+                   ("host", "priority", "seq", "url", "payload_key", "depth")]
+# a checkpointed frontier entry, per host: [priority, seq, url, key, depth]
+_ENTRY = ["priority", "seq", "url", "payload_key", "depth"]
+
+
+def _pylist(col) -> list:
+    """A column without nulls as Python values (``to_pylist`` builds each
+    string through Arrow scalars, about 20x slower)."""
+    return col.to_numpy(zero_copy_only=False).tolist()
+
+
+def _runs(t: pa.Table) -> tuple[list, np.ndarray, np.ndarray]:
+    """(hosts, start row, row count) of each host's run in a host-sorted
+    frontier table."""
+    n = t.num_rows
+    if n == 0:
+        return [], np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
+    hosts = t.column("host").combine_chunks()
+    change = pc.not_equal(hosts.slice(1), hosts.slice(0, n - 1))
+    starts = np.concatenate(([0], np.flatnonzero(
+        change.to_numpy(zero_copy_only=False)) + 1))
+    return _pylist(hosts.take(pa.array(starts))), starts, np.diff(np.append(starts, n))
+
+
+def _column(values, type_: pa.DataType):
+    """An offer argument (Arrow array or a sequence) as an Arrow column."""
+    if not isinstance(values, (pa.Array, pa.ChunkedArray)):
+        return pa.array(values, type=type_)
+    return values if values.type == type_ else values.cast(type_)
+
+
 class HostShardState(_Leasable):
     """Token-bucket politeness + robots + priority frontier for the
     hosts on this shard.
 
-    Determinism contract (tested against the serial oracle): for a
-    given (seed set, robots map, rate, capacity), every host emits the
-    same visit sequence — the heap orders by (priority, seq, url) and
-    ``admit`` walks hosts in sorted order."""
+    The pending rows are one Arrow table sorted by (host, priority, seq,
+    url, payload_key, depth), plus the offered chunks not yet merged
+    into it; tokens are one Python float per host. Determinism contract
+    (tested against the serial oracle and against a heap frontier): for
+    a given (seed set, robots map, rate, capacity), every host emits the
+    same visit sequence, because ``admit_table`` takes each host's first
+    floor(tokens) rows in that order, hosts in sorted order."""
 
     def __init__(self, shard_id: int, rate: float = 1.0, capacity: float = 2.0,
                  robots_map: dict[str, list[str]] | None = None,
@@ -122,98 +162,145 @@ class HostShardState(_Leasable):
         self.rate = rate
         self.capacity = capacity
         self.robots = robots_map or {}
-        self.hosts: dict[str, dict] = {}
+        # each Disallow prefix once, with the hosts whose rules carry it
+        # (None: every host that has rules)
+        self._ruled = {h for h, ds in self.robots.items() if ds}
+        by_prefix: dict[str, set] = {}
+        for host, prefixes in self.robots.items():
+            for d in prefixes:
+                by_prefix.setdefault(d, set()).add(host)
+        self._prefix_hosts = {d: None if hs == self._ruled else hs
+                              for d, hs in by_prefix.items()}
+        self.tokens: dict[str, float] = {}
+        self._frontier = ADMIT_SCHEMA.empty_table()
+        self._offers: list[pa.Table] = []
+        self._offered_rows = 0
         self.stats: Counter = Counter()
         # Skew guard: politeness bounds how fast any one host can ever be
         # crawled, so frontier entries beyond this cap can never be
         # visited before the crawl budget runs out — a hot host (one that
         # dominates the link graph) would otherwise blow up this shard's
-        # heap memory. Eviction is deterministic: the WORST (priority,
-        # seq, url) entry goes, so the kept set is order-independent.
+        # memory. Eviction is an exact per-host rank cut: the WORST
+        # (priority, seq, url, ...) rows go, so the kept set is
+        # independent of offer order and of when the cut runs.
         self.max_pending = max_pending_per_host
 
-    def _host(self, host: str) -> dict:
-        st = self.hosts.get(host)
-        if st is None:
-            st = {"tokens": self.capacity, "heap": []}
-            self.hosts[host] = st
-        return st
+    def _blocked(self, urls, hosts: list[str], codes: np.ndarray) -> np.ndarray | None:
+        """Robots gate -> a row mask of disallowed URLs, or None when no
+        row's host has rules: one ``starts_with`` per distinct Disallow
+        prefix on the path column of the ruled rows. ``hosts`` are the
+        distinct hosts and ``codes`` each row's index into them."""
+        def has(hs):
+            return np.fromiter((h in hs for h in hosts), dtype=bool, count=len(hosts))
 
-    def offer(self, hosts: list[str], urls: list[str], priorities: list[int],
-              seqs: list[int], payload_keys: list[str], depths: list[int]) -> int:
-        """Enqueue candidate URLs (already seen-filtered). Robots-gated
-        here so a disallowed URL never occupies frontier memory."""
-        accepted = 0
-        # batch per host: collect entries, then one extend+heapify per
-        # host (O(n) C heapify beats n pushes for large offers)
-        pending: dict[str, list] = {}
-        for host, url, pri, seq, key, depth in zip(
-            hosts, urls, priorities, seqs, payload_keys, depths
-        ):
-            if not allowed(url, self.robots.get(host, ())):
-                self.stats["robots_blocked"] += 1
-                continue
-            pending.setdefault(host, []).append((pri, seq, url, key, depth))
-            accepted += 1
-        for host, entries in pending.items():
-            st = self._host(host)
-            st["heap"].extend(entries)
-            # exact trim on every overflow: the heap is always the best
-            # max_pending entries seen so far, which makes the kept set
-            # independent of batch arrival order (an amortized/slack
-            # trim would let an early eviction outrank a late survivor)
-            if len(st["heap"]) > self.max_pending:
-                n_evict = len(st["heap"]) - self.max_pending
-                st["heap"] = heapq.nsmallest(self.max_pending, st["heap"])
-                self.stats["evicted"] += n_evict
-            heapq.heapify(st["heap"])
+        ruled = has(self._ruled)
+        if not ruled.any():
+            return None
+        rows = np.flatnonzero(ruled[codes])
+        path = url_path_batch(urls.take(pa.array(rows)) if len(rows) < len(codes) else urls)
+        hit = np.zeros(len(rows), dtype=bool)
+        for prefix, hs in self._prefix_hosts.items():
+            m = pc.starts_with(path, pattern=prefix).to_numpy(zero_copy_only=False)
+            hit |= m if hs is None else m & has(hs)[codes[rows]]
+        blocked = np.zeros(len(codes), dtype=bool)
+        blocked[rows] = hit
+        return blocked
+
+    def offer(self, hosts, urls, priorities, seqs, payload_keys, depths) -> int:
+        """Enqueue candidate URLs (already seen-filtered), six Arrow
+        arrays (or sequences) of one length. Robots-gated here so a
+        disallowed URL never occupies frontier memory. The rows join the
+        sorted frontier at the next admit (or read), or once they
+        outgrow it and ``max_pending``, which bounds this shard's
+        memory."""
+        rows = pa.table([_column(v, f.type) for v, f in zip(
+            (hosts, urls, priorities, seqs, payload_keys, depths), ADMIT_SCHEMA)],
+            schema=ADMIT_SCHEMA).combine_chunks()
+        if rows.num_rows == 0:
+            self.stats["offered"] += 0  # the stat exists once any offer came
+            return 0
+        # distinct hosts in order of first appearance, as Python strings
+        dic = rows.column("host").chunk(0).dictionary_encode()
+        distinct = _pylist(dic.dictionary)
+        codes = dic.indices.to_numpy(zero_copy_only=False)
+        blocked = self._blocked(rows.column("url"), distinct, codes)
+        if blocked is not None and blocked.any():
+            self.stats["robots_blocked"] += int(blocked.sum())
+            rows = rows.filter(pa.array(~blocked))
+            # the hosts of accepted rows, in order of their first one
+            kept, first = np.unique(codes[~blocked], return_index=True)
+            distinct = [distinct[c] for c in kept[np.argsort(first)].tolist()]
+        accepted = rows.num_rows
+        if accepted:
+            for host in distinct:
+                self.tokens.setdefault(host, self.capacity)
+            self._offers.append(rows)
+            self._offered_rows += accepted
+            if self._offered_rows > max(self.max_pending, self._frontier.num_rows):
+                self._settle()
         self.stats["offered"] += accepted
         return accepted
 
-    def admit(self) -> dict[str, list]:
-        """One politeness tick: refill each bucket by ``rate`` (capped),
-        pop floor(tokens) URLs per host in priority order."""
-        out: dict[str, list] = {"host": [], "url": [], "priority": [],
-                                "seq": [], "payload_key": [], "depth": []}
-        for host in sorted(self.hosts):
-            st = self.hosts[host]
-            if not st["heap"]:
-                continue
-            st["tokens"] = min(self.capacity, st["tokens"] + self.rate)
-            k = int(st["tokens"])
-            for _ in range(min(k, len(st["heap"]))):
-                pri, seq, url, key, depth = heapq.heappop(st["heap"])
-                out["host"].append(host)
-                out["url"].append(url)
-                out["priority"].append(pri)
-                out["seq"].append(seq)
-                out["payload_key"].append(key)
-                out["depth"].append(depth)
-                st["tokens"] -= 1.0
-        self.stats["admitted"] += len(out["url"])
-        return out
+    def _settle(self) -> None:
+        """Merge the offered chunks into the sorted frontier and cut each
+        host to its best ``max_pending`` rows."""
+        if not self._offers:
+            return
+        t = pa.concat_tables([self._frontier, *self._offers]).sort_by(_FRONTIER_ORDER)
+        self._offers, self._offered_rows = [], 0
+        if t.num_rows > self.max_pending:
+            _, starts, counts = _runs(t)
+            keep = np.arange(t.num_rows) - np.repeat(starts, counts) < self.max_pending
+            if not keep.all():
+                self.stats["evicted"] += int((~keep).sum())
+                t = t.filter(pa.array(keep))
+        self._frontier = t.combine_chunks()
 
     def admit_table(self):
         """One politeness tick -> None (nothing admitted) or an
-        ``ADMIT_SCHEMA`` Arrow table built ON the actor: the driver's
-        ray.get maps a plasma-backed table instead of materializing
-        hundreds of thousands of transient Python strings (the admit
-        transfer was the largest driver-side allocation at 400k-URL
-        scale)."""
-        out = self.admit()
-        if not out["url"]:
-            return None
-        return pa.table(out, schema=ADMIT_SCHEMA)
+        ``ADMIT_SCHEMA`` Arrow table: each host with pending rows refills
+        its bucket by ``rate`` (capped) and gives its first floor(tokens)
+        rows, hosts in sorted order. The table is built ON the actor: the
+        driver's ray.get maps a plasma-backed table instead of
+        materializing hundreds of thousands of transient Python strings
+        (the admit transfer was the largest driver-side allocation at
+        400k-URL scale)."""
+        self._settle()
+        t = self._frontier
+        hosts, starts, counts = _runs(t)
+        tokens = np.minimum(self.capacity,
+                            np.array([self.tokens[h] for h in hosts], dtype=float) + self.rate)
+        taken = np.minimum(tokens.astype(np.int64), counts)
+        # t - k equals k subtractions of 1.0: each step is exact
+        self.tokens.update(zip(hosts, (tokens - taken).tolist()))
+        mask = np.arange(t.num_rows) - np.repeat(starts, counts) < np.repeat(taken, counts)
+        out = t.filter(pa.array(mask))
+        self._frontier = t.filter(pa.array(~mask))
+        self.stats["admitted"] += out.num_rows
+        return out if out.num_rows else None
+
+    def admit(self) -> dict[str, list]:
+        """:meth:`admit_table` as Python lists, one per column."""
+        out = self.admit_table()
+        return (ADMIT_SCHEMA.empty_table() if out is None else out).to_pydict()
 
     def pending(self) -> int:
-        return sum(len(st["heap"]) for st in self.hosts.values())
+        self._settle()
+        return self._frontier.num_rows
 
     def get_stats(self) -> dict:
+        self._settle()
         return dict(self.stats)
 
     # -- checkpoint lineage -------------------------------------------------
 
     def checkpoint_state(self) -> dict:
+        self._settle()
+        t = self._frontier
+        hosts, starts, counts = _runs(t)
+        entries = list(zip(*(_pylist(t.column(c)) for c in _ENTRY)))
+        pending = {h: entries[s:s + c] for h, s, c in zip(hosts, starts.tolist(),
+                                                         counts.tolist())}
         return {
             "rate": self.rate,
             "capacity": self.capacity,
@@ -221,9 +308,11 @@ class HostShardState(_Leasable):
             # must evict exactly as the original would have, or the
             # continued run diverges from an uninterrupted one
             "max_pending": self.max_pending,
+            # "heap": a host's pending rows in admit order (the key is
+            # the host_state.json format's, kept from the heap frontier)
             "hosts": {
-                h: {"tokens": st["tokens"], "heap": sorted(st["heap"])}
-                for h, st in self.hosts.items()
+                h: {"tokens": tok, "heap": pending.get(h, [])}
+                for h, tok in self.tokens.items()
             },
             "stats": dict(self.stats),
         }
@@ -232,12 +321,13 @@ class HostShardState(_Leasable):
         self.rate = state["rate"]
         self.capacity = state["capacity"]
         self.max_pending = state.get("max_pending", self.max_pending)
-        self.hosts = {
-            h: {"tokens": s["tokens"], "heap": [tuple(e) for e in s["heap"]]}
-            for h, s in state["hosts"].items()
-        }
-        for st in self.hosts.values():
-            heapq.heapify(st["heap"])
+        self.tokens = {h: s["tokens"] for h, s in state["hosts"].items()}
+        rows = [(h, *e) for h, s in state["hosts"].items() for e in s["heap"]]
+        cols = list(zip(*rows)) or [[]] * 6
+        self._frontier = pa.table(
+            dict(zip(["host"] + _ENTRY, map(list, cols))), schema=ADMIT_SCHEMA
+        ).sort_by(_FRONTIER_ORDER).combine_chunks()
+        self._offers, self._offered_rows = [], 0
         self.stats = Counter(state["stats"])
 
 
