@@ -8,15 +8,25 @@ import pytest
 import ray
 import ray.data as rd
 
+from warcit_ray.sinks.warc_sink import serialize_batch
 from warcit_ray.stages.shuffle import (
     _group_blocks,
+    block_meta,
+    blocks_dataset,
     bucket_shuffle,
     dataset_blocks,
     mix_buckets,
     shuffle_blocks,
 )
 
-from .test_warc_convert import crawl_records, csv_reference
+from .test_dedup import _near_dup_ref, _triples
+from .test_warc_convert import (  # noqa: F401  (corpus: a fixture)
+    _cfg,
+    _records,
+    corpus,
+    crawl_records,
+    csv_reference,
+)
 
 N = 600
 
@@ -292,7 +302,7 @@ def test_engine_runs_no_ray_data_shuffle(ray_session, monkeypatch, tmp_path):
     references."""
     from warcit_ray.pipelines import queries
     from warcit_ray.pipelines.warc_build import logfile_rows, logfile_table, write_logfile_csv
-    from warcit_ray.sinks.warc_sink import serialize_batch, write_warc_file
+    from warcit_ray.sinks.warc_sink import write_warc_file
     from warcit_ray.stages.build_records import check_mapfile_unique
     from warcit_ray.stages.components import connected_components
     from warcit_ray.stages.dedup import components_from_pairs
@@ -375,3 +385,75 @@ def test_engine_runs_no_ray_data_shuffle(ray_session, monkeypatch, tmp_path):
     assert (tmp_path / "r.warc.gz").read_bytes() == serialize_batch(records.sort_by("seq"))
     assert (tmp_path / "r.csv").read_bytes() == csv_reference(records)
     assert log.equals(logfile_rows(records.sort_by("seq")).drop_columns(["seq"]))
+
+
+def test_blocks_dataset_matches_from_arrow(ray_session):
+    """A Dataset over existing blocks is the one ``rd.from_arrow`` makes
+    of the same tables: the same fields (a Ray release that adds one to
+    ``Dataset.__init__`` fails here), rows, blocks and schema, and Ray
+    Data operators applied to it give the same results."""
+    tables = [pa.table({"seq": pa.array([9, 3, 7], pa.int64()), "name": ["i", "c", "g"]}),
+              pa.table({"seq": pa.array([1, 8], pa.int64()), "name": ["a", "h"]}),
+              pa.table({"seq": pa.array([5], pa.int64()), "name": ["e"]})]
+    ours = blocks_dataset([(ray.put(t), block_meta(t)) for t in tables])
+    ref = rd.from_arrow(tables)
+    assert type(ours) is type(ref)
+    assert set(vars(ours)) == set(vars(ref))
+    assert ours.get_dataset_id() != ref.get_dataset_id()
+    assert ours.count() == ref.count() == 6
+    assert ours.num_blocks() == ref.num_blocks() == 3
+    assert ours.schema() == ref.schema()
+    assert ours.take_all() == ref.take_all()
+    assert ours.sort("seq").take_all() == ref.sort("seq").take_all()
+    assert ours.select_columns(["name"]).to_pandas().equals(
+        ref.select_columns(["name"]).to_pandas())
+    assert ours.repartition(3).count() == ref.repartition(3).count() == 6
+
+
+def test_engine_datasets_ask_no_stats_actor(ray_session, corpus, tmp_path, monkeypatch):
+    """A job of plain tasks builds its Datasets without Ray Data's stats
+    actor (starting it is about a second of a session's first job): with
+    the actor's dataset-id call raising, the convert wave and its three
+    sinks, near-dup over existing blocks and connected components still
+    give their references."""
+    from ray.data._internal.stats import StatsManager
+
+    from warcit_ray.pipelines.warc_build import build_warc_dataset, write_logfile_csv
+    from warcit_ray.sinks.warc_sink import read_warc_dir, write_warc_file, write_warc_shards
+    from warcit_ray.stages.components import connected_components
+    from warcit_ray.stages.dedup import components_from_pairs, near_dup_pairs
+
+    cfg = _cfg(corpus, True)
+    texts = ["w%d alpha beta gamma delta epsilon" % (i % 25) for i in range(60)]
+    rows = [{"doc_id": i, "text": t} for i, t in enumerate(texts)]
+    docs = rd.from_arrow([pa.Table.from_pylist(rows[i::4]) for i in range(4)])
+    edges = [(1, 2), (2, 3), (7, 5), (9, 8), (8, 7)]
+    pairs = rd.from_arrow([pa.Table.from_pylist([{"id_a": a, "id_b": b} for a, b in edges])])
+    no_pairs = rd.from_arrow(pa.table({"id_a": pa.array([], pa.int64()),
+                                       "id_b": pa.array([], pa.int64())}))
+
+    def refuse():
+        raise AssertionError("a Dataset asked the stats actor for its id")
+
+    monkeypatch.setattr(StatsManager, "get_dataset_id_from_stats_actor", refuse)
+    ds = build_warc_dataset(cfg)
+    shards = write_warc_shards(ds, str(tmp_path / "shards"))
+    warc_n = write_warc_file(ds, str(tmp_path / "c.warc.gz"))
+    log_n = write_logfile_csv(ds, str(tmp_path / "c.csv"))
+    verified, stats = near_dup_pairs(docs, threshold=0.9)
+    comp = connected_components(pairs)
+    empty = connected_components(no_pairs)
+    monkeypatch.undo()
+
+    records = _records(cfg)
+    assert shards and len(read_warc_dir(str(tmp_path / "shards"))) == records.num_rows
+    assert warc_n == log_n + 1 == records.num_rows
+    assert (tmp_path / "c.warc.gz").read_bytes() == serialize_batch(records)
+    assert (tmp_path / "c.csv").read_bytes() == csv_reference(records)
+    assert _triples(verified) == _near_dup_ref(rows, 0.9) != []
+    assert stats["docs"] == len(rows)
+    got = pa.concat_tables(ray.get(comp.to_arrow_refs()))
+    assert dict(zip(got["member"].to_pylist(), got["component"].to_pylist())) \
+        == dict(components_from_pairs(edges))
+    assert empty.count() == 0
+    assert empty.schema().names == ["member", "component"]

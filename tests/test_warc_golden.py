@@ -2,6 +2,8 @@
 payload) — guards the physical format against regressions."""
 
 import gzip
+import io
+import random
 
 from warcit_ray.functions.digests import record_id, sha1_b32
 from warcit_ray.sinks.warc_sink import parse_warc, serialize_record
@@ -56,3 +58,25 @@ def test_gzip_member_framing():
     assert len(recs) == 2
     assert recs[0]["payload"] == b"hello warc\n"
     assert recs[0]["headers"]["WARC-Payload-Digest"].startswith("sha1:")
+
+
+def _gzip_file_bytes(raw: bytes) -> bytes:
+    out = io.BytesIO()
+    with gzip.GzipFile(fileobj=out, mode="wb", mtime=0) as gz:
+        gz.write(raw)
+    return out.getvalue()
+
+
+def test_gzip_member_bytes_match_gzip_file():
+    """Each member is byte for byte what gzip.GzipFile(mtime=0) writes
+    for the record (header, deflate stream, CRC32/ISIZE trailer), for an
+    empty payload, a ~3 KB page and a payload past 64 KiB."""
+    rng = random.Random(3)
+    words = ["warc", "record", "crawl", "frontier", "page", "<p>", "</p>"]
+    page = " ".join(rng.choice(words) for _ in range(500)).encode()
+    big = bytes(rng.getrandbits(8) for _ in range(40_000)) + page * 10
+    for payload in (b"", page, big):
+        row = dict(_row(), payload=payload, payload_digest=sha1_b32(payload))
+        raw = serialize_record(row, gzip_member=False)
+        assert serialize_record(row, gzip_member=True) == _gzip_file_bytes(raw)
+    assert 2_500 < len(page) < 4_000 and len(big) > 64 * 1024

@@ -80,7 +80,7 @@ from ..codecs import MIME_BY_FMT
 from ..functions.digests import record_id_batch, sha1_b32_batch
 from ..functions.urls import surt_batch, surt_hash64_batch, surt_host_batch
 from ..stages.shuffle import bucket_shuffle
-from ..state.shards import ADMIT_SCHEMA
+from ..state.shards import ADMIT_SCHEMA, _pylist
 
 FRONTIER_SCHEMA = pa.schema(
     [
@@ -443,7 +443,7 @@ class _ArrowRows:
         self._fmt = t.column("fmt")
         self._cap = t.column("caption")
         self._idx = {k: i for i, k in
-                     enumerate(t.column("image_id").to_pylist())}
+                     enumerate(_pylist(t.column("image_id")))}
 
     def get(self, key: str, default=None):
         i = self._idx.get(key)
@@ -630,7 +630,7 @@ def fetch_batch(batch: pa.Table, corpus_ref: CorpusLookup, graph: WebGraph,
     resource row + discovered links."""
     idxs = graph.idx_batch(batch.column("url"))
     image_ids = pc.binary_join_element_wise("img", _zero_padded(idxs, 8), "")
-    rows = corpus_ref.rows(image_ids.to_pylist(), (b"", "", ""))
+    rows = corpus_ref.rows(_pylist(image_ids), (b"", "", ""))
     fmts = [r[1] for r in rows]
     return _records(
         batch, clock_iso, pa.array([r[0] for r in rows], type=pa.binary()),
@@ -1160,8 +1160,7 @@ def _generations(plane: _Plane, carrier, gens: range,
         totals["generations"] = g + 1
         if track_visits:
             visit_log.extend((g, h, u) for h, u in zip(
-                admitted.column("host").to_pylist(),
-                admitted.column("url").to_pylist()))
+                _pylist(admitted.column("host")), _pylist(admitted.column("url"))))
         meta, layer = _fetch(plane, g, admitted)
         phase_times["fetch"] += layer.s
         offered = meta["offered"]

@@ -25,7 +25,9 @@ import json
 import os
 import re
 import shutil
+import struct
 import tempfile
+import zlib
 from functools import partial
 
 import numpy as np
@@ -90,11 +92,24 @@ def serialize_record(row: dict, gzip_member: bool = True) -> bytes:
     buf.write(b"\r\n\r\n")
     raw = buf.getvalue()
     if gzip_member:
-        out = io.BytesIO()
-        with gzip.GzipFile(fileobj=out, mode="wb", mtime=0) as gz:
-            gz.write(raw)
-        return out.getvalue()
+        return _gzip_member(raw)
     return raw
+
+
+# gzip.GzipFile's header for an unnamed stream at level 9: magic, deflate,
+# no flags, mtime 0, XFL 2 (best compression), OS 255 (unknown)
+_GZIP_HEADER = b"\x1f\x8b\x08\x00\x00\x00\x00\x00\x02\xff"
+
+
+def _gzip_member(raw: bytes) -> bytes:
+    """``raw`` as one gzip member, byte for byte what
+    ``gzip.GzipFile(fileobj=BytesIO(), mode="wb", mtime=0)`` writes, from
+    one raw deflate stream instead of a file object per record.
+    (``gzip.compress(raw, mtime=0)`` writes another OS byte on some
+    Python versions.)"""
+    deflate = zlib.compressobj(9, zlib.DEFLATED, -zlib.MAX_WBITS)
+    return b"".join((_GZIP_HEADER, deflate.compress(raw), deflate.flush(),
+                     struct.pack("<II", zlib.crc32(raw), len(raw) & 0xFFFFFFFF)))
 
 
 def serialize_batch(batch: pa.Table, gzip_members: bool = True) -> bytes:

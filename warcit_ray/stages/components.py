@@ -52,13 +52,13 @@ def connected_components(pairs, *, id_a: str = "id_a", id_b: str = "id_b",
     leaves convergence unknown, and the call raises rather than return
     labels it cannot certify."""
     import ray
-    import ray.data as rd
 
     from .dedup import _coarse_bucket_count
 
     edges = dataset_blocks(pairs)
     if not edges:
-        return rd.from_arrow(_EMPTY.empty_table())
+        empty = _EMPTY.empty_table()
+        return blocks_dataset([(ray.put(empty), block_meta(empty))])
     # a pair row holds at least two int64 ids
     num_buckets = _coarse_bucket_count(sum(size or 0 for _, size in edges) // 16)
     split = ray.remote(_split_dropped).options(num_returns=4)

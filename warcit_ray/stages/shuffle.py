@@ -25,6 +25,8 @@ no metadata task. :func:`bucket_shuffle` runs it on Datasets.
 
 from __future__ import annotations
 
+from uuid import uuid4
+
 import numpy as np
 import pyarrow as pa
 
@@ -157,7 +159,13 @@ def block_meta(block):
 def blocks_dataset(parts):
     """``rd.from_arrow_refs`` over ``(block ref, block_meta)`` parts
     whose producers returned their metadata: the same
-    ``MaterializedDataset``, built without the metadata tasks."""
+    ``MaterializedDataset``, built without the metadata tasks and with
+    a locally made id. ``Dataset.__init__`` asks Ray Data's named stats
+    actor for the id, and on a session's first Dataset starts that
+    actor, a worker that imports ``ray.data`` and pandas (about 1 s on
+    4 CPUs); this sets the same fields it does, with the ``uuid4().hex``
+    Ray itself falls back to when the actor is unreachable. A Ray Data
+    operator applied to the result starts the actor as usual."""
     from ray.data import DataContext
     from ray.data._internal.logical.interfaces import LogicalPlan
     from ray.data._internal.logical.operators.from_operators import FromArrow
@@ -169,7 +177,14 @@ def blocks_dataset(parts):
     metas = [meta for _, meta in parts]
     plan = ExecutionPlan(DatasetStats(metadata={"FromArrow": metas}, parent=None),
                          DataContext.get_current().copy())
-    return MaterializedDataset(plan, LogicalPlan(FromArrow(refs, metas), plan._context))
+    ds = MaterializedDataset.__new__(MaterializedDataset)
+    ds._plan = plan
+    ds._logical_plan = LogicalPlan(FromArrow(refs, metas), plan._context)
+    plan.link_logical_plan(ds._logical_plan)
+    ds._current_executor = None
+    ds._write_ds = None
+    ds._set_uuid(uuid4().hex)
+    return ds
 
 
 def dataset_blocks(ds) -> list:
