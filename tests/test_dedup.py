@@ -12,10 +12,14 @@ import ray.data as rd
 
 from warcit_ray.stages.dedup import (
     HyperplaneBucketer,
+    SimHasher,
+    _band_pair_rows,
     _blocked_cosine_pairs,
+    _distinct_pairs,
     _emit_pairs_bulk,
+    _pairs_frame,
+    _verify_blocks,
     banded_hamming_pairs,
-    candidate_pairs_from_bands,
     components_from_pairs,
     embedding_near_dups,
     hamming64,
@@ -26,8 +30,19 @@ from warcit_ray.stages.dedup import (
     near_dup_pairs,
     shingle_hashes,
     simhash_near_dups,
-    verify_jaccard_pairs,
 )
+
+
+def _put_blocks(*tables):
+    """Arrow tables as the ``(ref, size)`` blocks the block functions take."""
+    return [(ray.put(t), t.nbytes) for t in tables]
+
+
+def _candidate_pairs(bands, n_rows, bucket_cap=256):
+    """The Hamming families' candidate path over band blocks: the emit
+    shuffle, then the distinct-pair shuffle, read back as one frame."""
+    emitted = _band_pair_rows(bands, "bkey", "doc_id", n_rows, bucket_cap=bucket_cap)
+    return _pairs_frame(_distinct_pairs(emitted, n_rows), "unused")
 
 
 def test_hamming64_arrays_matches_scalar():
@@ -126,13 +141,11 @@ def test_candidate_pairs_skewed_bucket_distributed(ray_session):
     # One bucket with 1e5 members: must complete without materializing
     # member rows on the driver, bounded by bucket_cap.
     n = 100_000
-    bands = rd.from_arrow(pa.table({
+    bands = _put_blocks(pa.table({
         "bkey": pa.array(np.zeros(n, dtype=np.int64)),
         "doc_id": pa.array(np.arange(n, dtype=np.int64)),
     }))
-    pairs = candidate_pairs_from_bands(
-        bands, "bkey", "doc_id", bucket_cap=64, n_rows_hint=n)
-    df = pairs.to_pandas()
+    df = _candidate_pairs(bands, n, bucket_cap=64)
     assert len(df) == 64 * 63 // 2  # capped all-pairs
     assert df["id_a"].max() < 64 and df["id_b"].max() < 64
 
@@ -144,10 +157,10 @@ def test_candidate_pairs_paths_agree(ray_session):
     rng = np.random.default_rng(3)
     df = pd.DataFrame({"bkey": rng.integers(0, 50, 600),
                        "doc_id": np.tile(np.arange(300, dtype=np.int64), 2)})
-    bands = rd.from_pandas([df.iloc[:200], df.iloc[200:]])
-    got = candidate_pairs_from_bands(
-        bands, "bkey", "doc_id", n_rows_hint=600
-    ).to_pandas().sort_values(["id_a", "id_b"]).reset_index(drop=True)
+    bands = _put_blocks(*(pa.Table.from_pandas(d, preserve_index=False)
+                          for d in (df.iloc[:200], df.iloc[200:])))
+    got = _candidate_pairs(bands, 600).sort_values(
+        ["id_a", "id_b"]).reset_index(drop=True)
     want = _emit_pairs_bulk(df, "bkey", "doc_id", 256, []).drop_duplicates(
         ["id_a", "id_b"]).sort_values(["id_a", "id_b"]).reset_index(drop=True)
     assert len(want) > len(want.drop_duplicates("id_a"))
@@ -516,6 +529,18 @@ def _dup_map_ref(rows, threshold):
     return [(d, r) for d, r in components_from_pairs(pairs) if d != r]
 
 
+def _verify(pair_frames, doc_frames, num_buckets):
+    """``_verify_blocks`` over frames of pairs and of (doc_id, text)
+    docs, each frame one block, at threshold 0.5."""
+    def blocks(frames):
+        return _put_blocks(*(pa.Table.from_pandas(f, preserve_index=False)
+                             for f in frames))
+
+    return _verify_blocks(blocks(pair_frames), blocks(doc_frames), id_col="doc_id",
+                          text_col="text", threshold=0.5, shingle_k=3,
+                          num_buckets=num_buckets)
+
+
 @pytest.mark.parametrize("num_buckets", [1, 8])
 def test_verify_jaccard_pairs_matches_set_reference(ray_session, num_buckets):
     base = (1 << 60) + 1  # 63-bit ids: neighbours differ below float precision
@@ -549,31 +574,29 @@ def test_verify_jaccard_pairs_matches_set_reference(ray_session, num_buckets):
     twice = (ids["six"], ids["near"])  # within one frame and across frames
     frames = [pd.DataFrame(pairs[:80] + [twice] * 20, columns=["id_a", "id_b"]),
               pd.DataFrame(pairs[80:] + [twice] * 5, columns=["id_a", "id_b"])]
-    docs = rd.from_pandas([
-        pd.DataFrame({"doc_id": k, "text": [texts[i] for i in k]})
-        for k in (sorted(texts)[:25], sorted(texts)[25:])])
+    docs = [pd.DataFrame({"doc_id": k, "text": [texts[i] for i in k]})
+            for k in (sorted(texts)[:25], sorted(texts)[25:])]
     want = _verify_ref(pairs + [twice], texts, 0.5)
     assert (ids["six"], ids["four"], 0.5) in want  # kept at the threshold
     assert (ids["six"], ids["far"]) not in [w[:2] for w in want]
     assert (ids["none"], ids["empty"], 1.0) in want
     assert any(0 < w[2] < 1 for w in want) and len(want) > 10
 
-    got = verify_jaccard_pairs(rd.from_pandas(frames), docs, threshold=0.5,
-                               num_buckets=num_buckets).to_pandas()
+    got = _pairs_frame(_verify(frames, docs, num_buckets), "jaccard")
     assert _triples(got) == want  # repeats verified once, exact floats
 
 
 def test_verify_reused_ids_get_own_texts(ray_session):
     """Two corpora reuse the same doc ids with different texts: verified
     back to back in one session, each gets its own pairs."""
-    pairs = rd.from_items([{"id_a": 1, "id_b": 2}, {"id_a": 3, "id_b": 4}])
+    pairs = [pd.DataFrame({"id_a": [1, 3], "id_b": [2, 4]})]
     first = {1: "a b c d e", 2: "a b c d e", 3: "a b c d e", 4: "v w x y z"}
     second = {1: "a b c d e", 2: "v w x y z", 3: "k l m n o", 4: "k l m n o"}
     for texts, want in ((first, [(1, 2, 1.0)]), (second, [(3, 4, 1.0)])):
-        docs = rd.from_items([{"doc_id": i, "text": t} for i, t in texts.items()])
+        docs = [pd.DataFrame({"doc_id": list(texts), "text": list(texts.values())})]
         for nb in (1, 8):
-            got = verify_jaccard_pairs(pairs, docs, threshold=0.5, num_buckets=nb)
-            assert _triples(got.to_pandas()) == want
+            got = _pairs_frame(_verify(pairs, docs, nb), "jaccard")
+            assert _triples(got) == want
 
 
 def test_doc_shingle_dedup_keeps_every_distinct_value():
@@ -704,13 +727,13 @@ def test_near_dup_pairs_reuses_a_materialized_corpus(ray_session, monkeypatch):
     ds = rd.from_items([{"doc_id": i, "text": t} for i, t in enumerate(texts)],
                        override_num_blocks=4).materialize()
     seen = []
-    verify = dedup.verify_jaccard_pairs
+    verify = dedup._verify_blocks
 
     def spy(pairs, docs, **kw):
         seen.append(docs)
         return verify(pairs, docs, **kw)
 
-    monkeypatch.setattr(dedup, "verify_jaccard_pairs", spy)
+    monkeypatch.setattr(dedup, "_verify_blocks", spy)
     verified, stats = dedup.near_dup_pairs(ds, threshold=0.9)
     assert len(verified) == 25 * 1 + 10 * 2
     assert _triples(verified) == _near_dup_ref(ds.take_all(), 0.9)
@@ -719,33 +742,124 @@ def test_near_dup_pairs_reuses_a_materialized_corpus(ray_session, monkeypatch):
         return [ref for bundle in d.iter_internal_ref_bundles()
                 for ref, _ in bundle.blocks]
 
-    assert len(seen) == 1 and block_refs(seen[0]) == block_refs(ds)
+    assert len(seen) == 1 and [ref for ref, _ in seen[0]] == block_refs(ds)
+
+
+def _hamming_ref(ids, sigs, max_hamming):
+    """Brute-force reference of the Hamming families: every id pair
+    whose signatures lie within ``max_hamming`` bits, as sorted
+    (lo, hi, hamming)."""
+    rows = list(zip(ids, sigs))
+    return sorted((min(a, b), max(a, b), hamming64(x, y))
+                  for i, (a, x) in enumerate(rows) for b, y in rows[i + 1:]
+                  if hamming64(x, y) <= max_hamming)
+
+
+def _simhash_ref(table, tok_hash, max_hamming):
+    """``_hamming_ref`` over the SimHash signatures of ``table``'s texts,
+    signed in process in one batch."""
+    sigs = SimHasher(tok_hash)(table).column("simhash").to_pylist()
+    return _hamming_ref(table.column("doc_id").to_pylist(), sigs, max_hamming)
+
+
+def _hamming_rows(df):
+    return list(df[["id_a", "id_b", "hamming"]].itertuples(index=False, name=None))
+
+
+def _cosine_ref(ids, vecs, threshold):
+    """Brute-force reference of embedding near-dup: every id pair whose
+    float64 cosine passes ``threshold``, as sorted (lo, hi, cosine)."""
+    v = vecs / np.linalg.norm(vecs, axis=1, keepdims=True)
+    sims = v @ v.T
+    ia, ib = np.nonzero(np.triu(sims >= threshold, k=1))
+    return sorted((min(ids[i], ids[j]), max(ids[i], ids[j]), sims[i, j])
+                  for i, j in zip(ia.tolist(), ib.tolist()))
 
 
 def test_near_dup_runs_no_ray_data_operator(ray_session, monkeypatch):
-    """Once the corpus blocks are taken, near-dup runs plain tasks only:
-    with Dataset.map_batches, .materialize and .count raising, both
-    entry points still give the reference pairs and dup map."""
+    """Once the input blocks are taken, every near-dup family runs plain
+    tasks only: with Dataset.map_batches, .materialize, .count and
+    .to_pandas raising, MinHash's two entry points, SimHash (on the
+    same corpus with its extra column), banded Hamming on string ids
+    and embedding near-dup still give their references' results."""
     from warcit_ray.stages import dedup
 
     texts = ["w%d alpha beta gamma delta epsilon" % (i % 25) for i in range(60)]
     rows = [{"doc_id": i, "text": t, "extra": -i} for i, t in enumerate(texts)]
-    ds = rd.from_arrow([pa.Table.from_pylist(rows[i * 15:(i + 1) * 15])
-                        for i in range(4)])
+    tables = [pa.Table.from_pylist(rows[i * 15:(i + 1) * 15]) for i in range(4)]
+    ds = rd.from_arrow(tables)
+    names = ["img%04d" % i for i in range(6)] + ["imgfar", "imgnear"]
+    sigs = [0] * 6 + [0x5555555555555555, 0b111]
+    sig_ds = rd.from_arrow(pa.table({"doc_id": names, "sig": pa.array(sigs, pa.int64())}))
+    rng = np.random.default_rng(4)
+    vecs = rng.normal(size=(60, 8)).astype(np.float32)
+    vecs = np.concatenate([vecs, vecs[:10] * 1.001 + 1e-4])  # 10 planted copies
+    vec_ids = np.concatenate([np.arange(60), 1000 + np.arange(10)]).astype(np.int64)
+    vec_ds = rd.from_arrow(pa.table({
+        "vec_id": vec_ids, "embedding": pa.array(vecs.tolist(), pa.list_(pa.float32()))}))
 
     def refuse(*_a, **_k):
         raise AssertionError("a Ray Data operator ran")
 
-    for name in ("map_batches", "materialize", "count"):
+    for name in ("map_batches", "materialize", "count", "to_pandas"):
         monkeypatch.setattr(rd.Dataset, name, refuse)
     verified, stats = dedup.near_dup_pairs(ds, threshold=0.9)
     dup, dup_stats = dedup.minhash_lsh_dedup(ds, threshold=0.9)
+    simhash = dedup.simhash_near_dups(ds, max_hamming=3)
+    hamming = dedup.banded_hamming_pairs(sig_ds, sig_col="sig", id_col="doc_id",
+                                         max_hamming=3)
+    cosine = dedup.embedding_near_dups(vec_ds, threshold=0.99)
     monkeypatch.undo()
     assert _triples(verified) == _near_dup_ref(rows, 0.9)
     assert stats["docs"] == dup_stats["docs"] == len(rows)
     got = pa.concat_tables(ray.get(dup.to_arrow_refs()))
     assert list(zip(got["doc_id"].to_pylist(), got["dup_of"].to_pylist())) \
         == _dup_map_ref(rows, 0.9) != []
+    want = _simhash_ref(pa.concat_tables(tables), "blake2b", 3)
+    assert _hamming_rows(simhash) == want and len(want) >= 45
+    assert _hamming_rows(hamming) == _hamming_ref(names, sigs, 3) != []
+    want = _cosine_ref(vec_ids.tolist(), vecs.astype(np.float64), 0.99)
+    got = sorted(cosine.itertuples(index=False, name=None))
+    assert [g[:2] for g in got] == [w[:2] for w in want] \
+        == [(i, 1000 + i) for i in range(10)]
+    assert np.allclose([g[2] for g in got], [w[2] for w in want], atol=1e-5)
+
+
+def _simhash_corpus():
+    """300 docs with an extra column: 150 random 100-token texts and a
+    copy of each with 0-4 tokens replaced, rows shuffled."""
+    rng = np.random.default_rng(7)
+    vocab = np.array(["t%d" % i for i in range(2000)])
+    base = [vocab[rng.integers(len(vocab), size=100)] for _ in range(150)]
+    texts = [" ".join(t) for t in base]
+    for toks in base:
+        toks = toks.copy()
+        toks[rng.integers(len(toks), size=int(rng.integers(0, 5)))] = "zz"
+        texts.append(" ".join(toks))
+    order = rng.permutation(len(texts))
+    return pa.table({"doc_id": pa.array(order * 3, pa.int64()),
+                     "text": [texts[i] for i in order],
+                     "extra": pa.array(-order, pa.int64())})
+
+
+@pytest.mark.parametrize("max_hamming", [3, 6])
+@pytest.mark.parametrize("tok_hash", ["blake2b", "md5le"])
+@pytest.mark.parametrize("n_blocks", [1, 4])
+def test_simhash_near_dups_match_all_pairs_reference(ray_session, n_blocks,
+                                                     tok_hash, max_hamming):
+    """SimHash near-dup finds exactly the pairs an all-pairs scan of the
+    in-process signatures finds (the banding is pigeonhole-complete),
+    with their Hamming distances, sorted by the pair, all int64, however
+    the input is blocked."""
+    table = _simhash_corpus()
+    step = -(-table.num_rows // n_blocks)
+    ds = rd.from_arrow([table.slice(i * step, step) for i in range(n_blocks)])
+    got = simhash_near_dups(ds, max_hamming=max_hamming, tok_hash=tok_hash)
+    want = _simhash_ref(table, tok_hash, max_hamming)
+    assert got.dtypes.astype(str).to_dict() == {
+        "id_a": "int64", "id_b": "int64", "hamming": "int64"}
+    assert _hamming_rows(got) == want
+    assert len(want) > 40 and len({w[2] for w in want}) > 2
 
 
 def test_near_dup_block_layouts_agree(tmp_path, ray_session):

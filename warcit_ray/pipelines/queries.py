@@ -954,13 +954,8 @@ def simhash_dedup(sf_dir: str) -> pd.DataFrame:
     from the blake2b default; the machinery is identical."""
     from ..stages.dedup import simhash_near_dups
 
-    pairs = simhash_near_dups(_docs_with_near_dups(sf_dir), max_hamming=6,
-                              tok_hash="md5le")
-    if len(pairs) == 0:
-        return pd.DataFrame({"id_a": pd.Series([], dtype="int64"),
-                             "id_b": pd.Series([], dtype="int64"),
-                             "hamming": pd.Series([], dtype="int64")})
-    return pairs.sort_values(["id_a", "id_b"]).reset_index(drop=True)
+    return simhash_near_dups(_docs_with_near_dups(sf_dir), max_hamming=6,
+                             tok_hash="md5le")
 
 
 def _smallest_rows(ds, key: str, n: int) -> pd.DataFrame:
@@ -1343,7 +1338,8 @@ def phash_near_dup(sf_dir: str) -> pd.DataFrame:
     """Image near-dup by perceptual-hash hamming distance — the shared
     distributed banding path (stages.dedup.banded_hamming_pairs): chunk
     buckets sized for the threshold by pigeonhole, pair emit + popcount
-    verify inside the band groupby, distributed pair dedup."""
+    verify inside the band shuffle, distributed pair dedup; its pairs
+    come sorted, typed also when there is none."""
     import ray.data as rd
 
     from ..codecs import decode, encode, phash64
@@ -1361,10 +1357,5 @@ def phash_near_dup(sf_dir: str) -> pd.DataFrame:
                         "phash": np.int64(np.uint64(phash64(lossy)).astype(np.int64))})
     ds = rd.from_pandas(pd.concat([base, pd.DataFrame(planted)], ignore_index=True))
 
-    pairs = banded_hamming_pairs(ds, sig_col="phash", id_col="image_id",
-                                 max_hamming=6)
-    if len(pairs) == 0:
-        return pd.DataFrame({"id_a": pd.Series([], dtype="object"),
-                             "id_b": pd.Series([], dtype="object"),
-                             "hamming": pd.Series([], dtype="int64")})
-    return pairs.sort_values(["id_a", "id_b"]).reset_index(drop=True)
+    return banded_hamming_pairs(ds, sig_col="phash", id_col="image_id",
+                                max_hamming=6)

@@ -23,18 +23,22 @@ Shuffle discipline (the 100 TB design point):
   (id, text) shuffle, only (band, hash, id) triples, pair halves and
   per-half shingle arrays cross the wire; nothing corpus-sized ever
   lands on the driver.
-- SimHash / pHash: 64-bit signature per doc (SimHash's in one plain
-  task per block, as MinHash's); chunk banding (pigeonhole:
-  ``n_chunks >= max_hamming + 1`` exact chunks guarantee every
-  qualifying pair shares a bucket); candidates emitted AND
-  popcount-verified inside the band emit, distributed.
+- SimHash / pHash: the same block path as MinHash. One plain task per
+  block explodes its 64-bit signatures into chunk rows (SimHash signs
+  the block's texts inside that task, so signatures never leave it);
+  chunk banding is pigeonhole-complete (``n_chunks >= max_hamming + 1``
+  exact chunks guarantee every qualifying pair shares a bucket); the
+  band emit popcount-verifies its candidates, and one more shuffle on
+  the pair keeps each distinct pair once.
 - embedding near-dup: random-hyperplane signatures bucket the vectors;
   exact cosine verifies within buckets with a blocked (memory-bounded)
   pairwise matmul and a deterministic per-bucket member cap.
 
-Candidate generation has one path at every size: band rows go straight
-to the bucket shuffle (stages/shuffle.py), which emits pairs inside
-its tasks — member rows never materialize on the driver.
+Every near-dup family takes its input's blocks once and runs plain
+tasks and shuffles over block refs from there (stages/shuffle.py);
+its pair parts are read back by one reader (``_pairs_frame``). Pairs
+are emitted inside the shuffle's tasks: member rows never materialize
+on the driver.
 """
 
 from __future__ import annotations
@@ -48,7 +52,6 @@ import pyarrow as pa
 from .shuffle import (
     block_meta,
     blocks_dataset,
-    bucket_shuffle,
     dataset_blocks,
     key_buckets,
     mix_buckets,
@@ -527,50 +530,6 @@ def _emit_pairs_bulk(df: pd.DataFrame, bkey_col: str, id_col: str,
     return out[cols]
 
 
-def candidate_pairs_from_bands(bands, bkey_col: str, id_col: str, *,
-                               extra_cols: list[str] | None = None,
-                               bucket_cap: int = 256,
-                               n_rows_hint: int | None = None,
-                               pair_filter=None):
-    """Band rows -> Dataset of DISTINCT candidate pairs
-    (id_a, id_b [, extra_a/extra_b...]), entirely distributed.
-
-    Two bucket shuffles: the emit shuffle (:func:`_band_pair_rows`),
-    then a second one on ``mix(id_a, id_b) % B`` that dedups cross-band
-    duplicates with an in-frame ``drop_duplicates``. Dispatch count is
-    B, not one pandas group per collision bucket or per candidate PAIR
-    — per-group frame overhead is 1-2 ms (measured, see
-    _emit_pairs_bulk), which at a 10^10-doc corpus' candidate rate would
-    be tens of millions of dispatches. ``near_dup_pairs`` runs only the
-    emit shuffle: its verify drops the duplicates in the shuffle it
-    needs anyway.
-
-    Pair emit happens inside the shuffle's tasks; member rows never
-    reach the driver. ``pair_filter(df)`` (optional) runs inside the
-    emit step — e.g. hamming verification — so rejected pairs never
-    shuffle further."""
-
-    extra_cols = extra_cols or []
-    n_rows = n_rows_hint
-    if n_rows is None:
-        n_rows = bands.count()
-
-    nbb = _coarse_bucket_count(n_rows)
-
-    def pair_buckets(t: pa.Table) -> np.ndarray:
-        return mix_buckets(nbb, _id_hash_u64(t.column("id_a")),
-                           _id_hash_u64(t.column("id_b")))
-
-    def dedup_bucket(_bucket: int, g: pd.DataFrame) -> pd.DataFrame:
-        return g.drop_duplicates(["id_a", "id_b"])
-
-    pairs = _band_pair_rows(dataset_blocks(bands), bkey_col, id_col, n_rows,
-                            extra_cols=extra_cols, bucket_cap=bucket_cap,
-                            pair_filter=pair_filter)
-    return bucket_shuffle(blocks_dataset(pairs), pair_buckets, dedup_bucket,
-                          batch_format="pandas")
-
-
 def _band_pair_rows(bands: list, bkey_col: str, id_col: str, n_rows: int, *,
                     extra_cols=(), bucket_cap: int = 256, pair_filter=None) -> list:
     """The candidate emit shuffle over band blocks (``(ref, size)``):
@@ -578,7 +537,9 @@ def _band_pair_rows(bands: list, bkey_col: str, id_col: str, n_rows: int, *,
     (~1M rows each), then the in-frame pair dedup. Returns the
     non-empty parts as ``(ref, block_meta)``. Pairs are distinct within
     a bucket only: a pair that collides in bands hashing to different
-    buckets comes out once per such bucket."""
+    buckets comes out once per such bucket (:func:`_distinct_pairs`
+    keeps one). ``pair_filter(df)`` (optional, e.g. the Hamming test)
+    runs inside the emit, so rejected pairs never shuffle further."""
 
     def emit_bucket(_bucket: int, g: pd.DataFrame) -> pd.DataFrame:
         # holds every collision bucket whose bkey hashes here
@@ -590,6 +551,25 @@ def _band_pair_rows(bands: list, bkey_col: str, id_col: str, n_rows: int, *,
     parts = shuffle_blocks(bands, key_buckets(bkey_col, _coarse_bucket_count(n_rows)),
                            emit_bucket, batch_format="pandas")
     return [(ref, meta) for ref, meta in parts if meta.num_rows]
+
+
+def _distinct_pairs(parts: list, n_rows: int) -> list:
+    """The parts of :func:`_band_pair_rows` over ``n_rows`` band rows,
+    each pair once: one bucket shuffle on ``mix(id_a, id_b) % B`` (B
+    the emit's coarse bucket count, not one pandas group per pair) with
+    an in-frame ``drop_duplicates``. ``near_dup_pairs`` needs no such
+    step: its verify drops repeated pairs in a shuffle it runs anyway."""
+    nbb = _coarse_bucket_count(n_rows)
+
+    def pair_buckets(t: pa.Table) -> np.ndarray:
+        return mix_buckets(nbb, _id_hash_u64(t.column("id_a")),
+                           _id_hash_u64(t.column("id_b")))
+
+    def dedup_bucket(_bucket: int, g: pd.DataFrame) -> pd.DataFrame:
+        return g.drop_duplicates(["id_a", "id_b"])
+
+    return shuffle_blocks([(ref, meta.size_bytes) for ref, meta in parts],
+                          pair_buckets, dedup_bucket, batch_format="pandas")
 
 
 def _block_wave(fn, blocks: list, *args, num_returns: int = 2) -> list:
@@ -665,10 +645,28 @@ def _pair_halves(block, id_col: str) -> tuple:
 
 def _verify_blocks(pairs: list, docs: list, *, id_col: str, text_col: str,
                    threshold: float, shingle_k: int, num_buckets: int) -> list:
-    """The exact-Jaccard verify over blocks: ``pairs`` and ``docs`` (the
-    corpus, exactly (``id_col``, ``text_col``)) as ``(ref, size)``
-    blocks -> the verified parts as ``(ref, block_meta)``, no part when
-    there is no pair (see :func:`verify_jaccard_pairs`)."""
+    """Distributed exact-Jaccard verification of candidate pairs in two
+    bucket shuffles, with no per-pair group dispatch (a pandas group
+    per pair costs 1-2 ms of frame overhead, hours of pure dispatch at
+    10^10-doc candidate rates). ``pairs`` (blocks of (id_a, id_b)) and
+    ``docs`` (the corpus, exactly (``id_col``, ``text_col``), one row
+    per id) are ``(ref, size)`` blocks:
+
+    - Attach: each pair (a, b), a != b, splits into two halves keyed on
+      doc a and on doc b (one plain task per block of pairs), and one
+      two-sided shuffle on that key brings every half to its doc: the
+      corpus moves once. All copies of a half land in one bucket, so
+      dropping duplicate halves there dedups pairs repeated across
+      bands or emit frames (``pairs`` need not be distinct). Each
+      referenced doc is shingled once per bucket (sorted unique
+      ``shingle_hashes``).
+    - Combine: a shuffle on the pair brings its two halves together and
+      one ``_jaccard_sorted_merge`` per bucket scores every pair.
+
+    Returns the parts of (id_a, id_b, jaccard), id_a the smaller id,
+    for pairs passing ``threshold``, as ``(ref, block_meta)``; no part
+    when there is no pair. A pair with a side missing from the corpus
+    drops."""
     import pyarrow.compute as pc
 
     if not pairs:
@@ -708,42 +706,6 @@ def _verify_blocks(pairs: list, docs: list, *, id_col: str, text_col: str,
     attached = shuffle_blocks((halves, docs), key_buckets(id_col, num_buckets), attach)
     return shuffle_blocks([(ref, meta.size_bytes) for ref, meta in attached
                            if meta.num_rows], pair_buckets, row_jaccard)
-
-
-def verify_jaccard_pairs(pairs_ds, docs_ds, *, id_col: str = "doc_id",
-                         text_col: str = "text", threshold: float = 0.8,
-                         shingle_k: int = 3, num_buckets: int = 8):
-    """Distributed exact-Jaccard verification of candidate pairs in two
-    bucket shuffles, with no per-pair group dispatch (a pandas group
-    per pair costs 1-2 ms of frame overhead, hours of pure dispatch at
-    10^10-doc candidate rates). A Dataset adapter of the block-level
-    verify that ``near_dup_pairs`` runs:
-
-    - Attach: each pair (a, b), a != b, splits into two halves keyed on
-      doc a and on doc b (one plain task per block of pairs), and one
-      two-sided shuffle on that key brings every half to its doc: the
-      corpus, projected to (id, text), moves once. All copies of a half
-      land in one bucket, so dropping duplicate halves there dedups
-      pairs repeated across bands or emit frames (``pairs_ds`` need not
-      be distinct). Each referenced doc is shingled once per bucket
-      (sorted unique ``shingle_hashes``).
-    - Combine: a shuffle on the pair brings its two halves together and
-      one ``_jaccard_sorted_merge`` per bucket scores every pair.
-
-    Returns a Dataset of (id_a, id_b, jaccard), id_a the smaller id,
-    for pairs passing ``threshold``; a pair with a side missing from
-    the corpus drops, and a corpus is assumed to carry one row per id.
-    A ``docs_ds`` whose schema is known to be exactly (``id_col``,
-    ``text_col``) — ``near_dup_pairs`` passes its corpus blocks — enters
-    the attach shuffle as it is; any other is projected to those
-    columns first."""
-    schema = docs_ds.schema(fetch_if_missing=False)
-    if schema is None or sorted(schema.names) != sorted([id_col, text_col]):
-        docs_ds = docs_ds.select_columns([id_col, text_col])
-    return blocks_dataset(_verify_blocks(
-        dataset_blocks(pairs_ds), dataset_blocks(docs_ds), id_col=id_col,
-        text_col=text_col, threshold=threshold, shingle_k=shingle_k,
-        num_buckets=num_buckets))
 
 
 def components_from_pairs(pairs: list[tuple]) -> list[tuple]:
@@ -801,20 +763,22 @@ def minhash_lsh_dedup(ds, *, num_perm: int = 64, num_bands: int = 16,
     return blocks_dataset([(ray.put(dup), block_meta(dup))]), dict(stats, dups=len(rows))
 
 
-def _pairs_frame(ds, score: str) -> pd.DataFrame:
-    """The rows of a pair Dataset whose blocks exist, read from its
-    block refs (``to_pandas`` would start Ray Data's executor), typed
-    (id_a int64, id_b int64, score float64) also when it has no rows."""
+def _pairs_frame(parts: list, score: str, *, id_dtype: str = "int64",
+                 score_dtype: str = "float64") -> pd.DataFrame:
+    """The rows of pair parts (``(ref, block_meta)``, as the shuffles
+    return them) whose metadata counts rows, read from their refs, in
+    part order; typed (id_a ``id_dtype``, id_b ``id_dtype``, ``score``
+    ``score_dtype``) also when there is no row."""
     import ray
     from ray.data.block import BlockAccessor
 
     frames = [BlockAccessor.for_block(b).to_pandas()
-              for b in ray.get([ref for ref, _ in dataset_blocks(ds)])]
+              for b in ray.get([ref for ref, meta in parts if meta.num_rows])]
     if frames:
         return pd.concat(frames, ignore_index=True)
-    return pd.DataFrame({"id_a": pd.Series([], dtype="int64"),
-                         "id_b": pd.Series([], dtype="int64"),
-                         score: pd.Series([], dtype="float64")})
+    return pd.DataFrame({"id_a": pd.Series([], dtype=id_dtype),
+                         "id_b": pd.Series([], dtype=id_dtype),
+                         score: pd.Series([], dtype=score_dtype)})
 
 
 def _signature_block(block, id_col: str, num_perm: int, shingle_k: int,
@@ -851,8 +815,8 @@ def near_dup_pairs(ds, *, num_perm: int = 64, num_bands: int = 16,
     never leave the task); each task returns its blocks' row counts and
     sizes beside them, which the driver sums. Three bucket shuffles
     follow over those refs: the candidate emit (``_band_pair_rows``,
-    pairs not yet distinct) and the two of ``verify_jaccard_pairs``;
-    each returns its parts' row counts, and empty parts drop.
+    pairs not yet distinct) and the two of ``_verify_blocks``; each
+    returns its parts' row counts, and empty parts drop.
 
     The stats: ``docs``, ``band_rows``, ``candidate_rows`` (emitted
     pair rows; a pair repeats once per emit bucket it collides in),
@@ -876,9 +840,11 @@ def near_dup_pairs(ds, *, num_perm: int = 64, num_bands: int = 16,
                             id_col, n_rows, bucket_cap=bucket_cap)
     t3 = time.perf_counter()
     # repeated pairs are fine: the verify's attach shuffle drops them
-    verified = _pairs_frame(verify_jaccard_pairs(
-        blocks_dataset(pairs), blocks_dataset(corpus), id_col=id_col,
-        threshold=threshold, shingle_k=shingle_k), "jaccard")
+    verified = _pairs_frame(_verify_blocks(
+        [(ref, meta.size_bytes) for ref, meta in pairs],
+        [(ref, meta.size_bytes) for ref, meta in corpus], id_col=id_col,
+        text_col="text", threshold=threshold, shingle_k=shingle_k,
+        num_buckets=8), "jaccard")
     t4 = time.perf_counter()
     return verified, {
         "docs": sum(meta.num_rows for _, meta in corpus), "band_rows": n_rows,
@@ -894,7 +860,7 @@ def near_dup_pairs(ds, *, num_perm: int = 64, num_bands: int = 16,
 class SimHasher:
     """64-bit SimHash over word tokens (public Charikar construction).
     One instance per worker process and token hash
-    (``_simhash_block``'s cache, run by stateless tasks): the
+    (``_chunk_block``'s cache, run by stateless tasks): the
     token-hash cache lives for the process's lifetime; the bit-vote
     accumulation is one vectorized (n_toks, 64) reduction."""
 
@@ -981,18 +947,6 @@ class SimHasher:
 _SIMHASHER_CACHE: dict = {}
 
 
-def _simhash_block(block, tok_hash: str) -> tuple:
-    """One task of SimHash's signature wave: a block -> (the block as
-    Arrow with its ``simhash`` column, that table's ``block_meta``)."""
-    from ray.data.block import BlockAccessor
-
-    sh = _SIMHASHER_CACHE.get(tok_hash)
-    if sh is None:
-        sh = _SIMHASHER_CACHE[tok_hash] = SimHasher(tok_hash)
-    out = sh(BlockAccessor.for_block(block).to_arrow())
-    return out, block_meta(out)
-
-
 def hamming64(a: int, b: int) -> int:
     return bin((a ^ b) & ((1 << 64) - 1)).count("1")
 
@@ -1040,67 +994,85 @@ def sig_chunk_rows(batch: pa.Table, *, sig_col: str, id_col: str,
     )
 
 
+def _chunk_block(block, sig_col: str, id_col: str, n_chunks: int,
+                 tok_hash: str | None) -> tuple:
+    """One task of the Hamming families' chunk wave: a block -> (its
+    ``sig_chunk_rows``, their ``block_meta``). With a ``tok_hash`` the
+    task first signs the block's texts with that SimHasher (into
+    ``simhash``), as ``_signature_block`` signs and bands for MinHash:
+    the signatures never leave the task."""
+    from ray.data.block import BlockAccessor
+
+    t = BlockAccessor.for_block(block).to_arrow()
+    if tok_hash is not None:
+        sh = _SIMHASHER_CACHE.get(tok_hash)
+        if sh is None:
+            sh = _SIMHASHER_CACHE[tok_hash] = SimHasher(tok_hash)
+        t = sh(t)
+    out = sig_chunk_rows(t, sig_col=sig_col, id_col=id_col, n_chunks=n_chunks)
+    return out, block_meta(out)
+
+
+def _hamming_pairs(ds, *, sig_col: str, id_col: str, max_hamming: int,
+                   bucket_cap: int, tok_hash: str | None) -> pd.DataFrame:
+    """``banded_hamming_pairs``, whose chunk tasks first sign ``ds``'s
+    texts with SimHash when ``tok_hash`` is given (``sig_col`` is then
+    ``simhash``)."""
+    if max_hamming > 7:
+        raise ValueError("banded_hamming_pairs supports max_hamming <= 7 "
+                         "(8 chunks of 8 bits); got %d" % max_hamming)
+    n_chunks = 4 if max_hamming <= 3 else 8
+    chunks = _block_wave(_chunk_block, dataset_blocks(ds), sig_col, id_col,
+                         n_chunks, tok_hash)
+    n_rows = sum(meta.num_rows for _, meta in chunks)
+
+    def ham_filter(df: pd.DataFrame) -> pd.DataFrame:
+        d = hamming64_arrays(df["sig_a"].to_numpy().astype(np.uint64),
+                             df["sig_b"].to_numpy().astype(np.uint64))
+        out = df[["id_a", "id_b"]].assign(hamming=d)
+        return out[out["hamming"] <= max_hamming]
+
+    emitted = _band_pair_rows([(ref, meta.size_bytes) for ref, meta in chunks],
+                              "bkey", id_col, n_rows, extra_cols=["sig"],
+                              bucket_cap=bucket_cap, pair_filter=ham_filter)
+    out = _pairs_frame(_distinct_pairs(emitted, n_rows), "hamming",
+                       id_dtype="object", score_dtype="int64")
+    return out.sort_values(["id_a", "id_b"]).reset_index(drop=True)
+
+
 def banded_hamming_pairs(ds, *, sig_col: str, id_col: str, max_hamming: int,
                          bucket_cap: int = 256) -> pd.DataFrame:
     """Distributed near-dup pairs by signature hamming distance (used by
-    SimHash text near-dup and pHash image near-dup).
+    SimHash text near-dup and pHash image near-dup): a DataFrame of
+    (id_a, id_b, hamming), id_a the smaller id, sorted by the pair
+    (ids typed ``object`` when there is no pair).
 
     Chunk count adapts to the threshold: pigeonhole requires
     ``n_chunks >= max_hamming + 1`` (8x8-bit chunks cover hamming<=7;
     4x16-bit only covers <=3 — using 4 chunks at hamming 6 silently
     loses pairs whose differing bits span all four chunks).
     Hamming verification runs inside the emit group (vectorized LUT
-    popcount), so non-qualifying pairs never shuffle."""
-    if max_hamming > 7:
-        raise ValueError("banded_hamming_pairs supports max_hamming <= 7 "
-                         "(8 chunks of 8 bits); got %d" % max_hamming)
-    n_chunks = 4 if max_hamming <= 3 else 8
-    n_docs = ds.count()
-
-    chunks = ds.map_batches(
-        lambda b: sig_chunk_rows(b, sig_col=sig_col, id_col=id_col,
-                                 n_chunks=n_chunks),
-        batch_format="pyarrow",
-    )
-
-    def ham_filter(df: pd.DataFrame) -> pd.DataFrame:
-        d = hamming64_arrays(df["sig_a"].to_numpy().astype(np.uint64),
-                             df["sig_b"].to_numpy().astype(np.uint64))
-        out = df.assign(hamming=d)
-        return out[out["hamming"] <= max_hamming]
-
-    pairs = candidate_pairs_from_bands(
-        chunks, "bkey", id_col, extra_cols=["sig"], bucket_cap=bucket_cap,
-        n_rows_hint=n_docs * n_chunks, pair_filter=ham_filter,
-    )
-    out = pairs.to_pandas()
-    if len(out) == 0:
-        return pd.DataFrame({"id_a": pd.Series([], dtype="object"),
-                             "id_b": pd.Series([], dtype="object"),
-                             "hamming": pd.Series([], dtype="int64")})
-    out["hamming"] = out["hamming"].astype("int64")
-    return out[["id_a", "id_b", "hamming"]].sort_values(
-        ["id_a", "id_b"]).reset_index(drop=True)
+    popcount), so non-qualifying pairs never shuffle. ``ds`` executes
+    once, into its blocks; from there one ``_chunk_block`` task per
+    block, the band emit and ``_distinct_pairs`` run as plain tasks and
+    shuffles over block refs, no Ray Data operator."""
+    return _hamming_pairs(ds, sig_col=sig_col, id_col=id_col,
+                          max_hamming=max_hamming, bucket_cap=bucket_cap,
+                          tok_hash=None)
 
 
 def simhash_near_dups(ds, *, max_hamming: int = 3, id_col: str = "doc_id",
                       tok_hash: str = "blake2b") -> pd.DataFrame:
-    """SimHash near-dup pairs, fully distributed (see
-    banded_hamming_pairs for the banding + verify discipline). The
-    signatures run as one plain task per block of ``ds``
-    (``_simhash_block``), as near-dup's do. ``tok_hash`` picks the
-    token-hash primitive ('md5le' makes the signatures
-    DuckDB-reproducible for oracle checking)."""
-    with_sig = blocks_dataset(_block_wave(_simhash_block, dataset_blocks(ds), tok_hash))
-    pairs = banded_hamming_pairs(
-        with_sig, sig_col="simhash", id_col=id_col, max_hamming=max_hamming)
-    if len(pairs):
-        pairs = pairs.astype({"id_a": "int64", "id_b": "int64"})
-    else:
-        pairs = pd.DataFrame({"id_a": pd.Series([], dtype="int64"),
-                              "id_b": pd.Series([], dtype="int64"),
-                              "hamming": pd.Series([], dtype="int64")})
-    return pairs
+    """SimHash near-dup pairs (id_a, id_b, hamming), all int64, fully
+    distributed (see banded_hamming_pairs for the banding + verify
+    discipline). Each block's chunk task signs its texts
+    (``_chunk_block``), so no signed copy of the input is written.
+    ``tok_hash`` picks the token-hash primitive ('md5le' makes the
+    signatures DuckDB-reproducible for oracle checking)."""
+    pairs = _hamming_pairs(ds, sig_col="simhash", id_col=id_col,
+                           max_hamming=max_hamming, bucket_cap=256,
+                           tok_hash=tok_hash)
+    return pairs.astype({"id_a": "int64", "id_b": "int64"})
 
 
 # ---------------------------------------------------------------------------
@@ -1187,6 +1159,7 @@ def embedding_near_dups(ds, *, threshold: float = 0.95, id_col: str = "vec_id",
         a, b, s = _blocked_cosine_pairs(ids, v, threshold)
         return pd.DataFrame({"id_a": a, "id_b": b, "cosine": s})
 
-    pairs = bucket_shuffle(ds, HyperplaneBucketer(vec_col, num_planes, seed),
-                           emit_pairs, batch_format="pandas")
-    return _pairs_frame(pairs, "cosine")
+    parts = shuffle_blocks(dataset_blocks(ds),
+                           HyperplaneBucketer(vec_col, num_planes, seed), emit_pairs,
+                           batch_format="pandas")
+    return _pairs_frame(parts, "cosine")

@@ -1,10 +1,12 @@
 """The bucket shuffle: the engine's one hand-rolled all-to-all.
 
-The bucketed joins, q3, the LSH candidate emit and its pair dedup,
-the near-dup Jaccard verify, embedding near-dup, the corpus fragment
-writer and the WARC and CSV sinks all run :func:`bucket_shuffle`: a
-two-stage hash shuffle over plain Ray tasks and objects (the
-Exoshuffle design), not a Ray Data operator. The non-empty input
+The bucketed joins, q3, top customers, sessionize and the corpus
+fragment writer run :func:`bucket_shuffle` on Datasets; the dedup
+family (exact dedup, the LSH candidate emit and its pair dedup, the
+near-dup Jaccard verify, embedding near-dup), connected components
+and the WARC and CSV sinks run :func:`shuffle_blocks` on block refs.
+Both are one two-stage hash shuffle over plain Ray tasks and objects
+(the Exoshuffle design), not a Ray Data operator. The non-empty input
 blocks form ``R`` map groups: a block of Ray Data's
 ``target_min_block_size`` or more is a group of its own, and runs of
 smaller consecutive blocks of one side share a group (a shuffle makes
