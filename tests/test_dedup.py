@@ -34,8 +34,10 @@ from warcit_ray.stages.dedup import (
 
 
 def _put_blocks(*tables):
-    """Arrow tables as the ``(ref, size)`` blocks the block functions take."""
-    return [(ray.put(t), t.nbytes) for t in tables]
+    """Arrow tables as the ``(ref, block_meta)`` blocks the block functions take."""
+    from warcit_ray.stages.shuffle import block_meta
+
+    return [(ray.put(t), block_meta(t)) for t in tables]
 
 
 def _candidate_pairs(bands, n_rows, bucket_cap=256):

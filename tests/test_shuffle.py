@@ -214,18 +214,33 @@ def test_bucket_shuffle_consumes_every_reduce_error(ray_session, per_block_split
     assert not [m for m in logged if "Unhandled error" in m], logged
 
 
+def _sized(sizes: list, rows: int = 1) -> list:
+    """``(i, block metadata)`` of blocks of ``sizes`` bytes, as
+    ``shuffle_blocks`` takes them."""
+    from ray.data.block import BlockMetadata
+
+    return [(i, BlockMetadata(num_rows=rows, size_bytes=s, input_files=None, exec_stats=None))
+            for i, s in enumerate(sizes)]
+
+
 def test_group_blocks():
     # runs of blocks under the minimum share a map group, closed once
     # they reach it; a block at or over it, or of unknown size, is alone
     sizes = [10, 10, 100, 5, 5, 5, None, 50, 20, 1]
-    assert _group_blocks(list(enumerate(sizes)), 20, 1) == [
-        [0, 1], [2], [3, 4, 5], [6], [7], [8], [9]]
-    assert _group_blocks([(i, 20) for i in range(4)], 20, 1) == [[0], [1], [2], [3]]
-    assert _group_blocks([], 20, 4) == []
-    # a side of 12 x 10 bytes keeps 4 groups, not 1, at min_groups=4
-    assert _group_blocks([(i, 10) for i in range(12)], 1000, 1) == [list(range(12))]
-    assert _group_blocks([(i, 10) for i in range(12)], 1000, 4) == [
-        [0, 1, 2], [3, 4, 5], [6, 7, 8], [9, 10, 11]]
+    assert _group_blocks([_sized(sizes)], 20, 1) == [[
+        [0, 1], [2], [3, 4, 5], [6], [7], [8], [9]]]
+    assert _group_blocks([_sized([20] * 4)], 20, 1) == [[[0], [1], [2], [3]]]
+    assert _group_blocks([[]], 20, 4) == [[]]
+    # a side of 12 x 10 bytes keeps 4 groups, not 1, at 4 CPUs
+    assert _group_blocks([_sized([10] * 12)], 1000, 1) == [[list(range(12))]]
+    assert _group_blocks([_sized([10] * 12)], 1000, 4) == [[
+        [0, 1, 2], [3, 4, 5], [6, 7, 8], [9, 10, 11]]]
+    # the minimum comes from the whole shuffle's bytes: two such sides
+    # at 4 CPUs keep 2 groups each, not 4
+    assert _group_blocks([_sized([10] * 12)] * 2, 1000, 4) == [
+        [list(range(6)), list(range(6, 12))]] * 2
+    # empty blocks are dropped, whatever size they claim
+    assert _group_blocks([_sized([0, 30]) + _sized([50], rows=0)], 20, 1) == [[[0], [1]]]
 
 
 def test_bucket_shuffle_tiny_blocks_same_buckets(ray_session, monkeypatch):

@@ -209,7 +209,6 @@ def test_single_file_crawl_shaped(ray_session, tmp_path, monkeypatch):
     them empty. The one-file WARC still equals serialize_batch over the
     rows sorted by seq, the lazy read executes once, and a failed write
     leaves no range directory."""
-    import ray
     import ray.data as rd
     from ray.data._internal.execution.streaming_executor import StreamingExecutor
 
@@ -243,7 +242,7 @@ def test_single_file_crawl_shaped(ray_session, tmp_path, monkeypatch):
                         str(tmp_path / "bad.warc.gz"))
     assert sorted(os.listdir(tmp_path)) == ["bad.warc.gz", "crawl.warc.gz", "records"]
     # the range key is monotone over the whole span a seq can take
-    bounds = [ray.put(b) for b in [(5, 9), None, (2**62, 2**63 - 1), (-1, 0)]]
+    bounds = [(5, 9), None, (2**62, 2**63 - 1), (-1, 0)]
     key = seq_ranges(bounds)(np.array([-1, 0, 2**62, 2**63 - 2, 2**63 - 1]))
     assert key.tolist() == [0, 0, 1, 3, 3]
 

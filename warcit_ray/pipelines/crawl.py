@@ -79,7 +79,7 @@ import pyarrow.parquet as pq
 from ..codecs import MIME_BY_FMT
 from ..functions.digests import record_id_batch, sha1_b32_batch
 from ..functions.urls import surt_batch, surt_hash64_batch, surt_host_batch
-from ..stages.shuffle import bucket_shuffle
+from ..stages.shuffle import bucket_shuffle, cluster_cpus, gather, task
 from ..state.shards import ADMIT_SCHEMA, _pylist
 
 FRONTIER_SCHEMA = pa.schema(
@@ -515,9 +515,7 @@ class _FragmentRegistry:
 
     def __init__(self):
         self._refs: dict = {}
-        import ray
-
-        self._read = ray.remote(num_cpus=0)(_read_fragment_table)
+        self._read = task(_read_fragment_table, num_cpus=0)
 
     def get_or_build(self, path: str):
         ref = self._refs.get(path)
@@ -796,29 +794,24 @@ class CrawlCheckpoint:
         """The links of generation ``g`` that a checkpoint written before
         each generation offered its own links kept unoffered (a
         ``next_frontier/`` part directory or, older still, one
-        ``next_frontier.parquet``), or None. The parts load via remote
+        ``next_frontier.parquet``). The parts load via remote
         read tasks into the OBJECT STORE — the driver gets back (ref,
         rows) pairs (row counts from the parquet footers, no data read
         driver-side), the carrier crawl() probes before its first admit."""
         import glob
-
-        import ray
 
         d = self.gen_dir(g)
         legacy = os.path.join(d, "next_frontier.parquet")
         paths = [legacy] if os.path.exists(legacy) else sorted(
             glob.glob(os.path.join(d, "next_frontier", "*.parquet")))
 
-        def _load(path: str) -> pa.Table:
-            return pq.read_table(path)
-
-        load = ray.remote(num_cpus=0.5)(_load)
+        load = task(pq.read_table)
         out = []
         for p in paths:
             rows = pq.ParquetFile(p).metadata.num_rows
             if rows:
                 out.append((load.remote(p), rows))
-        return out or None
+        return out
 
 
 class _Layer(NamedTuple):
@@ -841,18 +834,15 @@ class _Plane:
     wave_args: tuple
     affinity_fn: object
     ckpt: CrawlCheckpoint | None
-    # the cluster's CPUs, read once per crawl: a fetch wave's slice count
-    # is a multiple of it (_slice_count)
-    cpus: int
 
 
-def _put_slices(table: pa.Table, rows: int) -> list | None:
+def _put_slices(table: pa.Table, rows: int) -> list:
     """Seeds -> the ref carrier: ``rows``-row slices put into the object
     store once (Ray Data's Arrow serializer ships only a slice's rows)."""
     import ray
 
     return [(ray.put(table.slice(lo, rows)), min(rows, table.num_rows - lo))
-            for lo in range(0, table.num_rows, rows)] or None
+            for lo in range(0, table.num_rows, rows)]
 
 
 def _probe_offer(plane: _Plane, carrier) -> tuple[int, _Layer]:
@@ -860,14 +850,10 @@ def _probe_offer(plane: _Plane, carrier) -> tuple[int, _Layer]:
     resumed checkpoint's legacy next frontier) -> (offered, layer): one
     ref-tier task per ref, each reading its table from the object
     store. Every later link is offered inside the fetch wave."""
-    import ray
-
     t0 = time.monotonic()
-    if not carrier:
-        return 0, _Layer(0, 0, time.monotonic() - t0)
-    offered = sum(ray.get([
-        _task(probe_and_offer_batch).remote(r, plane.seen_actors, plane.host_actors)
-        for r, _ in carrier]))
+    probe = task(probe_and_offer_batch)
+    offered = sum(gather([probe.remote(r, plane.seen_actors, plane.host_actors)
+                          for r, _ in carrier]))
     return offered, _Layer(sum(c for _, c in carrier), offered, time.monotonic() - t0)
 
 
@@ -909,16 +895,6 @@ def _split(n: int, m: int) -> list[tuple[int, int]]:
     return [(n * i // m, n * (i + 1) // m - n * i // m) for i in range(m)]
 
 
-@functools.lru_cache(maxsize=8)
-def _task(fn):
-    """``fn`` as a one-CPU Ray task, decorated once per process and
-    function: each fresh ``ray.remote`` exports the function again and
-    every worker fetches it again."""
-    import ray
-
-    return ray.remote(num_cpus=1)(fn)
-
-
 def _fetch_plan(admitted: pa.Table, affinity_fn) -> pa.Table:
     """Bucket-affine dispatch (the map side of a co-partitioned join):
     rows sort by corpus bucket, so each even slice of the dispatch table
@@ -934,36 +910,27 @@ def _fetch_plan(admitted: pa.Table, affinity_fn) -> pa.Table:
 def _fetch(plane: _Plane, g: int, admitted: pa.Table) -> tuple[dict, _Layer]:
     """Phase 3, the fetch wave: the dispatch table (:func:`_fetch_plan`)
     is split evenly into :func:`_slice_count` slices, and each slice is
-    fetched, its links exploded,
-    seen-probed and offered in one :func:`fetch_wave_batch` task ->
-    (meta summed over the slices plus their count, ``slices``; layer).
-    With a checkpoint, slice ``i`` writes its records to
-    ``gen=g/records.tmp/part-<i>.parquet``, so sorted part names keep
-    dispatch order. If the wave fails, every task still in flight is
-    cancelled and waited for before the error propagates: none can
-    write into a later run's ``records.tmp``."""
+    fetched, its links exploded, seen-probed and offered in one
+    :func:`fetch_wave_batch` task -> (meta summed over the slices plus
+    their count, ``slices``; layer). With a checkpoint, slice ``i``
+    writes its records to ``gen=g/records.tmp/part-<i>.parquet``, so
+    sorted part names keep dispatch order. A failed wave leaves no task
+    running (:func:`gather`) to write into a later run's ``records.tmp``."""
     import ray
 
     t0 = time.monotonic()
     n = admitted.num_rows
     if n == 0:
         return dict.fromkeys(WAVE_META + ("slices",), 0), _Layer(0, 0, time.monotonic() - t0)
-    slices = _split(n, _slice_count(n, plane.cpus))
+    slices = _split(n, _slice_count(n, cluster_cpus()))
     dispatch = ray.put(_fetch_plan(admitted, plane.affinity_fn))
     part_dir = plane.ckpt.records_tmp(g) if plane.ckpt is not None else None
-    fetch_task = _task(fetch_wave_batch)
-    refs = [fetch_task.remote(dispatch, lo, rows, *plane.wave_args,
-                              None if part_dir is None
-                              else os.path.join(part_dir, "part-%06d.parquet" % i))
-            for i, (lo, rows) in enumerate(slices)]
-    try:
-        metas = ray.get(refs)
-    except BaseException:
-        for r in refs:
-            ray.cancel(r)
-        ray.wait(refs, num_returns=len(refs))
-        raise
-    meta = dict(zip(WAVE_META, map(sum, zip(*metas))), slices=len(refs))
+    fetch = task(fetch_wave_batch)
+    metas = gather([fetch.remote(dispatch, lo, rows, *plane.wave_args,
+                                 None if part_dir is None
+                                 else os.path.join(part_dir, "part-%06d.parquet" % i))
+                    for i, (lo, rows) in enumerate(slices)])
+    meta = dict(zip(WAVE_META, map(sum, zip(*metas))), slices=len(metas))
     return meta, _Layer(n, meta["links"], time.monotonic() - t0)
 
 
@@ -1102,9 +1069,7 @@ def crawl(
         seen_actors=lease.seen, host_actors=lease.host,
         wave_args=tuple(ray.put(a) for a in (fetch_fn, fetch_args, explode_fn,
                                              lease.seen, lease.host)),
-        affinity_fn=fetch_affinity_fn, ckpt=ckpt,
-        cpus=max(1, int(ray.cluster_resources().get("CPU", 1))),
-    )
+        affinity_fn=fetch_affinity_fn, ckpt=ckpt)
     try:
         start_gen = ckpt.restore(lease.seen, lease.host) if resume else 0
         # built in the call, not bound here: the loop alone pins the carrier

@@ -32,7 +32,7 @@ from ..config import WarcitConfig
 from ..sinks.warc_sink import _prepare, pin_layout, write_ranges, write_shards, write_warc_file
 from ..sources.seeds import PayloadLoader, enumerate_seeds, part_of_seq
 from ..stages.build_records import RecordBuilder, warcinfo_row
-from ..stages.shuffle import block_meta, blocks_dataset, dataset_blocks
+from ..stages.shuffle import block_meta, blocks_dataset, cluster_cpus, dataset_blocks, gather, task
 
 
 def slice_bounds(sizes: np.ndarray, min_slices: int, max_bytes: int) -> list[int]:
@@ -72,23 +72,18 @@ def slice_wave(table: pa.Table, sizes, fn, *args, lead=()):
     per row; :func:`slice_bounds`), and one plain task per slice running
     ``fn(*args, slice)``. ``fn``, each arg and the table are put once; a
     task gets their refs and its slice's bounds, and slices in the
-    worker. Returns, once every slice has run, a Dataset over the
-    ``lead`` tables (put from the driver) and the slices' blocks, in
-    slice order (``blocks_dataset``, from the metadata the tasks return
-    beside their blocks): no Ray Data operator or metadata task runs,
-    and however many consumers read the Dataset, each slice runs once."""
+    worker. Returns, once every slice has run, a ``blocks_dataset`` over
+    the ``lead`` tables (put from the driver) and the slices' blocks, in
+    slice order: however many consumers read it, each slice runs once."""
     import ray
     from ray.data import DataContext
 
-    bounds = slice_bounds(np.asarray(sizes),
-                          max(1, int(ray.cluster_resources().get("CPU", 1))),
+    bounds = slice_bounds(np.asarray(sizes), cluster_cpus(),
                           DataContext.get_current().target_max_block_size)
-    task = ray.remote(_run_slice).options(num_returns=2)
+    run = task(_run_slice, num_returns=2)
     refs = [ray.put(a) for a in (fn, *args, table)]
-    outs = [task.remote(*refs, a, b - a) for a, b in zip(bounds[:-1], bounds[1:])]
-    metas = ray.get([meta for _, meta in outs])
-    return blocks_dataset([(ray.put(t), block_meta(t)) for t in lead]
-                          + [(block, meta) for (block, _), meta in zip(outs, metas)])
+    return blocks_dataset([(ray.put(t), block_meta(t)) for t in lead] + gather(
+        [run.remote(*refs, a, b - a) for a, b in zip(bounds[:-1], bounds[1:])]))
 
 
 def _build_slice(cfg: WarcitConfig, candidates: pa.Table) -> pa.Table:
@@ -166,9 +161,9 @@ def logfile_table(records_ds) -> "pa.Table":
     scale only (the scale path is :func:`write_logfile_shards`)."""
     import ray
 
-    prep = ray.remote(_prepare).options(num_returns=2)
-    tables = ray.get([prep.remote(logfile_rows, ref)[0]
-                      for ref, _ in dataset_blocks(records_ds)])
+    prep = task(_prepare, num_returns=2)
+    tables = ray.get([t for t, _ in gather([prep.remote(logfile_rows, ref)
+                                            for ref, _ in dataset_blocks(records_ds)])])
     if not tables:
         return pa.table({c: pa.array([], pa.string()) for c in LOGFILE_COLUMNS})
     return pa.concat_tables(tables).sort_by("seq").drop_columns(["seq"])

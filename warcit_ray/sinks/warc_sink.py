@@ -35,7 +35,7 @@ import pyarrow as pa
 
 from ..functions.digests import row_bytes
 from ..sources.seeds import part_of_seq
-from ..stages.shuffle import dataset_blocks, shuffle_blocks
+from ..stages.shuffle import block_meta, dataset_blocks, gather, shuffle_blocks, task
 
 REVISIT_PROFILE = "http://netpreserve.org/warc/1.0/revisit/identical-payload-digest"
 
@@ -124,21 +124,20 @@ def serialize_rows(t: pa.Table, gzip_members: bool = True) -> pa.Table:
 
 
 def _prepare(prepare, block, *args) -> tuple:
-    """``prepare`` over a block, as an Arrow table, and its (min, max) ``seq``."""
+    """``prepare`` over a block, as an Arrow table, and (its
+    ``block_meta``, its (min, max) ``seq``)."""
     from ray.data.block import BlockAccessor
 
     t = prepare(BlockAccessor.for_block(block).to_arrow(), *args)
     seq = t.column("seq").to_numpy()
-    return t, ((int(seq.min()), int(seq.max())) if len(seq) else None)
+    return t, (block_meta(t), (int(seq.min()), int(seq.max())) if len(seq) else None)
 
 
 def seq_ranges(bounds: list):
     """The single-file sinks' part function: the merged span ``[lo, hi]``
     of the blocks' (min, max) seq ``bounds`` cut into one range per
     block, ``(seq - lo) // ceil((hi - lo + 1) / blocks)`` in uint64."""
-    import ray
-
-    got = [b for b in ray.get(bounds) if b] or [(0, 0)]
+    got = [b for b in bounds if b] or [(0, 0)]
     lo, hi = min(b[0] for b in got), max(b[1] for b in got)
     width = np.uint64(-(-(hi - lo + 1) // max(1, len(bounds))))
     return lambda seq: ((seq.astype(np.int64, copy=False).view(np.uint64)
@@ -148,16 +147,16 @@ def seq_ranges(bounds: list):
 def write_shards(ds, prepare, args: tuple, part_of, write_shard,
                  batch_format: str = "pyarrow") -> list[tuple[str, int]]:
     """The sinks' one shape: ``prepare(table, *args)`` runs as a task on
-    each block of ``ds`` beside its (min, max) ``seq``, whose refs are the
+    each block of ``ds`` and returns its (min, max) ``seq``, the
     ``bounds``; one shuffle sends each row to part ``part_of(bounds)(seq)``;
     ``write_shard(part, rows)`` writes a part and returns its manifest
     row (``path``, ``records``). Returns the manifest, sorted by path."""
     import ray
 
-    prep = ray.remote(_prepare).options(num_returns=2)
-    blocks = [(prep.remote(prepare, ref, *args), size) for ref, size in dataset_blocks(ds)]
-    key = part_of([b for (_, b), _ in blocks])
-    parts = shuffle_blocks([(t, size) for (t, _), size in blocks],
+    prep = task(_prepare, num_returns=2)
+    blocks = gather([prep.remote(prepare, ref, *args) for ref, _ in dataset_blocks(ds)])
+    key = part_of([bounds for _, (_, bounds) in blocks])
+    parts = shuffle_blocks([(t, meta) for t, (meta, _) in blocks],
                            lambda t: key(t["seq"].to_numpy()),
                            write_shard, batch_format=batch_format)
     return sorted(row for t in ray.get([ref for ref, meta in parts if meta.num_rows])

@@ -18,6 +18,8 @@ from __future__ import annotations
 
 import os
 
+from ..stages.shuffle import cluster_cpus
+
 
 def table_path(sf_dir: str, name: str) -> tuple[str, str]:
     """-> (format, path); lance dataset dirs take precedence."""
@@ -51,7 +53,7 @@ def read_table(sf_dir: str, name: str, columns=None,
                 "lance table at %s requires the 'pylance' package, which "
                 "is not installed in this environment" % path) from e
     if blocks is None:
-        cpus = int(ray.cluster_resources().get("CPU", 8)) if ray.is_initialized() else 8
+        cpus = cluster_cpus() if ray.is_initialized() else 8
         # ~0.75 MB of file per block, capped by cluster CPUs
         blocks = max(1, min(2 * cpus, os.path.getsize(path) // 786_432))
     return rd.read_parquet(path, columns=columns, override_num_blocks=int(blocks))

@@ -35,7 +35,8 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from .shuffle import block_meta, blocks_dataset, dataset_blocks, key_buckets, shuffle_blocks
+from .shuffle import (block_meta, blocks_dataset, dataset_blocks, gather, key_buckets,
+                      shuffle_blocks, task)
 
 _EMPTY = pa.schema([pa.field("member", pa.int64()),
                     pa.field("component", pa.int64())])
@@ -56,25 +57,18 @@ def connected_components(pairs, *, id_a: str = "id_a", id_b: str = "id_b",
     from .dedup import _coarse_bucket_count
 
     edges = dataset_blocks(pairs)
-    if not edges:
-        empty = _EMPTY.empty_table()
-        return blocks_dataset([(ray.put(empty), block_meta(empty))])
     # a pair row holds at least two int64 ids
-    num_buckets = _coarse_bucket_count(sum(size or 0 for _, size in edges) // 16)
-    split = ray.remote(_split_dropped).options(num_returns=4)
+    num_buckets = _coarse_bucket_count(sum(meta.size_bytes or 0 for _, meta in edges) // 16)
+    split = task(_split_dropped, num_returns=3)
 
     def by(col: str):
         return key_buckets(col, num_buckets)
 
-    def sides(parts) -> list:
-        return [(ref, meta.size_bytes) for ref, meta in parts if meta.num_rows]
-
     def settled(parts) -> tuple:
         """The min shuffle's parts -> (labels, dropped) parts."""
-        outs = [split.remote(ref) for ref, _ in sides(parts)]
-        metas = ray.get([meta for out in outs for meta in out[1::2]])
-        return ([(out[0], meta) for out, meta in zip(outs, metas[::2])],
-                [(out[2], meta) for out, meta in zip(outs, metas[1::2])])
+        outs = gather([split.remote(ref) for ref, meta in parts if meta.num_rows])
+        return ([(labels, meta) for labels, _, (meta, _) in outs],
+                [(dropped, meta) for _, dropped, (_, meta) in outs])
 
     def seed(_bucket: int, rows: tuple) -> pa.Table:
         ids, lbls, own = [], [], []
@@ -113,11 +107,12 @@ def connected_components(pairs, *, id_a: str = "id_a", id_b: str = "id_b",
     dropped = []
     for _ in range(max_iters):
         proposals = shuffle_blocks(
-            (sides(labels), edges, edges, sides(labels), sides(dropped)),
+            (labels, edges, edges, labels, dropped),
             (by("member"), by(id_a), by(id_b), by("component"), by("prev")), propose)
-        labels, dropped = settled(shuffle_blocks(sides(proposals), by("id"), keep_min))
+        labels, dropped = settled(shuffle_blocks(proposals, by("id"), keep_min))
         if not any(meta.num_rows for _, meta in dropped):
-            return blocks_dataset(labels)
+            empty = _EMPTY.empty_table()  # no pair: no label, but a schema
+            return blocks_dataset(labels or [(ray.put(empty), block_meta(empty))])
     # callers treat the output as exact; a component whose labels still
     # dropped in the last round would come back unconverged
     raise RuntimeError(
@@ -141,8 +136,8 @@ def _min_labels(ids: np.ndarray, lbls: np.ndarray, own: np.ndarray) -> pa.Table:
 
 
 def _split_dropped(block) -> tuple:
-    """A part of the min shuffle -> (its (member, component) block, that
-    block's ``block_meta``, its rows whose label dropped, their meta)."""
+    """A part of the min shuffle -> (its (member, component) block, its
+    rows whose label dropped, both blocks' ``block_meta``)."""
     labels = block.select(["member", "component"])
     dropped = block.filter(pc.less(block.column("component"), block.column("prev")))
-    return labels, block_meta(labels), dropped, block_meta(dropped)
+    return labels, dropped, (block_meta(labels), block_meta(dropped))

@@ -53,9 +53,11 @@ from .shuffle import (
     block_meta,
     blocks_dataset,
     dataset_blocks,
+    gather,
     key_buckets,
     mix_buckets,
     shuffle_blocks,
+    task,
 )
 from .text import md5_batch
 
@@ -68,14 +70,13 @@ def _shuffle_on_md5(wave_fn, ds, args: tuple, per_bucket):
     one plain task per block runs ``wave_fn(block, *args)`` (a table
     carrying ``text_md5_i64``, and its ``block_meta``); one bucket
     shuffle of those tables on ``text_md5_i64``, sized by their row
-    counts, runs ``per_bucket``. Returns a Dataset over the non-empty
-    parts. No Ray Data operator runs after the read."""
-    blocks = _block_wave(wave_fn, dataset_blocks(ds), *args)
+    counts, runs ``per_bucket``. Returns a Dataset over the parts. No
+    Ray Data operator runs after the read."""
+    wave = task(wave_fn, num_returns=2)
+    blocks = gather([wave.remote(ref, *args) for ref, _ in dataset_blocks(ds)])
     n_rows = sum(meta.num_rows for _, meta in blocks)
-    parts = shuffle_blocks([(ref, meta.size_bytes) for ref, meta in blocks],
-                           key_buckets("text_md5_i64", _coarse_bucket_count(n_rows)),
-                           per_bucket)
-    return blocks_dataset([(ref, meta) for ref, meta in parts if meta.num_rows])
+    return blocks_dataset(shuffle_blocks(
+        blocks, key_buckets("text_md5_i64", _coarse_bucket_count(n_rows)), per_bucket))
 
 
 def _partial_groups(block, id_col: str, text_col: str) -> tuple:
@@ -532,13 +533,12 @@ def _emit_pairs_bulk(df: pd.DataFrame, bkey_col: str, id_col: str,
 
 def _band_pair_rows(bands: list, bkey_col: str, id_col: str, n_rows: int, *,
                     extra_cols=(), bucket_cap: int = 256, pair_filter=None) -> list:
-    """The candidate emit shuffle over band blocks (``(ref, size)``):
-    one bulk emit per coarse bucket of band rows on ``mix(bkey) % B``
-    (~1M rows each), then the in-frame pair dedup. Returns the
-    non-empty parts as ``(ref, block_meta)``. Pairs are distinct within
-    a bucket only: a pair that collides in bands hashing to different
-    buckets comes out once per such bucket (:func:`_distinct_pairs`
-    keeps one). ``pair_filter(df)`` (optional, e.g. the Hamming test)
+    """The candidate emit shuffle over band blocks: one bulk emit per
+    coarse bucket of band rows on ``mix(bkey) % B`` (~1M rows each),
+    then the in-frame pair dedup. Returns the parts. Pairs are distinct
+    within a bucket only: a pair that collides in bands hashing to
+    different buckets comes out once per such bucket
+    (:func:`_distinct_pairs` keeps one). ``pair_filter(df)`` (optional, e.g. the Hamming test)
     runs inside the emit, so rejected pairs never shuffle further."""
 
     def emit_bucket(_bucket: int, g: pd.DataFrame) -> pd.DataFrame:
@@ -548,9 +548,8 @@ def _band_pair_rows(bands: list, bkey_col: str, id_col: str, n_rows: int, *,
             out = pair_filter(out)  # applied to empties too: uniform schema
         return out.drop_duplicates(["id_a", "id_b"])
 
-    parts = shuffle_blocks(bands, key_buckets(bkey_col, _coarse_bucket_count(n_rows)),
-                           emit_bucket, batch_format="pandas")
-    return [(ref, meta) for ref, meta in parts if meta.num_rows]
+    return shuffle_blocks(bands, key_buckets(bkey_col, _coarse_bucket_count(n_rows)),
+                          emit_bucket, batch_format="pandas")
 
 
 def _distinct_pairs(parts: list, n_rows: int) -> list:
@@ -568,21 +567,7 @@ def _distinct_pairs(parts: list, n_rows: int) -> list:
     def dedup_bucket(_bucket: int, g: pd.DataFrame) -> pd.DataFrame:
         return g.drop_duplicates(["id_a", "id_b"])
 
-    return shuffle_blocks([(ref, meta.size_bytes) for ref, meta in parts],
-                          pair_buckets, dedup_bucket, batch_format="pandas")
-
-
-def _block_wave(fn, blocks: list, *args, num_returns: int = 2) -> list:
-    """One plain task per ``(ref, size)`` block running ``fn(block,
-    *args)``, whose last return is a small metadata value: returns, per
-    block in order, the task's other refs and that value, once every
-    task has run. No Ray Data operator runs."""
-    import ray
-
-    task = ray.remote(fn).options(num_returns=num_returns)
-    outs = [task.remote(ref, *args) for ref, _ in blocks]
-    metas = ray.get([out[-1] for out in outs])
-    return [(*out[:-1], meta) for out, meta in zip(outs, metas)]
+    return shuffle_blocks(parts, pair_buckets, dedup_bucket, batch_format="pandas")
 
 
 def _coarse_bucket_count(n_rows: int) -> int:
@@ -633,14 +618,14 @@ def _jaccard_sorted_merge(ia: np.ndarray, ib: np.ndarray, sets) -> tuple:
 
 def _pair_halves(block, id_col: str) -> tuple:
     """One task of the verify: a block of pairs (a, b) -> (its halves,
-    keyed on doc a and on doc b in ``id_col``; their size in bytes)."""
+    keyed on doc a and on doc b in ``id_col``; their ``block_meta``)."""
     from ray.data.block import BlockAccessor
 
     t = BlockAccessor.for_block(block).to_arrow()
     a, b = t.column("id_a").to_numpy(), t.column("id_b").to_numpy()
     h = pa.table({id_col: np.concatenate([a, b]), "id_a": np.tile(a, 2),
                   "id_b": np.tile(b, 2)})
-    return h, h.nbytes
+    return h, block_meta(h)
 
 
 def _verify_blocks(pairs: list, docs: list, *, id_col: str, text_col: str,
@@ -650,7 +635,7 @@ def _verify_blocks(pairs: list, docs: list, *, id_col: str, text_col: str,
     per pair costs 1-2 ms of frame overhead, hours of pure dispatch at
     10^10-doc candidate rates). ``pairs`` (blocks of (id_a, id_b)) and
     ``docs`` (the corpus, exactly (``id_col``, ``text_col``), one row
-    per id) are ``(ref, size)`` blocks:
+    per id) are ``(ref, block_meta)`` blocks:
 
     - Attach: each pair (a, b), a != b, splits into two halves keyed on
       doc a and on doc b (one plain task per block of pairs), and one
@@ -664,12 +649,11 @@ def _verify_blocks(pairs: list, docs: list, *, id_col: str, text_col: str,
       one ``_jaccard_sorted_merge`` per bucket scores every pair.
 
     Returns the parts of (id_a, id_b, jaccard), id_a the smaller id,
-    for pairs passing ``threshold``, as ``(ref, block_meta)``; no part
-    when there is no pair. A pair with a side missing from the corpus
-    drops."""
+    for pairs passing ``threshold``; no part when there is no pair. A
+    pair with a side missing from the corpus drops."""
     import pyarrow.compute as pc
 
-    if not pairs:
+    if not any(meta.num_rows for _, meta in pairs):
         return []
     sets_type = pa.large_list(pa.uint64())
 
@@ -702,10 +686,10 @@ def _verify_blocks(pairs: list, docs: list, *, id_col: str, text_col: str,
                          "jaccard": j[keep]})
 
     # keyed on id_col, so one bucket_of serves both shuffle sides
-    halves = _block_wave(_pair_halves, pairs, id_col)
+    halve = task(_pair_halves, num_returns=2)
+    halves = gather([halve.remote(ref, id_col) for ref, meta in pairs if meta.num_rows])
     attached = shuffle_blocks((halves, docs), key_buckets(id_col, num_buckets), attach)
-    return shuffle_blocks([(ref, meta.size_bytes) for ref, meta in attached
-                           if meta.num_rows], pair_buckets, row_jaccard)
+    return shuffle_blocks(attached, pair_buckets, row_jaccard)
 
 
 def components_from_pairs(pairs: list[tuple]) -> list[tuple]:
@@ -812,11 +796,11 @@ def near_dup_pairs(ds, *, num_perm: int = 64, num_bands: int = 16,
     store. One signature task per block projects it to (id, text) — a
     block of exactly those columns is the corpus as it is, no copy —
     and computes its signatures and band rows together (the signatures
-    never leave the task); each task returns its blocks' row counts and
-    sizes beside them, which the driver sums. Three bucket shuffles
-    follow over those refs: the candidate emit (``_band_pair_rows``,
-    pairs not yet distinct) and the two of ``_verify_blocks``; each
-    returns its parts' row counts, and empty parts drop.
+    never leave the task); each task returns its blocks' ``block_meta``
+    beside them, which the driver sums. Three bucket shuffles follow
+    over those blocks: the candidate emit (``_band_pair_rows``, pairs
+    not yet distinct) and the two of ``_verify_blocks``; each skips the
+    empty parts of the one before.
 
     The stats: ``docs``, ``band_rows``, ``candidate_rows`` (emitted
     pair rows; a pair repeats once per emit bucket it collides in),
@@ -828,23 +812,20 @@ def near_dup_pairs(ds, *, num_perm: int = 64, num_bands: int = 16,
     t0 = time.perf_counter()
     blocks = dataset_blocks(ds)
     t1 = time.perf_counter()
+    sign = task(_signature_block, num_returns=3)
     corpus, bands = [], []
-    for (ref, _), (docs, band, (as_is, docs_meta, band_meta)) in zip(blocks, _block_wave(
-            _signature_block, blocks, id_col, num_perm, shingle_k, num_bands,
-            num_returns=3)):
+    for (ref, _), (docs, band, (as_is, docs_meta, band_meta)) in zip(blocks, gather([
+            sign.remote(ref, id_col, num_perm, shingle_k, num_bands) for ref, _ in blocks])):
         corpus.append((ref if as_is else docs, docs_meta))
         bands.append((band, band_meta))
     n_rows = sum(meta.num_rows for _, meta in bands)
     t2 = time.perf_counter()
-    pairs = _band_pair_rows([(ref, meta.size_bytes) for ref, meta in bands], "bkey",
-                            id_col, n_rows, bucket_cap=bucket_cap)
+    pairs = _band_pair_rows(bands, "bkey", id_col, n_rows, bucket_cap=bucket_cap)
     t3 = time.perf_counter()
     # repeated pairs are fine: the verify's attach shuffle drops them
     verified = _pairs_frame(_verify_blocks(
-        [(ref, meta.size_bytes) for ref, meta in pairs],
-        [(ref, meta.size_bytes) for ref, meta in corpus], id_col=id_col,
-        text_col="text", threshold=threshold, shingle_k=shingle_k,
-        num_buckets=8), "jaccard")
+        pairs, corpus, id_col=id_col, text_col="text", threshold=threshold,
+        shingle_k=shingle_k, num_buckets=8), "jaccard")
     t4 = time.perf_counter()
     return verified, {
         "docs": sum(meta.num_rows for _, meta in corpus), "band_rows": n_rows,
@@ -1022,8 +1003,9 @@ def _hamming_pairs(ds, *, sig_col: str, id_col: str, max_hamming: int,
         raise ValueError("banded_hamming_pairs supports max_hamming <= 7 "
                          "(8 chunks of 8 bits); got %d" % max_hamming)
     n_chunks = 4 if max_hamming <= 3 else 8
-    chunks = _block_wave(_chunk_block, dataset_blocks(ds), sig_col, id_col,
-                         n_chunks, tok_hash)
+    chunk = task(_chunk_block, num_returns=2)
+    chunks = gather([chunk.remote(ref, sig_col, id_col, n_chunks, tok_hash)
+                     for ref, _ in dataset_blocks(ds)])
     n_rows = sum(meta.num_rows for _, meta in chunks)
 
     def ham_filter(df: pd.DataFrame) -> pd.DataFrame:
@@ -1032,8 +1014,7 @@ def _hamming_pairs(ds, *, sig_col: str, id_col: str, max_hamming: int,
         out = df[["id_a", "id_b"]].assign(hamming=d)
         return out[out["hamming"] <= max_hamming]
 
-    emitted = _band_pair_rows([(ref, meta.size_bytes) for ref, meta in chunks],
-                              "bkey", id_col, n_rows, extra_cols=["sig"],
+    emitted = _band_pair_rows(chunks, "bkey", id_col, n_rows, extra_cols=["sig"],
                               bucket_cap=bucket_cap, pair_filter=ham_filter)
     out = _pairs_frame(_distinct_pairs(emitted, n_rows), "hamming",
                        id_dtype="object", score_dtype="int64")

@@ -1,32 +1,37 @@
-"""The bucket shuffle: the engine's one hand-rolled all-to-all.
+"""The engine's one task wave and its one all-to-all, the bucket shuffle.
+
+Every plain Ray task of the engine is decorated once per process by
+:func:`task`, and each wave of them is waited for by :func:`gather`,
+which fails it with its first task error. Blocks travel as ``(block
+ref, block_meta)`` (:func:`dataset_blocks`; a task that builds a block
+returns its :func:`block_meta` beside it), so the driver sums row
+counts and :func:`blocks_dataset` makes a Dataset without reading one.
 
 The bucketed joins, q3, top customers, sessionize and the corpus
 fragment writer run :func:`bucket_shuffle` on Datasets; the dedup
 family (exact dedup, the LSH candidate emit and its pair dedup, the
 near-dup Jaccard verify, embedding near-dup), connected components
-and the WARC and CSV sinks run :func:`shuffle_blocks` on block refs.
+and the WARC and CSV sinks run :func:`shuffle_blocks` on block pairs.
 Both are one two-stage hash shuffle over plain Ray tasks and objects
 (the Exoshuffle design), not a Ray Data operator. The non-empty input
 blocks form ``R`` map groups: a block of Ray Data's
 ``target_min_block_size`` or more is a group of its own, and runs of
 smaller consecutive blocks of one side share a group (a shuffle makes
 ``R``² slices, so a Dataset of one-row blocks would otherwise cost
-``rows``² objects), a side keeping one group per cluster CPU where it
-has the blocks. :func:`split_block` runs once per group and returns
+``rows``² objects), that minimum lowered to the whole shuffle's bytes
+per cluster CPU. :func:`split_block` runs once per group and returns
 ``R`` slices, row ``i`` in slice ``bucket_of(group)[i] % R``;
 :func:`reduce_part` runs once per part, groups that part's slices by
 bucket and calls ``per_bucket(bucket_id, rows)`` once per bucket
-holding rows, so an empty bucket gets no call. No row reaches the
-driver, and ``bucket_of`` and ``per_bucket`` run only in workers.
-:func:`shuffle_blocks` is the shuffle itself, over block refs: each
-reduce task returns its part's block metadata (rows, bytes, schema)
-beside the block, so a caller learns every part's size without a
-``count()`` and a Dataset over the parts (:func:`blocks_dataset`) needs
-no metadata task. :func:`bucket_shuffle` runs it on Datasets.
+holding rows, so an empty bucket gets no call, and returns its part's
+block and ``block_meta``. No row reaches the driver, and ``bucket_of``
+and ``per_bucket`` run only in workers.
 """
 
 from __future__ import annotations
 
+import contextlib
+import functools
 from uuid import uuid4
 
 import numpy as np
@@ -84,26 +89,30 @@ def split_block(bucket_of, num_parts: int, *blocks):
     return slices if num_parts > 1 else slices[0]
 
 
-def _group_blocks(blocks, min_bytes: int, min_groups: int) -> list[list]:
-    """One side's non-empty ``(ref, size_bytes)`` blocks, in order, as
-    map groups of refs: a block of ``min_bytes`` or more (or of unknown
-    size) alone, and each run of smaller consecutive blocks together,
-    a run closing once its blocks sum to ``min_bytes``. ``min_bytes``
-    is first lowered to the side's bytes over ``min_groups``: a
-    shuffle's input size says little of its ``per_bucket`` work (the
-    LSH emit turns 32k band rows of 2k docs into 470k pairs), so a
-    small side still spreads over the cluster's CPUs."""
-    min_bytes = min(min_bytes, sum(size or 0 for _, size in blocks) // min_groups)
-    groups, run_bytes = [], min_bytes  # >= min_bytes: the next block opens a group
-    for ref, size in blocks:
-        big = size is None or size >= min_bytes
-        if big or run_bytes >= min_bytes:
-            groups.append([ref])
-            run_bytes = min_bytes if big else size
-        else:
-            groups[-1].append(ref)
-            run_bytes += size
-    return groups
+def _group_blocks(sides, min_bytes: int, cpus: int) -> list[list[list]]:
+    """Each side's non-empty ``(ref, block_meta)`` blocks as map groups
+    of refs, in order: a block of ``min_bytes`` or more (or of unknown
+    size) alone, and each run of a side's smaller blocks together until
+    they sum to ``min_bytes``, first lowered to the whole shuffle's
+    bytes over ``cpus``: input size says little of ``per_bucket``'s work
+    (the LSH emit turns 32k band rows of 2k docs into 470k pairs), so a
+    small shuffle still spreads over the cluster."""
+    sides = [[(ref, meta.size_bytes) for ref, meta in side if meta.num_rows != 0]
+             for side in sides]
+    min_bytes = min(min_bytes, sum(size or 0 for side in sides for _, size in side) // cpus)
+    out = []
+    for side in sides:
+        groups, run_bytes = [], min_bytes  # >= min_bytes: the next block opens a group
+        for ref, size in side:
+            big = size is None or size >= min_bytes
+            if big or run_bytes >= min_bytes:
+                groups.append([ref])
+                run_bytes = min_bytes if big else size
+            else:
+                groups[-1].append(ref)
+                run_bytes += size
+        out.append(groups)
+    return out
 
 
 def _by_bucket(slices) -> dict:
@@ -131,8 +140,7 @@ def reduce_part(per_bucket, batch_format: str, multi: bool, groups_per_side,
     """Reduce stage: one part's slices, one per map group,
     ``groups_per_side[i]`` of them for side ``i`` in side order, -> (one
     block of ``per_bucket`` outputs, one call per bucket with rows on
-    some side, ascending; its :func:`block_meta`, a small return whose
-    ``ray.get`` surfaces the task's error without fetching the block).
+    some side, ascending; its :func:`block_meta`).
     The outputs concatenate in Ray Data's block builder, which unifies
     their schemas and skips empty ones."""
     from ray.data._internal.delegating_block_builder import DelegatingBlockBuilder
@@ -151,11 +159,18 @@ def reduce_part(per_bucket, batch_format: str, multi: bool, groups_per_side,
 
 def block_meta(block):
     """A block's ``BlockMetadataWithSchema`` (rows, bytes, schema), as
-    ``rd.from_arrow_refs`` computes it in a task of its own: a task that
-    builds a block returns this beside it."""
-    from ray.data.block import BlockExecStats, BlockMetadataWithSchema
+    ``rd.from_arrow_refs`` computes it in a task of its own; an empty
+    block is 0 bytes (Ray's estimate samples a pandas block's object
+    columns, which logs a warning on zero rows)."""
+    from ray.data.block import (BlockAccessor, BlockExecStats, BlockMetadata,
+                                BlockMetadataWithSchema)
 
-    return BlockMetadataWithSchema.from_block(block, stats=BlockExecStats.builder().build())
+    stats = BlockExecStats.builder().build()
+    acc = BlockAccessor.for_block(block)
+    if acc.num_rows():
+        return BlockMetadataWithSchema.from_block(block, stats=stats)
+    return BlockMetadataWithSchema(BlockMetadata(num_rows=0, size_bytes=0, input_files=None,
+                                                 exec_stats=stats), acc.schema())
 
 
 def blocks_dataset(parts):
@@ -190,65 +205,118 @@ def blocks_dataset(parts):
 
 
 def dataset_blocks(ds) -> list:
-    """``(block ref, size in bytes)`` of each non-empty block of ``ds``,
-    in order. A Dataset whose blocks already exist (``from_arrow_refs``,
+    """``(block ref, block_meta)`` of each non-empty block of ``ds``, in
+    order. A Dataset whose blocks already exist (``from_arrow_refs``,
     ``materialize``) hands them over as they are; any other runs to
     completion first. Ray Data's own ``iter_internal_ref_bundles``
     starts its streaming executor even for the first kind, 30-40 ms a
     call."""
     from ray.data._internal.logical.interfaces import SourceOperator
+    from ray.data.block import BlockMetadataWithSchema
 
     dag = ds._logical_plan.dag
     bundles = dag.output_data() if isinstance(dag, SourceOperator) else None
     if bundles is None:
         bundles = ds.iter_internal_ref_bundles()
-    return [(ref, meta.size_bytes) for bundle in bundles
+    return [(ref, BlockMetadataWithSchema(meta, bundle.schema)) for bundle in bundles
             for ref, meta in bundle.blocks if meta.num_rows != 0]
+
+
+def session_key() -> tuple:
+    """The Ray session: (job id, node id), new for each driver and cluster."""
+    import ray
+
+    ctx = ray.get_runtime_context()
+    return ctx.get_job_id(), ctx.get_node_id()
+
+
+def cluster_cpus() -> int:
+    """The cluster's CPU count, read once per Ray session."""
+    return _cpus(session_key())
+
+
+@functools.lru_cache(maxsize=1)
+def _cpus(_session: tuple) -> int:
+    import ray
+
+    return max(1, int(ray.cluster_resources().get("CPU", 1)))
+
+
+_REMOTE: dict = {}
+
+
+def task(fn, **options):
+    """``fn`` as a Ray task with ``options``, decorated (so exported to
+    the workers) once per process for each function object: a function
+    a tracer wraps later is a new one. ``fn`` is module-level; a closure
+    goes to it as an argument."""
+    import ray
+
+    if fn not in _REMOTE:
+        _REMOTE[fn] = ray.remote(fn)
+    return _REMOTE[fn].options(**options)
+
+
+def gather(outs: list) -> list:
+    """Wait for a wave: ``outs`` holds each task's ref, or its list of
+    refs whose last is a small value (a ``block_meta``, counts). Returns
+    per task that value, or its other refs then that value. If a task
+    fails, the rest are cancelled and awaited, every error is consumed
+    (none is left for Ray to log as unhandled) and the first task error
+    in submission order raised as its own type."""
+    import ray
+    from ray.exceptions import RayError, TaskCancelledError
+
+    outs = [(out,) if isinstance(out, ray.ObjectRef) else tuple(out) for out in outs]
+    last = [refs[-1] for refs in outs]
+    try:
+        return [refs[:-1] + (v,) if refs[:-1] else v
+                for refs, v in zip(outs, ray.get(last))]
+    except BaseException as e:
+        caught = e
+    for ref in last:
+        ray.cancel(ref)
+    ray.wait(last, num_returns=len(last))
+    first = None
+    for refs in outs:
+        try:
+            ray.get(refs[-1])
+        except RayError as e:  # a cancelled task's error is ours, not its own
+            first = first or (None if isinstance(e, TaskCancelledError) else e)
+            for ref in refs[:-1]:  # the same error: consumed, not logged
+                with contextlib.suppress(RayError):
+                    ray.get(ref)
+    raise first if first is not None and isinstance(caught, RayError) else caught
 
 
 def shuffle_blocks(sides, bucket_of, per_bucket, *, batch_format: str = "pyarrow") -> list:
     """The shuffle over blocks already in the object store: ``sides`` is
-    one list of ``(block ref, size in bytes or None)`` or a tuple of
-    such lists, one per side; ``bucket_of`` is one function for every
-    side or a tuple of one per side (a block list given twice, keyed
-    on two columns, is two sides); ``per_bucket`` is called as for
-    :func:`bucket_shuffle`. Returns ``(block ref, block_meta)`` per
-    part, in part order, once every part has run: every part's error is
-    consumed (none is left for Ray to log as unhandled) and the first,
-    in part order, raised as its own type."""
+    one list of ``(block ref, block_meta)`` or a tuple of such lists,
+    one per side, empty blocks skipped; ``bucket_of`` is one function
+    for every side or a tuple of one per side (a block list given
+    twice, keyed on two columns, is two sides); ``per_bucket`` is called
+    as for :func:`bucket_shuffle`. Returns ``(block ref, block_meta)``
+    per part, empty parts included, in part order, once every part has
+    run; a failed part fails the wave as :func:`gather` does."""
     import ray
     from ray.data import DataContext
-    from ray.exceptions import RayError
 
     multi = isinstance(sides, tuple)
-    min_bytes = DataContext.get_current().target_min_block_size
-    cpus = max(1, int(ray.cluster_resources().get("CPU", 1)))
-    groups = [_group_blocks(side, min_bytes, cpus) for side in (sides if multi else (sides,))]
+    groups = _group_blocks(sides if multi else (sides,),
+                           DataContext.get_current().target_min_block_size, cluster_cpus())
     num_parts = sum(map(len, groups))
-    split = ray.remote(split_block).options(num_returns=num_parts)
+    split = task(split_block, num_returns=num_parts)
     keyed = (tuple(map(ray.put, bucket_of)) if isinstance(bucket_of, tuple)
              else (ray.put(bucket_of),) * len(groups))
     slices = [split.remote(key, num_parts, *g) for key, side in zip(keyed, groups) for g in side]
     if num_parts == 1:
         slices = [[s] for s in slices]
-    reduce = ray.remote(reduce_part).options(num_returns=2)
+    reduce = task(reduce_part, num_returns=2)
     per_bucket = ray.put(per_bucket)
     counts = [len(side) for side in groups]
     parts = [reduce.remote(per_bucket, batch_format, multi, counts, *(s[p] for s in slices))
              for p in range(num_parts)]
-    out, errors = [], []
-    for block, meta in parts:
-        try:
-            out.append((block, ray.get(meta)))
-        except RayError as e:
-            errors.append(e)
-            try:
-                ray.get(block)  # the same error: consumed, not logged
-            except RayError:
-                pass
-    if errors:
-        raise errors[0]
-    return out
+    return gather(parts)
 
 
 def bucket_shuffle(sides, bucket_of, per_bucket, *, batch_format: str = "pyarrow"):

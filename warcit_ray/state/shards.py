@@ -33,6 +33,7 @@ actors are not detached, so they die with the driver that leased them.
 
 from __future__ import annotations
 
+import functools
 import threading
 import time
 from collections import Counter
@@ -42,6 +43,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from ..stages.shuffle import session_key
 from .cuckoo import CuckooFilter
 from .robots import url_path_batch
 
@@ -346,15 +348,6 @@ _POOL_LOCK = threading.Lock()
 _POOL: tuple = (None, {})
 
 
-def _session_key() -> tuple:
-    """A new local cluster has a new node id; a new driver on a running
-    cluster has a new job id."""
-    import ray
-
-    ctx = ray.get_runtime_context()
-    return ctx.get_job_id(), ctx.get_node_id()
-
-
 def _idle(key: tuple) -> dict:
     global _POOL
     if _POOL[0] != key:
@@ -369,13 +362,13 @@ def _fill(cls, idle: list, args: list, fresh: list) -> list:
     import ray
     from ray.exceptions import RayActorError
 
-    # decorated per lease, not once per process: ray.remote captures the
-    # class's methods as they are now, so a method wrapped after the
-    # first lease (a tracer) still reaches the actors spawned later
-    remote_cls = ray.remote(num_cpus=0)(cls)
+    # decorated per lease that spawns, not once per process: ray.remote
+    # captures the class's methods as they are now, so a method wrapped
+    # after the first lease (a tracer) still reaches the actors spawned later
+    remote_cls = functools.cache(lambda: ray.remote(num_cpus=0)(cls))
 
     def spawn(x):
-        fresh.append(remote_cls.remote(*x))
+        fresh.append(remote_cls().remote(*x))
         return fresh[-1]
 
     resets = [a.reset.remote(*x) for a, x in zip(idle, args)]
@@ -412,7 +405,7 @@ def make_actors(num_seen: int, num_host: int, *, seen_capacity: int = 1 << 20,
                          for i in range(num_host)],
     }
     with _POOL_LOCK:
-        idle = _idle(_session_key())
+        idle = _idle(session_key())
         taken = {cls: [idle[cls].pop() for _ in args[:len(idle[cls])]]
                  for cls, args in fleets.items()}
     fresh: list = []
@@ -462,6 +455,6 @@ def release_actors(lease: ShardLease) -> None:
     for a in lease.seen + lease.host:
         a.drop.remote()
     with _POOL_LOCK:
-        idle = _idle(_session_key())
+        idle = _idle(session_key())
         idle[SeenShardState].extend(lease.seen)
         idle[HostShardState].extend(lease.host)
