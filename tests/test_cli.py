@@ -1,5 +1,6 @@
 """CLI surface tests (reference console scripts, setup.py:45-46)."""
 
+import logging
 import os
 
 import numpy as np
@@ -75,3 +76,22 @@ def test_cli_converter(tmp_path, capsys):
     for v in convs.values():
         for c in v:
             assert os.path.isfile(c["output"])
+
+
+def test_missing_input_is_logged(tmp_path, capsys, caplog, monkeypatch):
+    # base.py:49: warcit logs each invalid input at ERROR and goes on;
+    # the output (a warcinfo-only WARC, no conversion) and rc 0 stay
+    monkeypatch.chdir(tmp_path)
+    missing = str(tmp_path / "nosuch.zip")
+    with caplog.at_level(logging.ERROR, logger="warcit_ray"):
+        assert main(["-n", "out", "http://x.example/", missing]) == 0
+        assert converter_main(["--output-dir", str(tmp_path / "conv"),
+                               "http://x.example/", missing]) == 0
+    msg = '"%s" not a valid file or directory' % missing
+    assert [(r.levelno, r.getMessage()) for r in caplog.records
+            if r.name.startswith("warcit_ray")] == [(logging.ERROR, msg)] * 2
+    out = capsys.readouterr().out
+    assert "Wrote 0 resources to out.warc.gz" in out
+    assert "Converted 0 outputs for 0 sources" in out
+    with open(tmp_path / "out.warc.gz", "rb") as fh:
+        assert [r["headers"]["WARC-Type"] for r in parse_warc(fh.read())] == ["warcinfo"]

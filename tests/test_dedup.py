@@ -17,6 +17,7 @@ from warcit_ray.stages.dedup import (
     _blocked_cosine_pairs,
     _distinct_pairs,
     _emit_pairs_bulk,
+    _first_pairs,
     _pairs_frame,
     _verify_blocks,
     banded_hamming_pairs,
@@ -29,6 +30,7 @@ from warcit_ray.stages.dedup import (
     minhash_sig_batch,
     near_dup_pairs,
     shingle_hashes,
+    sig_chunk_rows,
     simhash_near_dups,
 )
 
@@ -86,12 +88,31 @@ def test_emit_pairs_bulk_matches_loop(string_ids):
     if string_ids:
         df["doc"] = ["img-%05d" % i for i in df["doc"]]
         extra = ["sig"]
-    got = _emit_pairs_bulk(df, "bkey", "doc", cap, extra).reset_index(drop=True)
+    t = pa.Table.from_pandas(df, preserve_index=False)
+    got = _emit_pairs_bulk(t, "bkey", "doc", cap, extra).to_pandas()
     want = _emit_pairs_loop(df, "bkey", "doc", cap, extra)
     assert len(want) == 1 + 2 * cap * (cap - 1) // 2
     pd.testing.assert_frame_equal(got, want, check_dtype=False)
-    empty = _emit_pairs_bulk(df.iloc[:0], "bkey", "doc", cap, extra)
-    assert list(empty.columns) == list(want.columns) and len(empty) == 0
+    empty = _emit_pairs_bulk(t.slice(0, 0), "bkey", "doc", cap, extra)
+    assert empty.column_names == list(want.columns) and empty.num_rows == 0
+
+
+@pytest.mark.parametrize("string_ids", [False, True])
+def test_first_pairs_keeps_first_occurrences(string_ids):
+    # the emit's and _distinct_pairs' pair dedup equals pandas'
+    # drop_duplicates on (id_a, id_b): first row of each pair, in order
+    rng = np.random.default_rng(5)
+    a, b = rng.integers(0, 6, 300), rng.integers(0, 6, 300)
+    df = pd.DataFrame({"id_a": a, "id_b": b, "hamming": np.arange(300)})
+    if string_ids:
+        df["id_a"] = ["img%d" % i for i in a]
+        df["id_b"] = ["img%d" % i for i in b]
+    got = _first_pairs(pa.Table.from_pandas(df, preserve_index=False)).to_pandas()
+    want = df.drop_duplicates(["id_a", "id_b"]).reset_index(drop=True)
+    assert len(want) == 36
+    pd.testing.assert_frame_equal(got, want)
+    empty = _first_pairs(pa.Table.from_pandas(df.iloc[:0], preserve_index=False))
+    assert empty.num_rows == 0 and empty.column_names == list(df.columns)
 
 
 def test_components_from_pairs():
@@ -139,6 +160,36 @@ def test_all_pairs_emitted_not_just_bucket_min(ray_session):
         pairs[["id_a", "id_b", "hamming"]].itertuples(index=False, name=None))
 
 
+def test_hamming_filter_drops_chunk_sharing_pairs(ray_session):
+    # "far" sigs share chunk 0 with a base sig but sit 12 bits away: the
+    # emit pairs them, the Hamming pair_filter must drop them, and the
+    # result equals a brute-force scan (string ids, two blocks)
+    rng = np.random.default_rng(11)
+    base = rng.integers(0, 1 << 63, 40, dtype=np.int64)
+
+    def flip(s, n, low):
+        for bit in rng.choice(np.arange(low, 63), n, replace=False):
+            s ^= 1 << int(bit)
+        return s
+
+    sigs = (base.tolist() + [flip(int(s), 3, 0) for s in base[:20]]
+            + [flip(int(s), 12, 8) for s in base[20:]])
+    ids = ["img%03d" % i for i in rng.permutation(len(sigs))]
+    t = pa.table({"image_id": ids, "phash": pa.array(sigs, pa.int64())})
+    got = banded_hamming_pairs(rd.from_arrow([t.slice(0, 50), t.slice(50)]),
+                               sig_col="phash", id_col="image_id", max_hamming=6)
+    want = sorted((min(a, b), max(a, b), hamming64(x, y))
+                  for i, (a, x) in enumerate(zip(ids, sigs))
+                  for b, y in zip(ids[i + 1:], sigs[i + 1:]) if hamming64(x, y) <= 6)
+    assert list(got.itertuples(index=False, name=None)) == want
+    assert len(want) == 20 and set(got["hamming"]) == {3}
+    rows = sig_chunk_rows(t, sig_col="phash", id_col="image_id", n_chunks=8)
+    emitted = _band_pair_rows(_put_blocks(rows), "bkey", "image_id", rows.num_rows,
+                              extra_cols=["sig"])
+    cands = _pairs_frame(_distinct_pairs(emitted, rows.num_rows), "unused")
+    assert len(cands) >= len(want) + 20  # every far pair was a candidate
+
+
 def test_candidate_pairs_skewed_bucket_distributed(ray_session):
     # One bucket with 1e5 members: must complete without materializing
     # member rows on the driver, bounded by bucket_cap.
@@ -163,7 +214,8 @@ def test_candidate_pairs_paths_agree(ray_session):
                           for d in (df.iloc[:200], df.iloc[200:])))
     got = _candidate_pairs(bands, 600).sort_values(
         ["id_a", "id_b"]).reset_index(drop=True)
-    want = _emit_pairs_bulk(df, "bkey", "doc_id", 256, []).drop_duplicates(
+    want = _emit_pairs_bulk(pa.Table.from_pandas(df, preserve_index=False), "bkey",
+                            "doc_id", 256, []).to_pandas().drop_duplicates(
         ["id_a", "id_b"]).sort_values(["id_a", "id_b"]).reset_index(drop=True)
     assert len(want) > len(want.drop_duplicates("id_a"))
     pd.testing.assert_frame_equal(got[["id_a", "id_b"]], want, check_dtype=False)
@@ -520,7 +572,7 @@ def _near_dup_ref(rows, threshold, num_bands=16):
     t = pa.table({"doc_id": pa.array([r["doc_id"] for r in rows], pa.int64()),
                   "text": [r["text"] for r in rows]})
     bands = lsh_band_rows(minhash_sig_batch(t, 64, 3), num_bands, "doc_id")
-    pairs = _emit_pairs_bulk(bands.to_pandas(), "bkey", "doc_id", 256, [])
+    pairs = _emit_pairs_bulk(bands, "bkey", "doc_id", 256, []).to_pandas()
     return _verify_ref(list(pairs.itertuples(index=False, name=None)),
                        {r["doc_id"]: r["text"] for r in rows}, threshold)
 

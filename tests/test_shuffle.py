@@ -425,6 +425,30 @@ def test_blocks_dataset_matches_from_arrow(ray_session):
     assert ours.repartition(3).count() == ref.repartition(3).count() == 6
 
 
+def test_blocks_dataset_consumers_run_no_executor(ray_session, monkeypatch):
+    """A Dataset over existing blocks holds its computed output: with
+    Ray Data's executor creation raising, ``to_pandas``, ``count``,
+    ``take_all`` and ``to_arrow_refs`` read its blocks, also when it has
+    none."""
+    from ray.data._internal.plan import ExecutionPlan
+
+    tables = [pa.table({"seq": pa.array([9, 3], pa.int64()), "name": ["i", "c"]}),
+              pa.table({"seq": pa.array([5], pa.int64()), "name": ["e"]})]
+    ours = blocks_dataset([(ray.put(t), block_meta(t)) for t in tables])
+    none = blocks_dataset([])
+
+    def refuse(self):
+        raise AssertionError("a consumer started Ray Data's executor")
+
+    monkeypatch.setattr(ExecutionPlan, "create_executor", refuse)
+    want = pa.concat_tables(tables)
+    assert ours.to_pandas().equals(want.to_pandas())
+    assert ours.count() == 3
+    assert ours.take_all() == want.to_pylist()
+    assert pa.concat_tables(ray.get(ours.to_arrow_refs())).equals(want)
+    assert none.count() == 0 and none.take_all() == [] and len(none.to_pandas()) == 0
+
+
 def test_engine_datasets_ask_no_stats_actor(ray_session, corpus, tmp_path, monkeypatch):
     """A job of plain tasks builds its Datasets without Ray Data's stats
     actor (starting it is about a second of a session's first job): with

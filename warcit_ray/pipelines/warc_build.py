@@ -22,6 +22,7 @@ built once. The sharded sinks write one part per range of input files
 
 from __future__ import annotations
 
+import logging
 import os
 from functools import partial
 
@@ -33,6 +34,8 @@ from ..sinks.warc_sink import _prepare, pin_layout, write_ranges, write_shards, 
 from ..sources.seeds import PayloadLoader, enumerate_seeds, part_of_seq
 from ..stages.build_records import RecordBuilder, warcinfo_row
 from ..stages.shuffle import block_meta, blocks_dataset, cluster_cpus, dataset_blocks, gather, task
+
+logger = logging.getLogger(__name__)
 
 
 def slice_bounds(sizes: np.ndarray, min_slices: int, max_bytes: int) -> list[int]:
@@ -96,8 +99,12 @@ def build_warc_dataset(cfg: WarcitConfig):
     """The record Dataset, built by the time this returns: the seeds are
     enumerated on the driver and one :func:`slice_wave` task per slice
     loads its payloads and builds its records. The Dataset's blocks are
-    the warcinfo row and the slices' records, in seq order."""
-    table, _ = enumerate_seeds(cfg.inputs, cfg.url_prefix, strict=False)
+    the warcinfo row and the slices' records, in seq order. An invalid
+    input is logged at ERROR, as the reference logs it (base.py:49), and
+    left out."""
+    table, errors = enumerate_seeds(cfg.inputs, cfg.url_prefix, strict=False)
+    for msg in errors:
+        logger.error(msg)
     lead = [warcinfo_row(cfg)] if cfg.warcinfo else []
     return slice_wave(table, table.column("size"), _build_slice, cfg, lead=lead)
 

@@ -38,7 +38,10 @@ Every near-dup family takes its input's blocks once and runs plain
 tasks and shuffles over block refs from there (stages/shuffle.py);
 its pair parts are read back by one reader (``_pairs_frame``). Pairs
 are emitted inside the shuffle's tasks: member rows never materialize
-on the driver.
+on the driver. The three LSH families share one candidate emit
+(``_emit_pairs_bulk``) over Arrow tables: one sort of each coarse
+bucket's band rows, segment arithmetic over row positions and a numpy
+pair dedup, no pandas frame per bucket.
 """
 
 from __future__ import annotations
@@ -277,13 +280,14 @@ class MinHasher:
              + self.b[:, None]) % _MERSENNE
         return v.min(axis=1)
 
-    # (num_perm, shingles) affine slab: 4096 shingles x 64 perms x 8 B
-    # = 2 MB — CACHE-RESIDENT. This is a concurrency lever, not a batch
-    # knob: at 32 MB (the old 1<<16) sixteen concurrent signature tasks
-    # thrash DRAM on the slab + mod temporaries and each runs 12 s;
-    # at 2 MB the same tasks run 0.7 s (17x, measured on a 9.4k-doc
-    # block at 16-way). Single-task speed is flat across 2-32 MB.
-    _SHINGLE_SLAB = 1 << 12
+    # (num_perm, shingles) affine slab: 1024 shingles x 64 perms x 8 B
+    # = 512 KB, so its two buffers fit a core's 2 MB L2. At 32 MB (the
+    # old 1<<16) sixteen concurrent signature tasks thrashed DRAM and
+    # each ran 12 s, against 0.7 s at 2 MB (1<<12, a 9.4k-doc block);
+    # on one 2,525-doc block ``_affine_minima`` took 35-38 ms at 1<<10,
+    # 37-41 at 1<<9, 40-42 at 1<<11 and 46-47 at 1<<12, alone and with
+    # 4 processes at once.
+    _SHINGLE_SLAB = 1 << 10
 
     _ROLL = np.uint64(0x9E3779B97F4A7C15)
 
@@ -497,82 +501,108 @@ def _seg_arange(lengths: np.ndarray) -> np.ndarray:
     return np.arange(ends[-1] if len(ends) else 0) - np.repeat(ends - lengths, lengths)
 
 
-def _emit_pairs_bulk(df: pd.DataFrame, bkey_col: str, id_col: str,
-                     bucket_cap: int, extra_cols: list[str]) -> pd.DataFrame:
-    """ALL within-bucket pairs for EVERY bucket in ``df``, in one
-    vectorized pass: segment arithmetic over the bucket sizes, no
-    per-bucket Python or pandas objects (a bucket frame costs 1-2 ms,
-    which dominates at thousands of collision buckets).
+def _emit_pairs_bulk(t: pa.Table, bkey_col: str, id_col: str,
+                     bucket_cap: int, extra_cols: list[str]) -> pa.Table:
+    """ALL within-bucket pairs for EVERY bucket in ``t``, in one
+    vectorized pass over an Arrow table: the rows whose key repeats,
+    sorted by (bucket key, id), then segment arithmetic over the bucket
+    sizes; no per-bucket Python and no pandas frame.
 
     All pairs, not just bucket-min pairs: an LSH false positive as the
     bucket minimum must not hide true pairs among the other members.
-    Deterministic cap: members sorted by id, first ``bucket_cap`` kept,
-    so a degenerate bucket costs O(cap^2) not O(n^2). Pairs come out
-    bucket by bucket, each bucket's in ``np.triu_indices`` order."""
-    cols = ["id_a", "id_b"] + ["%s_a" % c for c in extra_cols] \
-        + ["%s_b" % c for c in extra_cols]
-    df = df.drop_duplicates([bkey_col, id_col]).sort_values([bkey_col, id_col])
-    keys = df[bkey_col].to_numpy()
-    ids = df[id_col].to_numpy()
-    _, starts, counts = np.unique(keys, return_index=True, return_counts=True)
-    m = np.minimum(counts, bucket_cap)
+    Deterministic cap: members sorted by id (string ids in byte order),
+    a repeated (key, id) row kept once, first ``bucket_cap`` kept, so a
+    degenerate bucket costs O(cap^2) not O(n^2). Returns (id_a, id_b,
+    each extra column's ``_a`` then its ``_b`` copy), gathered with
+    ``take``; pairs come out bucket by bucket, each bucket's in
+    ``np.triu_indices`` order."""
+    import pyarrow.compute as pc
+
+    # only a key on two or more rows can pair: at LSH rates most band
+    # keys sit on one row, and those rows leave before the two-key sort
+    keys = t.column(bkey_col).to_numpy()
+    o = np.argsort(keys)
+    twin = keys[o[1:]] == keys[o[:-1]]
+    shared = np.zeros(len(keys), dtype=bool)
+    shared[o[1:][twin]] = shared[o[:-1][twin]] = True
+    t = t.filter(shared).sort_by([(bkey_col, "ascending"), (id_col, "ascending")])
+    keys = t.column(bkey_col).to_numpy()
+    ids = t.column(id_col).combine_chunks()
+    # the first row of each (key, id) run: the sort is stable, so that
+    # is a repeated row's first occurrence
+    new = np.ones(len(keys), dtype=bool)
+    new[1:] = (keys[1:] != keys[:-1]) | pc.not_equal(ids[1:], ids[:-1]).to_numpy(
+        zero_copy_only=False)
+    pos = np.flatnonzero(new)
+    keys = keys[pos]
+    starts = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])
+    m = np.minimum(np.diff(np.r_[starts, len(keys)]), bucket_cap)
     # one "row" per (bucket, first member i): i pairs with i+1 .. m-1
     rows = np.maximum(m - 1, 0)
     bucket = np.repeat(np.arange(len(m)), rows)
     first = _seg_arange(rows)
     row_len = m[bucket] - 1 - first
-    IA = np.repeat(starts[bucket] + first, row_len)
-    IB = IA + 1 + _seg_arange(row_len)
-    out = pd.DataFrame({"id_a": ids[IA], "id_b": ids[IB]})
-    for c in extra_cols:
-        v = df[c].to_numpy()
-        out["%s_a" % c] = v[IA]
-        out["%s_b" % c] = v[IB]
-    return out[cols]
+    ia = np.repeat(starts[bucket] + first, row_len)
+    sides = {"a": pa.array(pos[ia]), "b": pa.array(pos[ia + 1 + _seg_arange(row_len)])}
+    out = {"id_" + s: ids.take(i) for s, i in sides.items()}
+    for s, i in sides.items():
+        out.update(("%s_%s" % (c, s), t.column(c).take(i)) for c in extra_cols)
+    return pa.table(out)
+
+
+def _first_pairs(t: pa.Table) -> pa.Table:
+    """The rows of ``t`` holding each (id_a, id_b) pair's first
+    occurrence, in order: one dictionary over both id columns gives
+    every id a code, and a pair its two codes' one int64 key."""
+    ids = pa.concat_arrays([t.column(c).combine_chunks() for c in ("id_a", "id_b")])
+    codes = ids.dictionary_encode()
+    code = codes.indices.to_numpy().astype(np.int64)
+    n = t.num_rows
+    _, first = np.unique(code[:n] * len(codes.dictionary) + code[n:], return_index=True)
+    return t if len(first) == n else t.take(np.sort(first))
 
 
 def _band_pair_rows(bands: list, bkey_col: str, id_col: str, n_rows: int, *,
                     extra_cols=(), bucket_cap: int = 256, pair_filter=None) -> list:
     """The candidate emit shuffle over band blocks: one bulk emit per
     coarse bucket of band rows on ``mix(bkey) % B`` (~1M rows each),
-    then the in-frame pair dedup. Returns the parts. Pairs are distinct
-    within a bucket only: a pair that collides in bands hashing to
-    different buckets comes out once per such bucket
-    (:func:`_distinct_pairs` keeps one). ``pair_filter(df)`` (optional, e.g. the Hamming test)
-    runs inside the emit, so rejected pairs never shuffle further."""
+    then the bucket's pair dedup (:func:`_first_pairs`). Returns the
+    parts. Pairs are distinct within a bucket only: a pair that collides
+    in bands hashing to different buckets comes out once per such
+    bucket (:func:`_distinct_pairs` keeps one). ``pair_filter(table)``
+    (optional, e.g. the Hamming test) runs inside the emit, so rejected
+    pairs never shuffle further."""
 
-    def emit_bucket(_bucket: int, g: pd.DataFrame) -> pd.DataFrame:
+    def emit_bucket(_bucket: int, t: pa.Table) -> pa.Table:
         # holds every collision bucket whose bkey hashes here
-        out = _emit_pairs_bulk(g, bkey_col, id_col, bucket_cap, extra_cols)
+        out = _emit_pairs_bulk(t, bkey_col, id_col, bucket_cap, extra_cols)
         if pair_filter is not None:
-            out = pair_filter(out)  # applied to empties too: uniform schema
-        return out.drop_duplicates(["id_a", "id_b"])
+            out = pair_filter(out)
+        return _first_pairs(out)
 
     return shuffle_blocks(bands, key_buckets(bkey_col, _coarse_bucket_count(n_rows)),
-                          emit_bucket, batch_format="pandas")
+                          emit_bucket)
 
 
 def _distinct_pairs(parts: list, n_rows: int) -> list:
     """The parts of :func:`_band_pair_rows` over ``n_rows`` band rows,
     each pair once: one bucket shuffle on ``mix(id_a, id_b) % B`` (B
-    the emit's coarse bucket count, not one pandas group per pair) with
-    an in-frame ``drop_duplicates``. ``near_dup_pairs`` needs no such
-    step: its verify drops repeated pairs in a shuffle it runs anyway."""
+    the emit's coarse bucket count, not one group per pair) keeping
+    each pair's first row (:func:`_first_pairs`). ``near_dup_pairs``
+    needs no such step: its verify drops repeated pairs in a shuffle it
+    runs anyway."""
     nbb = _coarse_bucket_count(n_rows)
 
     def pair_buckets(t: pa.Table) -> np.ndarray:
         return mix_buckets(nbb, _id_hash_u64(t.column("id_a")),
                            _id_hash_u64(t.column("id_b")))
 
-    def dedup_bucket(_bucket: int, g: pd.DataFrame) -> pd.DataFrame:
-        return g.drop_duplicates(["id_a", "id_b"])
-
-    return shuffle_blocks(parts, pair_buckets, dedup_bucket, batch_format="pandas")
+    return shuffle_blocks(parts, pair_buckets, lambda _bucket, t: _first_pairs(t))
 
 
 def _coarse_bucket_count(n_rows: int) -> int:
     """Coarse shuffle-bucket count for the candidate shuffles: ~1M band
-    rows per bucket so a group frame fits a worker, floored at 32 so
+    rows per bucket so a bucket's rows fit a worker, floored at 32 so
     small runs still parallelize, capped at 64k so the group count
     never itself becomes a dispatch problem."""
     return int(max(32, min(1 << 16, n_rows // 1_000_000 + 1)))
@@ -642,7 +672,7 @@ def _verify_blocks(pairs: list, docs: list, *, id_col: str, text_col: str,
       two-sided shuffle on that key brings every half to its doc: the
       corpus moves once. All copies of a half land in one bucket, so
       dropping duplicate halves there dedups pairs repeated across
-      bands or emit frames (``pairs`` need not be distinct). Each
+      bands or emit buckets (``pairs`` need not be distinct). Each
       referenced doc is shingled once per bucket (sorted unique
       ``shingle_hashes``).
     - Combine: a shuffle on the pair brings its two halves together and
@@ -1008,11 +1038,12 @@ def _hamming_pairs(ds, *, sig_col: str, id_col: str, max_hamming: int,
                      for ref, _ in dataset_blocks(ds)])
     n_rows = sum(meta.num_rows for _, meta in chunks)
 
-    def ham_filter(df: pd.DataFrame) -> pd.DataFrame:
-        d = hamming64_arrays(df["sig_a"].to_numpy().astype(np.uint64),
-                             df["sig_b"].to_numpy().astype(np.uint64))
-        out = df[["id_a", "id_b"]].assign(hamming=d)
-        return out[out["hamming"] <= max_hamming]
+    def ham_filter(t: pa.Table) -> pa.Table:
+        d = hamming64_arrays(t.column("sig_a").to_numpy().astype(np.uint64),
+                             t.column("sig_b").to_numpy().astype(np.uint64))
+        keep = d <= max_hamming
+        return pa.table({"id_a": t.column("id_a").filter(keep),
+                         "id_b": t.column("id_b").filter(keep), "hamming": d[keep]})
 
     emitted = _band_pair_rows(chunks, "bkey", id_col, n_rows, extra_cols=["sig"],
                               bucket_cap=bucket_cap, pair_filter=ham_filter)

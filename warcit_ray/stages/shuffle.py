@@ -182,12 +182,21 @@ def blocks_dataset(parts):
     actor, a worker that imports ``ray.data`` and pandas (about 1 s on
     4 CPUs); this sets the same fields it does, with the ``uuid4().hex``
     Ray itself falls back to when the actor is unreachable. A Ray Data
-    operator applied to the result starts the actor as usual."""
+    operator applied to the result starts the actor as usual.
+
+    The plan also holds its computed output, the snapshot that
+    ``ExecutionPlan.execute()`` takes of a source's blocks (as
+    ``materialize`` leaves it), so ``to_pandas``, ``count`` and
+    ``take_all`` read the blocks without starting Ray Data's streaming
+    executor. It is set here, not by ``execute()``, which asks the
+    cluster for its available resources on every call."""
     from ray.data import DataContext
+    from ray.data._internal.execution.interfaces import RefBundle
     from ray.data._internal.logical.interfaces import LogicalPlan
     from ray.data._internal.logical.operators.from_operators import FromArrow
     from ray.data._internal.plan import ExecutionPlan
     from ray.data._internal.stats import DatasetStats
+    from ray.data.block import _take_first_non_empty_schema
     from ray.data.dataset import MaterializedDataset
 
     refs = [ref for ref, _ in parts]
@@ -201,6 +210,11 @@ def blocks_dataset(parts):
     ds._current_executor = None
     ds._write_ds = None
     ds._set_uuid(uuid4().hex)
+    plan._snapshot_bundle = RefBundle(
+        list(zip(refs, metas)), owns_blocks=False,
+        schema=_take_first_non_empty_schema(m.schema for m in metas))
+    plan._snapshot_operator = ds._logical_plan.dag
+    plan._snapshot_stats = plan._in_stats
     return ds
 
 
@@ -261,9 +275,11 @@ def gather(outs: list) -> list:
     """Wait for a wave: ``outs`` holds each task's ref, or its list of
     refs whose last is a small value (a ``block_meta``, counts). Returns
     per task that value, or its other refs then that value. If a task
-    fails, the rest are cancelled and awaited, every error is consumed
-    (none is left for Ray to log as unhandled) and the first task error
-    in submission order raised as its own type."""
+    fails, the tasks submitted after the first one seen failed are
+    cancelled, the ones before it run to their end (so which error is
+    raised does not depend on which failure arrived first), every error
+    is consumed (none is left for Ray to log as unhandled) and the first
+    task error in submission order raised as its own type."""
     import ray
     from ray.exceptions import RayError, TaskCancelledError
 
@@ -274,7 +290,15 @@ def gather(outs: list) -> list:
                 for refs, v in zip(outs, ray.get(last))]
     except BaseException as e:
         caught = e
-    for ref in last:
+    ready, cut = set(ray.wait(last, num_returns=len(last), timeout=0)[0]), 0
+    for i, ref in enumerate(last):
+        try:
+            if ref in ready:
+                ray.get(ref)
+        except RayError:
+            cut = i + 1
+            break
+    for ref in last[cut:]:
         ray.cancel(ref)
     ray.wait(last, num_returns=len(last))
     first = None

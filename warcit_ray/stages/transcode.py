@@ -33,6 +33,7 @@ extension model (converter.py:158-167):
 from __future__ import annotations
 
 import contextlib
+import logging
 import os
 import subprocess
 import tempfile
@@ -42,6 +43,8 @@ import pyarrow as pa
 from ..codecs import decode, encode, phash64, psnr, sniff_fmt
 from ..functions.digests import sha1_b32
 from ..sources.seeds import PayloadLoader
+
+logger = logging.getLogger(__name__)
 
 RESULT_SCHEMA = pa.schema(
     [
@@ -230,11 +233,14 @@ def convert_all(inputs: list[str], url_prefix: str, file_types: list[dict],
                 convert_stdout: str | None = None):
     """warcit-converter pipeline: the seeds enumerated on the driver,
     then one ``slice_wave`` task per slice loads its payloads and
-    transcodes them. The result Dataset's blocks are in seq order."""
+    transcodes them. The result Dataset's blocks are in seq order. An
+    invalid input is logged at ERROR (base.py:49) and left out."""
     from ..pipelines.warc_build import slice_wave
     from ..sources.seeds import enumerate_seeds
 
-    table, _ = enumerate_seeds(inputs, url_prefix, strict=False)
+    table, errors = enumerate_seeds(inputs, url_prefix, strict=False)
+    for msg in errors:
+        logger.error(msg)
     return slice_wave(table, table.column("size"), _convert_slice,
                       TranscodeStage(file_types, output_dir, dry_run, convert_stdout))
 
